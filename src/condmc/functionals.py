@@ -30,7 +30,11 @@ class PathFunctional:
     reads bundle.jacobians.  terminal_value, when set, evaluates the
     functional from terminal states alone; step_value, when set, declares the
     functional to be dt times the sum of step_value(X_k) over the left grid
-    points k < M.  Either one enables a fast all-branch gradient engine.
+    points k < M.  Either one enables a fast all-branch gradient engine, and
+    either need only match value up to an additive constant, since the
+    engines read nothing but branch gaps.  value may return (N, m) columns
+    for m functionals at once; the gradient engines treat each column as its
+    own scalar functional.
     """
 
     value: Callable
@@ -185,7 +189,8 @@ def integral_functional(h: Callable, dh: Callable) -> PathFunctional:
 def shift_functional(f: PathFunctional, level: float) -> PathFunctional:
     """f - level, so a conditioning event {f(X) = level} reads {g(X) = 0}.
 
-    The Malliavin derivative is unchanged by the constant shift.
+    The Malliavin derivative and step_value are unchanged by the constant
+    shift.
     """
 
     terminal = None
@@ -200,6 +205,7 @@ def shift_functional(f: PathFunctional, level: float) -> PathFunctional:
         requires_jacobian=f.requires_jacobian,
         terminal_value=terminal,
         value_requires_jacobian=f.value_requires_jacobian,
+        step_value=f.step_value,
     )
 
 

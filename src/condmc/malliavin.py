@@ -203,8 +203,18 @@ def conditional_loss_estimate(model: SdeModel, theta: float, ell: PathFunctional
         b_parts.append(b)
         accepted += int(np.count_nonzero(indicator))
         done += count
-    a = np.concatenate(a_parts)
-    b = np.concatenate(b_parts)
+    return _loss_report(np.concatenate(a_parts), np.concatenate(b_parts), accepted,
+                        master_seed)
+
+
+def _loss_report(a: np.ndarray, b: np.ndarray, accepted: int,
+                 master_seed: int) -> ConditionalLossReport:
+    """Quotient report from all per-path terms A_i, B_i and the {g > 0} count.
+
+    Raises DegenerateDenominator when mean(B) lies within 5 standard errors
+    of zero, where the quotient is not defined by the sample.
+    """
+    n_paths = a.size
     e1 = fsum(a) / n_paths
     e2 = fsum(b) / n_paths
     se_b = b.std(ddof=1) / math.sqrt(n_paths)

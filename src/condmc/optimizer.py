@@ -8,22 +8,24 @@ splits into a measure term (the branch estimator applied to the integrand as
 a black box) and an integrand term (the integrand's own explicit theta
 dependence at a frozen path, which enters through the weight process and the
 derivative profiles).  All four ingredients are estimated on the same base
-paths, so the quotient's standard error comes from one joint delta method.
+paths, so the quotient's standard error comes from one joint delta method:
+each simulated block feeds the loss terms, one branch pass over both
+integrands, and the explicit-theta terms.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CondMcError, DegenerateDenominator, SingularDiffusion
 from .functionals import PathFunctional
-from .malliavin import conditional_loss_estimate, conditional_quotient_terms
+from .malliavin import _loss_report, conditional_quotient_terms
 from .sde import PathBatch, SdeModel, TimeGrid, _euler_jacobians, fsum, simulate_paths
-from .streams import child_seed
+from .streams import _StreamPool, child_seed
 from .weakderiv import DEFAULT_BLOCK_SIZE, _hj_values
 
 _DENOMINATOR_FLOOR = 1e-12
@@ -44,25 +46,6 @@ def quotient_gradient(e1: float, e2: float, grad_e1: float, grad_e2: float) -> f
 
 # ---------------------------------------------------------------------------
 # counterfactual gradient
-
-
-def _integrand_functional(ell: PathFunctional, g: PathFunctional, weight_rule,
-                          part: str) -> PathFunctional:
-    """The numerator or denominator integrand of the loss quotient, packaged
-    as a plain path functional so the branch estimator can treat it as a
-    black box."""
-    index = 0 if part == "numerator" else 1
-    needs = ell.requires_jacobian or g.requires_jacobian
-
-    def value(bundle):
-        return conditional_quotient_terms(ell, g, weight_rule, bundle)[index]
-
-    return PathFunctional(
-        value=value,
-        malliavin_derivative=lambda bundle, s: None,
-        kind=f"loss-{part}",
-        value_requires_jacobian=needs,
-    )
 
 
 def _increments_at(model, grid, batch, b_base, bumped):
@@ -95,9 +78,9 @@ def _increments_at(model, grid, batch, b_base, bumped):
     return batch.increments + solved
 
 
-def _integrand_theta_terms(model, theta, ell, g, weight_rule, grid, x0,
-                           n_paths, master_seed, block_size):
-    """Per-path d/dtheta of the two integrands along a frozen state path.
+def _integrand_theta_terms(batch: PathBatch, ell, g, weight_rule) -> np.ndarray:
+    """Per-path d/dtheta of the two integrands along a frozen state path, as
+    (N, 2) columns (numerator, denominator).
 
     Viewed as functions of the state path, the integrands carry theta in the
     derivative profiles (through the jacobians), in the weight process, and
@@ -106,34 +89,23 @@ def _integrand_theta_terms(model, theta, ell, g, weight_rule, grid, x0,
     by central differences; the {g > 0} gate depends on the states alone, so
     it cannot flip between the two evaluations.
     """
+    model, grid, theta = batch.model, batch.grid, batch.theta
     h = _THETA_BUMP
     need_jac = ell.requires_jacobian or g.requires_jacobian
-    d_num = np.empty(n_paths)
-    d_den = np.empty(n_paths)
-    done = 0
-    while done < n_paths:
-        count = min(block_size, n_paths - done)
-        batch = simulate_paths(model, theta, x0, grid, count, master_seed,
-                               first_index=done)
-        b_base = np.asarray(model.drift(batch.states[:, :grid.steps, :],
-                                        grid.times[:grid.steps, None], theta))
-        sides = []
-        for bumped in (theta + h, theta - h):
-            increments = _increments_at(model, grid, batch, b_base, bumped)
-            jac = None
-            if need_jac:
-                jac = _euler_jacobians(model, bumped, grid, batch.states,
-                                       increments)
-            shifted = PathBatch(model, grid, bumped, batch.states,
-                                increments, master_seed,
-                                batch.path_indices, jac)
-            a, b, _ = conditional_quotient_terms(ell, g, weight_rule, shifted)
-            sides.append((np.asarray(a), np.asarray(b)))
-        (a_up, b_up), (a_dn, b_dn) = sides
-        d_num[done:done + count] = (a_up - a_dn) / (2.0 * h)
-        d_den[done:done + count] = (b_up - b_dn) / (2.0 * h)
-        done += count
-    return d_num, d_den
+    b_base = np.asarray(model.drift(batch.states[:, :grid.steps, :],
+                                    grid.times[:grid.steps, None], theta))
+    sides = []
+    for bumped in (theta + h, theta - h):
+        increments = _increments_at(model, grid, batch, b_base, bumped)
+        jac = None
+        if need_jac:
+            jac = _euler_jacobians(model, bumped, grid, batch.states, increments)
+        shifted = PathBatch(model, grid, bumped, batch.states, increments,
+                            batch.master_seed, batch.path_indices, jac)
+        a, b, _ = conditional_quotient_terms(ell, g, weight_rule, shifted)
+        sides.append(np.stack((a, b), -1))
+    up, down = sides
+    return (up - down) / (2.0 * h)
 
 
 def _quotient_gradient_std_error(a, b, g1, g2, n_paths):
@@ -162,24 +134,43 @@ def counterfactual_gradient(model: SdeModel, theta: float, ell: PathFunctional,
     Returns (loss, gradient, diagnostics).  The loss is the quotient of
     Skorohod-weighted means; the gradient applies the quotient rule to the
     branch (measure) gradients of the two integrands plus their explicit
-    theta derivatives, all on common base paths.
+    theta derivatives.  Each block of base paths is simulated once and feeds
+    the loss terms, one branch pass over both integrands as two columns, and
+    the explicit-theta terms.
     """
+    if n_paths < 2:
+        raise ValueError("n_paths must be at least 2")
     if gradient_mode not in _GRADIENT_MODES:
         raise ValueError(f"unknown gradient mode {gradient_mode!r}")
-    report = conditional_loss_estimate(model, theta, ell, g, weight_rule,
-                                       n_paths, master_seed, grid, x0,
-                                       block_size)
-    num_fun = _integrand_functional(ell, g, weight_rule, "numerator")
-    den_fun = _integrand_functional(ell, g, weight_rule, "denominator")
-    measure_num, _ = _hj_values(model, theta, x0, grid, num_fun, n_paths,
-                                gradient_mode, master_seed, block_size)
-    measure_den, _ = _hj_values(model, theta, x0, grid, den_fun, n_paths,
-                                gradient_mode, master_seed, block_size)
-    explicit_num, explicit_den = _integrand_theta_terms(
-        model, theta, ell, g, weight_rule, grid, x0, n_paths, master_seed,
-        block_size)
-    g1_terms = measure_num + explicit_num
-    g2_terms = measure_den + explicit_den
+    need_jac = ell.requires_jacobian or g.requires_jacobian
+    integrands = PathFunctional(
+        value=lambda bundle: np.stack(
+            conditional_quotient_terms(ell, g, weight_rule, bundle)[:2], -1),
+        malliavin_derivative=lambda bundle, s: None,
+        value_requires_jacobian=need_jac,
+    )
+    pool = _StreamPool()
+    a_parts, b_parts, measure_parts, explicit_parts = [], [], [], []
+    accepted = 0
+    done = 0
+    while done < n_paths:
+        count = min(block_size, n_paths - done)
+        batch = simulate_paths(model, theta, x0, grid, count, master_seed,
+                               first_index=done, with_jacobian=need_jac)
+        a, b, indicator = conditional_quotient_terms(ell, g, weight_rule, batch)
+        a_parts.append(a)
+        b_parts.append(b)
+        accepted += int(np.count_nonzero(indicator))
+        measure_parts.append(_hj_values(batch, integrands, gradient_mode, pool)[0])
+        # the explicit-theta terms build their own Jacobians; free the base ones
+        batch = replace(batch, jacobians=None)
+        explicit_parts.append(_integrand_theta_terms(batch, ell, g, weight_rule))
+        done += count
+    report = _loss_report(np.concatenate(a_parts), np.concatenate(b_parts), accepted,
+                          master_seed)
+    measure = np.concatenate(measure_parts)
+    explicit = np.concatenate(explicit_parts)
+    g1_terms, g2_terms = (measure + explicit).T
     grad_e1 = fsum(g1_terms) / n_paths
     grad_e2 = fsum(g2_terms) / n_paths
     gradient = quotient_gradient(report.e1_hat, report.e2_hat, grad_e1, grad_e2)
@@ -190,10 +181,10 @@ def counterfactual_gradient(model: SdeModel, theta: float, ell: PathFunctional,
         "e2": report.e2_hat,
         "grad_e1": grad_e1,
         "grad_e2": grad_e2,
-        "grad_e1_measure": fsum(measure_num) / n_paths,
-        "grad_e1_integrand": fsum(explicit_num) / n_paths,
-        "grad_e2_measure": fsum(measure_den) / n_paths,
-        "grad_e2_integrand": fsum(explicit_den) / n_paths,
+        "grad_e1_measure": fsum(measure[:, 0]) / n_paths,
+        "grad_e1_integrand": fsum(explicit[:, 0]) / n_paths,
+        "grad_e2_measure": fsum(measure[:, 1]) / n_paths,
+        "grad_e2_integrand": fsum(explicit[:, 1]) / n_paths,
         "se_loss": report.std_error,
         "se_gradient": se_gradient,
         "acceptance_fraction": report.acceptance_fraction,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonDiagonalDiffusion, SingularDiffusion, ZeroSensitivity
+from .errors import NonDiagonalDiffusion, NonFiniteState, SingularDiffusion, ZeroSensitivity
 from .functionals import PathFunctional
 from .reports import GradientReport
 from .sde import (
@@ -28,6 +28,7 @@ from .sde import (
     PathBatch,
     SdeModel,
     TimeGrid,
+    _apply_diffusion,
     _euler_continue,
     _euler_jacobians,
     fsum,
@@ -192,12 +193,7 @@ def signed_density(decomp: HjDecomposition, y) -> np.ndarray:
 
 def _hj_terms_batch(model: SdeModel, x: np.ndarray, t: float, theta: float, dt: float):
     """Vectorized decomposition pieces at a block of states x of shape (N, n)."""
-    sig = np.asarray(model.diffusion(x, t), dtype=float)
-    if sig.shape[-2] != sig.shape[-1]:
-        raise NonDiagonalDiffusion("kernel splitting needs a square diffusion matrix")
-    if np.any((sig - sig * np.eye(sig.shape[-1])) != 0.0):
-        raise NonDiagonalDiffusion("kernel splitting implemented for diagonal diffusion only")
-    diag = np.abs(np.diagonal(sig, axis1=-2, axis2=-1))
+    diag = np.abs(_diagonal_sigma(model, x, t))
     scales = np.broadcast_to(diag * math.sqrt(dt), x.shape)
     b = np.asarray(model.drift(x, t, theta), dtype=float)
     db = np.asarray(model.drift_dtheta(x, t, theta), dtype=float)
@@ -295,110 +291,101 @@ def hj_single_branch(model: SdeModel, theta: float, x0, grid: TimeGrid, branch_s
 
 # ---------------------------------------------------------------------------
 # aggregated gradient estimators
+#
+# Each engine branches one simulated block of base paths and returns the
+# block's per-path estimates, its |gap| sums in the order they were formed,
+# and the number of gaps behind them.  A functional may return (N,) values
+# or (N, m) columns; every column gets the bits a scalar run of it would.
 
 
-def _apply(sig, dw):
-    if sig.ndim == 2:
-        return dw @ sig.T
-    return np.einsum("...ij,...j->...i", sig, dw)
+def _per_row(v: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """v with trailing unit axes so that it broadcasts over the columns of like."""
+    return v.reshape(v.shape + (1,) * (like.ndim - v.ndim))
 
 
-def _terminal_sum_over_k(model, theta, x0, grid, functional, n_paths, master_seed,
-                         block_size):
+def _step_sum(scale_k: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Sum of scale_k * gaps over the step axis 1, one contiguous row per column."""
+    weighted = np.moveaxis(_per_row(scale_k, gaps) * gaps, 1, -1)
+    return np.sum(np.ascontiguousarray(weighted), axis=-1)
+
+
+def _terminal_sum_over_k(batch: PathBatch, functional: PathFunctional, pool: _StreamPool):
     """All-steps engine for terminal-state functionals.
 
     Branches at every step and advances all live branch copies together under
     the base path's increments, so one (N, M, n) array per side carries every
     branch's current state to the horizon.
     """
+    model, grid, theta = batch.model, batch.grid, batch.theta
     steps = grid.steps
     dt = grid.dt
     times = grid.times
     n_dim = model.state_dim
-    pool = _StreamPool()
-    vals = np.empty(n_paths)
-    gap_sum = 0.0
-    gap_count = 0
-    done = 0
-    while done < n_paths:
-        count = min(block_size, n_paths - done)
-        batch = simulate_paths(model, theta, x0, grid, count, master_seed,
-                               first_index=done)
-        plus = np.zeros((count, steps, n_dim))
-        minus = np.zeros((count, steps, n_dim))
-        scale_k = np.empty((count, steps))
-        for j in range(steps):
-            if j > 0:
-                dw = batch.increments[:, None, j, :]
-                for side in (plus, minus):
-                    x = side[:, :j]
-                    b = np.asarray(model.drift(x, times[j], theta))
-                    sig = np.asarray(model.diffusion(x, times[j]))
-                    side[:, :j] = x + dt * b + _apply(sig, dw)
-            mean, scales, weights, total, signs = _hj_terms_batch(
-                model, batch.states[:, j], times[j], theta, dt)
-            u, r, z = _branch_draw_block(master_seed, batch.path_indices, j, n_dim, pool)
-            bp, bm = _assemble_branch_states(mean, scales, weights, total, signs, u, r, z)
-            plus[:, j] = bp
-            minus[:, j] = bm
-            scale_k[:, j] = total
-        gaps = (np.asarray(functional.terminal_value(plus))
-                - np.asarray(functional.terminal_value(minus)))
-        vals[done:done + count] = np.sum(scale_k * gaps, axis=-1)
-        gap_sum += float(np.sum(np.abs(gaps)))
-        gap_count += gaps.size
-        done += count
-    return vals, gap_sum / max(gap_count, 1)
+    count = batch.n_paths
+    plus = np.zeros((count, steps, n_dim))
+    minus = np.zeros((count, steps, n_dim))
+    scale_k = np.empty((count, steps))
+    for j in range(steps):
+        if j > 0:
+            dw = batch.increments[:, None, j, :]
+            for side in (plus, minus):
+                x = side[:, :j]
+                b = np.asarray(model.drift(x, times[j], theta))
+                sig = np.asarray(model.diffusion(x, times[j]))
+                side[:, :j] = x + dt * b + _apply_diffusion(sig, dw)
+        mean, scales, weights, total, signs = _hj_terms_batch(
+            model, batch.states[:, j], times[j], theta, dt)
+        u, r, z = _branch_draw_block(batch.master_seed, batch.path_indices, j, n_dim, pool)
+        bp, bm = _assemble_branch_states(mean, scales, weights, total, signs, u, r, z)
+        plus[:, j] = bp
+        minus[:, j] = bm
+        scale_k[:, j] = total
+    # a non-finite state stays non-finite under Euler, so the horizon shows it
+    if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
+        raise NonFiniteState(steps)
+    gaps = (np.asarray(functional.terminal_value(plus))
+            - np.asarray(functional.terminal_value(minus)))
+    return _step_sum(scale_k, gaps), [float(np.sum(np.abs(gaps)))], gaps.size
 
 
-def _integral_sum_over_k(model, theta, x0, grid, functional, n_paths, master_seed,
-                         block_size):
+def _integral_sum_over_k(batch: PathBatch, functional: PathFunctional, pool: _StreamPool):
     """All-steps engine for left-point step-sum functionals.
 
     Like the terminal engine, but the shared prefix of each branch pair
     cancels in the value gap, so only per-step differences of step_value
     accumulate while the branch copies advance.
     """
+    model, grid, theta = batch.model, batch.grid, batch.theta
     steps = grid.steps
     dt = grid.dt
     times = grid.times
     n_dim = model.state_dim
     h = functional.step_value
-    pool = _StreamPool()
-    vals = np.empty(n_paths)
-    gap_sum = 0.0
-    gap_count = 0
-    done = 0
-    while done < n_paths:
-        count = min(block_size, n_paths - done)
-        batch = simulate_paths(model, theta, x0, grid, count, master_seed,
-                               first_index=done)
-        plus = np.zeros((count, steps, n_dim))
-        minus = np.zeros((count, steps, n_dim))
-        gap_acc = np.zeros((count, steps))
-        scale_k = np.empty((count, steps))
-        for j in range(steps):
-            if j > 0:
-                live_p = plus[:, :j]
-                live_m = minus[:, :j]
-                gap_acc[:, :j] += dt * (np.asarray(h(live_p)) - np.asarray(h(live_m)))
-                dw = batch.increments[:, None, j, :]
-                for side, live in ((plus, live_p), (minus, live_m)):
-                    b = np.asarray(model.drift(live, times[j], theta))
-                    sig = np.asarray(model.diffusion(live, times[j]))
-                    side[:, :j] = live + dt * b + _apply(sig, dw)
-            mean, scales, weights, total, signs = _hj_terms_batch(
-                model, batch.states[:, j], times[j], theta, dt)
-            u, r, z = _branch_draw_block(master_seed, batch.path_indices, j, n_dim, pool)
-            bp, bm = _assemble_branch_states(mean, scales, weights, total, signs, u, r, z)
-            plus[:, j] = bp
-            minus[:, j] = bm
-            scale_k[:, j] = total
-        vals[done:done + count] = np.sum(scale_k * gap_acc, axis=-1)
-        gap_sum += float(np.sum(np.abs(gap_acc)))
-        gap_count += gap_acc.size
-        done += count
-    return vals, gap_sum / max(gap_count, 1)
+    count = batch.n_paths
+    plus = np.zeros((count, steps, n_dim))
+    minus = np.zeros((count, steps, n_dim))
+    gap_acc = np.zeros(np.shape(h(batch.states[:, :steps])))  # (N, M) or (N, M, m)
+    scale_k = np.empty((count, steps))
+    for j in range(steps):
+        if j > 0:
+            live_p = plus[:, :j]
+            live_m = minus[:, :j]
+            gap_acc[:, :j] += dt * (np.asarray(h(live_p)) - np.asarray(h(live_m)))
+            dw = batch.increments[:, None, j, :]
+            for side, live in ((plus, live_p), (minus, live_m)):
+                b = np.asarray(model.drift(live, times[j], theta))
+                sig = np.asarray(model.diffusion(live, times[j]))
+                side[:, :j] = live + dt * b + _apply_diffusion(sig, dw)
+        mean, scales, weights, total, signs = _hj_terms_batch(
+            model, batch.states[:, j], times[j], theta, dt)
+        u, r, z = _branch_draw_block(batch.master_seed, batch.path_indices, j, n_dim, pool)
+        bp, bm = _assemble_branch_states(mean, scales, weights, total, signs, u, r, z)
+        plus[:, j] = bp
+        minus[:, j] = bm
+        scale_k[:, j] = total
+    if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
+        raise NonFiniteState(steps)
+    return _step_sum(scale_k, gap_acc), [float(np.sum(np.abs(gap_acc)))], gap_acc.size
 
 
 def _branch_batch(base: PathBatch, rows: np.ndarray, step: int, new_states: np.ndarray,
@@ -421,95 +408,72 @@ def _branch_batch(base: PathBatch, rows: np.ndarray, step: int, new_states: np.n
                      base.path_indices[rows], jac)
 
 
-def _grouped_random_k(model, theta, x0, grid, functional, n_paths, master_seed,
-                      block_size):
+def _grouped_random_k(batch: PathBatch, functional: PathFunctional, pool: _StreamPool):
     """One branch per path at a uniformly drawn step, grouped by step."""
+    model, grid, theta = batch.model, batch.grid, batch.theta
     steps = grid.steps
-    n_dim = model.state_dim
-    pool = _StreamPool()
     need_jac = functional.value_requires_jacobian
-    vals = np.empty(n_paths)
-    gap_sum = 0.0
-    done = 0
-    while done < n_paths:
-        count = min(block_size, n_paths - done)
-        batch = simulate_paths(model, theta, x0, grid, count, master_seed,
-                               first_index=done, with_jacobian=need_jac)
-        indices = batch.path_indices
-        ks = np.empty(count, dtype=np.intp)
-        for row, idx in enumerate(indices):
-            rng = pool.rekey(master_seed, int(idx), step=0, tag=TAG_CHOICE)
-            ks[row] = rng.integers(0, steps)
-        block_vals = np.zeros(count)
-        for k in np.unique(ks):
-            rows = np.nonzero(ks == k)[0]
-            mean, scales, weights, total, signs = _hj_terms_batch(
-                model, batch.states[rows, k], grid.times[k], theta, grid.dt)
-            if not np.any(total != 0.0):
-                continue
-            u, r, z = _branch_draw_block(master_seed, indices[rows], int(k), n_dim, pool)
-            bp, bm = _assemble_branch_states(mean, scales, weights, total, signs, u, r, z)
-            plus = _branch_batch(batch, rows, int(k), bp, need_jac)
-            minus = _branch_batch(batch, rows, int(k), bm, need_jac)
-            gaps = np.asarray(functional.value(plus)) - np.asarray(functional.value(minus))
-            block_vals[rows] = steps * total * gaps
-            gap_sum += float(np.sum(np.abs(gaps)))
-        vals[done:done + count] = block_vals
-        done += count
-    return vals, gap_sum / n_paths
+    indices = batch.path_indices
+    ks = np.empty(batch.n_paths, dtype=np.intp)
+    for row, idx in enumerate(indices):
+        rng = pool.rekey(batch.master_seed, int(idx), step=0, tag=TAG_CHOICE)
+        ks[row] = rng.integers(0, steps)
+    block_vals = None
+    gap_sums = []
+    for k in np.unique(ks):
+        rows = np.nonzero(ks == k)[0]
+        mean, scales, weights, total, signs = _hj_terms_batch(
+            model, batch.states[rows, k], grid.times[k], theta, grid.dt)
+        if not np.any(total != 0.0):
+            continue
+        u, r, z = _branch_draw_block(batch.master_seed, indices[rows], int(k),
+                                     model.state_dim, pool)
+        bp, bm = _assemble_branch_states(mean, scales, weights, total, signs, u, r, z)
+        plus = _branch_batch(batch, rows, int(k), bp, need_jac)
+        minus = _branch_batch(batch, rows, int(k), bm, need_jac)
+        gaps = np.asarray(functional.value(plus)) - np.asarray(functional.value(minus))
+        if block_vals is None:  # the first gaps fix the column shape
+            block_vals = np.zeros((batch.n_paths,) + gaps.shape[1:])
+        block_vals[rows] = _per_row(steps * total, gaps) * gaps
+        gap_sums.append(float(np.sum(np.abs(gaps))))
+    if block_vals is None:  # no path is sensitive at its branch step
+        block_vals = np.zeros(np.shape(functional.value(batch)))
+    return block_vals, gap_sums, block_vals.size
 
 
-def _generic_sum_over_k(model, theta, x0, grid, functional, n_paths, master_seed,
-                        block_size):
+def _generic_sum_over_k(batch: PathBatch, functional: PathFunctional, pool: _StreamPool):
     """Branch at every step with full branch re-propagation (any functional)."""
-    steps = grid.steps
-    n_dim = model.state_dim
-    pool = _StreamPool()
+    model, grid, theta = batch.model, batch.grid, batch.theta
     need_jac = functional.value_requires_jacobian
-    vals = np.zeros(n_paths)
-    gap_sum = 0.0
+    rows = np.arange(batch.n_paths)
+    block_vals = 0.0
+    gap_sums = []
     gap_count = 0
-    done = 0
-    while done < n_paths:
-        count = min(block_size, n_paths - done)
-        batch = simulate_paths(model, theta, x0, grid, count, master_seed,
-                               first_index=done, with_jacobian=need_jac)
-        rows = np.arange(count)
-        block_vals = np.zeros(count)
-        for k in range(steps):
-            mean, scales, weights, total, signs = _hj_terms_batch(
-                model, batch.states[:, k], grid.times[k], theta, grid.dt)
-            u, r, z = _branch_draw_block(master_seed, batch.path_indices, k, n_dim, pool)
-            bp, bm = _assemble_branch_states(mean, scales, weights, total, signs, u, r, z)
-            plus = _branch_batch(batch, rows, k, bp, need_jac)
-            minus = _branch_batch(batch, rows, k, bm, need_jac)
-            gaps = np.asarray(functional.value(plus)) - np.asarray(functional.value(minus))
-            block_vals += total * gaps
-            gap_sum += float(np.sum(np.abs(gaps)))
-            gap_count += count
-        vals[done:done + count] = block_vals
-        done += count
-    return vals, gap_sum / max(gap_count, 1)
+    for k in range(grid.steps):
+        mean, scales, weights, total, signs = _hj_terms_batch(
+            model, batch.states[:, k], grid.times[k], theta, grid.dt)
+        u, r, z = _branch_draw_block(batch.master_seed, batch.path_indices, k,
+                                     model.state_dim, pool)
+        bp, bm = _assemble_branch_states(mean, scales, weights, total, signs, u, r, z)
+        plus = _branch_batch(batch, rows, k, bp, need_jac)
+        minus = _branch_batch(batch, rows, k, bm, need_jac)
+        gaps = np.asarray(functional.value(plus)) - np.asarray(functional.value(minus))
+        block_vals = block_vals + _per_row(total, gaps) * gaps
+        gap_sums.append(float(np.sum(np.abs(gaps))))
+        gap_count += gaps.size
+    return block_vals, gap_sums, gap_count
 
 
-def _hj_values(model, theta, x0, grid, functional, n_paths, mode, master_seed,
-               block_size):
-    """Per-path branch estimates (mean-one-unbiased for d/dtheta E[C])."""
-    if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
-    if mode not in ("random-k", "sum-over-k"):
-        raise ValueError(f"unknown mode {mode!r}")
+def _hj_values(batch: PathBatch, functional: PathFunctional, mode: str, pool: _StreamPool):
+    """Per-path branch estimates on one simulated block (mean-one-unbiased for
+    d/dtheta E[C]), with the block's |gap| sums and gap count."""
     if mode == "random-k":
-        return _grouped_random_k(model, theta, x0, grid, functional,
-                                 n_paths, master_seed, block_size)
+        return _grouped_random_k(batch, functional, pool)
     if functional.terminal_value is not None:
-        return _terminal_sum_over_k(model, theta, x0, grid, functional,
-                                    n_paths, master_seed, block_size)
+        return _terminal_sum_over_k(batch, functional, pool)
     if functional.step_value is not None:
-        return _integral_sum_over_k(model, theta, x0, grid, functional,
-                                    n_paths, master_seed, block_size)
-    return _generic_sum_over_k(model, theta, x0, grid, functional,
-                               n_paths, master_seed, block_size)
+        return _integral_sum_over_k(batch, functional, pool)
+    return _generic_sum_over_k(batch, functional, pool)
 
 
 def hj_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
@@ -520,20 +484,42 @@ def hj_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
     mode 'random-k' branches each path once at a uniform step and scales the
     gap by the number of steps; 'sum-over-k' branches at every step of every
     path and sums, which costs more per path but its variance stays bounded
-    as the horizon grows.
+    as the horizon grows.  A functional with (N, m) values gets (m,) arrays
+    for estimate, std_error and variance, each column as its own scalar run.
     """
-    vals, mean_gap = _hj_values(model, theta, x0, grid, functional, n_paths,
-                                mode, master_seed, block_size)
-    estimate = fsum(vals) / n_paths
-    variance = float(vals.var(ddof=1))
+    if n_paths < 2:
+        raise ValueError("n_paths must be at least 2")
+    if mode not in ("random-k", "sum-over-k"):
+        raise ValueError(f"unknown mode {mode!r}")
+    pool = _StreamPool()
+    parts = []
+    gap_sum = 0.0
+    gap_count = 0
+    done = 0
+    while done < n_paths:
+        count = min(block_size, n_paths - done)
+        batch = simulate_paths(model, theta, x0, grid, count, master_seed, first_index=done,
+                               with_jacobian=functional.value_requires_jacobian)
+        vals, gap_sums, block_gaps = _hj_values(batch, functional, mode, pool)
+        parts.append(vals)
+        for part in gap_sums:
+            gap_sum += part
+        gap_count += block_gaps
+        done += count
+    columns = [np.ascontiguousarray(c) for c in np.concatenate(parts).reshape(n_paths, -1).T]
+    estimate = np.array([fsum(c) / n_paths for c in columns])
+    variance = np.array([c.var(ddof=1) for c in columns])
+    std_error = np.sqrt(variance / n_paths)
+    if parts[0].ndim == 1:  # a scalar functional reports plain floats
+        estimate, std_error, variance = (float(v[0]) for v in (estimate, std_error, variance))
     return GradientReport(
         estimate=estimate,
-        std_error=math.sqrt(variance / n_paths),
+        std_error=std_error,
         n_paths=n_paths,
         master_seed=master_seed,
         variance=variance,
         mode=mode,
-        branch_stats=mean_gap,
+        branch_stats=gap_sum / max(gap_count, 1),
     )
 
 

@@ -126,6 +126,82 @@ def test_gradient_is_deterministic_in_the_seed():
     assert first[1] == second[1]
 
 
+@pytest.mark.parametrize("mode", ["random-k", "sum-over-k"])
+def test_gradient_is_block_size_invariant(mode):
+    model, grid, ell, g = ou_setup(20)
+    runs = [cm.counterfactual_gradient(model, 1.0, ell, g, "canonical", grid, X0,
+                                       300, mode, 19, **blocking)
+            for blocking in ({}, {"block_size": 137}, {"block_size": 7})]
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("mode", ["random-k", "sum-over-k"])
+def test_gradient_loss_matches_loss_estimate(mode):
+    # the single pass feeds the loss terms from the same blocks the branch
+    # engine reads, so the loss side equals the standalone estimator exactly
+    model, grid, ell, g = ou_setup(20)
+    loss, _, diag = cm.counterfactual_gradient(
+        model, 1.0, ell, g, "canonical", grid, X0, 300, mode, 23, block_size=64)
+    report = cm.conditional_loss_estimate(model, 1.0, ell, g, "canonical", 300,
+                                          23, grid, X0)
+    assert (loss, diag["e1"], diag["e2"], diag["se_loss"],
+            diag["acceptance_fraction"]) == (
+        report.estimate, report.e1_hat, report.e2_hat, report.std_error,
+        report.acceptance_fraction)
+
+
+def _columns(f):
+    """f and 3 f as the two columns of one functional."""
+    def stack(values):
+        values = np.asarray(values)
+        return np.stack((values, 3.0 * values), -1)
+
+    terminal = step = None
+    if f.terminal_value is not None:
+        terminal = lambda x: stack(f.terminal_value(x))  # noqa: E731
+    if f.step_value is not None:
+        step = lambda x: stack(f.step_value(x))  # noqa: E731
+    return cm.PathFunctional(value=lambda bundle: stack(f.value(bundle)),
+                             malliavin_derivative=lambda bundle, s: None,
+                             terminal_value=terminal, step_value=step)
+
+
+@pytest.mark.parametrize("mode, f", [
+    ("random-k", cm.terminal_power(2)),
+    ("sum-over-k", cm.marginal_power(12, 2)),
+    ("sum-over-k", cm.terminal_power(2)),
+    ("sum-over-k", cm.integral_functional(lambda x: x[..., 0] ** 2, lambda x: 2.0 * x)),
+], ids=["random-k", "generic", "terminal", "integral"])
+def test_vector_valued_branch_gradient_matches_scalar_columns(mode, f):
+    grid = cm.TimeGrid(1.0, 25)
+    scalar = cm.hj_gradient(cm.ou_model(1.0), 1.0, X0, grid, f, 300, mode, 8,
+                            block_size=128)
+    vector = cm.hj_gradient(cm.ou_model(1.0), 1.0, X0, grid, _columns(f), 300,
+                            mode, 8, block_size=128)
+    assert vector.estimate.shape == vector.variance.shape == (2,)
+    assert vector.estimate[0] == scalar.estimate
+    assert vector.variance[0] == scalar.variance
+    assert vector.std_error[0] == scalar.std_error
+    assert vector.estimate[1] == pytest.approx(3.0 * scalar.estimate, rel=1e-12)
+
+
+def test_vector_valued_gradient_without_sensitivity_keeps_its_columns():
+    # theta-free drift: random-k branches no path, yet reports both columns
+    still = cm.SdeModel(
+        drift=lambda x, t, theta: np.zeros_like(x),
+        drift_dtheta=lambda x, t, theta: np.zeros_like(x),
+        drift_dx=lambda x, t, theta: np.zeros(x.shape[:-1] + (1, 1)),
+        diffusion=lambda x, t: np.eye(1),
+        diffusion_dx=lambda x, t: np.zeros((1, 1, 1)),
+        state_dim=1,
+        noise_dim=1,
+    )
+    report = cm.hj_gradient(still, 1.0, X0, cm.TimeGrid(1.0, 10),
+                            _columns(cm.terminal_power(2)), 50, "random-k", 0)
+    assert report.estimate.tolist() == [0.0, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # optimizer config
 

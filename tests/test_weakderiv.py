@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 import condmc as cm
-from condmc.errors import NonDiagonalDiffusion, SingularDiffusion, ZeroSensitivity
+from condmc.errors import (
+    NonDiagonalDiffusion,
+    NonFiniteState,
+    SingularDiffusion,
+    ZeroSensitivity,
+)
 from condmc.functionals import PathFunctional
 from condmc.streams import TAG_CHOICE, stream
 
@@ -367,6 +372,19 @@ def test_sum_over_k_generic_engine_matches_reference():
     assert report.estimate == pytest.approx(math.fsum(vals) / n, rel=1e-12)
 
 
+def test_shifted_integral_keeps_the_integral_engine():
+    # the shift cancels in every branch gap, so the shifted integral runs
+    # the step-sum engine and reproduces the unshifted gradient to the bit
+    grid = cm.TimeGrid(1.0, 20)
+    f = cm.integral_functional(lambda x: x[..., 0] ** 2, lambda x: 2.0 * x)
+    shifted = cm.shift_functional(f, 0.4)
+    assert shifted.step_value is f.step_value
+    plain = cm.hj_gradient(cm.ou_model(1.0), 1.0, X0, grid, f, 200, "sum-over-k", 17)
+    moved = cm.hj_gradient(cm.ou_model(1.0), 1.0, X0, grid, shifted, 200, "sum-over-k", 17)
+    assert (moved.estimate, moved.variance, moved.branch_stats) == (
+        plain.estimate, plain.variance, plain.branch_stats)
+
+
 def test_random_k_two_dim_matches_reference():
     model = diag2_model()
     grid = cm.TimeGrid(0.5, 5)
@@ -520,6 +538,32 @@ def test_gradient_constant_payoff_is_exact_zero():
         assert report.estimate == 0.0
     sf = cm.score_function_gradient(cm.ou_model(1.0), 1.0, X0, grid, f, 2000, 0)
     assert abs(sf.estimate) <= 3 * sf.std_error
+
+
+@pytest.mark.parametrize("functional", [
+    cm.terminal_power(2),
+    cm.integral_functional(lambda x: x[..., 0] ** 2, lambda x: 2.0 * x),
+], ids=["terminal", "integral"])
+def test_sum_over_k_exploding_branch_raises_non_finite_state(functional):
+    # dX = theta X^3 dt + dW: the base paths stay finite, but some branch
+    # copies blow up before the horizon
+    model = cm.SdeModel(
+        drift=lambda x, t, theta: theta * x ** 3,
+        drift_dtheta=lambda x, t, theta: x ** 3,
+        drift_dx=lambda x, t, theta: (3.0 * theta * x ** 2)[..., None] * np.eye(1),
+        diffusion=lambda x, t: np.eye(1),
+        diffusion_dx=lambda x, t: np.zeros((1, 1, 1)),
+        state_dim=1,
+        noise_dim=1,
+        name="explosive-cubic",
+    )
+    grid = cm.TimeGrid(1.0, 20)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteState) as failure:
+            cm.hj_gradient(model, 0.5, X0, grid, functional, 400, "sum-over-k", 3)
+        assert failure.value.step == grid.steps
+        with pytest.raises(NonFiniteState):
+            cm.hj_gradient(model, 0.5, X0, grid, functional, 400, "random-k", 3)
 
 
 def test_gradient_validates_inputs():
