@@ -18,6 +18,7 @@ from .errors import (
     NearZeroDerivativeWarning,
     NonAdaptedWithoutFactorization,
     NonDiagonalDiffusion,
+    NonFiniteEstimate,
     NonFiniteState,
     SingularDiffusion,
     SingularJacobian,

@@ -23,6 +23,11 @@ class NonFiniteState(CondMcError):
         super().__init__(message or f"non-finite state at step {step}")
 
 
+class NonFiniteEstimate(CondMcError):
+    """An estimate, its standard error or its variance is NaN or infinite,
+    although every simulated state was finite (a functional value overflowed)."""
+
+
 class SingularJacobian(CondMcError):
     """Pathwise Jacobian became numerically singular (condition number > 1e12)."""
 

@@ -1,10 +1,11 @@
 """Counter-based random streams keyed by (master_seed, path_index).
 
-Each path owns a Philox stream identified purely by its key, so any path can
-be regenerated bit-for-bit in isolation and blocks of paths can be simulated
-in any order (or in parallel) without consuming shared generator state.
-Auxiliary draws (branch perturbations, index choices) live in disjoint
-counter blocks of the same key so they never collide with the noise stream.
+Each path owns Philox streams identified purely by their key, so any path
+can be regenerated bit-for-bit in isolation and blocks of paths can be
+simulated in any order (or in parallel) without consuming shared generator
+state.  A path has one stream per purpose, in disjoint counter blocks of the
+same key: its noise, its branch randomness (every step's draws from one
+stream, row k for step k) and its branch-step choice.
 """
 
 from __future__ import annotations
@@ -14,22 +15,21 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 # Counter-block tags. The third counter word selects the purpose of the
-# stream, the second selects a step index where one is needed; the low word
-# is left free for the generator itself.
+# stream; the two low words start at 0 and are left to the generator itself.
 TAG_NOISE = 0
 TAG_BRANCH = 1
 TAG_CHOICE = 2
 
 
-def stream(master_seed: int, path_index: int, *, step: int = 0, tag: int = TAG_NOISE) -> np.random.Generator:
+def stream(master_seed: int, path_index: int, *, tag: int = TAG_NOISE) -> np.random.Generator:
     """Return the Generator for one (seed, path) substream.
 
-    Streams with different (master_seed, path_index, step, tag) are
-    statistically independent; recreating a stream replays it exactly.
+    Streams with different (master_seed, path_index, tag) are statistically
+    independent; recreating a stream replays it exactly.
     """
-    if master_seed < 0 or path_index < 0 or step < 0:
-        raise ValueError("master_seed, path_index and step must be non-negative")
-    bg = np.random.Philox(counter=[0, int(step), int(tag), 0],
+    if master_seed < 0 or path_index < 0:
+        raise ValueError("master_seed and path_index must be non-negative")
+    bg = np.random.Philox(counter=[0, 0, int(tag), 0],
                           key=[int(master_seed) & _MASK64, int(path_index) & _MASK64])
     return np.random.Generator(bg)
 
@@ -54,11 +54,8 @@ class _StreamPool:
         self._counter = np.zeros(4, dtype=np.uint64)
         self._key = np.zeros(2, dtype=np.uint64)
 
-    def rekey(self, master_seed: int, path_index: int, *, step: int = 0, tag: int = TAG_NOISE) -> np.random.Generator:
-        self._counter[0] = 0
-        self._counter[1] = step
-        self._counter[2] = tag
-        self._counter[3] = 0
+    def rekey(self, master_seed: int, path_index: int, *, tag: int = TAG_NOISE) -> np.random.Generator:
+        self._counter[2] = tag  # the other counter words stay 0
         self._key[0] = master_seed & _MASK64
         self._key[1] = path_index & _MASK64
         self._bg.state = {

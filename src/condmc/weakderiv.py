@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonDiagonalDiffusion, NonFiniteState, SingularDiffusion, ZeroSensitivity
+from .errors import (
+    NonDiagonalDiffusion,
+    NonFiniteEstimate,
+    NonFiniteState,
+    SingularDiffusion,
+    ZeroSensitivity,
+)
 from .functionals import PathFunctional
 from .reports import GradientReport
 from .sde import (
@@ -124,8 +130,19 @@ def sample_branch_pair(decomp: HjDecomposition, rng: np.random.Generator):
     if decomp.scale == 0.0:
         raise ZeroSensitivity("no coordinate has drift sensitivity; nothing to branch")
     n = decomp.mean.size
+    u = rng.random() if n > 1 else None
+    r = rng.rayleigh(1.0)
+    z = rng.standard_normal(n) if n > 1 else None
+    return _branch_pair_from_draws(decomp, u, r, z)
+
+
+def _branch_pair_from_draws(decomp: HjDecomposition, u, r, z):
+    """(x_plus, x_minus) from one step's draws: the coordinate-choice uniform u,
+    the unit Rayleigh radius r and the nominal normals z (u and z are None for
+    a scalar state)."""
+    n = decomp.mean.size
     if n > 1:
-        target = rng.random() * decomp.scale
+        target = u * decomp.scale
         acc = 0.0
         comp = decomp.per_dimension[-1]
         for cand in decomp.per_dimension:
@@ -135,9 +152,8 @@ def sample_branch_pair(decomp: HjDecomposition, rng: np.random.Generator):
                 break
     else:
         comp = decomp.per_dimension[0]
-    radius = rng.rayleigh(1.0) * comp.rayleigh_scale
+    radius = r * comp.rayleigh_scale
     if n > 1:
-        z = rng.standard_normal(n)
         base = decomp.mean + decomp.rayleigh_scales * z
     else:
         base = decomp.mean.copy()
@@ -210,21 +226,37 @@ def _hj_terms_batch(model: SdeModel, x: np.ndarray, t: float, theta: float, dt: 
     return mean, scales, weights, total, signs
 
 
-def _branch_draw_block(master_seed: int, path_indices: np.ndarray, step: int, n_dim: int,
+def _path_branch_draws(rng: np.random.Generator, steps: int, n_dim: int):
+    """One path's branch randomness for every step, row k for step k.
+
+    Returns (choice uniforms (M,), unit Rayleigh radii (M,), nominal normals
+    (M, n)), drawn in that order from the path's TAG_BRANCH stream; a scalar
+    state draws only the radii and gets None for the other two.
+    """
+    if n_dim == 1:
+        return None, rng.rayleigh(1.0, steps), None
+    return rng.random(steps), rng.rayleigh(1.0, steps), rng.standard_normal((steps, n_dim))
+
+
+def _branch_draw_block(master_seed: int, path_indices: np.ndarray, steps: int, n_dim: int,
                        pool: _StreamPool):
-    """Per-path branch randomness at one step: (choice draw, unit radius, normals)."""
+    """(N, M) / (N, M, n) branch randomness of a block of paths, one rekey per
+    path; row i holds _path_branch_draws of path_indices[i]."""
     count = len(path_indices)
-    u = np.empty(count) if n_dim > 1 else None
-    r = np.empty(count)
-    z = np.empty((count, n_dim)) if n_dim > 1 else None
+    r = np.empty((count, steps))
+    u = np.empty((count, steps)) if n_dim > 1 else None
+    z = np.empty((count, steps, n_dim)) if n_dim > 1 else None
     for row, idx in enumerate(path_indices):
-        rng = pool.rekey(master_seed, int(idx), step=step, tag=TAG_BRANCH)
-        if n_dim > 1:
-            u[row] = rng.random()
-        r[row] = rng.rayleigh(1.0)
-        if n_dim > 1:
-            z[row] = rng.standard_normal(n_dim)
+        rng = pool.rekey(master_seed, int(idx), tag=TAG_BRANCH)
+        for out, part in zip((u, r, z), _path_branch_draws(rng, steps, n_dim)):
+            if out is not None:
+                out[row] = part
     return u, r, z
+
+
+def _draws_at(draws, rows, step: int):
+    """The (u, r, z) draws of the given block rows at one step."""
+    return tuple(None if a is None else a[rows, step] for a in draws)
 
 
 def _assemble_branch_states(mean, scales, weights, total, signs, u, r, z):
@@ -258,9 +290,10 @@ def hj_single_branch(model: SdeModel, theta: float, x0, grid: TimeGrid, branch_s
                      functional: PathFunctional, master_seed: int, path_index: int) -> float:
     """Branch one simulated path at one step and return the weighted gap.
 
-    Simulates the base path, splits the transition kernel at the branch step,
-    propagates the coupled pair to the horizon with the path's own remaining
-    increments, and returns scale * (C(plus path) - C(minus path)).
+    Simulates the base path, splits the transition kernel at the branch step
+    with row branch_step of the path's branch draws (the row the batched
+    engines use), propagates the coupled pair to the horizon with the path's
+    own remaining increments, and returns scale * (C(plus path) - C(minus path)).
     """
     if not 0 <= branch_step < grid.steps:
         raise ValueError("branch_step must lie in [0, steps)")
@@ -271,8 +304,10 @@ def hj_single_branch(model: SdeModel, theta: float, x0, grid: TimeGrid, branch_s
                           theta, grid.dt)
     if decomp.scale == 0.0:
         return 0.0
-    rng = stream(master_seed, path_index, step=branch_step, tag=TAG_BRANCH)
-    x_plus, x_minus = sample_branch_pair(decomp, rng)
+    draws = _path_branch_draws(stream(master_seed, path_index, tag=TAG_BRANCH), grid.steps,
+                               model.state_dim)
+    x_plus, x_minus = _branch_pair_from_draws(
+        decomp, *(None if a is None else a[branch_step] for a in draws))
     diag = _diagonal_sigma(model, bundle.states[branch_step], grid.times[branch_step])
     values = []
     for x_new in (x_plus, x_minus):
@@ -309,12 +344,14 @@ def _step_sum(scale_k: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     return np.sum(np.ascontiguousarray(weighted), axis=-1)
 
 
-def _terminal_sum_over_k(batch: PathBatch, functional: PathFunctional, pool: _StreamPool):
-    """All-steps engine for terminal-state functionals.
+def _all_steps_branches(batch: PathBatch, pool: _StreamPool, before_step=None):
+    """Branch every path at every step and carry all branch copies to the horizon.
 
-    Branches at every step and advances all live branch copies together under
-    the base path's increments, so one (N, M, n) array per side carries every
-    branch's current state to the horizon.
+    All live copies advance together under the base path's increments, so
+    one (N, M, n) array per side holds every branch's current state; entry
+    [:, k] is the branch taken at step k.  before_step(j, plus, minus), when
+    given, sees the live copies [:, :j] at time j before they take step j.
+    Returns the horizon states (plus, minus) and the per-step scales (N, M).
     """
     model, grid, theta = batch.model, batch.grid, batch.theta
     steps = grid.steps
@@ -322,27 +359,38 @@ def _terminal_sum_over_k(batch: PathBatch, functional: PathFunctional, pool: _St
     times = grid.times
     n_dim = model.state_dim
     count = batch.n_paths
+    draws = _branch_draw_block(batch.master_seed, batch.path_indices, steps, n_dim, pool)
     plus = np.zeros((count, steps, n_dim))
     minus = np.zeros((count, steps, n_dim))
     scale_k = np.empty((count, steps))
     for j in range(steps):
         if j > 0:
+            if before_step is not None:
+                before_step(j, plus[:, :j], minus[:, :j])
             dw = batch.increments[:, None, j, :]
             for side in (plus, minus):
+                # an Euler step in place; the unnamed drift result is a
+                # temporary that numpy scales by dt in place, so each side
+                # holds one (N, j, n) array at a time
                 x = side[:, :j]
-                b = np.asarray(model.drift(x, times[j], theta))
                 sig = np.asarray(model.diffusion(x, times[j]))
-                side[:, :j] = x + dt * b + _apply_diffusion(sig, dw)
+                x += dt * np.asarray(model.drift(x, times[j], theta))
+                x += _apply_diffusion(sig, dw)
         mean, scales, weights, total, signs = _hj_terms_batch(
             model, batch.states[:, j], times[j], theta, dt)
-        u, r, z = _branch_draw_block(batch.master_seed, batch.path_indices, j, n_dim, pool)
-        bp, bm = _assemble_branch_states(mean, scales, weights, total, signs, u, r, z)
-        plus[:, j] = bp
-        minus[:, j] = bm
+        plus[:, j], minus[:, j] = _assemble_branch_states(
+            mean, scales, weights, total, signs, *_draws_at(draws, slice(None), j))
         scale_k[:, j] = total
     # a non-finite state stays non-finite under Euler, so the horizon shows it
     if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
         raise NonFiniteState(steps)
+    return plus, minus, scale_k
+
+
+def _terminal_sum_over_k(batch: PathBatch, functional: PathFunctional, pool: _StreamPool):
+    """All-steps engine for terminal-state functionals: the gap of each branch
+    is the terminal value gap of its copies at the horizon."""
+    plus, minus, scale_k = _all_steps_branches(batch, pool)
     gaps = (np.asarray(functional.terminal_value(plus))
             - np.asarray(functional.terminal_value(minus)))
     return _step_sum(scale_k, gaps), [float(np.sum(np.abs(gaps)))], gaps.size
@@ -351,40 +399,17 @@ def _terminal_sum_over_k(batch: PathBatch, functional: PathFunctional, pool: _St
 def _integral_sum_over_k(batch: PathBatch, functional: PathFunctional, pool: _StreamPool):
     """All-steps engine for left-point step-sum functionals.
 
-    Like the terminal engine, but the shared prefix of each branch pair
-    cancels in the value gap, so only per-step differences of step_value
-    accumulate while the branch copies advance.
+    The shared prefix of each branch pair cancels in the value gap, so only
+    per-step differences of step_value accumulate while the copies advance.
     """
-    model, grid, theta = batch.model, batch.grid, batch.theta
-    steps = grid.steps
-    dt = grid.dt
-    times = grid.times
-    n_dim = model.state_dim
     h = functional.step_value
-    count = batch.n_paths
-    plus = np.zeros((count, steps, n_dim))
-    minus = np.zeros((count, steps, n_dim))
-    gap_acc = np.zeros(np.shape(h(batch.states[:, :steps])))  # (N, M) or (N, M, m)
-    scale_k = np.empty((count, steps))
-    for j in range(steps):
-        if j > 0:
-            live_p = plus[:, :j]
-            live_m = minus[:, :j]
-            gap_acc[:, :j] += dt * (np.asarray(h(live_p)) - np.asarray(h(live_m)))
-            dw = batch.increments[:, None, j, :]
-            for side, live in ((plus, live_p), (minus, live_m)):
-                b = np.asarray(model.drift(live, times[j], theta))
-                sig = np.asarray(model.diffusion(live, times[j]))
-                side[:, :j] = live + dt * b + _apply_diffusion(sig, dw)
-        mean, scales, weights, total, signs = _hj_terms_batch(
-            model, batch.states[:, j], times[j], theta, dt)
-        u, r, z = _branch_draw_block(batch.master_seed, batch.path_indices, j, n_dim, pool)
-        bp, bm = _assemble_branch_states(mean, scales, weights, total, signs, u, r, z)
-        plus[:, j] = bp
-        minus[:, j] = bm
-        scale_k[:, j] = total
-    if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
-        raise NonFiniteState(steps)
+    dt = batch.grid.dt
+    gap_acc = np.zeros(np.shape(h(batch.states[:, :batch.grid.steps])))  # (N, M) or (N, M, m)
+
+    def accumulate(j, live_plus, live_minus):
+        gap_acc[:, :j] += dt * (np.asarray(h(live_plus)) - np.asarray(h(live_minus)))
+
+    _, _, scale_k = _all_steps_branches(batch, pool, accumulate)
     return _step_sum(scale_k, gap_acc), [float(np.sum(np.abs(gap_acc)))], gap_acc.size
 
 
@@ -416,8 +441,9 @@ def _grouped_random_k(batch: PathBatch, functional: PathFunctional, pool: _Strea
     indices = batch.path_indices
     ks = np.empty(batch.n_paths, dtype=np.intp)
     for row, idx in enumerate(indices):
-        rng = pool.rekey(batch.master_seed, int(idx), step=0, tag=TAG_CHOICE)
+        rng = pool.rekey(batch.master_seed, int(idx), tag=TAG_CHOICE)
         ks[row] = rng.integers(0, steps)
+    draws = _branch_draw_block(batch.master_seed, indices, steps, model.state_dim, pool)
     block_vals = None
     gap_sums = []
     for k in np.unique(ks):
@@ -426,9 +452,8 @@ def _grouped_random_k(batch: PathBatch, functional: PathFunctional, pool: _Strea
             model, batch.states[rows, k], grid.times[k], theta, grid.dt)
         if not np.any(total != 0.0):
             continue
-        u, r, z = _branch_draw_block(batch.master_seed, indices[rows], int(k),
-                                     model.state_dim, pool)
-        bp, bm = _assemble_branch_states(mean, scales, weights, total, signs, u, r, z)
+        bp, bm = _assemble_branch_states(mean, scales, weights, total, signs,
+                                         *_draws_at(draws, rows, k))
         plus = _branch_batch(batch, rows, int(k), bp, need_jac)
         minus = _branch_batch(batch, rows, int(k), bm, need_jac)
         gaps = np.asarray(functional.value(plus)) - np.asarray(functional.value(minus))
@@ -449,12 +474,13 @@ def _generic_sum_over_k(batch: PathBatch, functional: PathFunctional, pool: _Str
     block_vals = 0.0
     gap_sums = []
     gap_count = 0
+    draws = _branch_draw_block(batch.master_seed, batch.path_indices, grid.steps,
+                               model.state_dim, pool)
     for k in range(grid.steps):
         mean, scales, weights, total, signs = _hj_terms_batch(
             model, batch.states[:, k], grid.times[k], theta, grid.dt)
-        u, r, z = _branch_draw_block(batch.master_seed, batch.path_indices, k,
-                                     model.state_dim, pool)
-        bp, bm = _assemble_branch_states(mean, scales, weights, total, signs, u, r, z)
+        bp, bm = _assemble_branch_states(mean, scales, weights, total, signs,
+                                         *_draws_at(draws, rows, k))
         plus = _branch_batch(batch, rows, k, bp, need_jac)
         minus = _branch_batch(batch, rows, k, bm, need_jac)
         gaps = np.asarray(functional.value(plus)) - np.asarray(functional.value(minus))
@@ -474,6 +500,25 @@ def _hj_values(batch: PathBatch, functional: PathFunctional, mode: str, pool: _S
     if functional.step_value is not None:
         return _integral_sum_over_k(batch, functional, pool)
     return _generic_sum_over_k(batch, functional, pool)
+
+
+def _column_moments(columns: np.ndarray):
+    """(estimate, std_error, variance) arrays of the per-path values in each
+    row of columns (m, N); NonFiniteEstimate when any of them is not finite."""
+    n_paths = columns.shape[1]
+    bad = np.count_nonzero(~np.isfinite(columns))
+    if bad:
+        raise NonFiniteEstimate(f"{bad} of {columns.size} per-path values are NaN or infinite")
+    columns = [np.ascontiguousarray(c) for c in columns]
+    try:
+        estimate = np.array([fsum(c) / n_paths for c in columns])
+    except OverflowError as exc:
+        raise NonFiniteEstimate("the sum of the per-path values overflows") from exc
+    with np.errstate(over="ignore"):
+        variance = np.array([c.var(ddof=1) for c in columns])
+    if not np.isfinite(variance).all():
+        raise NonFiniteEstimate("the variance of the per-path values overflows")
+    return estimate, np.sqrt(variance / n_paths), variance
 
 
 def hj_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
@@ -506,10 +551,8 @@ def hj_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
             gap_sum += part
         gap_count += block_gaps
         done += count
-    columns = [np.ascontiguousarray(c) for c in np.concatenate(parts).reshape(n_paths, -1).T]
-    estimate = np.array([fsum(c) / n_paths for c in columns])
-    variance = np.array([c.var(ddof=1) for c in columns])
-    std_error = np.sqrt(variance / n_paths)
+    estimate, std_error, variance = _column_moments(
+        np.concatenate(parts).reshape(n_paths, -1).T)
     if parts[0].ndim == 1:  # a scalar functional reports plain floats
         estimate, std_error, variance = (float(v[0]) for v in (estimate, std_error, variance))
     return GradientReport(
@@ -570,14 +613,13 @@ def score_function_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
             score = np.sum(dt * db * solved, axis=(-2, -1))
         vals[done:done + count] = np.asarray(functional.value(batch)) * score
         done += count
-    estimate = fsum(vals) / n_paths
-    variance = float(vals.var(ddof=1))
+    (estimate,), (std_error,), (variance,) = _column_moments(vals[None, :])
     return GradientReport(
-        estimate=estimate,
-        std_error=math.sqrt(variance / n_paths),
+        estimate=float(estimate),
+        std_error=float(std_error),
         n_paths=n_paths,
         master_seed=master_seed,
-        variance=variance,
+        variance=float(variance),
         mode="score-function",
         branch_stats=None,
     )

@@ -3,19 +3,23 @@ score-function baseline: decomposition algebra, coupled sampling, the signed
 density identity, engine consistency and closed-form agreement."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import condmc as cm
 from condmc.errors import (
     NonDiagonalDiffusion,
+    NonFiniteEstimate,
     NonFiniteState,
     SingularDiffusion,
     ZeroSensitivity,
 )
 from condmc.functionals import PathFunctional
-from condmc.streams import TAG_CHOICE, stream
+from condmc.streams import TAG_BRANCH, TAG_CHOICE, TAG_NOISE, _StreamPool, stream
 
 # d/dtheta of the exact discrete-chain variance of X_1 (unit OU, dt = 0.01,
 # 100 steps): Var_M(theta) = sum_k (1 - theta dt)^{2k} dt, differentiated.
@@ -334,7 +338,7 @@ def test_random_k_engine_matches_reference():
     report = cm.hj_gradient(model, 1.0, X0, grid, f, n, "random-k", seed)
     vals = np.empty(n)
     for i in range(n):
-        k = int(stream(seed, i, step=0, tag=TAG_CHOICE).integers(0, grid.steps))
+        k = int(stream(seed, i, tag=TAG_CHOICE).integers(0, grid.steps))
         vals[i] = grid.steps * cm.hj_single_branch(model, 1.0, X0, grid, k, f,
                                                    seed, i)
     assert report.estimate == pytest.approx(math.fsum(vals) / n, rel=1e-12)
@@ -399,7 +403,7 @@ def test_random_k_two_dim_matches_reference():
                             "random-k", seed)
     vals = np.empty(n)
     for i in range(n):
-        k = int(stream(seed, i, step=0, tag=TAG_CHOICE).integers(0, grid.steps))
+        k = int(stream(seed, i, tag=TAG_CHOICE).integers(0, grid.steps))
         vals[i] = grid.steps * cm.hj_single_branch(
             model, 1.0, np.array([0.3, -0.2]), grid, k, f, seed, i)
     assert report.estimate == pytest.approx(math.fsum(vals) / n, rel=1e-12)
@@ -421,7 +425,7 @@ def test_jacobian_reading_payoff_matches_reference():
                             "random-k", seed)
     vals = np.empty(n)
     for i in range(n):
-        k = int(stream(seed, i, step=0, tag=TAG_CHOICE).integers(0, grid.steps))
+        k = int(stream(seed, i, tag=TAG_CHOICE).integers(0, grid.steps))
         vals[i] = grid.steps * cm.hj_single_branch(model, 0.8, np.array([0.4]),
                                                    grid, k, f, seed, i)
     assert report.estimate == pytest.approx(math.fsum(vals) / n, rel=1e-12)
@@ -566,6 +570,21 @@ def test_sum_over_k_exploding_branch_raises_non_finite_state(functional):
             cm.hj_gradient(model, 0.5, X0, grid, functional, 400, "random-k", 3)
 
 
+@pytest.mark.parametrize("estimator", ["random-k", "sum-over-k", "score-function"])
+def test_overflowing_value_raises_non_finite_estimate(estimator):
+    # every state stays finite from x0 = 1e160, but X_T^2 overflows to inf
+    grid = cm.TimeGrid(1.0, 10)
+    x0 = np.array([1e160])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteEstimate):
+            if estimator == "score-function":
+                cm.score_function_gradient(cm.ou_model(1.0), 1.0, x0, grid,
+                                           terminal_square(), 50, 0)
+            else:
+                cm.hj_gradient(cm.ou_model(1.0), 1.0, x0, grid, terminal_square(), 50,
+                               estimator, 0)
+
+
 def test_gradient_validates_inputs():
     grid = cm.TimeGrid(1.0, 10)
     f = terminal_square()
@@ -640,3 +659,129 @@ def test_gradient_deterministic_under_seed_and_blocking():
     d = cm.score_function_gradient(cm.ou_model(1.0), 1.0, X0, grid, f, 300, 9,
                                    block_size=64)
     assert c.estimate == d.estimate
+
+
+# ---------------------------------------------------------------------------
+# stream layout: one noise stream and one branch stream per path
+
+
+@pytest.mark.parametrize("mode, functional, tags", [
+    ("sum-over-k", terminal_square(), (TAG_NOISE, TAG_BRANCH)),
+    ("sum-over-k", cm.integral_functional(lambda x: x[..., 0] ** 2, lambda x: 2.0 * x),
+     (TAG_NOISE, TAG_BRANCH)),
+    ("sum-over-k", marginal_at(3), (TAG_NOISE, TAG_BRANCH)),
+    ("random-k", terminal_square(), (TAG_NOISE, TAG_CHOICE, TAG_BRANCH)),
+], ids=["terminal", "integral", "generic", "random-k"])
+def test_gradient_rekeys_each_stream_once_per_path(monkeypatch, mode, functional, tags):
+    rekeyed = Counter()
+    rekey = _StreamPool.rekey
+
+    def counted(self, master_seed, path_index, *, tag=TAG_NOISE):
+        rekeyed[tag] += 1
+        return rekey(self, master_seed, path_index, tag=tag)
+
+    monkeypatch.setattr(_StreamPool, "rekey", counted)
+    n = 30
+    for steps in (5, 40):
+        rekeyed.clear()
+        cm.hj_gradient(cm.ou_model(1.0), 1.0, np.array([0.5]), cm.TimeGrid(1.0, steps),
+                       functional, n, mode, 3, block_size=12)
+        assert rekeyed == Counter({tag: n for tag in tags})
+
+
+# ---------------------------------------------------------------------------
+# properties over random grids, dimensions, seeds and block sizes
+
+
+def _radius_square_at(step):
+    return PathFunctional(
+        value=lambda b: b.states[..., step, 0] ** 2 + b.states[..., step, -1] ** 2,
+        malliavin_derivative=lambda b, s: None,
+        kind="radius-square-at",
+    )
+
+
+def _engine_case(engine, n_dim, steps):
+    """(mode, functional) that runs the given engine on an n_dim-state model."""
+    if engine == "terminal":
+        return "sum-over-k", PathFunctional(
+            value=lambda b: b.states[..., -1, 0] ** 2 + b.states[..., -1, -1] ** 2,
+            malliavin_derivative=lambda b, s: None,
+            kind="radius-square",
+            terminal_value=lambda x: x[..., 0] ** 2 + x[..., -1] ** 2,
+        )
+    if engine == "integral":
+        return "sum-over-k", cm.integral_functional(
+            lambda x: x[..., 0] ** 2 + x[..., -1] ** 2, lambda x: 2.0 * x)
+    if engine == "generic":
+        return "sum-over-k", _radius_square_at(steps // 2)
+    return "random-k", _radius_square_at(steps)
+
+
+@st.composite
+def gradient_cases(draw):
+    n_dim = draw(st.sampled_from([1, 2]))
+    n_paths = draw(st.integers(2, 6))
+    return {
+        "model": cm.ou_model(1.0) if n_dim == 1 else diag2_model(),
+        "theta": draw(st.floats(0.5, 2.0)),
+        "x0": np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n_dim, max_size=n_dim))),
+        "grid": cm.TimeGrid(draw(st.floats(0.25, 2.0)), draw(st.integers(2, 12))),
+        "n_paths": n_paths,
+        "seed": draw(st.integers(0, 2 ** 32)),
+        "block_size": draw(st.integers(1, n_paths)),
+    }
+
+
+def _branch_value_size(model, theta, x0, grid, f, n, seed):
+    """Mean over paths of steps * max_k scale_k * |C(base path)|: a bound on
+    the size of the weighted functional values a per-path estimate subtracts."""
+    sizes = []
+    for i in range(n):
+        noise = cm.generate_noise(seed, i, grid, model.noise_dim)
+        bundle = cm.simulate_path(model, theta, x0, grid, noise)
+        scale = max(cm.hj_decompose(model, bundle.states[k], grid.times[k], theta,
+                                    grid.dt).scale for k in range(grid.steps))
+        sizes.append(grid.steps * scale * abs(float(f.value(bundle))))
+    return float(np.mean(sizes))
+
+
+ENGINES = ["terminal", "integral", "generic", "random-k"]
+PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@PROPERTY_SETTINGS
+@given(case=gradient_cases())
+def test_engines_match_single_branch_reference_property(engine, case):
+    model, theta, x0, grid = case["model"], case["theta"], case["x0"], case["grid"]
+    n, seed = case["n_paths"], case["seed"]
+    mode, f = _engine_case(engine, model.state_dim, grid.steps)
+    report = cm.hj_gradient(model, theta, x0, grid, f, n, mode, seed,
+                            block_size=case["block_size"])
+    if mode == "random-k":
+        vals = np.empty(n)
+        for i in range(n):
+            k = int(stream(seed, i, tag=TAG_CHOICE).integers(0, grid.steps))
+            vals[i] = grid.steps * cm.hj_single_branch(model, theta, x0, grid, k, f, seed, i)
+    else:
+        vals = sum_over_k_reference(model, theta, x0, grid, f, n, seed)
+    # the reference subtracts whole functional values, so its rounding error
+    # scales with them, not with the (possibly tiny) branch gaps
+    err = 1e-12 * _branch_value_size(model, theta, x0, grid, f, n, seed)
+    assert report.estimate == pytest.approx(math.fsum(vals) / n, rel=1e-12, abs=err)
+    assert report.variance == pytest.approx(float(vals.var(ddof=1)), rel=1e-10,
+                                            abs=err * (2 * float(vals.std(ddof=1)) + err))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@PROPERTY_SETTINGS
+@given(case=gradient_cases())
+def test_gradient_is_block_size_invariant_property(engine, case):
+    model, theta, x0, grid = case["model"], case["theta"], case["x0"], case["grid"]
+    mode, f = _engine_case(engine, model.state_dim, grid.steps)
+    whole, split = (cm.hj_gradient(model, theta, x0, grid, f, case["n_paths"], mode,
+                                   case["seed"], block_size=bs)
+                    for bs in (case["n_paths"], case["block_size"]))
+    assert (split.estimate, split.std_error, split.variance) == (
+        whole.estimate, whole.std_error, whole.variance)
