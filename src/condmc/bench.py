@@ -10,7 +10,6 @@ the manifest carries the wall time and environment stamps.
 
 from __future__ import annotations
 
-import math
 import time
 from pathlib import Path
 
@@ -20,23 +19,16 @@ from .functionals import PathFunctional
 from .malliavin import conditional_loss_estimate
 from .optimizer import OptimizerConfig, counterfactual_gradient, run_sgd
 from .runconfig import RunConfig
-from .sde import TimeGrid, ou_model
+from .sde import TimeGrid, ou_conditional_second_moment, ou_model
 from .streams import child_seed
 from .svgplot import render_line_plot, write_svg
 from .tableio import ResultTable, print_lines
 from .weakderiv import hj_gradient, score_function_gradient
 
 
-def _loss_closed_form(theta, sigma, horizon, condition_time):
-    """E[X_T^2 | X_tc = 0] for the OU model started anywhere: the variance
-    accumulated over the remaining time."""
-    span = horizon - condition_time
-    return sigma * sigma * (1.0 - math.exp(-2.0 * theta * span)) / (2.0 * theta)
-
-
 def _loss_slope_closed_form(theta, sigma, horizon, condition_time, h=1e-6):
-    up = _loss_closed_form(theta + h, sigma, horizon, condition_time)
-    dn = _loss_closed_form(theta - h, sigma, horizon, condition_time)
+    up = ou_conditional_second_moment(theta + h, sigma, condition_time, horizon)
+    dn = ou_conditional_second_moment(theta - h, sigma, condition_time, horizon)
     return (up - dn) / (2.0 * h)
 
 
@@ -55,8 +47,6 @@ def _tracking_payoff(target: float) -> PathFunctional:
     """Squared distance of the terminal state to a fixed target level."""
     return PathFunctional(
         value=lambda bundle: (bundle.states[..., -1, 0] - target) ** 2,
-        malliavin_derivative=lambda bundle, s: None,
-        kind="tracking-error",
         terminal_value=lambda x: (x[..., 0] - target) ** 2,
     )
 
@@ -87,8 +77,8 @@ def cmd_estimate_loss(config: RunConfig) -> ResultTable:
     report = conditional_loss_estimate(model, config.theta, ell, g, "canonical",
                                        config.paths, config.seed, grid,
                                        _x0(config))
-    reference = _loss_closed_form(config.theta, config.sigma, config.horizon,
-                                  condition_step * grid.dt)
+    reference = ou_conditional_second_moment(config.theta, config.sigma,
+                                             condition_step * grid.dt, config.horizon)
     table = ResultTable(
         schema=("estimate", "std_error", "acceptance_fraction",
                 "closed_form_reference", "n_paths", "seed"),
@@ -130,8 +120,8 @@ def cmd_estimate_grad(config: RunConfig) -> ResultTable:
 def cmd_bench_convergence(config: RunConfig) -> ResultTable:
     start = time.perf_counter()
     model, grid, ell, g, condition_step = _conditional_setup(config)
-    reference = _loss_closed_form(config.theta, config.sigma, config.horizon,
-                                  condition_step * grid.dt)
+    reference = ou_conditional_second_moment(config.theta, config.sigma,
+                                             condition_step * grid.dt, config.horizon)
     rows = []
     for i, n in enumerate(config.n_values):
         errors = np.empty(config.replications)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +27,8 @@ from .errors import (
 )
 from .functionals import PathFunctional, derivative_profile
 from .reports import ConditionalLossReport, EstimatorReport
-from .sde import PathBatch, PathBundle, SdeModel, TimeGrid, fsum, simulate_paths
+from .sde import (PathBatch, PathBundle, SdeModel, TimeGrid, finite_fsum, fsum, require_finite,
+                  simulate_paths)
 
 _ENERGY_FLOOR = 1e-14
 _DERIVATIVE_RATIO_FLOOR = 1e-8
@@ -50,21 +51,22 @@ class WeightProcess:
     adapted: bool = True
 
 
-def _left_count_nonzero(profile: np.ndarray, steps: int):
-    rows_nonzero = np.any(profile[..., :steps, :] != 0.0, axis=-1)
-    return np.count_nonzero(rows_nonzero, axis=-1)
+def _energy_and_support(profile: np.ndarray, grid: TimeGrid):
+    """Left-point energy of D g and the measure of its support, per path;
+    DegenerateConstraint when the energy is (near) zero."""
+    steps, dt = grid.steps, grid.dt
+    energy = np.sum(profile[..., :steps, :] ** 2, axis=(-2, -1)) * dt
+    if np.any(energy < _ENERGY_FLOOR):
+        raise DegenerateConstraint("constraint derivative has (near-)zero energy on the grid")
+    rows_nonzero = np.any(profile[..., :steps, :], axis=-1)  # NaN counts, -0.0 does not
+    return energy, np.count_nonzero(rows_nonzero, axis=-1) * dt
 
 
 def make_weight_canonical(g: PathFunctional, bundle: PathBundle | PathBatch) -> WeightProcess:
     """u = D g / (left-point energy of D g); normalization holds by construction."""
     profile = derivative_profile(g, bundle)
-    steps = bundle.grid.steps
-    dt = bundle.grid.dt
-    energy = np.sum(profile[..., :steps, :] ** 2, axis=(-2, -1)) * dt
-    if np.any(energy < _ENERGY_FLOOR):
-        raise DegenerateConstraint("constraint derivative has (near-)zero energy on the grid")
+    energy, support = _energy_and_support(profile, bundle.grid)
     values = profile / energy[..., None, None]
-    support = _left_count_nonzero(profile, steps) * dt
     return WeightProcess(values, "canonical", support, adapted=True)
 
 
@@ -78,12 +80,8 @@ def make_weight_reciprocal(g: PathFunctional, bundle: PathBundle | PathBatch) ->
     profile = derivative_profile(g, bundle)
     if profile.shape[-1] != 1:
         raise ValueError("reciprocal rule needs a scalar (d = 1) constraint derivative")
-    steps = bundle.grid.steps
+    _, support = _energy_and_support(profile, bundle.grid)
     dt = bundle.grid.dt
-    energy = np.sum(profile[..., :steps, :] ** 2, axis=(-2, -1)) * dt
-    if np.any(energy < _ENERGY_FLOOR):
-        raise DegenerateConstraint("constraint derivative has (near-)zero energy on the grid")
-    support = _left_count_nonzero(profile, steps) * dt
 
     mask = profile != 0.0
     absd = np.abs(np.where(mask, profile, np.nan))
@@ -190,14 +188,13 @@ def conditional_loss_estimate(model: SdeModel, theta: float, ell: PathFunctional
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
-    need_jac = ell.requires_jacobian or g.requires_jacobian
     a_parts, b_parts = [], []
     accepted = 0
     done = 0
     while done < n_paths:
         count = min(block_size, n_paths - done)
         batch = simulate_paths(model, theta, x0, grid, count, master_seed,
-                               first_index=done, with_jacobian=need_jac)
+                               first_index=done, with_jacobian=True)
         a, b, indicator = conditional_quotient_terms(ell, g, weight_rule, batch)
         a_parts.append(a)
         b_parts.append(b)
@@ -212,17 +209,19 @@ def _loss_report(a: np.ndarray, b: np.ndarray, accepted: int,
     """Quotient report from all per-path terms A_i, B_i and the {g > 0} count.
 
     Raises DegenerateDenominator when mean(B) lies within 5 standard errors
-    of zero, where the quotient is not defined by the sample.
+    of zero, where the quotient is not defined by the sample, and
+    NonFiniteEstimate when a term, the quotient or its error is not finite.
     """
     n_paths = a.size
-    e1 = fsum(a) / n_paths
-    e2 = fsum(b) / n_paths
+    e1 = finite_fsum(a) / n_paths
+    e2 = finite_fsum(b) / n_paths
     se_b = b.std(ddof=1) / math.sqrt(n_paths)
     if e2 == 0.0 or abs(e2) < 5.0 * se_b:
         raise DegenerateDenominator(
             f"|mean B| = {abs(e2):.3e} is below 5 standard errors ({5 * se_b:.3e})")
     quotient = e1 / e2
     std_error = _quotient_std_error(a, b, quotient, e2)
+    require_finite("the quotient or its std error", quotient, std_error)
     return ConditionalLossReport(
         estimate=quotient,
         std_error=std_error,
@@ -230,7 +229,6 @@ def _loss_report(a: np.ndarray, b: np.ndarray, accepted: int,
         master_seed=master_seed,
         e1_hat=e1,
         e2_hat=e2,
-        quotient=quotient,
         a_terms=a,
         b_terms=b,
         acceptance_fraction=accepted / n_paths,
@@ -260,7 +258,11 @@ def kernel_loss_estimate(paths, ell: PathFunctional, g: PathFunctional,
     if mass < 1e-300:
         raise EmptyKernelMass("all kernel weights underflowed; increase the bandwidth")
     weighted = l_val * weights
-    estimate = fsum(weighted) / mass
+    estimate = finite_fsum(weighted) / mass
     n = g_val.size
-    std_error = _quotient_std_error(weighted, weights, estimate, mass / n) if n > 1 else math.inf
+    require_finite("the kernel estimate", estimate)
+    std_error = math.inf  # a single path has no spread
+    if n > 1:
+        std_error = _quotient_std_error(weighted, weights, estimate, mass / n)
+        require_finite("the kernel std error", std_error)
     return EstimatorReport(estimate=estimate, std_error=std_error, n_paths=n, master_seed=seed)

@@ -24,7 +24,8 @@ import numpy as np
 from .errors import CondMcError, DegenerateDenominator, SingularDiffusion
 from .functionals import PathFunctional
 from .malliavin import _loss_report, conditional_quotient_terms
-from .sde import PathBatch, SdeModel, TimeGrid, _euler_jacobians, fsum, simulate_paths
+from .sde import (PathBatch, SdeModel, TimeGrid, _euler_jacobians, finite_fsum, fsum,
+                  require_finite, simulate_paths)
 from .streams import _StreamPool, child_seed
 from .weakderiv import DEFAULT_BLOCK_SIZE, _hj_values
 
@@ -91,15 +92,12 @@ def _integrand_theta_terms(batch: PathBatch, ell, g, weight_rule) -> np.ndarray:
     """
     model, grid, theta = batch.model, batch.grid, batch.theta
     h = _THETA_BUMP
-    need_jac = ell.requires_jacobian or g.requires_jacobian
     b_base = np.asarray(model.drift(batch.states[:, :grid.steps, :],
                                     grid.times[:grid.steps, None], theta))
     sides = []
     for bumped in (theta + h, theta - h):
         increments = _increments_at(model, grid, batch, b_base, bumped)
-        jac = None
-        if need_jac:
-            jac = _euler_jacobians(model, bumped, grid, batch.states, increments)
+        jac = _euler_jacobians(model, bumped, grid, batch.states, increments)
         shifted = PathBatch(model, grid, bumped, batch.states, increments,
                             batch.master_seed, batch.path_indices, jac)
         a, b, _ = conditional_quotient_terms(ell, g, weight_rule, shifted)
@@ -142,12 +140,10 @@ def counterfactual_gradient(model: SdeModel, theta: float, ell: PathFunctional,
         raise ValueError("n_paths must be at least 2")
     if gradient_mode not in _GRADIENT_MODES:
         raise ValueError(f"unknown gradient mode {gradient_mode!r}")
-    need_jac = ell.requires_jacobian or g.requires_jacobian
     integrands = PathFunctional(
         value=lambda bundle: np.stack(
             conditional_quotient_terms(ell, g, weight_rule, bundle)[:2], -1),
-        malliavin_derivative=lambda bundle, s: None,
-        value_requires_jacobian=need_jac,
+        value_requires_jacobian=True,
     )
     pool = _StreamPool()
     a_parts, b_parts, measure_parts, explicit_parts = [], [], [], []
@@ -156,7 +152,7 @@ def counterfactual_gradient(model: SdeModel, theta: float, ell: PathFunctional,
     while done < n_paths:
         count = min(block_size, n_paths - done)
         batch = simulate_paths(model, theta, x0, grid, count, master_seed,
-                               first_index=done, with_jacobian=need_jac)
+                               first_index=done, with_jacobian=True)
         a, b, indicator = conditional_quotient_terms(ell, g, weight_rule, batch)
         a_parts.append(a)
         b_parts.append(b)
@@ -171,11 +167,12 @@ def counterfactual_gradient(model: SdeModel, theta: float, ell: PathFunctional,
     measure = np.concatenate(measure_parts)
     explicit = np.concatenate(explicit_parts)
     g1_terms, g2_terms = (measure + explicit).T
-    grad_e1 = fsum(g1_terms) / n_paths
-    grad_e2 = fsum(g2_terms) / n_paths
+    grad_e1 = finite_fsum(g1_terms) / n_paths
+    grad_e2 = finite_fsum(g2_terms) / n_paths
     gradient = quotient_gradient(report.e1_hat, report.e2_hat, grad_e1, grad_e2)
     se_gradient = _quotient_gradient_std_error(report.a_terms, report.b_terms,
                                                g1_terms, g2_terms, n_paths)
+    require_finite("the gradient or its std error", gradient, se_gradient)
     diagnostics = {
         "e1": report.e1_hat,
         "e2": report.e2_hat,

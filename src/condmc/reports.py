@@ -28,7 +28,6 @@ class ConditionalLossReport(EstimatorReport):
 
     e1_hat: float = 0.0
     e2_hat: float = 0.0
-    quotient: float = 0.0
     a_terms: np.ndarray = field(default_factory=lambda: np.empty(0))
     b_terms: np.ndarray = field(default_factory=lambda: np.empty(0))
     acceptance_fraction: float = 0.0

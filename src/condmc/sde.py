@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteState, SingularJacobian
+from .errors import NonFiniteEstimate, NonFiniteState, SingularJacobian
 from .streams import TAG_NOISE, _StreamPool, stream
 
 _COND_LIMIT = 1e12
@@ -28,6 +28,25 @@ _COND_LIMIT = 1e12
 def fsum(values) -> float:
     """Exactly rounded sum of an array; immune to accumulation order."""
     return math.fsum(np.asarray(values, dtype=float).ravel())
+
+
+def finite_fsum(values) -> float:
+    """fsum of per-path values; NonFiniteEstimate when one of them is NaN or
+    infinite or their exact sum overflows."""
+    values = np.asarray(values, dtype=float).ravel()
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise NonFiniteEstimate(f"{bad} of {values.size} per-path values are NaN or infinite")
+    try:
+        return math.fsum(values)
+    except OverflowError as exc:
+        raise NonFiniteEstimate("the sum of the per-path values overflows") from exc
+
+
+def require_finite(what: str, *values) -> None:
+    """NonFiniteEstimate when any of the given results is NaN or infinite."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise NonFiniteEstimate(f"{what} is not finite")
 
 
 @dataclass(frozen=True)

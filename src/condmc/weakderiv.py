@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     NonDiagonalDiffusion,
-    NonFiniteEstimate,
     NonFiniteState,
     SingularDiffusion,
     ZeroSensitivity,
@@ -37,8 +36,9 @@ from .sde import (
     _apply_diffusion,
     _euler_continue,
     _euler_jacobians,
-    fsum,
+    finite_fsum,
     generate_noise,
+    require_finite,
     resume_path,
     simulate_path,
     simulate_paths,
@@ -506,18 +506,11 @@ def _column_moments(columns: np.ndarray):
     """(estimate, std_error, variance) arrays of the per-path values in each
     row of columns (m, N); NonFiniteEstimate when any of them is not finite."""
     n_paths = columns.shape[1]
-    bad = np.count_nonzero(~np.isfinite(columns))
-    if bad:
-        raise NonFiniteEstimate(f"{bad} of {columns.size} per-path values are NaN or infinite")
     columns = [np.ascontiguousarray(c) for c in columns]
-    try:
-        estimate = np.array([fsum(c) / n_paths for c in columns])
-    except OverflowError as exc:
-        raise NonFiniteEstimate("the sum of the per-path values overflows") from exc
+    estimate = np.array([finite_fsum(c) / n_paths for c in columns])
     with np.errstate(over="ignore"):
         variance = np.array([c.var(ddof=1) for c in columns])
-    if not np.isfinite(variance).all():
-        raise NonFiniteEstimate("the variance of the per-path values overflows")
+    require_finite("the variance of the per-path values", variance)
     return estimate, np.sqrt(variance / n_paths), variance
 
 

@@ -182,6 +182,17 @@ def test_estimate_loss_command(tmp_path):
     assert "wall_time_s" in manifest and "git_describe" in manifest
 
 
+def test_estimate_loss_at_theta_zero(tmp_path):
+    # theta = 0 leaves sigma W, so the reference is sigma^2 (T - t*) = 0.5
+    out = tmp_path / "run"
+    code = main(["estimate-loss", "--theta", "0", "--paths", "5000",
+                 "--out", str(out)])
+    assert code == 0
+    _, (row,) = read_csv(out / "estimate_loss.csv")
+    assert float(row[3]) == 0.5
+    assert abs(float(row[0]) - 0.5) <= 3 * float(row[1]) + 0.01
+
+
 def test_estimate_loss_zero_paths_is_config_error(tmp_path, capsys):
     code = main(["estimate-loss", "--paths", "0", "--out", str(tmp_path)])
     assert code == 2
@@ -229,6 +240,17 @@ def test_bench_convergence_command(tmp_path, capsys):
     manifest = read_manifest(out / "manifest.txt")
     assert "fitted_slope" in manifest
     ET.parse(out / "bench_convergence.svg")
+
+
+def test_bench_convergence_at_theta_zero(tmp_path):
+    out = tmp_path / "run"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_values = 100,400\nreplications = 2\n", encoding="utf-8")
+    code = main(["bench-convergence", "--config", str(cfg), "--theta", "0",
+                 "--steps", "40", "--out", str(out)])
+    assert code == 0
+    _, rows = read_csv(out / "bench_convergence.csv")
+    assert {float(row[3]) for row in rows} == {0.5}
 
 
 def test_bench_convergence_single_replication_flagged(tmp_path, capsys):

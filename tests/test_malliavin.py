@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import condmc as cm
 from condmc.errors import (
@@ -16,6 +18,7 @@ from condmc.errors import (
     MissingJacobian,
     NearZeroDerivativeWarning,
     NonAdaptedWithoutFactorization,
+    NonFiniteEstimate,
 )
 from condmc.functionals import PathFunctional
 
@@ -225,6 +228,48 @@ def test_reciprocal_needs_scalar_constraint():
         cm.make_weight_reciprocal(cm.terminal_power(1), batch)
 
 
+PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
+
+
+@st.composite
+def constraint_cases(draw, dims=(1, 2)):
+    """A small simulated batch and a marginal constraint on one component."""
+    n_dim = draw(st.sampled_from(dims))
+    steps = draw(st.integers(2, 40))
+    grid = cm.TimeGrid(draw(st.floats(0.25, 2.0)), steps)
+    x0 = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n_dim, max_size=n_dim)))
+    batch = cm.simulate_paths(cm.ou_model(draw(st.floats(0.5, 2.0)), dim=n_dim),
+                              draw(st.floats(0.5, 2.0)), x0, grid, draw(st.integers(1, 8)),
+                              draw(st.integers(0, 2 ** 32)), with_jacobian=True)
+    g = cm.marginal_power(draw(st.integers(0, steps)), 1, draw(st.integers(0, n_dim - 1)))
+    return batch, g
+
+
+def weight_normalization(g, u, batch):
+    """sum_k <D_k g, u_k> dt over the left grid points, per path."""
+    steps = batch.grid.steps
+    prof = cm.derivative_profile(g, batch)
+    return np.sum(prof[..., :steps, :] * u.values[..., :steps, :], axis=(-2, -1)) * batch.grid.dt
+
+
+@PROPERTY_SETTINGS
+@given(case=constraint_cases())
+def test_canonical_normalization_property(case):
+    batch, g = case
+    norm = weight_normalization(g, cm.make_weight_canonical(g, batch), batch)
+    assert np.max(np.abs(norm - 1.0)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(case=constraint_cases(dims=(1,)))
+def test_reciprocal_normalization_property(case):
+    batch, g = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NearZeroDerivativeWarning)
+        u = cm.make_weight_reciprocal(g, batch)
+    assert np.max(np.abs(weight_normalization(g, u, batch) - 1.0)) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Skorohod integral
 
@@ -278,26 +323,26 @@ def conditional(theta=1.0, ell=None, g=None, rule="canonical", n=20_000, seed=77
 def test_conditional_loss_matches_restart_oracle():
     rep = conditional()
     tol = 3.0 * rep.std_error + 2.0 * 0.005
-    assert abs(rep.quotient - COND_SECOND_MOMENT) <= tol
+    assert abs(rep.estimate - COND_SECOND_MOMENT) <= tol
     # the denominator estimates the density of X_0.5 at zero
     density = 1.0 / math.sqrt(2.0 * math.pi * COND_SECOND_MOMENT)
     assert abs(rep.e2_hat - density) <= 0.025
     assert abs(rep.acceptance_fraction - 0.5) <= 0.02
     assert rep.n_paths == 20_000
     assert rep.a_terms.shape == rep.b_terms.shape == (20_000,)
-    assert rep.estimate == rep.quotient == rep.e1_hat / rep.e2_hat
+    assert rep.estimate == rep.e1_hat / rep.e2_hat
 
 
 @pytest.mark.parametrize("theta", [0.5, 2.0])
 def test_conditional_loss_theta_sweep(theta):
     target = (1.0 - math.exp(-theta)) / (2.0 * theta)
     rep = conditional(theta=theta)
-    assert abs(rep.quotient - target) <= 3.0 * rep.std_error + 2.0 * 0.005
+    assert abs(rep.estimate - target) <= 3.0 * rep.std_error + 2.0 * 0.005
 
 
 def test_conditional_loss_reciprocal_rule_agrees():
     rep = conditional(rule="reciprocal")
-    assert abs(rep.quotient - COND_SECOND_MOMENT) <= 3.0 * rep.std_error + 2.0 * 0.005
+    assert abs(rep.estimate - COND_SECOND_MOMENT) <= 3.0 * rep.std_error + 2.0 * 0.005
 
 
 @pytest.mark.parametrize("scale", [2.0, -3.0])
@@ -309,14 +354,14 @@ def test_conditional_loss_scale_invariance(scale):
 
     base = conditional(n=4000, seed=11)
     scaled = conditional(n=4000, seed=11, rule=scaled_rule)
-    assert abs(base.quotient - scaled.quotient) <= 1e-12
+    assert abs(base.estimate - scaled.estimate) <= 1e-12
 
 
 def test_conditional_loss_constant_loss_is_exact():
     rep = conditional(ell=cm.constant_functional(2.0), n=4000, seed=11)
-    assert rep.quotient == 2.0
+    assert rep.estimate == 2.0
     rep = conditional(ell=cm.constant_functional(3.7), n=4000, seed=11)
-    assert abs(rep.quotient - 3.7) <= 1e-14
+    assert abs(rep.estimate - 3.7) <= 1e-14
 
 
 def test_conditional_loss_flags_unreachable_level():
@@ -334,9 +379,52 @@ def test_conditional_loss_needs_two_paths():
 def test_conditional_loss_block_size_invariance():
     whole = conditional(n=5000, seed=44)
     split = conditional(n=5000, seed=44, block_size=137)
-    assert whole.quotient == split.quotient
+    assert whole.estimate == split.estimate
     assert whole.std_error == split.std_error
     assert np.array_equal(whole.a_terms, split.a_terms)
+
+
+def loss_outcome(**kw):
+    """(estimate, std error, A terms, B terms), or the gate's verdict."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NearZeroDerivativeWarning)
+            rep = conditional(**kw)
+    except DegenerateDenominator:
+        return "degenerate denominator"
+    return rep.estimate, rep.std_error, rep.a_terms.tobytes(), rep.b_terms.tobytes()
+
+
+@PROPERTY_SETTINGS
+# a few hundred paths keep most examples clear of the 5-standard-error gate
+@given(n=st.integers(200, 500), steps=st.integers(2, 12), seed=st.integers(0, 2 ** 32),
+       rule=st.sampled_from(["canonical", "reciprocal"]), data=st.data())
+def test_conditional_loss_block_size_invariance_property(n, steps, seed, rule, data):
+    block = data.draw(st.integers(1, n))
+    whole, split = (loss_outcome(n=n, seed=seed, steps=steps, rule=rule, block_size=bs)
+                    for bs in (n, block))
+    assert split == whole
+
+
+@pytest.mark.parametrize("role", ["ell", "g"])
+def test_functional_without_derivative_is_rejected(role):
+    bare = PathFunctional(value=lambda bundle: bundle.states[..., -1, 0])
+    with pytest.raises(ValueError, match="no derivative profile"):
+        conditional(n=50, steps=20, **{role: bare})
+
+
+@pytest.mark.parametrize("estimator", ["canonical", "reciprocal", "kernel"])
+def test_overflowing_loss_raises_non_finite_estimate(estimator):
+    # X_T^2 overflows to inf although every state started at 1e160 is finite
+    model, grid, x0 = cm.ou_model(1.0), cm.TimeGrid(1.0, 10), np.array([1e160])
+    ell = cm.terminal_power(2)
+    with pytest.raises(NonFiniteEstimate), np.errstate(over="ignore", invalid="ignore"):
+        if estimator == "kernel":
+            batch = cm.simulate_paths(model, 1.0, x0, grid, 50, 0)
+            cm.kernel_loss_estimate(batch, ell, cm.constant_functional(0.0), 0.1)
+        else:
+            cm.conditional_loss_estimate(model, 1.0, ell, cm.marginal_power(5, 1),
+                                         estimator, 50, 0, grid, x0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import condmc as cm
-from condmc.errors import DegenerateDenominator
+from condmc.errors import DegenerateDenominator, NonFiniteEstimate
 
 # d/dtheta of (1 - e^{-theta}) / (2 theta) at theta = 1, the closed-form
 # slope of the conditional second moment E[X_1^2 | X_{0.5} = 0]
@@ -163,7 +163,6 @@ def _columns(f):
     if f.step_value is not None:
         step = lambda x: stack(f.step_value(x))  # noqa: E731
     return cm.PathFunctional(value=lambda bundle: stack(f.value(bundle)),
-                             malliavin_derivative=lambda bundle, s: None,
                              terminal_value=terminal, step_value=step)
 
 
@@ -283,6 +282,32 @@ def test_sgd_failure_returns_partial_trace():
     assert "DegenerateDenominator" in trace.error
     assert len(trace.records) == 0
     assert trace.final_theta == 1.0
+
+
+def overflowing_run(mode, call):
+    # X_T^4 overflows to inf although every state started at 1e80 is finite
+    grid = cm.TimeGrid(1.0, 10)
+    ell, g = cm.terminal_power(4), cm.marginal_power(5, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if call == "sgd":
+            cfg = cm.OptimizerConfig(theta0=1.0, step_size=0.5, n_iterations=2,
+                                     paths_per_iteration=50, gradient_mode=mode)
+            return cm.run_sgd(cm.ou_model(1.0), ell, g, cfg, grid, np.array([1e80]))
+        return cm.counterfactual_gradient(cm.ou_model(1.0), 1.0, ell, g, "canonical",
+                                          grid, np.array([1e80]), 50, mode)
+
+
+@pytest.mark.parametrize("mode", ["random-k", "sum-over-k"])
+def test_overflowing_loss_gradient_raises_non_finite_estimate(mode):
+    with pytest.raises(NonFiniteEstimate):
+        overflowing_run(mode, "gradient")
+
+
+@pytest.mark.parametrize("mode", ["random-k", "sum-over-k"])
+def test_sgd_overflow_returns_partial_trace(mode):
+    trace = overflowing_run(mode, "sgd")
+    assert trace.error.startswith("NonFiniteEstimate")
+    assert trace.records == () and trace.final_theta == 1.0
 
 
 def test_sgd_is_deterministic_in_the_master_seed():

@@ -120,8 +120,6 @@ def marginal_at(step):
     # payoff read at an interior grid step: exercises the generic engine
     return PathFunctional(
         value=lambda bundle: bundle.states[..., step, 0] ** 2,
-        malliavin_derivative=lambda bundle, s: None,
-        kind="marginal-square",
     )
 
 
@@ -394,8 +392,6 @@ def test_random_k_two_dim_matches_reference():
     grid = cm.TimeGrid(0.5, 5)
     f = PathFunctional(
         value=lambda b: b.states[..., -1, 0] ** 2 + b.states[..., -1, 1] ** 2,
-        malliavin_derivative=lambda b, s: None,
-        kind="radius-square",
         terminal_value=lambda x: x[..., 0] ** 2 + x[..., 1] ** 2,
     )
     n, seed = 48, 41
@@ -416,8 +412,6 @@ def test_jacobian_reading_payoff_matches_reference():
     grid = cm.TimeGrid(0.5, 5)
     f = PathFunctional(
         value=lambda b: b.jacobians.y[..., -1, 0, 0] * b.states[..., -1, 0],
-        malliavin_derivative=lambda b, s: None,
-        kind="jacobian-weighted",
         value_requires_jacobian=True,
     )
     n, seed = 24, 43
@@ -480,8 +474,6 @@ def test_two_dim_gradient_agrees_with_bump():
     x0 = np.array([0.5, -0.5])
     f = PathFunctional(
         value=lambda b: b.states[..., -1, 0] ** 2 + b.states[..., -1, 1] ** 2,
-        malliavin_derivative=lambda b, s: None,
-        kind="radius-square",
         terminal_value=lambda x: x[..., 0] ** 2 + x[..., 1] ** 2,
     )
     n = 20000
@@ -696,8 +688,6 @@ def test_gradient_rekeys_each_stream_once_per_path(monkeypatch, mode, functional
 def _radius_square_at(step):
     return PathFunctional(
         value=lambda b: b.states[..., step, 0] ** 2 + b.states[..., step, -1] ** 2,
-        malliavin_derivative=lambda b, s: None,
-        kind="radius-square-at",
     )
 
 
@@ -706,8 +696,6 @@ def _engine_case(engine, n_dim, steps):
     if engine == "terminal":
         return "sum-over-k", PathFunctional(
             value=lambda b: b.states[..., -1, 0] ** 2 + b.states[..., -1, -1] ** 2,
-            malliavin_derivative=lambda b, s: None,
-            kind="radius-square",
             terminal_value=lambda x: x[..., 0] ** 2 + x[..., -1] ** 2,
         )
     if engine == "integral":
