@@ -10,6 +10,7 @@ the manifest carries the wall time and environment stamps.
 
 from __future__ import annotations
 
+import math
 import time
 from pathlib import Path
 
@@ -26,10 +27,14 @@ from .tableio import ResultTable, print_lines
 from .weakderiv import hj_gradient, score_function_gradient
 
 
-def _loss_slope_closed_form(theta, sigma, horizon, condition_time, h=1e-6):
-    up = ou_conditional_second_moment(theta + h, sigma, condition_time, horizon)
-    dn = ou_conditional_second_moment(theta - h, sigma, condition_time, horizon)
-    return (up - dn) / (2.0 * h)
+def _loss_slope_closed_form(theta, sigma, horizon, condition_time):
+    """theta-derivative of ou_conditional_second_moment, sigma^2 (1 - e^{-2 theta s})
+    / (2 theta) with s = horizon - condition_time; -sigma^2 s^2 at theta = 0."""
+    s = horizon - condition_time
+    if theta == 0.0:
+        return -sigma * sigma * s * s
+    e = math.expm1(-2.0 * theta * s)  # e^{-2 theta s} - 1
+    return sigma * sigma * (2.0 * theta * s * (1.0 + e) + e) / (2.0 * theta * theta)
 
 
 def _conditional_setup(config: RunConfig):

@@ -9,6 +9,11 @@ smooth path functionals are assembled downstream.
 All model callables must broadcast over leading axes: states arrive either
 as (n,) for a single path or (N, n) for a block of paths.  Constant
 coefficients may simply return (n,), (n, n) or (n, n, d) arrays.
+
+A scalar state with scalar noise (n = d = 1) skips the stacked 1x1 matrix
+products: Y_k is a cumulative product of the step factors and the diffusion
+term a plain multiply.  A 1x1 product is one rounding either way, so these
+elementwise paths keep the bits of the matrix recursion.
 """
 
 from __future__ import annotations
@@ -166,8 +171,7 @@ def _noise_block(master_seed: int, path_indices, grid: TimeGrid, noise_dim: int)
     pool = _StreamPool()
     out = np.empty((len(path_indices), grid.steps, noise_dim))
     for row, idx in enumerate(path_indices):
-        rng = pool.rekey(master_seed, int(idx), tag=TAG_NOISE)
-        out[row] = rng.standard_normal((grid.steps, noise_dim))
+        pool.rekey(master_seed, int(idx), tag=TAG_NOISE).standard_normal(out=out[row])
     out *= math.sqrt(grid.dt)
     return out
 
@@ -178,6 +182,8 @@ def _noise_block(master_seed: int, path_indices, grid: TimeGrid, noise_dim: int)
 
 def _apply_diffusion(sig: np.ndarray, dw: np.ndarray) -> np.ndarray:
     # sig (n, d) constant or (..., n, d) state-dependent; dw (..., d)
+    if sig.shape[-2:] == (1, 1):
+        return dw * sig[..., 0, :]
     if sig.ndim == 2:
         return dw @ sig.T
     return np.einsum("...ij,...j->...i", sig, dw)
@@ -213,19 +219,30 @@ def _euler_jacobians(model: SdeModel, theta: float, grid: TimeGrid, states: np.n
     dt = grid.dt
     n = model.state_dim
     lead = states.shape[:-2]
-    eye = np.eye(n)
-    y = np.empty(lead + (grid.steps + 1, n, n))
-    yk = np.empty(lead + (n, n))
-    yk[...] = eye
-    y[..., 0, :, :] = yk
-    for k in range(grid.steps):
-        x = states[..., k, :]
-        jb = np.asarray(model.drift_dx(x, times[k], theta))
-        js = np.asarray(model.diffusion_dx(x, times[k]))
-        amat = dt * jb + np.einsum("...imj,...j->...im", js, increments[..., k, :])
-        amat = amat + eye
-        yk = amat @ yk
-        y[..., k + 1, :, :] = yk
+    if n == 1 and model.noise_dim == 1:
+        # Y_k is the running product of the step factors 1 + dt b' + sigma' dW
+        y = np.empty(lead + (grid.steps + 1,))
+        y[..., 0] = 1.0
+        for k in range(grid.steps):
+            x = states[..., k, :]
+            jb = np.asarray(model.drift_dx(x, times[k], theta))[..., 0, 0]
+            js = np.asarray(model.diffusion_dx(x, times[k]))[..., 0, 0, 0]
+            y[..., k + 1] = (dt * jb + js * increments[..., k, 0]) + 1.0
+        y = np.cumprod(y, axis=-1, out=y).reshape(lead + (grid.steps + 1, 1, 1))
+    else:
+        eye = np.eye(n)
+        y = np.empty(lead + (grid.steps + 1, n, n))
+        yk = np.empty(lead + (n, n))
+        yk[...] = eye
+        y[..., 0, :, :] = yk
+        for k in range(grid.steps):
+            x = states[..., k, :]
+            jb = np.asarray(model.drift_dx(x, times[k], theta))
+            js = np.asarray(model.diffusion_dx(x, times[k]))
+            amat = dt * jb + np.einsum("...imj,...j->...im", js, increments[..., k, :])
+            amat = amat + eye
+            yk = amat @ yk
+            y[..., k + 1, :, :] = yk
     if not np.all(np.isfinite(y)):
         raise SingularJacobian("non-finite first-variation matrix")
     if n == 1:

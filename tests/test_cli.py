@@ -6,9 +6,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from condmc.bench import _loss_slope_closed_form
 from condmc.cli import main
 from condmc.errors import ConfigError
 from condmc.runconfig import RunConfig, parse_config_file, resolve_config
+from condmc.sde import ou_conditional_second_moment
 from condmc.svgplot import render_line_plot
 from condmc.tableio import ResultTable, format_cell
 
@@ -221,6 +223,21 @@ def test_estimate_grad_command(tmp_path):
                                       float(row[4]))
     assert abs(gradient - reference) <= 3 * std_error + 0.01
     assert row[7] == "random-k"
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.5])
+def test_loss_slope_matches_central_difference(theta):
+    h = 1e-5
+    up = ou_conditional_second_moment(theta + h, 1.3, 0.25, 1.5)
+    dn = ou_conditional_second_moment(theta - h, 1.3, 0.25, 1.5)
+    assert _loss_slope_closed_form(theta, 1.3, 1.5, 0.25) == pytest.approx(
+        (up - dn) / (2.0 * h), rel=1e-7)
+
+
+def test_loss_slope_at_theta_zero_is_the_limit():
+    # -sigma^2 s^2 with s = horizon - condition_time = 1.5; every product is exact
+    assert _loss_slope_closed_form(0.0, 1.5, 2.0, 0.5) == -5.0625
+    assert _loss_slope_closed_form(1e-6, 1.5, 2.0, 0.5) == pytest.approx(-5.0625, rel=1e-5)
 
 
 def test_bench_convergence_command(tmp_path, capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import condmc as cm
 from condmc.errors import NonFiniteState, SingularJacobian
@@ -25,6 +27,43 @@ def make_custom(drift, drift_dtheta, drift_dx, sigma=1.0):
         state_dim=1,
         noise_dim=1,
     )
+
+
+def sine_diffusion_model():
+    """1-D model whose drift slope and diffusion both move with the state, so
+    the Jacobian step factor 1 + dt b'(X) + sigma'(X) dW carries every term."""
+    return cm.SdeModel(
+        drift=lambda x, t, th: -th * x + 0.3 * np.cos(x),
+        drift_dtheta=lambda x, t, th: -x,
+        drift_dx=lambda x, t, th: (-th - 0.3 * np.sin(x))[..., None],
+        diffusion=lambda x, t: (0.5 + 0.2 * np.sin(x))[..., None],
+        diffusion_dx=lambda x, t: (0.2 * np.cos(x))[..., None, None],
+        state_dim=1,
+        noise_dim=1,
+        name="sine-diffusion",
+    )
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and float64 bit patterns; unlike array_equal, -0.0 != 0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def matrix_jacobian(model, theta, grid, states, increments):
+    """Y_k by the general matrix recursion Y_{k+1} = (I + dt b' + sigma' dW_k) Y_k."""
+    n = model.state_dim
+    eye = np.eye(n)
+    yk = np.broadcast_to(eye, states.shape[:-2] + (n, n))
+    ys = [yk]
+    for k in range(grid.steps):
+        x = states[..., k, :]
+        jb = np.asarray(model.drift_dx(x, grid.times[k], theta))
+        js = np.asarray(model.diffusion_dx(x, grid.times[k]))
+        amat = grid.dt * jb + np.einsum("...imj,...j->...im", js, increments[..., k, :])
+        yk = (amat + eye) @ yk
+        ys.append(yk)
+    return np.stack(ys, axis=-3)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +231,28 @@ def test_singular_jacobian_detected():
         cm.simulate_path(model, 0.0, 1.0, grid, noise, with_jacobian=True)
 
 
+def test_batched_singular_jacobian_detected_when_a_step_factor_is_zero():
+    grid = cm.TimeGrid(1.0, 10)  # dt = 0.1
+    model = make_custom(
+        drift=lambda x, t, th: -10.0 * x,
+        drift_dtheta=lambda x, t, th: np.zeros_like(x),
+        drift_dx=lambda x, t, th: np.full((1, 1), -10.0),  # 1 + dt * (-10) = 0
+    )
+    with pytest.raises(SingularJacobian, match="hit zero"):
+        cm.simulate_paths(model, 0.0, 1.0, grid, 20, 0, with_jacobian=True)
+
+
+def test_batched_singular_jacobian_detected_when_y_overflows():
+    grid = cm.TimeGrid(1.0, 10)
+    model = make_custom(
+        drift=lambda x, t, th: np.zeros_like(x),
+        drift_dtheta=lambda x, t, th: np.zeros_like(x),
+        drift_dx=lambda x, t, th: np.full((1, 1), 1e100),  # Y_k ~ 1e99^k overflows
+    )
+    with np.errstate(over="ignore"), pytest.raises(SingularJacobian, match="non-finite"):
+        cm.simulate_paths(model, 0.0, 1.0, grid, 20, 0, with_jacobian=True)
+
+
 # ---------------------------------------------------------------------------
 # batch engine equivalence
 
@@ -206,6 +267,70 @@ def test_batch_rows_bit_identical_to_single_paths():
         assert np.array_equal(batch.path(i).states, single.states)
         assert np.array_equal(batch.path(i).jacobians.y, single.jacobians.y)
         assert np.array_equal(batch.path(i).jacobians.z, single.jacobians.z)
+
+
+@pytest.mark.parametrize("model", [cm.ou_model(0.8), sine_diffusion_model()],
+                         ids=["ou", "sine-diffusion"])
+def test_scalar_jacobian_matches_matrix_recursion(model):
+    grid = cm.TimeGrid(1.5, 40)
+    batch = cm.simulate_paths(model, 0.9, 0.4, grid, 50, 8, with_jacobian=True)
+    y = matrix_jacobian(model, 0.9, grid, batch.states, batch.increments)
+    assert same_bits(batch.jacobians.y, y)
+    assert same_bits(batch.jacobians.z, 1.0 / y)
+
+
+@pytest.mark.parametrize("power", [1, 3])
+@pytest.mark.parametrize("model", [cm.ou_model(0.8), sine_diffusion_model()],
+                         ids=["ou", "sine-diffusion"])
+def test_marginal_power_rows_match_malliavin_derivative_state(model, power):
+    grid = cm.TimeGrid(1.0, 24)
+    step = 15
+    batch = cm.simulate_paths(model, 1.1, 0.2, grid, 5, 12, with_jacobian=True)
+    profile = cm.marginal_power(step, power).derivative(batch)
+    for i in range(batch.n_paths):
+        bundle = batch.path(i)
+        factor = power * bundle.states[step, 0] ** (power - 1)
+        for s in range(grid.steps + 1):
+            oracle = cm.malliavin_derivative_state(bundle, s, step)[0]
+            assert same_bits(profile[i, s], oracle if power == 1 else factor * oracle)
+
+
+ROW_IDENTITY_FUNCTIONALS = {
+    1: cm.integral_functional(lambda x: x[..., 0] ** 2, lambda x: 2.0 * x),
+    2: cm.integral_functional(lambda x: x[..., 0] * x[..., 1],
+                              lambda x: np.stack([x[..., 1], x[..., 0]], axis=-1)),
+}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(n_dim=st.sampled_from((1, 2)), state_dependent=st.booleans(),
+       steps=st.integers(4, 30), horizon=st.floats(0.25, 2.0), theta=st.floats(-1.0, 1.5),
+       sigma=st.floats(0.2, 2.0), seed=st.integers(0, 2 ** 32), data=st.data())
+def test_batch_rows_bit_identical_property(n_dim, state_dependent, steps, horizon, theta,
+                                           sigma, seed, data):
+    model = (sine_diffusion_model() if n_dim == 1 and state_dependent
+             else cm.ou_model(sigma, dim=n_dim))
+    grid = cm.TimeGrid(horizon, steps)
+    x0 = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n_dim, max_size=n_dim)))
+    n_paths = data.draw(st.integers(1, 6))
+    first = data.draw(st.integers(0, 1000))
+    batch = cm.simulate_paths(model, theta, x0, grid, n_paths, seed, first_index=first,
+                              with_jacobian=True)
+    component = data.draw(st.integers(0, n_dim - 1))
+    power = data.draw(st.integers(1, 3))
+    functionals = (cm.marginal_power(data.draw(st.integers(-1, steps)), power, component),
+                   cm.terminal_power(power, component),
+                   ROW_IDENTITY_FUNCTIONALS[n_dim])
+    profiles = [f.derivative(batch) for f in functionals]
+    for i in range(n_paths):
+        noise = cm.generate_noise(seed, first + i, grid, model.noise_dim)
+        single = cm.simulate_path(model, theta, x0, grid, noise, with_jacobian=True)
+        row = batch.path(i)
+        assert same_bits(row.states, single.states)
+        assert same_bits(row.jacobians.y, single.jacobians.y)
+        assert same_bits(row.jacobians.z, single.jacobians.z)
+        for f, profile in zip(functionals, profiles):
+            assert same_bits(profile[i], f.derivative(single))
 
 
 def test_batch_two_dimensional_model():
