@@ -29,12 +29,18 @@ from .weakderiv import hj_gradient, score_function_gradient
 
 def _loss_slope_closed_form(theta, sigma, horizon, condition_time):
     """theta-derivative of ou_conditional_second_moment, sigma^2 (1 - e^{-2 theta s})
-    / (2 theta) with s = horizon - condition_time; -sigma^2 s^2 at theta = 0."""
+    / (2 theta) with s = horizon - condition_time; -sigma^2 s^2 at theta = 0.
+
+    For small x = 2 theta s the closed form cancels (its numerator is O(x^2)
+    from O(x) terms), so there the Taylor series -sigma^2 s^2 (1 - 2x/3 + x^2/4)
+    is used; its truncation error is O(x^3).
+    """
     s = horizon - condition_time
-    if theta == 0.0:
-        return -sigma * sigma * s * s
-    e = math.expm1(-2.0 * theta * s)  # e^{-2 theta s} - 1
-    return sigma * sigma * (2.0 * theta * s * (1.0 + e) + e) / (2.0 * theta * theta)
+    x = 2.0 * theta * s
+    if abs(x) < 1e-5:
+        return -sigma * sigma * s * s * (1.0 - 2.0 * x / 3.0 + x * x / 4.0)
+    e = math.expm1(-x)  # e^{-2 theta s} - 1
+    return sigma * sigma * (x * (1.0 + e) + e) / (2.0 * theta * theta)
 
 
 def _conditional_setup(config: RunConfig):

@@ -84,7 +84,7 @@ def _state_derivative_rows(bundle, t_index: int, component: int) -> np.ndarray:
     """(D_{t_s} X_{t*}[component])_s for all s, shaped (..., M+1, d); zero past t*."""
     jac = _require_jacobians(bundle)
     sig = _sigma_profile(bundle)
-    if sig.shape[-2:] == (1, 1):
+    if bundle.model.state_dim == 1 and bundle.model.noise_dim == 1:
         # scalar state: (Y_{t*} Z_s) sigma_s elementwise, one rounding per
         # product as in the 1x1 matrix products
         rows = (jac.y[..., t_index, None, 0, :] * jac.z[..., 0, :]) * sig[..., 0, :]
@@ -136,21 +136,13 @@ def integral_functional(h: Callable, dh: Callable) -> PathFunctional:
     def derivative(bundle):
         jac = _require_jacobians(bundle)
         grads = np.asarray(dh(bundle.states))            # (..., M+1, n)
-        sig = _sigma_profile(bundle)
-        scalar = sig.shape[-2:] == (1, 1)
-        if scalar:
-            w = grads * jac.y[..., 0, :]
-        else:
-            w = np.einsum("...ki,...kij->...kj", grads, jac.y)
+        w = np.einsum("...ki,...kij->...kj", grads, jac.y)
         # suffix sums over k in [s, M-1]: reverse-cumsum of the left-point rows
         left = w[..., :-1, :]
         suffix = np.flip(np.cumsum(np.flip(left, axis=-2), axis=-2), axis=-2)
         pad = np.zeros_like(w)
         pad[..., :-1, :] = suffix
-        if scalar:
-            zs = pad * (jac.z[..., 0, :] * sig[..., 0, :])
-        else:
-            zs = np.einsum("...si,...sij->...sj", pad, jac.z @ sig)
+        zs = np.einsum("...si,...sij->...sj", pad, jac.z @ _sigma_profile(bundle))
         return bundle.grid.dt * zs
 
     return PathFunctional(value=value, derivative=derivative, step_value=h)

@@ -240,6 +240,16 @@ def test_loss_slope_at_theta_zero_is_the_limit():
     assert _loss_slope_closed_form(1e-6, 1.5, 2.0, 0.5) == pytest.approx(-5.0625, rel=1e-5)
 
 
+@pytest.mark.parametrize("theta", [1e-12, 1e-10, 3e-6, 1e-5])
+def test_loss_slope_near_theta_zero_matches_series(theta):
+    # x = 2 theta s spans both sides of the series cut-off at |x| = 1e-5;
+    # the four-term series is exact to O(x^4) here
+    sigma, s = 1.5, 1.5
+    x = 2.0 * theta * s
+    series = -sigma * sigma * s * s * (1.0 - 2.0 * x / 3.0 + x * x / 4.0 - x ** 3 / 15.0)
+    assert _loss_slope_closed_form(theta, sigma, 2.0, 0.5) == pytest.approx(series, rel=1e-10)
+
+
 def test_bench_convergence_command(tmp_path, capsys):
     out = tmp_path / "run"
     cfg = tmp_path / "run.cfg"
