@@ -9,6 +9,7 @@ baselines, a projected SGD driver, and a benchmark CLI.
 """
 
 from .errors import (
+    CoefficientShapeError,
     CondMcError,
     ConfigError,
     DegenerateConstraint,

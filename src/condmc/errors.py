@@ -28,6 +28,10 @@ class NonFiniteEstimate(CondMcError):
     although every simulated state was finite (a functional value overflowed)."""
 
 
+class CoefficientShapeError(CondMcError):
+    """A model coefficient came back in a shape that does not fit its contract."""
+
+
 class SingularJacobian(CondMcError):
     """Pathwise Jacobian became numerically singular (condition number > 1e12)."""
 

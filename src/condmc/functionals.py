@@ -14,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MissingJacobian
-from .sde import PathBatch, PathBundle
+from .errors import CoefficientShapeError, MissingJacobian
+from .sde import PathBatch, PathBundle, shared_row
 
 
 @dataclass(frozen=True)
@@ -59,13 +59,23 @@ def _require_jacobians(bundle):
 
 
 def _sigma_profile(bundle) -> np.ndarray:
-    """sigma(X_s, t_s) at every grid time, shaped (..., M+1, n, d)."""
+    """sigma(X_s, t_s) at every grid time, as a (..., M+1, n, d) view.
+
+    The model sees all grid times at once, so a diffusion that combines t
+    with the state axes can come back in another shape; CoefficientShapeError
+    when it does not broadcast to (..., M+1, n, d).
+    """
     sig = np.asarray(bundle.model.diffusion(bundle.states, bundle.grid.times))
-    n, d = bundle.model.state_dim, bundle.model.noise_dim
-    if sig.ndim == 2:  # constant coefficient
-        target = bundle.states.shape[:-1] + (n, d)
-        sig = np.broadcast_to(sig, target)
-    return sig
+    target = bundle.states.shape[:-1] + (bundle.model.state_dim, bundle.model.noise_dim)
+    try:
+        fits = np.broadcast_shapes(sig.shape, target) == target
+    except ValueError:
+        fits = False
+    if not fits:
+        raise CoefficientShapeError(
+            f"diffusion over the grid has shape {sig.shape}, which does not broadcast "
+            f"to {target}")
+    return np.broadcast_to(sig, target)
 
 
 def malliavin_derivative_state(bundle: PathBundle, s: int, t: int) -> np.ndarray:
@@ -81,19 +91,28 @@ def malliavin_derivative_state(bundle: PathBundle, s: int, t: int) -> np.ndarray
 
 
 def _state_derivative_rows(bundle, t_index: int, component: int) -> np.ndarray:
-    """(D_{t_s} X_{t*}[component])_s for all s, shaped (..., M+1, d); zero past t*."""
+    """(D_{t_s} X_{t*}[component])_s for all s, shaped (..., M+1, d); zero past t*.
+
+    When Y, Z and sigma are shared by every path, the rows are computed once
+    and come back as a read-only view broadcast over the path axes.
+    """
     jac = _require_jacobians(bundle)
-    sig = _sigma_profile(bundle)
+    parts = (jac.y, jac.z, _sigma_profile(bundle))
+    shared = [shared_row(part, 3) for part in parts]
+    is_shared = all(part is not None for part in shared)
+    y, z, sig = shared if is_shared else parts
     if bundle.model.state_dim == 1 and bundle.model.noise_dim == 1:
         # scalar state: (Y_{t*} Z_s) sigma_s elementwise, one rounding per
         # product as in the 1x1 matrix products
-        rows = (jac.y[..., t_index, None, 0, :] * jac.z[..., 0, :]) * sig[..., 0, :]
+        rows = (y[..., t_index, None, 0, :] * z[..., 0, :]) * sig[..., 0, :]
     else:
-        y_t = jac.y[..., t_index, :, :]
-        prod = y_t[..., None, :, :] @ jac.z           # (..., M+1, n, n) = Y_{t*} Z_s
+        y_t = y[..., t_index, :, :]
+        prod = y_t[..., None, :, :] @ z           # (..., M+1, n, n) = Y_{t*} Z_s
         # a copy, so the rows do not keep all n rows of the products alive
         rows = (prod @ sig)[..., component, :].copy()
     rows[..., t_index + 1:, :] = 0.0
+    if is_shared:
+        rows = np.broadcast_to(rows, bundle.states.shape[:-1] + rows.shape[-1:])
     return rows
 
 

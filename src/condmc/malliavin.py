@@ -28,7 +28,7 @@ from .errors import (
 from .functionals import PathFunctional, derivative_profile
 from .reports import ConditionalLossReport, EstimatorReport
 from .sde import (PathBatch, PathBundle, SdeModel, TimeGrid, finite_fsum, fsum, require_finite,
-                  simulate_paths)
+                  shared_row, simulate_paths)
 
 _ENERGY_FLOOR = 1e-14
 _DERIVATIVE_RATIO_FLOOR = 1e-8
@@ -63,10 +63,20 @@ def _energy_and_support(profile: np.ndarray, grid: TimeGrid):
 
 
 def make_weight_canonical(g: PathFunctional, bundle: PathBundle | PathBatch) -> WeightProcess:
-    """u = D g / (left-point energy of D g); normalization holds by construction."""
+    """u = D g / (left-point energy of D g); normalization holds by construction.
+
+    A D g shared by every path (see sde.shared_row) gives one weight row,
+    handed out as a read-only view broadcast over the path axes.
+    """
     profile = derivative_profile(g, bundle)
-    energy, support = _energy_and_support(profile, bundle.grid)
-    values = profile / energy[..., None, None]
+    row = shared_row(profile, 2)
+    if row is None:
+        energy, support = _energy_and_support(profile, bundle.grid)
+        values = profile / energy[..., None, None]
+    else:
+        energy, support = _energy_and_support(row, bundle.grid)
+        values = np.broadcast_to(row / energy, profile.shape)
+        support = np.broadcast_to(support, profile.shape[:-2])
     return WeightProcess(values, "canonical", support, adapted=True)
 
 

@@ -14,12 +14,21 @@ A scalar state with scalar noise (n = d = 1) skips the stacked 1x1 matrix
 products: Y_k is a cumulative product of the step factors and the diffusion
 term a plain multiply.  A 1x1 product is one rounding either way, so these
 elementwise paths keep the bits of the matrix recursion.
+
+When drift_dx returns an (n, n) array with no path axis and diffusion_dx is
+all zero at every step (OU and the mean-reverting family), Y and Z are the
+same on every path of a block.  They are then built once, as one (M+1, n, n)
+product, and handed out as read-only views broadcast over the path axes;
+shared_row recognises such a view downstream.  A model that is path-dependent
+at any step gets per-row Jacobians.  A zero diffusion_dx adds +-0.0 to each
+step factor, so both ways give the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -71,9 +80,12 @@ class TimeGrid:
     def dt(self) -> float:
         return self.horizon / self.steps
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.steps + 1)
+        """The M+1 grid times, computed once per grid and read-only."""
+        times = np.linspace(0.0, self.horizon, self.steps + 1)
+        times.flags.writeable = False
+        return times
 
 
 @dataclass(frozen=True)
@@ -107,7 +119,13 @@ class SdeModel:
 
 @dataclass(frozen=True)
 class JacobianPath:
-    """First-variation matrices Y_k and inverses Z_k along one path (or a block)."""
+    """First-variation matrices Y_k and inverses Z_k along one path (or a block).
+
+    When drift_dx has no path axis and diffusion_dx is zero at every step,
+    every path of a block has the same Y.  y and z are then read-only views
+    of one (M+1, n, n) array, broadcast over the leading axes; writing to
+    them raises ValueError.
+    """
 
     y: np.ndarray  # (..., M+1, n, n)
     z: np.ndarray  # (..., M+1, n, n)
@@ -213,36 +231,72 @@ def _euler_states(model: SdeModel, theta: float, x0: np.ndarray, grid: TimeGrid,
     return _euler_continue(model, theta, grid, states, increments, 0)
 
 
+def shared_row(a: np.ndarray, core_ndim: int) -> np.ndarray | None:
+    """The one core array every path shares when `a` is a view of it broadcast
+    over its leading (path) axes, as shared Jacobians are; None otherwise."""
+    lead = a.ndim - core_ndim
+    if lead < 1 or any(a.strides[:lead]):
+        return None
+    return a[(0,) * lead]
+
+
+def _is_shared_step(jb: np.ndarray, js: np.ndarray) -> bool:
+    """True when a step's Jacobian factor is the same on every path: drift_dx
+    has no path axis and diffusion_dx is zero."""
+    return jb.ndim == 2 and not js.any()
+
+
 def _euler_jacobians(model: SdeModel, theta: float, grid: TimeGrid, states: np.ndarray,
                      increments: np.ndarray) -> JacobianPath:
     times = grid.times
     dt = grid.dt
+    steps = grid.steps
     n = model.state_dim
     lead = states.shape[:-2]
-    if n == 1 and model.noise_dim == 1:
+    # shared steps extend one Y for all paths; from the first path-dependent
+    # step on, y holds every row, its prefix copied from the shared one
+    y = None
+    scalar = n == 1 and model.noise_dim == 1
+    if scalar:
         # Y_k is the running product of the step factors 1 + dt b' + sigma' dW
-        y = np.empty(lead + (grid.steps + 1,))
-        y[..., 0] = 1.0
-        for k in range(grid.steps):
-            x = states[..., k, :]
-            jb = np.asarray(model.drift_dx(x, times[k], theta))[..., 0, 0]
-            js = np.asarray(model.diffusion_dx(x, times[k]))[..., 0, 0, 0]
-            y[..., k + 1] = (dt * jb + js * increments[..., k, 0]) + 1.0
-        y = np.cumprod(y, axis=-1, out=y).reshape(lead + (grid.steps + 1, 1, 1))
-    else:
-        eye = np.eye(n)
-        y = np.empty(lead + (grid.steps + 1, n, n))
-        yk = np.empty(lead + (n, n))
-        yk[...] = eye
-        y[..., 0, :, :] = yk
-        for k in range(grid.steps):
+        shared = np.empty(steps + 1)
+        shared[0] = 1.0
+        for k in range(steps):
             x = states[..., k, :]
             jb = np.asarray(model.drift_dx(x, times[k], theta))
             js = np.asarray(model.diffusion_dx(x, times[k]))
+            if y is None:
+                if _is_shared_step(jb, js):
+                    shared[k + 1] = dt * jb[0, 0] + 1.0
+                    continue
+                y = np.empty(lead + (steps + 1,))
+                y[..., :k + 1] = shared[:k + 1]
+            y[..., k + 1] = (dt * jb[..., 0, 0] + js[..., 0, 0, 0] * increments[..., k, 0]) + 1.0
+    else:
+        eye = np.eye(n)
+        shared = np.empty((steps + 1, n, n))
+        shared[0] = eye
+        for k in range(steps):
+            x = states[..., k, :]
+            jb = np.asarray(model.drift_dx(x, times[k], theta))
+            js = np.asarray(model.diffusion_dx(x, times[k]))
+            if y is None:
+                if _is_shared_step(jb, js):
+                    shared[k + 1] = (dt * jb + eye) @ shared[k]
+                    continue
+                y = np.empty(lead + (steps + 1, n, n))
+                y[..., :k + 1, :, :] = shared[:k + 1]
+                yk = np.empty(lead + (n, n))
+                yk[...] = shared[k]
             amat = dt * jb + np.einsum("...imj,...j->...im", js, increments[..., k, :])
             amat = amat + eye
             yk = amat @ yk
             y[..., k + 1, :, :] = yk
+    is_shared = y is None
+    if is_shared:
+        y = shared
+    if scalar:
+        y = np.cumprod(y, axis=-1, out=y).reshape(y.shape + (1, 1))
     if not np.all(np.isfinite(y)):
         raise SingularJacobian("non-finite first-variation matrix")
     if n == 1:
@@ -259,6 +313,9 @@ def _euler_jacobians(model: SdeModel, theta: float, grid: TimeGrid, states: np.n
             raise SingularJacobian(f"first-variation condition number exceeds {_COND_LIMIT:g}")
     if not np.all(np.isfinite(z)):
         raise SingularJacobian("first-variation inverse overflowed")
+    if is_shared:
+        y = np.broadcast_to(y, lead + y.shape)
+        z = np.broadcast_to(z, lead + z.shape)
     return JacobianPath(y, z)
 
 

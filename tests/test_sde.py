@@ -1,5 +1,6 @@
 """Tests for the Euler engine, noise streams, Jacobians and built-in models."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import condmc as cm
-from condmc.errors import NonFiniteState, SingularJacobian
-from condmc.sde import _noise_block
+from condmc.errors import CoefficientShapeError, NonFiniteState, SingularJacobian
+from condmc.sde import _noise_block, shared_row
 
 E_INV = math.exp(-1.0)            # 0.36787944117144233
 OU_VAR_T1 = 0.4323323583816936    # sigma^2 (1 - e^{-2 theta}) / (2 theta) at theta=sigma=1
@@ -76,6 +77,14 @@ def test_grid_uniform_and_exact():
     assert times[0] == 0.0 and times[-1] == 2.0
     assert np.all(np.diff(times) > 0)
     assert abs(grid.dt * grid.steps - grid.horizon) <= np.finfo(float).eps * grid.horizon
+
+
+def test_grid_times_are_computed_once_and_read_only():
+    grid = cm.TimeGrid(1.0, 8)
+    assert grid.times is grid.times
+    with pytest.raises(ValueError):
+        grid.times[3] = 0.0
+    assert grid == cm.TimeGrid(1.0, 8) and hash(grid) == hash(cm.TimeGrid(1.0, 8))
 
 
 @pytest.mark.parametrize("horizon,steps", [(0.0, 10), (-1.0, 10), (1.0, 0), (math.inf, 4)])
@@ -331,6 +340,125 @@ def test_batch_rows_bit_identical_property(n_dim, state_dependent, steps, horizo
         assert same_bits(row.jacobians.z, single.jacobians.z)
         for f, profile in zip(functionals, profiles):
             assert same_bits(profile[i], f.derivative(single))
+
+
+# ---------------------------------------------------------------------------
+# Jacobians shared by every path of a block
+
+
+def per_row_copy(model):
+    """The model with drift_dx copied onto every path, which forces the
+    per-row Jacobian recursion (the oracle of the shared one)."""
+    n = model.state_dim
+
+    def drift_dx(x, t, theta):
+        return np.broadcast_to(model.drift_dx(x, t, theta), x.shape[:-1] + (n, n)).copy()
+
+    return dataclasses.replace(model, drift_dx=drift_dx)
+
+
+SHARED_MODELS = {
+    "ou": lambda n: cm.ou_model(0.8, dim=n),
+    "mean-reverting": lambda n: cm.mean_reverting_model(0.5, 1.3, dim=n),
+}
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.7, 1.4])
+@pytest.mark.parametrize("n_dim", [1, 2])
+@pytest.mark.parametrize("name", sorted(SHARED_MODELS))
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(steps=st.integers(2, 25), n_paths=st.integers(1, 5), seed=st.integers(0, 2 ** 32),
+       data=st.data())
+def test_shared_jacobians_match_per_row_recursion_property(name, n_dim, theta, steps,
+                                                           n_paths, seed, data):
+    model = SHARED_MODELS[name](n_dim)
+    grid = cm.TimeGrid(1.0, steps)
+    x0 = np.linspace(-0.3, 0.4, n_dim)
+    shared = cm.simulate_paths(model, theta, x0, grid, n_paths, seed, with_jacobian=True)
+    per_row = cm.simulate_paths(per_row_copy(model), theta, x0, grid, n_paths, seed,
+                                with_jacobian=True)
+    assert shared_row(shared.jacobians.y, 3) is not None
+    assert shared_row(per_row.jacobians.y, 3) is None
+    assert same_bits(shared.states, per_row.states)
+    y = matrix_jacobian(model, theta, grid, shared.states, shared.increments)
+    for jac in (shared.jacobians, per_row.jacobians):
+        assert same_bits(jac.y, y)
+    assert same_bits(shared.jacobians.z, per_row.jacobians.z)
+    step = data.draw(st.integers(-1, steps))
+    component = data.draw(st.integers(0, n_dim - 1))
+    for power in (1, 2):
+        f = cm.marginal_power(step, power, component)
+        assert same_bits(f.derivative(shared), f.derivative(per_row))
+    g = cm.marginal_power(step, 1, component)
+    if step % (steps + 1) > 0:  # D g vanishes on the grid when it conditions on X_0
+        weights = [cm.make_weight_canonical(g, b) for b in (shared, per_row)]
+        assert same_bits(weights[0].values, weights[1].values)
+        assert same_bits(weights[0].support_measure, weights[1].support_measure)
+
+
+def scalar_model(drift, drift_dx, diffusion, diffusion_dx, name):
+    return cm.SdeModel(drift=drift, drift_dtheta=lambda x, t, th: -x, drift_dx=drift_dx,
+                       diffusion=diffusion, diffusion_dx=diffusion_dx, state_dim=1,
+                       noise_dim=1, name=name)
+
+
+def mixed_model():
+    """dX = (-theta X + 1{t >= 1/2} 0.2 cos X) dt + 0.7 dW: the drift slope is
+    the same on every path before T/2 and moves with the state after it."""
+    return scalar_model(
+        drift=lambda x, t, th: -th * x + (0.2 * np.cos(x) if t >= 0.5 else 0.0),
+        drift_dx=lambda x, t, th: (np.full((1, 1), -th) if t < 0.5
+                                   else (-th - 0.2 * np.sin(x))[..., None]),
+        diffusion=lambda x, t: np.array([[0.7]]),
+        diffusion_dx=lambda x, t: np.zeros((1, 1, 1)),
+        name="shared-before-half")
+
+
+def linear_noise_model():
+    """dX = -theta X dt + 0.4 X dW: drift_dx has no path axis, but the
+    constant nonzero diffusion_dx makes Y depend on the noise."""
+    return scalar_model(
+        drift=lambda x, t, th: -th * x,
+        drift_dx=lambda x, t, th: np.full((1, 1), -th),
+        diffusion=lambda x, t: (0.4 * x)[..., None],
+        diffusion_dx=lambda x, t: np.full((1, 1, 1), 0.4),
+        name="linear-noise")
+
+
+@pytest.mark.parametrize("model", [mixed_model(), linear_noise_model(),
+                                   sine_diffusion_model()],
+                         ids=["shared-before-half", "linear-noise", "sine-diffusion"])
+def test_path_dependent_jacobians_stay_per_row(model):
+    grid = cm.TimeGrid(1.0, 20)
+    batch = cm.simulate_paths(model, 0.9, 0.3, grid, 6, 4, with_jacobian=True)
+    y = matrix_jacobian(model, 0.9, grid, batch.states, batch.increments)
+    assert same_bits(batch.jacobians.y, y)
+    assert same_bits(batch.jacobians.z, 1.0 / y)
+    assert shared_row(batch.jacobians.y, 3) is None
+    assert batch.jacobians.y.flags.writeable
+
+
+def test_shared_jacobians_are_read_only():
+    grid = cm.TimeGrid(1.0, 10)
+    batch = cm.simulate_paths(cm.ou_model(1.0, dim=2), 1.0, 0.0, grid, 3, 1,
+                              with_jacobian=True)
+    for arr in (batch.jacobians.y, batch.jacobians.z, batch.path(1).jacobians.y):
+        with pytest.raises(ValueError):
+            arr[..., 2, 0, 0] = 1.0
+    profile = cm.marginal_power(5, 1).derivative(batch)
+    with pytest.raises(ValueError):
+        profile[0, 0, 0] = 1.0
+
+
+def test_diffusion_reading_the_time_grid_raises_a_shape_error():
+    # diffusion(x, t) sees all M+1 grid times at once when the derivative
+    # profile is built, and (1 + t) then spans a new axis: (4, 11, 1, 11)
+    model = dataclasses.replace(
+        cm.ou_model(1.0), diffusion=lambda x, t: np.ones_like(x)[..., None] * (1 + t))
+    batch = cm.simulate_paths(model, 1.0, 0.0, cm.TimeGrid(1.0, 10), 4, 0,
+                              with_jacobian=True)
+    with pytest.raises(CoefficientShapeError, match=r"\(4, 11, 1, 11\)"):
+        cm.marginal_power(5, 1).derivative(batch)
 
 
 def test_batch_two_dimensional_model():
