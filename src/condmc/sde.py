@@ -208,18 +208,37 @@ def _apply_diffusion(sig: np.ndarray, dw: np.ndarray) -> np.ndarray:
 
 
 def _euler_continue(model: SdeModel, theta: float, grid: TimeGrid, states: np.ndarray,
-                    increments: np.ndarray, from_step: int) -> np.ndarray:
-    """Fill states beyond from_step by Euler, given the state at from_step."""
+                    increments: np.ndarray, from_step: int | np.ndarray) -> np.ndarray:
+    """Fill states beyond from_step by Euler, given the state at from_step.
+
+    from_step is one step for every path, or an (N,) array of per-row starts
+    for an (N, M+1, n) block.  Each row is then filled beyond its own start
+    and keeps the states it was given up to it; stepping begins at the
+    smallest start, all rows advancing together under the model's scalar t.
+    NonFiniteState names the first step at which a filled state is NaN or
+    infinite.
+    """
     times = grid.times
     dt = grid.dt
-    x = states[..., from_step, :]
-    for k in range(from_step, grid.steps):
+    starts = np.asarray(from_step)
+    first = int(starts.min())
+    x = states[..., first, :]
+    for k in range(first, grid.steps):
         b = np.asarray(model.drift(x, times[k], theta))
         sig = np.asarray(model.diffusion(x, times[k]))
         x = x + dt * b + _apply_diffusion(sig, increments[..., k, :])
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteState(k + 1)
-        states[..., k + 1, :] = x
+        if starts.ndim:
+            # rows not yet started take their given state into the next step
+            np.copyto(states[:, k + 1, :], x, where=(starts <= k)[:, None])
+            x = states[:, k + 1, :]
+        else:
+            states[..., k + 1, :] = x
+    # NaN and inf persist under x + dt b + sigma dW, so a row's horizon state
+    # shows whether any of its filled states went bad
+    if not np.isfinite(states[..., -1, :][starts < grid.steps]).all():
+        filled = np.arange(grid.steps + 1) > starts[..., None]
+        bad = filled & ~np.isfinite(states).all(axis=-1)
+        raise NonFiniteState(int(np.argmax(bad.reshape(-1, grid.steps + 1).any(axis=0))))
     return states
 
 

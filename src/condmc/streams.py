@@ -29,9 +29,10 @@ def stream(master_seed: int, path_index: int, *, tag: int = TAG_NOISE) -> np.ran
     """
     if master_seed < 0 or path_index < 0:
         raise ValueError("master_seed and path_index must be non-negative")
-    bg = np.random.Philox(counter=[0, 0, int(tag), 0],
-                          key=[int(master_seed) & _MASK64, int(path_index) & _MASK64])
-    return np.random.Generator(bg)
+    # a uint64 array: numpy would turn a list holding a word >= 2**63 into
+    # float64 and drop the key's low bits
+    key = np.array([int(master_seed) & _MASK64, int(path_index) & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=[0, 0, int(tag), 0], key=key))
 
 
 def child_seed(master_seed: int, *parts: int) -> int:
@@ -45,7 +46,8 @@ class _StreamPool:
 
     Reassigning the bit-generator state is ~2x cheaper than constructing a
     fresh Generator per path and produces bit-identical output (covered by
-    tests against :func:`stream`).
+    tests against :func:`stream`).  The state dict is built once; a rekey
+    updates its counter and key arrays in place, and the setter copies them.
     """
 
     def __init__(self) -> None:
@@ -53,17 +55,18 @@ class _StreamPool:
         self.generator = np.random.Generator(self._bg)
         self._counter = np.zeros(4, dtype=np.uint64)
         self._key = np.zeros(2, dtype=np.uint64)
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._counter, "key": self._key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,  # empty buffer: the first draw starts at counter 0
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def rekey(self, master_seed: int, path_index: int, *, tag: int = TAG_NOISE) -> np.random.Generator:
         self._counter[2] = tag  # the other counter words stay 0
         self._key[0] = master_seed & _MASK64
         self._key[1] = path_index & _MASK64
-        self._bg.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": self._counter, "key": self._key},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        self._bg.state = self._state
         return self.generator

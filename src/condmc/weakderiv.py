@@ -413,56 +413,84 @@ def _integral_sum_over_k(batch: PathBatch, functional: PathFunctional, pool: _St
     return _step_sum(scale_k, gap_acc), [float(np.sum(np.abs(gap_acc)))], gap_acc.size
 
 
-def _branch_batch(base: PathBatch, rows: np.ndarray, step: int, new_states: np.ndarray,
+def _branch_batch(base: PathBatch, starts: np.ndarray, new_states: np.ndarray,
                   with_jacobian: bool) -> PathBatch:
-    """Continuation bundle for branch states of a subset of a simulated block."""
-    model, grid = base.model, base.grid
-    states = base.states[rows].copy()
-    increments = base.increments[rows].copy()
-    sig = np.asarray(model.diffusion(states[:, step, :], grid.times[step]))
-    diag = np.diagonal(sig, axis1=-2, axis2=-1)
-    drift = np.asarray(model.drift(states[:, step, :], grid.times[step], base.theta))
-    resid = new_states - states[:, step, :] - grid.dt * drift
-    with np.errstate(invalid="ignore", divide="ignore"):
-        increments[:, step, :] = np.where(
-            diag != 0.0, resid / np.where(diag == 0.0, 1.0, diag), 0.0)
-    states[:, step + 1, :] = new_states
-    _euler_continue(model, base.theta, grid, states, increments, step + 1)
-    jac = _euler_jacobians(model, base.theta, grid, states, increments) if with_jacobian else None
-    return PathBatch(model, grid, base.theta, states, increments, base.master_seed,
-                     base.path_indices[rows], jac)
+    """The block with row i branched at step starts[i] to new_states[i].
+
+    Each row records the increment its Euler step would have needed to reach
+    its branch state, keeping the row a consistent state/noise pair, places
+    the branch state at starts[i] + 1 and runs on by Euler from there.  One
+    Euler pass and one Jacobian pass cover the whole block.
+    """
+    model, grid, theta = base.model, base.grid, base.theta
+    states = base.states.copy()
+    increments = base.increments.copy()
+    for k in np.unique(starts):  # the model sees one t per call
+        at = starts == k
+        x = states[at, k, :]
+        sig = np.asarray(model.diffusion(x, grid.times[k]))
+        diag = np.diagonal(sig, axis1=-2, axis2=-1)
+        drift = np.asarray(model.drift(x, grid.times[k], theta))
+        resid = new_states[at] - x - grid.dt * drift
+        with np.errstate(invalid="ignore", divide="ignore"):
+            increments[at, k, :] = np.where(
+                diag != 0.0, resid / np.where(diag == 0.0, 1.0, diag), 0.0)
+    states[np.arange(base.n_paths), starts + 1, :] = new_states
+    _euler_continue(model, theta, grid, states, increments, starts + 1)
+    jac = _euler_jacobians(model, theta, grid, states, increments) if with_jacobian else None
+    return PathBatch(model, grid, theta, states, increments, base.master_seed,
+                     base.path_indices, jac)
 
 
 def _grouped_random_k(batch: PathBatch, functional: PathFunctional, pool: _StreamPool):
-    """One branch per path at a uniformly drawn step, grouped by step."""
+    """One branch per path at a uniformly drawn step.
+
+    The split terms and branch states are formed step by step, so the model
+    sees one t per call; the branch pairs then run to the horizon in one
+    restart pass per side over the whole block.  A row whose whole step group
+    has zero scale is not branched: it restarts at its own next state, which
+    reproduces its base path, and its estimate stays an exact 0.0.
+    """
     model, grid, theta = batch.model, batch.grid, batch.theta
     steps = grid.steps
-    need_jac = functional.value_requires_jacobian
+    count = batch.n_paths
     indices = batch.path_indices
-    ks = np.empty(batch.n_paths, dtype=np.intp)
+    ks = np.empty(count, dtype=np.intp)
     for row, idx in enumerate(indices):
         rng = pool.rekey(batch.master_seed, int(idx), tag=TAG_CHOICE)
         ks[row] = rng.integers(0, steps)
     draws = _branch_draw_block(batch.master_seed, indices, steps, model.state_dim, pool)
-    block_vals = None
-    gap_sums = []
+    total = np.zeros(count)
+    new_plus = batch.states[np.arange(count), ks + 1]
+    new_minus = new_plus.copy()
+    live = np.zeros(count, dtype=bool)
+    groups = []
     for k in np.unique(ks):
         rows = np.nonzero(ks == k)[0]
-        mean, scales, weights, total, signs = _hj_terms_batch(
+        mean, scales, weights, group_total, signs = _hj_terms_batch(
             model, batch.states[rows, k], grid.times[k], theta, grid.dt)
-        if not np.any(total != 0.0):
+        if not np.any(group_total != 0.0):
             continue
-        bp, bm = _assemble_branch_states(mean, scales, weights, total, signs,
-                                         *_draws_at(draws, rows, k))
-        plus = _branch_batch(batch, rows, int(k), bp, need_jac)
-        minus = _branch_batch(batch, rows, int(k), bm, need_jac)
-        gaps = np.asarray(functional.value(plus)) - np.asarray(functional.value(minus))
-        if block_vals is None:  # the first gaps fix the column shape
-            block_vals = np.zeros((batch.n_paths,) + gaps.shape[1:])
-        block_vals[rows] = _per_row(steps * total, gaps) * gaps
-        gap_sums.append(float(np.sum(np.abs(gaps))))
-    if block_vals is None:  # no path is sensitive at its branch step
+        new_plus[rows], new_minus[rows] = _assemble_branch_states(
+            mean, scales, weights, group_total, signs, *_draws_at(draws, rows, k))
+        total[rows] = group_total
+        live[rows] = True
+        groups.append(rows)
+    # free the spent draws and keep one restarted side alive at a time: the
+    # restart passes then add one block copy to the peak memory, not three
+    del draws
+    if not groups:  # no path is sensitive at its branch step
         block_vals = np.zeros(np.shape(functional.value(batch)))
+        return block_vals, [], block_vals.size
+    need_jac = functional.value_requires_jacobian
+    plus = _branch_batch(batch, ks, new_plus, need_jac)
+    plus_values = np.asarray(functional.value(plus))
+    del plus
+    minus = _branch_batch(batch, ks, new_minus, need_jac)
+    gaps = plus_values - np.asarray(functional.value(minus))
+    block_vals = np.zeros(gaps.shape)
+    block_vals[live] = _per_row(steps * total[live], gaps[live]) * gaps[live]
+    gap_sums = [float(np.sum(np.abs(gaps[rows]))) for rows in groups]
     return block_vals, gap_sums, block_vals.size
 
 
@@ -470,7 +498,6 @@ def _generic_sum_over_k(batch: PathBatch, functional: PathFunctional, pool: _Str
     """Branch at every step with full branch re-propagation (any functional)."""
     model, grid, theta = batch.model, batch.grid, batch.theta
     need_jac = functional.value_requires_jacobian
-    rows = np.arange(batch.n_paths)
     block_vals = 0.0
     gap_sums = []
     gap_count = 0
@@ -480,9 +507,10 @@ def _generic_sum_over_k(batch: PathBatch, functional: PathFunctional, pool: _Str
         mean, scales, weights, total, signs = _hj_terms_batch(
             model, batch.states[:, k], grid.times[k], theta, grid.dt)
         bp, bm = _assemble_branch_states(mean, scales, weights, total, signs,
-                                         *_draws_at(draws, rows, k))
-        plus = _branch_batch(batch, rows, k, bp, need_jac)
-        minus = _branch_batch(batch, rows, k, bm, need_jac)
+                                         *_draws_at(draws, slice(None), k))
+        starts = np.full(batch.n_paths, k)
+        plus = _branch_batch(batch, starts, bp, need_jac)
+        minus = _branch_batch(batch, starts, bm, need_jac)
         gaps = np.asarray(functional.value(plus)) - np.asarray(functional.value(minus))
         block_vals = block_vals + _per_row(total, gaps) * gaps
         gap_sums.append(float(np.sum(np.abs(gaps))))

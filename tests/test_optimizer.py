@@ -341,3 +341,43 @@ def test_sgd_descends_on_average():
     se = changes.std(ddof=1) / math.sqrt(changes.size)
     assert changes.mean() < 0.0
     assert abs(changes.mean()) > 2 * se
+
+
+# ---------------------------------------------------------------------------
+# random-k outputs pinned to the bit (captured before the engine restarted
+# every branch row in one pass; any change here is a change of numbers)
+
+
+def test_counterfactual_measure_columns_keep_their_bits():
+    grid = cm.TimeGrid(1.0, 20)
+    _, _, diag = cm.counterfactual_gradient(
+        cm.ou_model(1.0), 1.0, cm.terminal_power(2), cm.marginal_power(10, 1), "canonical",
+        grid, 0.0, 600, "random-k", 5, block_size=256)
+    assert (float(diag["grad_e1_measure"]).hex(), float(diag["grad_e2_measure"]).hex()) == (
+        "-0x1.1489c976c6e81p-2", "-0x1.696c893d07cbdp-3")
+
+
+SGD_PINS = (
+    # theta, loss, gradient, e1, e2, se_loss, se_gradient as float.hex
+    ("0x1.0000000000000p+0", "0x1.1eefba359f336p-2", "-0x1.ba118fe8f5ce9p-4",
+     "0x1.441997de946b3p-3", "0x1.21281d9e9ff06p-1", "0x1.3eae6dab52c27p-4",
+     "0x1.0175415ef4956p-3"),
+    ("0x1.0dd08c7f47ae7p+0", "0x1.167b66ad445a6p-2", "-0x1.45590ac89e3f3p-2",
+     "0x1.412d107f1da9dp-3", "0x1.273f4df66d33fp-1", "0x1.7db628ca20000p-4",
+     "0x1.1085dafe06e6cp-2"),
+)
+
+
+def test_sgd_records_keep_their_bits():
+    # the first iteration's child seed is >= 2**63, the second's below it
+    grid = cm.TimeGrid(1.0, 20)
+    cfg = cm.OptimizerConfig(theta0=1.0, step_size=0.5, n_iterations=2,
+                             paths_per_iteration=400, master_seed=0)
+    assert cm.child_seed(0, 0) >= 2 ** 63 > cm.child_seed(0, 1)
+    trace = cm.run_sgd(cm.ou_model(1.0), cm.terminal_power(2), cm.marginal_power(10, 1),
+                       cfg, grid, 0.0)
+    assert trace.error is None
+    got = tuple(tuple(float(v).hex() for v in (r.theta, r.loss, r.gradient, r.e1, r.e2,
+                                                r.se_loss, r.se_gradient))
+                for r in trace.records)
+    assert got == SGD_PINS

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 import condmc as cm
 from condmc.errors import CoefficientShapeError, NonFiniteState, SingularJacobian
-from condmc.sde import _noise_block, shared_row
+from condmc.sde import _euler_continue, _noise_block, shared_row
+from condmc.streams import TAG_BRANCH, TAG_CHOICE, TAG_NOISE, _StreamPool, stream
+from condmc.weakderiv import _branch_batch
 
 E_INV = math.exp(-1.0)            # 0.36787944117144233
 OU_VAR_T1 = 0.4323323583816936    # sigma^2 (1 - e^{-2 theta}) / (2 theta) at theta=sigma=1
@@ -129,6 +131,29 @@ def test_noise_block_rows_match_single_streams():
     for row, idx in enumerate(range(5, 12)):
         single = cm.generate_noise(99, idx, grid, 2).increments
         assert np.array_equal(block[row], single)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 63 + 5, 2 ** 64 - 1])
+def test_stream_matches_pool_rekey_for_every_key_word(seed):
+    # a key word >= 2**63 must keep its low bits in both constructions
+    pool = _StreamPool()
+    for tag in (TAG_NOISE, TAG_BRANCH, TAG_CHOICE):
+        for idx in (0, 2 ** 63 + 1):
+            want = pool.rekey(seed, idx, tag=tag).standard_normal(6)
+            assert same_bits(stream(seed, idx, tag=tag).standard_normal(6), want)
+    assert not np.array_equal(stream(2 ** 63 + 5, 0).random(4), stream(2 ** 63, 0).random(4))
+
+
+def test_block_rows_match_generate_noise_for_a_large_child_seed():
+    seed = next(s for s in (cm.child_seed(0, i) for i in range(64)) if s >= 2 ** 63)
+    grid = cm.TimeGrid(1.0, 12)
+    model = cm.ou_model(1.0)
+    batch = cm.simulate_paths(model, 1.0, 0.3, grid, 4, seed, first_index=2)
+    for i in range(4):
+        noise = cm.generate_noise(seed, 2 + i, grid, 1)
+        assert same_bits(batch.path(i).increments, noise.increments)
+        assert same_bits(batch.path(i).states,
+                         cm.simulate_path(model, 1.0, 0.3, grid, noise).states)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +549,55 @@ def test_resume_crn_branches_contract_at_ou_rate():
     # discrete contraction factor approximates e^{-theta (T - t_k)}
     cont = 2.0 * delta * math.exp(-theta * (grid.horizon - grid.times[k]))
     assert abs(gap - cont) / cont <= 2.5 * grid.dt
+
+
+RESTART_MODELS = {
+    "ou-1": lambda: cm.ou_model(0.8),
+    "ou-2": lambda: cm.ou_model(0.8, dim=2),
+    "sine-diffusion": sine_diffusion_model,
+    "per-row-ou-2": lambda: per_row_copy(cm.ou_model(0.8, dim=2)),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(RESTART_MODELS)), steps=st.integers(2, 12),
+       theta=st.floats(-1.0, 1.5), seed=st.integers(0, 2 ** 32), data=st.data())
+def test_ragged_restart_rows_match_resume_path_property(name, steps, theta, seed, data):
+    # one restart pass over a block with mixed branch steps gives, row for
+    # row, what resume_path gives for that row alone with the same increment
+    model = RESTART_MODELS[name]()
+    grid = cm.TimeGrid(1.0, steps)
+    n_dim = model.state_dim
+    n_paths = data.draw(st.integers(1, 6))
+    x0 = np.linspace(-0.3, 0.4, n_dim)
+    batch = cm.simulate_paths(model, theta, x0, grid, n_paths, seed, with_jacobian=True)
+    step = st.one_of(st.sampled_from([0, steps - 1]), st.integers(0, steps - 1))
+    starts = np.array(data.draw(st.lists(step, min_size=n_paths, max_size=n_paths)))
+    shifts = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n_paths * n_dim,
+                                max_size=n_paths * n_dim))
+    rows = np.arange(n_paths)
+    new_states = batch.states[rows, starts + 1] + np.reshape(shifts, (n_paths, n_dim))
+    restarted = _branch_batch(batch, starts, new_states, with_jacobian=True)
+    for i, k in enumerate(starts):
+        row = batch.path(i)
+        x = row.states[k]
+        diag = np.diagonal(np.asarray(model.diffusion(x, grid.times[k])))
+        implied = (new_states[i] - x - grid.dt * np.asarray(model.drift(x, grid.times[k], theta))
+                   ) / diag
+        increments = row.increments.copy()
+        increments[k] = implied
+        assert same_bits(restarted.increments[i], increments)
+        single = cm.resume_path(row, k + 1, new_states[i],
+                                cm.NoisePath(increments, seed, int(row.noise.path_index)))
+        assert same_bits(restarted.states[i], single.states)
+        assert same_bits(restarted.jacobians.y[i], single.jacobians.y)
+        assert same_bits(restarted.jacobians.z[i], single.jacobians.z)
+    # a row started at the horizon is not restarted: it keeps its states
+    held = data.draw(st.lists(st.sampled_from([steps, 0]), min_size=n_paths,
+                              max_size=n_paths))
+    states = _euler_continue(model, theta, grid, batch.states.copy(), batch.increments,
+                             np.array(held))
+    assert same_bits(states, batch.states)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from condmc.errors import (
 )
 from condmc.functionals import PathFunctional
 from condmc.streams import TAG_BRANCH, TAG_CHOICE, TAG_NOISE, _StreamPool, stream
+from condmc.weakderiv import _hj_values
 
 # d/dtheta of the exact discrete-chain variance of X_1 (unit OU, dt = 0.01,
 # 100 steps): Var_M(theta) = sum_k (1 - theta dt)^{2k} dt, differentiated.
@@ -272,6 +273,27 @@ def test_signed_density_matches_gaussian_kernel_derivative():
     want = decomp.dtheta_mean[0] * (y[:, 0] - m) / s ** 2 * gauss
     scale_ref = np.abs(want).max()
     np.testing.assert_allclose(got, want, atol=1e-6 * scale_ref)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n_dim=st.sampled_from([1, 2]), theta=st.floats(-2.0, 3.0),
+       dt=st.floats(1e-3, 0.5), data=st.data())
+def test_signed_density_is_kernel_theta_derivative_property(n_dim, theta, dt, data):
+    # d/dtheta of prod_i N(y_i; m_i, s_i^2) with m = x + dt b(x, theta) is the
+    # density times sum_i (y_i - m_i) / s_i^2 * dt db_i/dtheta
+    model = cm.ou_model(1.0) if n_dim == 1 else diag2_model()
+    floats = st.floats(-2.0, 2.0)
+    x = np.array(data.draw(st.lists(floats, min_size=n_dim, max_size=n_dim)))
+    decomp = cm.hj_decompose(model, x, 0.0, theta, dt)
+    m, s = decomp.mean, decomp.rayleigh_scales
+    z = np.array(data.draw(st.lists(st.lists(st.floats(-4.0, 4.0), min_size=n_dim,
+                                             max_size=n_dim), min_size=1, max_size=8)))
+    y = m + s * z
+    density = np.prod(np.exp(-((y - m) ** 2) / (2 * s ** 2)) / (s * math.sqrt(2 * math.pi)),
+                      axis=-1)
+    want = density * np.sum((y - m) / s ** 2 * decomp.dtheta_mean, axis=-1)
+    got = cm.signed_density(decomp, y)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
 
 
 def test_branch_densities_are_normalized():
@@ -651,6 +673,47 @@ def test_gradient_deterministic_under_seed_and_blocking():
     d = cm.score_function_gradient(cm.ou_model(1.0), 1.0, X0, grid, f, 300, 9,
                                    block_size=64)
     assert c.estimate == d.estimate
+
+
+# ---------------------------------------------------------------------------
+# random-k outputs pinned to the bit (captured before the engine restarted
+# every branch row in one pass; any change here is a change of numbers)
+
+
+RANDOM_K_PINS = {
+    # (state dim, block size): (estimate, variance, branch_stats) as float.hex
+    (1, 400): ("-0x1.778eba308a088p-1", "0x1.d0bd9c9bed4b9p+1", "0x1.a0fb4619e046fp-1"),
+    (1, 64): ("-0x1.778eba308a088p-1", "0x1.d0bd9c9bed4b9p+1", "0x1.a0fb4619e0472p-1"),
+    (2, 400): ("-0x1.bb3cbcce11b8cp-2", "0x1.aee6d27b60daap-1", "0x1.043b1e7168aa4p-2"),
+    (2, 64): ("-0x1.bb3cbcce11b8cp-2", "0x1.aee6d27b60daap-1", "0x1.043b1e7168aa5p-2"),
+}
+
+
+@pytest.mark.parametrize("n_dim, block_size", sorted(RANDOM_K_PINS))
+def test_random_k_outputs_keep_their_bits(n_dim, block_size):
+    model, x0 = ((cm.ou_model(1.0), np.array([0.5])) if n_dim == 1
+                 else (cm.ou_model(0.8, dim=2), np.array([0.5, -0.3])))
+    grid = cm.TimeGrid(1.0, 20)
+    report = cm.hj_gradient(model, 1.0, x0, grid, _radius_square_at(grid.steps), 400,
+                            "random-k", 11, block_size=block_size)
+    got = tuple(float(v).hex() for v in (report.estimate, report.variance,
+                                         report.branch_stats))
+    assert got == RANDOM_K_PINS[n_dim, block_size]
+
+
+def test_random_k_rows_branched_at_step_zero_are_exact_zeros():
+    # from x0 = 0 the OU drift sensitivity -x vanishes at step 0, so the rows
+    # whose branch step is 0 carry no gap: +0.0, never 0 * gap
+    grid = cm.TimeGrid(1.0, 8)
+    n, seed = 200, 4
+    batch = cm.simulate_paths(cm.ou_model(1.0), 1.0, X0, grid, n, seed)
+    vals, gap_sums, _ = _hj_values(batch, terminal_square(), "random-k", _StreamPool())
+    ks = np.array([stream(seed, i, tag=TAG_CHOICE).integers(0, grid.steps) for i in range(n)])
+    assert np.count_nonzero(ks == 0) > 0
+    assert np.array_equal(vals[ks == 0].view(np.int64), np.zeros(np.count_nonzero(ks == 0),
+                                                                  dtype=np.int64))
+    assert np.all(vals[ks != 0] != 0.0)
+    assert len(gap_sums) == len(np.unique(ks)) - 1
 
 
 # ---------------------------------------------------------------------------
