@@ -12,6 +12,7 @@ import sys
 from .bench import COMMANDS
 from .errors import CondMcError, ConfigError
 from .runconfig import parse_config_file, resolve_config
+from .weakderiv import GRADIENT_MODES
 
 _FLAG_FIELDS = ("seed", "paths", "steps", "horizon", "theta", "sigma", "out",
                 "mode")
@@ -42,8 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--theta", type=float, help="drift parameter")
         sub.add_argument("--sigma", type=float, help="diffusion level")
         sub.add_argument("--out", help="output directory")
-        sub.add_argument("--mode", choices=("sum-over-k", "random-k"),
-                         help="branch-gradient mode")
+        sub.add_argument("--mode", choices=GRADIENT_MODES, help="branch-gradient mode")
     return parser
 
 

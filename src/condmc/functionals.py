@@ -101,15 +101,9 @@ def _state_derivative_rows(bundle, t_index: int, component: int) -> np.ndarray:
     shared = [shared_row(part, 3) for part in parts]
     is_shared = all(part is not None for part in shared)
     y, z, sig = shared if is_shared else parts
-    if bundle.model.state_dim == 1 and bundle.model.noise_dim == 1:
-        # scalar state: (Y_{t*} Z_s) sigma_s elementwise, one rounding per
-        # product as in the 1x1 matrix products
-        rows = (y[..., t_index, None, 0, :] * z[..., 0, :]) * sig[..., 0, :]
-    else:
-        y_t = y[..., t_index, :, :]
-        prod = y_t[..., None, :, :] @ z           # (..., M+1, n, n) = Y_{t*} Z_s
-        # a copy, so the rows do not keep all n rows of the products alive
-        rows = (prod @ sig)[..., component, :].copy()
+    prod = y[..., t_index, None, :, :] @ z    # (..., M+1, n, n) = Y_{t*} Z_s
+    # a copy, so the rows do not keep all n rows of the products alive
+    rows = (prod @ sig)[..., component, :].copy()
     rows[..., t_index + 1:, :] = 0.0
     if is_shared:
         rows = np.broadcast_to(rows, bundle.states.shape[:-1] + rows.shape[-1:])

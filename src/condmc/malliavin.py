@@ -27,13 +27,11 @@ from .errors import (
 )
 from .functionals import PathFunctional, derivative_profile
 from .reports import ConditionalLossReport, EstimatorReport
-from .sde import (PathBatch, PathBundle, SdeModel, TimeGrid, finite_fsum, fsum, require_finite,
-                  shared_row, simulate_paths)
+from .sde import (DEFAULT_BLOCK_SIZE, PathBatch, PathBundle, SdeModel, TimeGrid, finite_fsum,
+                  fsum, require_finite, shared_row, simulate_blocks)
 
 _ENERGY_FLOOR = 1e-14
 _DERIVATIVE_RATIO_FLOOR = 1e-8
-
-DEFAULT_BLOCK_SIZE = 25_000
 
 
 @dataclass(frozen=True)
@@ -196,20 +194,15 @@ def conditional_loss_estimate(model: SdeModel, theta: float, ell: PathFunctional
     standard error.  Paths are simulated in blocks; results are independent
     of the block size because every path owns its own noise stream.
     """
-    if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
+    blocks = simulate_blocks(model, theta, x0, grid, n_paths, master_seed, block_size,
+                             with_jacobian=True)
     a_parts, b_parts = [], []
     accepted = 0
-    done = 0
-    while done < n_paths:
-        count = min(block_size, n_paths - done)
-        batch = simulate_paths(model, theta, x0, grid, count, master_seed,
-                               first_index=done, with_jacobian=True)
+    for batch in blocks:
         a, b, indicator = conditional_quotient_terms(ell, g, weight_rule, batch)
         a_parts.append(a)
         b_parts.append(b)
         accepted += int(np.count_nonzero(indicator))
-        done += count
     return _loss_report(np.concatenate(a_parts), np.concatenate(b_parts), accepted,
                         master_seed)
 

@@ -24,17 +24,15 @@ import numpy as np
 from .errors import CondMcError, DegenerateDenominator, SingularDiffusion
 from .functionals import PathFunctional
 from .malliavin import _loss_report, conditional_quotient_terms
-from .sde import (PathBatch, SdeModel, TimeGrid, _euler_jacobians, finite_fsum, fsum,
-                  require_finite, simulate_paths)
+from .sde import (DEFAULT_BLOCK_SIZE, PathBatch, SdeModel, TimeGrid, _euler_jacobians,
+                  finite_fsum, fsum, require_finite, simulate_blocks)
 from .streams import _StreamPool, child_seed
-from .weakderiv import DEFAULT_BLOCK_SIZE, _hj_values
+from .weakderiv import GRADIENT_MODES, _hj_values
 
 _DENOMINATOR_FLOOR = 1e-12
 # central-difference width for the integrand's explicit theta dependence;
 # the O(h^2) truncation error sits far below any Monte-Carlo band
 _THETA_BUMP = 1e-4
-
-_GRADIENT_MODES = ("random-k", "sum-over-k")
 
 
 def quotient_gradient(e1: float, e2: float, grad_e1: float, grad_e2: float) -> float:
@@ -136,9 +134,9 @@ def counterfactual_gradient(model: SdeModel, theta: float, ell: PathFunctional,
     the loss terms, one branch pass over both integrands as two columns, and
     the explicit-theta terms.
     """
-    if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
-    if gradient_mode not in _GRADIENT_MODES:
+    blocks = simulate_blocks(model, theta, x0, grid, n_paths, master_seed, block_size,
+                             with_jacobian=True)
+    if gradient_mode not in GRADIENT_MODES:
         raise ValueError(f"unknown gradient mode {gradient_mode!r}")
     integrands = PathFunctional(
         value=lambda bundle: np.stack(
@@ -148,11 +146,7 @@ def counterfactual_gradient(model: SdeModel, theta: float, ell: PathFunctional,
     pool = _StreamPool()
     a_parts, b_parts, measure_parts, explicit_parts = [], [], [], []
     accepted = 0
-    done = 0
-    while done < n_paths:
-        count = min(block_size, n_paths - done)
-        batch = simulate_paths(model, theta, x0, grid, count, master_seed,
-                               first_index=done, with_jacobian=True)
+    for batch in blocks:
         a, b, indicator = conditional_quotient_terms(ell, g, weight_rule, batch)
         a_parts.append(a)
         b_parts.append(b)
@@ -161,7 +155,6 @@ def counterfactual_gradient(model: SdeModel, theta: float, ell: PathFunctional,
         # the explicit-theta terms build their own Jacobians; free the base ones
         batch = replace(batch, jacobians=None)
         explicit_parts.append(_integrand_theta_terms(batch, ell, g, weight_rule))
-        done += count
     report = _loss_report(np.concatenate(a_parts), np.concatenate(b_parts), accepted,
                           master_seed)
     measure = np.concatenate(measure_parts)
@@ -222,7 +215,7 @@ class OptimizerConfig:
         lo, hi = self.theta_bounds
         if not lo < hi:
             raise ValueError("theta_bounds must satisfy lo < hi")
-        if self.gradient_mode not in _GRADIENT_MODES:
+        if self.gradient_mode not in GRADIENT_MODES:
             raise ValueError(f"unknown gradient mode {self.gradient_mode!r}")
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
+from .weakderiv import GRADIENT_MODES
 
-_MODES = ("random-k", "sum-over-k")
 _ESTIMATORS = ("wd", "sf")
 
 
@@ -55,8 +55,8 @@ class RunConfig:
             raise ConfigError("step-size must be nonnegative")
         if not self.theta_min < self.theta_max:
             raise ConfigError("theta-min must lie below theta-max")
-        if self.mode not in _MODES:
-            raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if self.mode not in GRADIENT_MODES:
+            raise ConfigError(f"mode must be one of {GRADIENT_MODES}, got {self.mode!r}")
         if not self.t_values or any(t <= 0.0 for t in self.t_values):
             raise ConfigError("t-values must be positive")
         if not self.n_values or any(n < 2 for n in self.n_values):

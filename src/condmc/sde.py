@@ -10,10 +10,7 @@ All model callables must broadcast over leading axes: states arrive either
 as (n,) for a single path or (N, n) for a block of paths.  Constant
 coefficients may simply return (n,), (n, n) or (n, n, d) arrays.
 
-A scalar state with scalar noise (n = d = 1) skips the stacked 1x1 matrix
-products: Y_k is a cumulative product of the step factors and the diffusion
-term a plain multiply.  A 1x1 product is one rounding either way, so these
-elementwise paths keep the bits of the matrix recursion.
+_apply_diffusion multiplies dW by a 1x1 sigma directly, one rounding as in the 1x1 product.
 
 When drift_dx returns an (n, n) array with no path axis and diffusion_dx is
 all zero at every step (OU and the mean-reverting family), Y and Z are the
@@ -37,6 +34,10 @@ from .errors import NonFiniteEstimate, NonFiniteState, SingularJacobian
 from .streams import TAG_NOISE, _StreamPool, stream
 
 _COND_LIMIT = 1e12
+
+# paths per simulated block in the block-wise estimators; results do not
+# depend on it, since every path owns its own noise stream
+DEFAULT_BLOCK_SIZE = 25_000
 
 
 def fsum(values) -> float:
@@ -259,12 +260,6 @@ def shared_row(a: np.ndarray, core_ndim: int) -> np.ndarray | None:
     return a[(0,) * lead]
 
 
-def _is_shared_step(jb: np.ndarray, js: np.ndarray) -> bool:
-    """True when a step's Jacobian factor is the same on every path: drift_dx
-    has no path axis and diffusion_dx is zero."""
-    return jb.ndim == 2 and not js.any()
-
-
 def _euler_jacobians(model: SdeModel, theta: float, grid: TimeGrid, states: np.ndarray,
                      increments: np.ndarray) -> JacobianPath:
     times = grid.times
@@ -272,50 +267,30 @@ def _euler_jacobians(model: SdeModel, theta: float, grid: TimeGrid, states: np.n
     steps = grid.steps
     n = model.state_dim
     lead = states.shape[:-2]
-    # shared steps extend one Y for all paths; from the first path-dependent
-    # step on, y holds every row, its prefix copied from the shared one
+    eye = np.eye(n)
+    # a step whose factor is the same on every path (drift_dx has no path axis
+    # and diffusion_dx is zero) extends one Y for all paths; from the first
+    # path-dependent step on, y holds every row, its prefix copied from the
+    # shared one
+    shared = np.empty((steps + 1, n, n))
+    shared[0] = eye
     y = None
-    scalar = n == 1 and model.noise_dim == 1
-    if scalar:
-        # Y_k is the running product of the step factors 1 + dt b' + sigma' dW
-        shared = np.empty(steps + 1)
-        shared[0] = 1.0
-        for k in range(steps):
-            x = states[..., k, :]
-            jb = np.asarray(model.drift_dx(x, times[k], theta))
-            js = np.asarray(model.diffusion_dx(x, times[k]))
-            if y is None:
-                if _is_shared_step(jb, js):
-                    shared[k + 1] = dt * jb[0, 0] + 1.0
-                    continue
-                y = np.empty(lead + (steps + 1,))
-                y[..., :k + 1] = shared[:k + 1]
-            y[..., k + 1] = (dt * jb[..., 0, 0] + js[..., 0, 0, 0] * increments[..., k, 0]) + 1.0
-    else:
-        eye = np.eye(n)
-        shared = np.empty((steps + 1, n, n))
-        shared[0] = eye
-        for k in range(steps):
-            x = states[..., k, :]
-            jb = np.asarray(model.drift_dx(x, times[k], theta))
-            js = np.asarray(model.diffusion_dx(x, times[k]))
-            if y is None:
-                if _is_shared_step(jb, js):
-                    shared[k + 1] = (dt * jb + eye) @ shared[k]
-                    continue
-                y = np.empty(lead + (steps + 1, n, n))
-                y[..., :k + 1, :, :] = shared[:k + 1]
-                yk = np.empty(lead + (n, n))
-                yk[...] = shared[k]
-            amat = dt * jb + np.einsum("...imj,...j->...im", js, increments[..., k, :])
-            amat = amat + eye
-            yk = amat @ yk
-            y[..., k + 1, :, :] = yk
+    for k in range(steps):
+        x = states[..., k, :]
+        jb = np.asarray(model.drift_dx(x, times[k], theta))
+        js = np.asarray(model.diffusion_dx(x, times[k]))
+        if y is None:
+            if jb.ndim == 2 and not js.any():
+                shared[k + 1] = (dt * jb + eye) @ shared[k]
+                continue
+            y = np.empty(lead + (steps + 1, n, n))
+            y[..., :k + 1, :, :] = shared[:k + 1]
+            yk = y[..., k, :, :]
+        yk = (dt * jb + np.einsum("...imj,...j->...im", js, increments[..., k, :]) + eye) @ yk
+        y[..., k + 1, :, :] = yk
     is_shared = y is None
     if is_shared:
         y = shared
-    if scalar:
-        y = np.cumprod(y, axis=-1, out=y).reshape(y.shape + (1, 1))
     if not np.all(np.isfinite(y)):
         raise SingularJacobian("non-finite first-variation matrix")
     if n == 1:
@@ -364,6 +339,23 @@ def simulate_paths(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: i
     states = _euler_states(model, theta, x0, grid, increments)
     jac = _euler_jacobians(model, theta, grid, states, increments) if with_jacobian else None
     return PathBatch(model, grid, float(theta), states, increments, master_seed, indices, jac)
+
+
+def simulate_blocks(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: int,
+                    master_seed: int, block_size: int = DEFAULT_BLOCK_SIZE,
+                    with_jacobian: bool = False):
+    """Paths 0 .. n_paths-1 as simulate_paths blocks of at most block_size rows.
+
+    The arguments are checked at the call; the blocks are simulated one at a
+    time as they are drawn, and none is kept here once it has been handed out.
+    """
+    if n_paths < 2:
+        raise ValueError("n_paths must be at least 2")
+    if block_size < 1:
+        raise ValueError("block_size must be at least 1")
+    return (simulate_paths(model, theta, x0, grid, min(block_size, n_paths - first),
+                           master_seed, first_index=first, with_jacobian=with_jacobian)
+            for first in range(0, n_paths, block_size))
 
 
 def resume_path(bundle: PathBundle, from_step: int, new_state_at_step, noise: NoisePath) -> PathBundle:

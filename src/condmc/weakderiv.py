@@ -29,6 +29,7 @@ from .errors import (
 from .functionals import PathFunctional
 from .reports import GradientReport
 from .sde import (
+    DEFAULT_BLOCK_SIZE,
     NoisePath,
     PathBatch,
     SdeModel,
@@ -40,14 +41,14 @@ from .sde import (
     generate_noise,
     require_finite,
     resume_path,
+    simulate_blocks,
     simulate_path,
-    simulate_paths,
 )
 from .streams import TAG_BRANCH, TAG_CHOICE, _StreamPool, stream
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-DEFAULT_BLOCK_SIZE = 25_000
+GRADIENT_MODES = ("random-k", "sum-over-k")
 
 
 @dataclass(frozen=True)
@@ -553,25 +554,20 @@ def hj_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
     as the horizon grows.  A functional with (N, m) values gets (m,) arrays
     for estimate, std_error and variance, each column as its own scalar run.
     """
-    if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
-    if mode not in ("random-k", "sum-over-k"):
+    blocks = simulate_blocks(model, theta, x0, grid, n_paths, master_seed, block_size,
+                             with_jacobian=functional.value_requires_jacobian)
+    if mode not in GRADIENT_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     pool = _StreamPool()
     parts = []
     gap_sum = 0.0
     gap_count = 0
-    done = 0
-    while done < n_paths:
-        count = min(block_size, n_paths - done)
-        batch = simulate_paths(model, theta, x0, grid, count, master_seed, first_index=done,
-                               with_jacobian=functional.value_requires_jacobian)
+    for batch in blocks:
         vals, gap_sums, block_gaps = _hj_values(batch, functional, mode, pool)
         parts.append(vals)
         for part in gap_sums:
             gap_sum += part
         gap_count += block_gaps
-        done += count
     estimate, std_error, variance = _column_moments(
         np.concatenate(parts).reshape(n_paths, -1).T)
     if parts[0].ndim == 1:  # a scalar functional reports plain floats
@@ -600,18 +596,13 @@ def score_function_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
     The score accumulates (dt db/dtheta)^T (dt Sigma)^{-1} (X_{k+1}-X_k-dt b)
     over the steps; its variance grows with the horizon.
     """
-    if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
+    blocks = simulate_blocks(model, theta, x0, grid, n_paths, master_seed, block_size,
+                             with_jacobian=functional.value_requires_jacobian)
     steps = grid.steps
     dt = grid.dt
     times = grid.times[:steps]
-    vals = np.empty(n_paths)
-    done = 0
-    while done < n_paths:
-        count = min(block_size, n_paths - done)
-        batch = simulate_paths(model, theta, x0, grid, count, master_seed,
-                               first_index=done,
-                               with_jacobian=functional.value_requires_jacobian)
+    parts = []
+    for batch in blocks:
         x_left = batch.states[:, :steps, :]
         b = np.asarray(model.drift(x_left, times[:, None], theta))
         db = np.broadcast_to(
@@ -632,9 +623,8 @@ def score_function_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
             except np.linalg.LinAlgError as exc:
                 raise SingularDiffusion(f"transition covariance not invertible: {exc}") from exc
             score = np.sum(dt * db * solved, axis=(-2, -1))
-        vals[done:done + count] = np.asarray(functional.value(batch)) * score
-        done += count
-    (estimate,), (std_error,), (variance,) = _column_moments(vals[None, :])
+        parts.append(np.asarray(functional.value(batch)) * score)
+    (estimate,), (std_error,), (variance,) = _column_moments(np.concatenate(parts)[None, :])
     return GradientReport(
         estimate=float(estimate),
         std_error=float(std_error),

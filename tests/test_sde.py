@@ -1,6 +1,7 @@
 """Tests for the Euler engine, noise streams, Jacobians and built-in models."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -463,6 +464,39 @@ def test_path_dependent_jacobians_stay_per_row(model):
     assert batch.jacobians.y.flags.writeable
 
 
+# float.hex values and a sha256 of (Y, Z, marginal_power(12, 2) derivative)
+# for sine_diffusion_model, whose Jacobians and derivative rows take the
+# per-row recursion; they were captured with elementwise scalar arithmetic,
+# which the 1x1 matrix products must reproduce bit for bit
+SINE_DIFFUSION_PINS = {
+    "loss": ("0x1.51f2dfad35622p-3", "0x1.86945fb82ca9ap-5"),
+    "random-k": ("0x1.85b1c1cce5dd9p-6", "0x1.949438ab358f7p-4", "0x1.8968f0385b670p-4"),
+    "sum-over-k": ("0x1.85b1c1cce5dd9p-6", "0x1.8d1a8da0fd094p-5", "0x1.0f1ada9e2677ap-4"),
+    "profiles": "b9c7030381f72691986a0f1218c1d40be922f3ad8df26a10ff823324e22eeb42",
+}
+
+
+def test_per_row_scalar_outputs_keep_their_bits():
+    model = sine_diffusion_model()
+    grid = cm.TimeGrid(1.0, 20)
+    ell = cm.marginal_power(-1, 2)
+    g = cm.shift_functional(cm.marginal_power(10, 1), 0.1)
+    report = cm.conditional_loss_estimate(model, 1.1, ell, g, "canonical", 600, 7, grid, 0.3,
+                                          block_size=256)
+    got = {"loss": tuple(float(v).hex() for v in (report.estimate, report.std_error))}
+    for mode in ("random-k", "sum-over-k"):
+        loss, gradient, diag = cm.counterfactual_gradient(
+            model, 1.1, ell, g, "canonical", cm.TimeGrid(1.0, 10), 0.3, 300, mode, 13,
+            block_size=128)
+        got[mode] = tuple(float(v).hex() for v in (loss, gradient, diag["se_gradient"]))
+    batch = cm.simulate_paths(model, 1.1, 0.3, grid, 40, 5, with_jacobian=True)
+    digest = hashlib.sha256()
+    for a in (batch.jacobians.y, batch.jacobians.z, cm.marginal_power(12, 2).derivative(batch)):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    got["profiles"] = digest.hexdigest()
+    assert got == SINE_DIFFUSION_PINS
+
+
 def test_shared_jacobians_are_read_only():
     grid = cm.TimeGrid(1.0, 10)
     batch = cm.simulate_paths(cm.ou_model(1.0, dim=2), 1.0, 0.0, grid, 3, 1,
@@ -494,6 +528,25 @@ def test_batch_two_dimensional_model():
     single = cm.simulate_path(model, 0.7, [0.1, -0.2], grid, noise, with_jacobian=True)
     assert np.array_equal(batch.path(2).states, single.states)
     assert np.array_equal(batch.path(2).jacobians.z, single.jacobians.z)
+
+
+@pytest.mark.parametrize("block_size", [0, -5])
+@pytest.mark.parametrize("estimator", ["loss", "hj", "score", "counterfactual"])
+def test_estimators_reject_block_sizes_below_one(estimator, block_size):
+    model, grid, x0 = cm.ou_model(1.0), cm.TimeGrid(1.0, 5), 0.2
+    f = cm.terminal_power(2)
+    g = cm.shift_functional(cm.marginal_power(3, 1), 0.1)
+    calls = {
+        "loss": lambda: cm.conditional_loss_estimate(model, 1.0, f, g, "canonical", 10, 1,
+                                                     grid, x0, block_size=block_size),
+        "hj": lambda: cm.hj_gradient(model, 1.0, x0, grid, f, 10, block_size=block_size),
+        "score": lambda: cm.score_function_gradient(model, 1.0, x0, grid, f, 10,
+                                                    block_size=block_size),
+        "counterfactual": lambda: cm.counterfactual_gradient(
+            model, 1.0, f, g, "canonical", grid, x0, 10, block_size=block_size),
+    }
+    with pytest.raises(ValueError, match="block_size must be at least 1"):
+        calls[estimator]()
 
 
 def test_simulation_is_deterministic():
