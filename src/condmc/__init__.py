@@ -15,7 +15,6 @@ from .errors import (
     DegenerateConstraint,
     DegenerateDenominator,
     EmptyKernelMass,
-    MissingJacobian,
     NearZeroDerivativeWarning,
     NonAdaptedWithoutFactorization,
     NonDiagonalDiffusion,

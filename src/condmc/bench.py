@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .functionals import PathFunctional
+from .functionals import PathFunctional, marginal_power, terminal_power
 from .malliavin import conditional_loss_estimate
 from .optimizer import OptimizerConfig, counterfactual_gradient, run_sgd
 from .runconfig import RunConfig
@@ -44,8 +44,6 @@ def _loss_slope_closed_form(theta, sigma, horizon, condition_time):
 
 
 def _conditional_setup(config: RunConfig):
-    from .functionals import marginal_power, terminal_power
-
     model = ou_model(config.sigma)
     grid = TimeGrid(config.horizon, config.steps)
     condition_step = config.steps // 2

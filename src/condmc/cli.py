@@ -14,9 +14,6 @@ from .errors import CondMcError, ConfigError
 from .runconfig import parse_config_file, resolve_config
 from .weakderiv import GRADIENT_MODES
 
-_FLAG_FIELDS = ("seed", "paths", "steps", "horizon", "theta", "sigma", "out",
-                "mode")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -51,7 +48,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         file_values = parse_config_file(args.config) if args.config else {}
-        flag_values = {name: getattr(args, name) for name in _FLAG_FIELDS}
+        flag_values = {name: value for name, value in vars(args).items()
+                       if name not in ("command", "config")}
         config = resolve_config(args.command, file_values, flag_values)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

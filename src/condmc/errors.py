@@ -36,10 +36,6 @@ class SingularJacobian(CondMcError):
     """Pathwise Jacobian became numerically singular (condition number > 1e12)."""
 
 
-class MissingJacobian(CondMcError):
-    """Operation needs pathwise Jacobians but the bundle was simulated without them."""
-
-
 class DegenerateConstraint(CondMcError):
     """Constraint derivative has (numerically) zero energy; no weight exists."""
 

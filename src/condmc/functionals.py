@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CoefficientShapeError, MissingJacobian
+from .errors import CoefficientShapeError
 from .sde import PathBatch, PathBundle, shared_row
 
 
@@ -26,23 +26,22 @@ class PathFunctional:
     the functional at every grid step; the quotient estimator needs it for
     the loss and the constraint, while the gradient engines read values
     only, so a functional without one (None) still has branch gradients.
-    The built-in derivatives read the bundle's Jacobians, which the loss
-    estimators always simulate; value_requires_jacobian marks the rarer case
-    where value() itself reads bundle.jacobians.  terminal_value, when set,
-    evaluates the functional from terminal states alone; step_value, when
-    set, declares the functional to be dt times the sum of step_value(X_k)
-    over the left grid points k < M.  Either one enables a fast all-branch
-    gradient engine, and either need only match value up to an additive
-    constant, since the engines read nothing but branch gaps.  value may
-    return (N, m) columns for m functionals at once; the gradient engines
-    treat each column as its own scalar functional.
+    The built-in derivatives read bundle.jacobians, which a bundle computes
+    on the first read; value() may read them too, and a branch engine then
+    builds them for a restarted block only because value() asked.
+    terminal_value, when set, evaluates the functional from terminal states
+    alone; step_value, when set, declares the functional to be dt times the
+    sum of step_value(X_k) over the left grid points k < M.  Either one
+    enables a fast all-branch gradient engine, and either need only match
+    value up to an additive constant, since the engines read nothing but
+    branch gaps.  value may return (N, m) columns for m functionals at once;
+    the gradient engines treat each column as its own scalar functional.
     """
 
     value: Callable
     derivative: Callable | None = None
     terminal_value: Callable | None = None
     step_value: Callable | None = None
-    value_requires_jacobian: bool = False
 
 
 def derivative_profile(f: PathFunctional, bundle: PathBundle | PathBatch) -> np.ndarray:
@@ -50,12 +49,6 @@ def derivative_profile(f: PathFunctional, bundle: PathBundle | PathBatch) -> np.
     if f.derivative is None:
         raise ValueError("the functional has no derivative profile (derivative is None)")
     return np.asarray(f.derivative(bundle))
-
-
-def _require_jacobians(bundle):
-    if bundle.jacobians is None:
-        raise MissingJacobian("functional derivative needs a bundle simulated with_jacobian=True")
-    return bundle.jacobians
 
 
 def _sigma_profile(bundle) -> np.ndarray:
@@ -80,7 +73,7 @@ def _sigma_profile(bundle) -> np.ndarray:
 
 def malliavin_derivative_state(bundle: PathBundle, s: int, t: int) -> np.ndarray:
     """D_{t_s} X_{t_t} = Y_t Z_s sigma(X_s, t_s) for s <= t, zero matrix after."""
-    jac = _require_jacobians(bundle)
+    jac = bundle.jacobians
     n, d = bundle.model.state_dim, bundle.model.noise_dim
     if not (0 <= s <= bundle.grid.steps and 0 <= t <= bundle.grid.steps):
         raise ValueError("steps outside the grid")
@@ -96,7 +89,7 @@ def _state_derivative_rows(bundle, t_index: int, component: int) -> np.ndarray:
     When Y, Z and sigma are shared by every path, the rows are computed once
     and come back as a read-only view broadcast over the path axes.
     """
-    jac = _require_jacobians(bundle)
+    jac = bundle.jacobians
     parts = (jac.y, jac.z, _sigma_profile(bundle))
     shared = [shared_row(part, 3) for part in parts]
     is_shared = all(part is not None for part in shared)
@@ -147,7 +140,7 @@ def integral_functional(h: Callable, dh: Callable) -> PathFunctional:
         return np.sum(heights[..., :-1], axis=-1) * bundle.grid.dt
 
     def derivative(bundle):
-        jac = _require_jacobians(bundle)
+        jac = bundle.jacobians
         grads = np.asarray(dh(bundle.states))            # (..., M+1, n)
         w = np.einsum("...ki,...kij->...kj", grads, jac.y)
         # suffix sums over k in [s, M-1]: reverse-cumsum of the left-point rows

@@ -194,8 +194,7 @@ def conditional_loss_estimate(model: SdeModel, theta: float, ell: PathFunctional
     standard error.  Paths are simulated in blocks; results are independent
     of the block size because every path owns its own noise stream.
     """
-    blocks = simulate_blocks(model, theta, x0, grid, n_paths, master_seed, block_size,
-                             with_jacobian=True)
+    blocks = simulate_blocks(model, theta, x0, grid, n_paths, master_seed, block_size)
     a_parts, b_parts = [], []
     accepted = 0
     for batch in blocks:

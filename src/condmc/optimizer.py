@@ -17,15 +17,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CondMcError, DegenerateDenominator, SingularDiffusion
 from .functionals import PathFunctional
 from .malliavin import _loss_report, conditional_quotient_terms
-from .sde import (DEFAULT_BLOCK_SIZE, PathBatch, SdeModel, TimeGrid, _euler_jacobians,
-                  finite_fsum, fsum, require_finite, simulate_blocks)
+from .sde import (DEFAULT_BLOCK_SIZE, PathBatch, SdeModel, TimeGrid, finite_fsum, fsum,
+                  require_finite, simulate_blocks)
 from .streams import _StreamPool, child_seed
 from .weakderiv import GRADIENT_MODES, _hj_values
 
@@ -95,9 +95,8 @@ def _integrand_theta_terms(batch: PathBatch, ell, g, weight_rule) -> np.ndarray:
     sides = []
     for bumped in (theta + h, theta - h):
         increments = _increments_at(model, grid, batch, b_base, bumped)
-        jac = _euler_jacobians(model, bumped, grid, batch.states, increments)
         shifted = PathBatch(model, grid, bumped, batch.states, increments,
-                            batch.master_seed, batch.path_indices, jac)
+                            batch.master_seed, batch.path_indices)
         a, b, _ = conditional_quotient_terms(ell, g, weight_rule, shifted)
         sides.append(np.stack((a, b), -1))
     up, down = sides
@@ -134,14 +133,12 @@ def counterfactual_gradient(model: SdeModel, theta: float, ell: PathFunctional,
     the loss terms, one branch pass over both integrands as two columns, and
     the explicit-theta terms.
     """
-    blocks = simulate_blocks(model, theta, x0, grid, n_paths, master_seed, block_size,
-                             with_jacobian=True)
+    blocks = simulate_blocks(model, theta, x0, grid, n_paths, master_seed, block_size)
     if gradient_mode not in GRADIENT_MODES:
         raise ValueError(f"unknown gradient mode {gradient_mode!r}")
     integrands = PathFunctional(
         value=lambda bundle: np.stack(
             conditional_quotient_terms(ell, g, weight_rule, bundle)[:2], -1),
-        value_requires_jacobian=True,
     )
     pool = _StreamPool()
     a_parts, b_parts, measure_parts, explicit_parts = [], [], [], []
@@ -152,8 +149,6 @@ def counterfactual_gradient(model: SdeModel, theta: float, ell: PathFunctional,
         b_parts.append(b)
         accepted += int(np.count_nonzero(indicator))
         measure_parts.append(_hj_values(batch, integrands, gradient_mode, pool)[0])
-        # the explicit-theta terms build their own Jacobians; free the base ones
-        batch = replace(batch, jacobians=None)
         explicit_parts.append(_integrand_theta_terms(batch, ell, g, weight_rule))
     report = _loss_report(np.concatenate(a_parts), np.concatenate(b_parts), accepted,
                           master_seed)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +26,11 @@ class ConditionalLossReport(EstimatorReport):
     of the quotient.
     """
 
-    e1_hat: float = 0.0
-    e2_hat: float = 0.0
-    a_terms: np.ndarray = field(default_factory=lambda: np.empty(0))
-    b_terms: np.ndarray = field(default_factory=lambda: np.empty(0))
-    acceptance_fraction: float = 0.0
+    e1_hat: float
+    e2_hat: float
+    a_terms: np.ndarray
+    b_terms: np.ndarray
+    acceptance_fraction: float
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,6 @@ class GradientReport(EstimatorReport):
     values carries (m,) arrays in estimate, std_error and variance.
     """
 
-    variance: float = 0.0
-    mode: str = "sum-over-k"
-    branch_stats: float | None = None
+    variance: float
+    mode: str
+    branch_stats: float | None

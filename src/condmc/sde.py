@@ -1,10 +1,11 @@
 """Euler-Maruyama simulation of parametric SDEs with pathwise Jacobians.
 
 Models are dX_t = b(X_t, t; theta) dt + sigma(X_t, t) dW_t with a scalar
-parameter theta entering the drift only.  Alongside the states the simulator
-can carry the first-variation process Y_k (sensitivity of X_k to its
-starting point) and its inverse Z_k, from which Malliavin derivatives of
-smooth path functionals are assembled downstream.
+parameter theta entering the drift only.  The simulator returns states and
+the noise behind them.  The first-variation process Y_k (sensitivity of X_k
+to its starting point) and its inverse Z_k, from which Malliavin derivatives
+of smooth path functionals are assembled downstream, depend on nothing else:
+a bundle computes them on the first read of its `jacobians` and keeps them.
 
 All model callables must broadcast over leading axes: states arrive either
 as (n,) for a single path or (N, n) for a block of paths.  Constant
@@ -106,6 +107,13 @@ class SdeModel:
     drift_dx(x, t, theta) -> (..., n, n) with [i, m] = d b_i / d x_m;
     diffusion(x, t) -> (..., n, d);
     diffusion_dx(x, t) -> (..., n, n, d) with [i, m, j] = d sigma_ij / d x_m.
+
+    t comes in three shapes today: a scalar in the Euler, Jacobian and
+    branch steps; the (M+1,) grid in functionals._sigma_profile; and an
+    (M, 1) column in score_function_gradient, optimizer._increments_at and
+    optimizer._integrand_theta_terms, against (..., M, n) states.  A
+    coefficient that branches on t in Python (`if t >= 0.5`) works in the
+    first and fails in the others with a bare numpy ValueError.
     """
 
     drift: Callable
@@ -141,11 +149,16 @@ class PathBundle:
     theta: float
     states: np.ndarray  # (M+1, n)
     noise: NoisePath
-    jacobians: JacobianPath | None = None
 
     @property
     def increments(self) -> np.ndarray:
         return self.noise.increments
+
+    @cached_property
+    def jacobians(self) -> JacobianPath:
+        """Y and Z along the path, computed on the first read and kept."""
+        return _euler_jacobians(self.model, self.theta, self.grid, self.states,
+                                np.asarray(self.increments, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -160,18 +173,19 @@ class PathBatch:
     increments: np.ndarray   # (N, M, d)
     master_seed: int
     path_indices: np.ndarray  # (N,)
-    jacobians: JacobianPath | None = None
 
     @property
     def n_paths(self) -> int:
         return self.states.shape[0]
 
+    @cached_property
+    def jacobians(self) -> JacobianPath:
+        """Y and Z of every row, computed on the first read and kept."""
+        return _euler_jacobians(self.model, self.theta, self.grid, self.states, self.increments)
+
     def path(self, i: int) -> PathBundle:
         noise = NoisePath(self.increments[i], self.master_seed, int(self.path_indices[i]))
-        jac = None
-        if self.jacobians is not None:
-            jac = JacobianPath(self.jacobians.y[i], self.jacobians.z[i])
-        return PathBundle(self.model, self.grid, self.theta, self.states[i], noise, jac)
+        return PathBundle(self.model, self.grid, self.theta, self.states[i], noise)
 
 
 # ---------------------------------------------------------------------------
@@ -313,37 +327,29 @@ def _euler_jacobians(model: SdeModel, theta: float, grid: TimeGrid, states: np.n
     return JacobianPath(y, z)
 
 
-def simulate_path(model: SdeModel, theta: float, x0, grid: TimeGrid, noise: NoisePath,
-                  with_jacobian: bool = False) -> PathBundle:
-    """Run the Euler recursion along one noise path.
-
-    With with_jacobian=True the first-variation process and its inverse are
-    propagated alongside the states.
-    """
+def simulate_path(model: SdeModel, theta: float, x0, grid: TimeGrid,
+                  noise: NoisePath) -> PathBundle:
+    """Run the Euler recursion along one noise path."""
     increments = np.asarray(noise.increments, dtype=float)
     if increments.shape != (grid.steps, model.noise_dim):
         raise ValueError("noise increments do not match grid/model dimensions")
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (model.state_dim,))
     states = _euler_states(model, theta, x0, grid, increments)
-    jac = _euler_jacobians(model, theta, grid, states, increments) if with_jacobian else None
-    return PathBundle(model, grid, float(theta), states, noise, jac)
+    return PathBundle(model, grid, float(theta), states, noise)
 
 
 def simulate_paths(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: int,
-                   master_seed: int, first_index: int = 0,
-                   with_jacobian: bool = False) -> PathBatch:
+                   master_seed: int, first_index: int = 0) -> PathBatch:
     """Simulate a block of paths with indices first_index .. first_index+n_paths-1."""
     indices = np.arange(first_index, first_index + n_paths)
     increments = _noise_block(master_seed, indices, grid, model.noise_dim)
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (model.state_dim,))
     states = _euler_states(model, theta, x0, grid, increments)
-    jac = _euler_jacobians(model, theta, grid, states, increments) if with_jacobian else None
-    return PathBatch(model, grid, float(theta), states, increments, master_seed, indices, jac)
+    return PathBatch(model, grid, float(theta), states, increments, master_seed, indices)
 
 
 def simulate_blocks(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: int,
-                    master_seed: int, block_size: int = DEFAULT_BLOCK_SIZE,
-                    with_jacobian: bool = False):
+                    master_seed: int, block_size: int = DEFAULT_BLOCK_SIZE):
     """Paths 0 .. n_paths-1 as simulate_paths blocks of at most block_size rows.
 
     The arguments are checked at the call; the blocks are simulated one at a
@@ -354,7 +360,7 @@ def simulate_blocks(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: 
     if block_size < 1:
         raise ValueError("block_size must be at least 1")
     return (simulate_paths(model, theta, x0, grid, min(block_size, n_paths - first),
-                           master_seed, first_index=first, with_jacobian=with_jacobian)
+                           master_seed, first_index=first)
             for first in range(0, n_paths, block_size))
 
 
@@ -363,8 +369,7 @@ def resume_path(bundle: PathBundle, from_step: int, new_state_at_step, noise: No
 
     The result keeps the input states strictly before from_step, places
     new_state_at_step at from_step, and evolves by Euler with the supplied
-    increments from from_step on.  Jacobians are recomputed when the input
-    bundle carried them (they depend on the altered states).
+    increments from from_step on.
     """
     model = bundle.model
     grid = bundle.grid
@@ -377,10 +382,7 @@ def resume_path(bundle: PathBundle, from_step: int, new_state_at_step, noise: No
     states[from_step] = np.broadcast_to(np.asarray(new_state_at_step, dtype=float),
                                         (model.state_dim,))
     _euler_continue(model, bundle.theta, grid, states, increments, from_step)
-    jac = None
-    if bundle.jacobians is not None:
-        jac = _euler_jacobians(model, bundle.theta, grid, states, increments)
-    return PathBundle(model, grid, bundle.theta, states, noise, jac)
+    return PathBundle(model, grid, bundle.theta, states, noise)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .sde import (
     TimeGrid,
     _apply_diffusion,
     _euler_continue,
-    _euler_jacobians,
     finite_fsum,
     generate_noise,
     require_finite,
@@ -299,8 +298,7 @@ def hj_single_branch(model: SdeModel, theta: float, x0, grid: TimeGrid, branch_s
     if not 0 <= branch_step < grid.steps:
         raise ValueError("branch_step must lie in [0, steps)")
     noise = generate_noise(master_seed, path_index, grid, model.noise_dim)
-    bundle = simulate_path(model, theta, x0, grid, noise,
-                           with_jacobian=functional.value_requires_jacobian)
+    bundle = simulate_path(model, theta, x0, grid, noise)
     decomp = hj_decompose(model, bundle.states[branch_step], grid.times[branch_step],
                           theta, grid.dt)
     if decomp.scale == 0.0:
@@ -414,14 +412,14 @@ def _integral_sum_over_k(batch: PathBatch, functional: PathFunctional, pool: _St
     return _step_sum(scale_k, gap_acc), [float(np.sum(np.abs(gap_acc)))], gap_acc.size
 
 
-def _branch_batch(base: PathBatch, starts: np.ndarray, new_states: np.ndarray,
-                  with_jacobian: bool) -> PathBatch:
+def _branch_batch(base: PathBatch, starts: np.ndarray, new_states: np.ndarray) -> PathBatch:
     """The block with row i branched at step starts[i] to new_states[i].
 
     Each row records the increment its Euler step would have needed to reach
     its branch state, keeping the row a consistent state/noise pair, places
     the branch state at starts[i] + 1 and runs on by Euler from there.  One
-    Euler pass and one Jacobian pass cover the whole block.
+    Euler pass covers the whole block; its Jacobians take one more pass, on
+    the first read of the result's jacobians.
     """
     model, grid, theta = base.model, base.grid, base.theta
     states = base.states.copy()
@@ -438,9 +436,8 @@ def _branch_batch(base: PathBatch, starts: np.ndarray, new_states: np.ndarray,
                 diag != 0.0, resid / np.where(diag == 0.0, 1.0, diag), 0.0)
     states[np.arange(base.n_paths), starts + 1, :] = new_states
     _euler_continue(model, theta, grid, states, increments, starts + 1)
-    jac = _euler_jacobians(model, theta, grid, states, increments) if with_jacobian else None
     return PathBatch(model, grid, theta, states, increments, base.master_seed,
-                     base.path_indices, jac)
+                     base.path_indices)
 
 
 def _grouped_random_k(batch: PathBatch, functional: PathFunctional, pool: _StreamPool):
@@ -483,11 +480,10 @@ def _grouped_random_k(batch: PathBatch, functional: PathFunctional, pool: _Strea
     if not groups:  # no path is sensitive at its branch step
         block_vals = np.zeros(np.shape(functional.value(batch)))
         return block_vals, [], block_vals.size
-    need_jac = functional.value_requires_jacobian
-    plus = _branch_batch(batch, ks, new_plus, need_jac)
+    plus = _branch_batch(batch, ks, new_plus)
     plus_values = np.asarray(functional.value(plus))
     del plus
-    minus = _branch_batch(batch, ks, new_minus, need_jac)
+    minus = _branch_batch(batch, ks, new_minus)
     gaps = plus_values - np.asarray(functional.value(minus))
     block_vals = np.zeros(gaps.shape)
     block_vals[live] = _per_row(steps * total[live], gaps[live]) * gaps[live]
@@ -498,7 +494,6 @@ def _grouped_random_k(batch: PathBatch, functional: PathFunctional, pool: _Strea
 def _generic_sum_over_k(batch: PathBatch, functional: PathFunctional, pool: _StreamPool):
     """Branch at every step with full branch re-propagation (any functional)."""
     model, grid, theta = batch.model, batch.grid, batch.theta
-    need_jac = functional.value_requires_jacobian
     block_vals = 0.0
     gap_sums = []
     gap_count = 0
@@ -510,8 +505,8 @@ def _generic_sum_over_k(batch: PathBatch, functional: PathFunctional, pool: _Str
         bp, bm = _assemble_branch_states(mean, scales, weights, total, signs,
                                          *_draws_at(draws, slice(None), k))
         starts = np.full(batch.n_paths, k)
-        plus = _branch_batch(batch, starts, bp, need_jac)
-        minus = _branch_batch(batch, starts, bm, need_jac)
+        plus = _branch_batch(batch, starts, bp)
+        minus = _branch_batch(batch, starts, bm)
         gaps = np.asarray(functional.value(plus)) - np.asarray(functional.value(minus))
         block_vals = block_vals + _per_row(total, gaps) * gaps
         gap_sums.append(float(np.sum(np.abs(gaps))))
@@ -554,8 +549,7 @@ def hj_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
     as the horizon grows.  A functional with (N, m) values gets (m,) arrays
     for estimate, std_error and variance, each column as its own scalar run.
     """
-    blocks = simulate_blocks(model, theta, x0, grid, n_paths, master_seed, block_size,
-                             with_jacobian=functional.value_requires_jacobian)
+    blocks = simulate_blocks(model, theta, x0, grid, n_paths, master_seed, block_size)
     if mode not in GRADIENT_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     pool = _StreamPool()
@@ -596,8 +590,7 @@ def score_function_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
     The score accumulates (dt db/dtheta)^T (dt Sigma)^{-1} (X_{k+1}-X_k-dt b)
     over the steps; its variance grows with the horizon.
     """
-    blocks = simulate_blocks(model, theta, x0, grid, n_paths, master_seed, block_size,
-                             with_jacobian=functional.value_requires_jacobian)
+    blocks = simulate_blocks(model, theta, x0, grid, n_paths, master_seed, block_size)
     steps = grid.steps
     dt = grid.dt
     times = grid.times[:steps]

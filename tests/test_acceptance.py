@@ -163,8 +163,7 @@ def test_weight_normalization_and_scale_invariance():
     grid = cm.TimeGrid(1.0, 60)
     worst_norm = 0.0
     for model in (cm.ou_model(1.0), _cubic_model()):
-        batch = cm.simulate_paths(model, 1.0, X0, grid, 4000, 77,
-                                  with_jacobian=True)
+        batch = cm.simulate_paths(model, 1.0, X0, grid, 4000, 77)
         for g in (cm.marginal_power(30, 1), cm.terminal_power(2)):
             profile = cm.derivative_profile(g, batch)
             u = cm.make_weight_canonical(g, batch)
@@ -252,8 +251,7 @@ def test_structural_identities_hold():
     # Jacobian-product derivative of the terminal state vs an increment bump
     fine = cm.TimeGrid(1.0, 2000)
     noise = cm.generate_noise(13, 5, fine, 1)
-    bundle = cm.simulate_path(_cubic_model(), 1.0, X0, fine, noise,
-                              with_jacobian=True)
+    bundle = cm.simulate_path(_cubic_model(), 1.0, X0, fine, noise)
     eps = 1e-5
     rel = 0.0
     for s in (0, 900, 1700):

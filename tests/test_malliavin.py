@@ -15,7 +15,6 @@ from condmc.errors import (
     DegenerateConstraint,
     DegenerateDenominator,
     EmptyKernelMass,
-    MissingJacobian,
     NearZeroDerivativeWarning,
     NonAdaptedWithoutFactorization,
     NonFiniteEstimate,
@@ -52,10 +51,9 @@ def running_integral(power):
 
 
 @functools.lru_cache(maxsize=None)
-def ou_batch_200(n_paths, seed, with_jacobian=False):
+def ou_batch_200(n_paths, seed):
     grid = cm.TimeGrid(1.0, 200)
-    return cm.simulate_paths(cm.ou_model(1.0), 1.0, X0, grid, n_paths, seed,
-                             with_jacobian=with_jacobian)
+    return cm.simulate_paths(cm.ou_model(1.0), 1.0, X0, grid, n_paths, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +64,7 @@ def test_derivative_state_matches_exponential_decay():
     # OU first-variation transfer: D_s X_t ~ sigma e^{-theta (t - s)}
     grid = cm.TimeGrid(1.0, 1000)
     noise = cm.generate_noise(5, 0, grid, 1)
-    b = cm.simulate_path(cm.ou_model(1.0), 1.0, X0, grid, noise, with_jacobian=True)
+    b = cm.simulate_path(cm.ou_model(1.0), 1.0, X0, grid, noise)
     d = cm.malliavin_derivative_state(b, s=250, t=750)
     assert d.shape == (1, 1)
     assert abs(d[0, 0] / math.exp(-0.5) - 1.0) <= 1e-3
@@ -78,12 +76,9 @@ def test_derivative_state_matches_exponential_decay():
 def test_derivative_state_validates_inputs():
     grid = cm.TimeGrid(1.0, 10)
     noise = cm.generate_noise(5, 0, grid, 1)
-    plain = cm.simulate_path(cm.ou_model(1.0), 1.0, X0, grid, noise)
-    with pytest.raises(MissingJacobian):
-        cm.malliavin_derivative_state(plain, 2, 5)
-    full = cm.simulate_path(cm.ou_model(1.0), 1.0, X0, grid, noise, with_jacobian=True)
+    bundle = cm.simulate_path(cm.ou_model(1.0), 1.0, X0, grid, noise)
     with pytest.raises(ValueError):
-        cm.malliavin_derivative_state(full, 2, 11)
+        cm.malliavin_derivative_state(bundle, 2, 11)
 
 
 def test_derivative_state_matches_increment_bump():
@@ -91,7 +86,7 @@ def test_derivative_state_matches_increment_bump():
     grid = cm.TimeGrid(1.0, 2000)
     noise = cm.generate_noise(13, 2, grid, 1)
     model = cm.ou_model(1.0)
-    b = cm.simulate_path(model, 1.0, X0, grid, noise, with_jacobian=True)
+    b = cm.simulate_path(model, 1.0, X0, grid, noise)
     eps = 1e-5
     for s in (0, 700, 1500):
         up = noise.increments.copy()
@@ -111,7 +106,7 @@ def test_profile_rows_match_increment_bump():
     grid = cm.TimeGrid(1.0, 400)
     model = cm.ou_model(1.0)
     noise = cm.generate_noise(21, 0, grid, 1)
-    bundle = cm.simulate_path(model, 1.0, X0, grid, noise, with_jacobian=True)
+    bundle = cm.simulate_path(model, 1.0, X0, grid, noise)
     eps = 1e-5
     for f in (cm.terminal_power(2), running_integral(2)):
         prof = cm.derivative_profile(f, bundle)
@@ -121,10 +116,8 @@ def test_profile_rows_match_increment_bump():
             dn = noise.increments.copy()
             up[s, 0] += eps
             dn[s, 0] -= eps
-            fu = f.value(cm.simulate_path(model, 1.0, X0, grid, cm.NoisePath(up, 21, 0),
-                                          with_jacobian=True))
-            fd_ = f.value(cm.simulate_path(model, 1.0, X0, grid, cm.NoisePath(dn, 21, 0),
-                                           with_jacobian=True))
+            fu = f.value(cm.simulate_path(model, 1.0, X0, grid, cm.NoisePath(up, 21, 0)))
+            fd_ = f.value(cm.simulate_path(model, 1.0, X0, grid, cm.NoisePath(dn, 21, 0)))
             fd = (fu - fd_) / (2.0 * eps)
             assert abs(prof[s, 0] - fd) / max(abs(fd), 1e-12) <= 4.0 * grid.dt
 
@@ -133,7 +126,7 @@ def test_profile_marginal_rows_match_discrete_product():
     # for the linear OU recursion the transfer factor is (1 - theta dt)^(t - s)
     grid = cm.TimeGrid(1.0, 200)
     noise = cm.generate_noise(3, 1, grid, 1)
-    b = cm.simulate_path(cm.ou_model(1.0), 1.0, X0, grid, noise, with_jacobian=True)
+    b = cm.simulate_path(cm.ou_model(1.0), 1.0, X0, grid, noise)
     step = 100
     prof = cm.derivative_profile(cm.marginal_power(step, 1), b)
     s_axis = np.arange(step + 1)
@@ -147,7 +140,7 @@ def test_profile_marginal_rows_match_discrete_product():
 
 
 def test_canonical_normalization_is_exact():
-    batch = ou_batch_200(64, 9, with_jacobian=True)
+    batch = ou_batch_200(64, 9)
     grid = batch.grid
     for g in (cm.marginal_power(100, 1), cm.terminal_power(1), running_integral(1)):
         u = cm.make_weight_canonical(g, batch)
@@ -162,7 +155,7 @@ def test_canonical_weight_on_wiener_running_integral():
     # D_s of the running integral of W is T - t_s; the normalized weight
     # approaches 3 (T - t) / T^3
     grid = cm.TimeGrid(1.0, 200)
-    batch = cm.simulate_paths(wiener_model(), 0.0, X0, grid, 8, 7, with_jacobian=True)
+    batch = cm.simulate_paths(wiener_model(), 0.0, X0, grid, 8, 7)
     g = running_integral(1)
     prof = cm.derivative_profile(g, batch)
     rows = grid.dt * np.arange(grid.steps, -1, -1.0)
@@ -173,7 +166,7 @@ def test_canonical_weight_on_wiener_running_integral():
 
 
 def test_canonical_rejects_flat_constraint():
-    batch = ou_batch_200(8, 9, with_jacobian=True)
+    batch = ou_batch_200(8, 9)
     with pytest.raises(DegenerateConstraint):
         cm.make_weight_canonical(cm.constant_functional(1.0), batch)
 
@@ -181,7 +174,7 @@ def test_canonical_rejects_flat_constraint():
 def test_reciprocal_constant_derivative_is_uniform():
     # terminal constraint on the Wiener path: D g = sigma everywhere, u = 1/(T sigma)
     grid = cm.TimeGrid(1.0, 200)
-    batch = cm.simulate_paths(wiener_model(), 0.0, X0, grid, 8, 7, with_jacobian=True)
+    batch = cm.simulate_paths(wiener_model(), 0.0, X0, grid, 8, 7)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         u = cm.make_weight_reciprocal(cm.terminal_power(1), batch)
@@ -191,7 +184,7 @@ def test_reciprocal_constant_derivative_is_uniform():
 
 
 def test_reciprocal_marginal_support_and_normalization():
-    batch = ou_batch_200(32, 9, with_jacobian=True)
+    batch = ou_batch_200(32, 9)
     grid = batch.grid
     g = cm.marginal_power(100, 1)
     with warnings.catch_warnings():
@@ -215,15 +208,14 @@ def test_reciprocal_flags_derivative_vanishing_at_horizon():
     # D of the running integral decays linearly to zero at the horizon, which
     # makes 1/D blow up on the finest grid cells
     grid = cm.TimeGrid(1.0, 200)
-    batch = cm.simulate_paths(wiener_model(), 0.0, X0, grid, 8, 7, with_jacobian=True)
+    batch = cm.simulate_paths(wiener_model(), 0.0, X0, grid, 8, 7)
     with pytest.warns(NearZeroDerivativeWarning):
         cm.make_weight_reciprocal(running_integral(1), batch)
 
 
 def test_reciprocal_needs_scalar_constraint():
     grid = cm.TimeGrid(1.0, 50)
-    batch = cm.simulate_paths(cm.ou_model(1.0, dim=2), 1.0, np.zeros(2), grid, 4, 3,
-                              with_jacobian=True)
+    batch = cm.simulate_paths(cm.ou_model(1.0, dim=2), 1.0, np.zeros(2), grid, 4, 3)
     with pytest.raises(ValueError):
         cm.make_weight_reciprocal(cm.terminal_power(1), batch)
 
@@ -240,7 +232,7 @@ def constraint_cases(draw, dims=(1, 2)):
     x0 = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n_dim, max_size=n_dim)))
     batch = cm.simulate_paths(cm.ou_model(draw(st.floats(0.5, 2.0)), dim=n_dim),
                               draw(st.floats(0.5, 2.0)), x0, grid, draw(st.integers(1, 8)),
-                              draw(st.integers(0, 2 ** 32)), with_jacobian=True)
+                              draw(st.integers(0, 2 ** 32)))
     g = cm.marginal_power(draw(st.integers(0, steps)), 1, draw(st.integers(0, n_dim - 1)))
     return batch, g
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import condmc as cm
+from condmc import sde
 from condmc.errors import CoefficientShapeError, NonFiniteState, SingularJacobian
 from condmc.sde import _euler_continue, _noise_block, shared_row
 from condmc.streams import TAG_BRANCH, TAG_CHOICE, TAG_NOISE, _StreamPool, stream
@@ -198,7 +199,7 @@ def test_ou_terminal_variance_closed_form():
 def test_ou_jacobian_matches_exponential():
     grid = cm.TimeGrid(1.0, 1000)
     noise = cm.generate_noise(1, 0, grid, 1)
-    b = cm.simulate_path(cm.ou_model(1.0), 1.0, 0.0, grid, noise, with_jacobian=True)
+    b = cm.simulate_path(cm.ou_model(1.0), 1.0, 0.0, grid, noise)
     y_T = b.jacobians.y[-1, 0, 0]
     assert abs(y_T - E_INV) <= 2e-3
     step_product = 1.0
@@ -215,7 +216,7 @@ def test_jacobian_bump_consistency():
     grid = cm.TimeGrid(1.0, 1000)
     model = cm.ou_model(1.0)
     noise = cm.generate_noise(5, 3, grid, 1)
-    b = cm.simulate_path(model, 0.5, 0.3, grid, noise, with_jacobian=True)
+    b = cm.simulate_path(model, 0.5, 0.3, grid, noise)
     eps = 1e-5
     for s in (0, 400, 999):
         formula = b.jacobians.y[-1, 0, 0] * b.jacobians.z[s, 0, 0] * 1.0
@@ -262,8 +263,9 @@ def test_singular_jacobian_detected():
         drift_dx=lambda x, t, th: np.full((1, 1), -10.0),  # 1 + dt * (-10) = 0
     )
     noise = cm.generate_noise(0, 1, grid, 1)
-    with pytest.raises(SingularJacobian):
-        cm.simulate_path(model, 0.0, 1.0, grid, noise, with_jacobian=True)
+    bundle = cm.simulate_path(model, 0.0, 1.0, grid, noise)
+    with pytest.raises(SingularJacobian):  # Jacobians are built on the first read
+        bundle.jacobians
 
 
 def test_batched_singular_jacobian_detected_when_a_step_factor_is_zero():
@@ -273,8 +275,9 @@ def test_batched_singular_jacobian_detected_when_a_step_factor_is_zero():
         drift_dtheta=lambda x, t, th: np.zeros_like(x),
         drift_dx=lambda x, t, th: np.full((1, 1), -10.0),  # 1 + dt * (-10) = 0
     )
+    batch = cm.simulate_paths(model, 0.0, 1.0, grid, 20, 0)
     with pytest.raises(SingularJacobian, match="hit zero"):
-        cm.simulate_paths(model, 0.0, 1.0, grid, 20, 0, with_jacobian=True)
+        batch.jacobians
 
 
 def test_batched_singular_jacobian_detected_when_y_overflows():
@@ -284,8 +287,9 @@ def test_batched_singular_jacobian_detected_when_y_overflows():
         drift_dtheta=lambda x, t, th: np.zeros_like(x),
         drift_dx=lambda x, t, th: np.full((1, 1), 1e100),  # Y_k ~ 1e99^k overflows
     )
+    batch = cm.simulate_paths(model, 0.0, 1.0, grid, 20, 0)
     with np.errstate(over="ignore"), pytest.raises(SingularJacobian, match="non-finite"):
-        cm.simulate_paths(model, 0.0, 1.0, grid, 20, 0, with_jacobian=True)
+        batch.jacobians
 
 
 # ---------------------------------------------------------------------------
@@ -295,20 +299,20 @@ def test_batched_singular_jacobian_detected_when_y_overflows():
 def test_batch_rows_bit_identical_to_single_paths():
     grid = cm.TimeGrid(1.0, 64)
     model = cm.ou_model(1.0)
-    batch = cm.simulate_paths(model, 1.0, 0.2, grid, 6, 17, with_jacobian=True)
+    batch = cm.simulate_paths(model, 1.0, 0.2, grid, 6, 17)
     for i in range(6):
         noise = cm.generate_noise(17, i, grid, 1)
-        single = cm.simulate_path(model, 1.0, 0.2, grid, noise, with_jacobian=True)
+        single = cm.simulate_path(model, 1.0, 0.2, grid, noise)
         assert np.array_equal(batch.path(i).states, single.states)
-        assert np.array_equal(batch.path(i).jacobians.y, single.jacobians.y)
-        assert np.array_equal(batch.path(i).jacobians.z, single.jacobians.z)
+        assert np.array_equal(batch.jacobians.y[i], single.jacobians.y)
+        assert np.array_equal(batch.jacobians.z[i], single.jacobians.z)
 
 
 @pytest.mark.parametrize("model", [cm.ou_model(0.8), sine_diffusion_model()],
                          ids=["ou", "sine-diffusion"])
 def test_scalar_jacobian_matches_matrix_recursion(model):
     grid = cm.TimeGrid(1.5, 40)
-    batch = cm.simulate_paths(model, 0.9, 0.4, grid, 50, 8, with_jacobian=True)
+    batch = cm.simulate_paths(model, 0.9, 0.4, grid, 50, 8)
     y = matrix_jacobian(model, 0.9, grid, batch.states, batch.increments)
     assert same_bits(batch.jacobians.y, y)
     assert same_bits(batch.jacobians.z, 1.0 / y)
@@ -320,7 +324,7 @@ def test_scalar_jacobian_matches_matrix_recursion(model):
 def test_marginal_power_rows_match_malliavin_derivative_state(model, power):
     grid = cm.TimeGrid(1.0, 24)
     step = 15
-    batch = cm.simulate_paths(model, 1.1, 0.2, grid, 5, 12, with_jacobian=True)
+    batch = cm.simulate_paths(model, 1.1, 0.2, grid, 5, 12)
     profile = cm.marginal_power(step, power).derivative(batch)
     for i in range(batch.n_paths):
         bundle = batch.path(i)
@@ -349,8 +353,7 @@ def test_batch_rows_bit_identical_property(n_dim, state_dependent, steps, horizo
     x0 = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n_dim, max_size=n_dim)))
     n_paths = data.draw(st.integers(1, 6))
     first = data.draw(st.integers(0, 1000))
-    batch = cm.simulate_paths(model, theta, x0, grid, n_paths, seed, first_index=first,
-                              with_jacobian=True)
+    batch = cm.simulate_paths(model, theta, x0, grid, n_paths, seed, first_index=first)
     component = data.draw(st.integers(0, n_dim - 1))
     power = data.draw(st.integers(1, 3))
     functionals = (cm.marginal_power(data.draw(st.integers(-1, steps)), power, component),
@@ -359,11 +362,11 @@ def test_batch_rows_bit_identical_property(n_dim, state_dependent, steps, horizo
     profiles = [f.derivative(batch) for f in functionals]
     for i in range(n_paths):
         noise = cm.generate_noise(seed, first + i, grid, model.noise_dim)
-        single = cm.simulate_path(model, theta, x0, grid, noise, with_jacobian=True)
+        single = cm.simulate_path(model, theta, x0, grid, noise)
         row = batch.path(i)
         assert same_bits(row.states, single.states)
-        assert same_bits(row.jacobians.y, single.jacobians.y)
-        assert same_bits(row.jacobians.z, single.jacobians.z)
+        assert same_bits(batch.jacobians.y[i], single.jacobians.y)
+        assert same_bits(batch.jacobians.z[i], single.jacobians.z)
         for f, profile in zip(functionals, profiles):
             assert same_bits(profile[i], f.derivative(single))
 
@@ -400,9 +403,8 @@ def test_shared_jacobians_match_per_row_recursion_property(name, n_dim, theta, s
     model = SHARED_MODELS[name](n_dim)
     grid = cm.TimeGrid(1.0, steps)
     x0 = np.linspace(-0.3, 0.4, n_dim)
-    shared = cm.simulate_paths(model, theta, x0, grid, n_paths, seed, with_jacobian=True)
-    per_row = cm.simulate_paths(per_row_copy(model), theta, x0, grid, n_paths, seed,
-                                with_jacobian=True)
+    shared = cm.simulate_paths(model, theta, x0, grid, n_paths, seed)
+    per_row = cm.simulate_paths(per_row_copy(model), theta, x0, grid, n_paths, seed)
     assert shared_row(shared.jacobians.y, 3) is not None
     assert shared_row(per_row.jacobians.y, 3) is None
     assert same_bits(shared.states, per_row.states)
@@ -456,7 +458,7 @@ def linear_noise_model():
                          ids=["shared-before-half", "linear-noise", "sine-diffusion"])
 def test_path_dependent_jacobians_stay_per_row(model):
     grid = cm.TimeGrid(1.0, 20)
-    batch = cm.simulate_paths(model, 0.9, 0.3, grid, 6, 4, with_jacobian=True)
+    batch = cm.simulate_paths(model, 0.9, 0.3, grid, 6, 4)
     y = matrix_jacobian(model, 0.9, grid, batch.states, batch.increments)
     assert same_bits(batch.jacobians.y, y)
     assert same_bits(batch.jacobians.z, 1.0 / y)
@@ -489,7 +491,7 @@ def test_per_row_scalar_outputs_keep_their_bits():
             model, 1.1, ell, g, "canonical", cm.TimeGrid(1.0, 10), 0.3, 300, mode, 13,
             block_size=128)
         got[mode] = tuple(float(v).hex() for v in (loss, gradient, diag["se_gradient"]))
-    batch = cm.simulate_paths(model, 1.1, 0.3, grid, 40, 5, with_jacobian=True)
+    batch = cm.simulate_paths(model, 1.1, 0.3, grid, 40, 5)
     digest = hashlib.sha256()
     for a in (batch.jacobians.y, batch.jacobians.z, cm.marginal_power(12, 2).derivative(batch)):
         digest.update(np.ascontiguousarray(a).tobytes())
@@ -499,8 +501,7 @@ def test_per_row_scalar_outputs_keep_their_bits():
 
 def test_shared_jacobians_are_read_only():
     grid = cm.TimeGrid(1.0, 10)
-    batch = cm.simulate_paths(cm.ou_model(1.0, dim=2), 1.0, 0.0, grid, 3, 1,
-                              with_jacobian=True)
+    batch = cm.simulate_paths(cm.ou_model(1.0, dim=2), 1.0, 0.0, grid, 3, 1)
     for arr in (batch.jacobians.y, batch.jacobians.z, batch.path(1).jacobians.y):
         with pytest.raises(ValueError):
             arr[..., 2, 0, 0] = 1.0
@@ -514,8 +515,7 @@ def test_diffusion_reading_the_time_grid_raises_a_shape_error():
     # profile is built, and (1 + t) then spans a new axis: (4, 11, 1, 11)
     model = dataclasses.replace(
         cm.ou_model(1.0), diffusion=lambda x, t: np.ones_like(x)[..., None] * (1 + t))
-    batch = cm.simulate_paths(model, 1.0, 0.0, cm.TimeGrid(1.0, 10), 4, 0,
-                              with_jacobian=True)
+    batch = cm.simulate_paths(model, 1.0, 0.0, cm.TimeGrid(1.0, 10), 4, 0)
     with pytest.raises(CoefficientShapeError, match=r"\(4, 11, 1, 11\)"):
         cm.marginal_power(5, 1).derivative(batch)
 
@@ -523,11 +523,11 @@ def test_diffusion_reading_the_time_grid_raises_a_shape_error():
 def test_batch_two_dimensional_model():
     grid = cm.TimeGrid(1.0, 50)
     model = cm.ou_model(0.5, dim=2)
-    batch = cm.simulate_paths(model, 0.7, [0.1, -0.2], grid, 4, 3, with_jacobian=True)
+    batch = cm.simulate_paths(model, 0.7, [0.1, -0.2], grid, 4, 3)
     noise = cm.generate_noise(3, 2, grid, 2)
-    single = cm.simulate_path(model, 0.7, [0.1, -0.2], grid, noise, with_jacobian=True)
+    single = cm.simulate_path(model, 0.7, [0.1, -0.2], grid, noise)
     assert np.array_equal(batch.path(2).states, single.states)
-    assert np.array_equal(batch.path(2).jacobians.z, single.jacobians.z)
+    assert np.array_equal(batch.jacobians.z[2], single.jacobians.z)
 
 
 @pytest.mark.parametrize("block_size", [0, -5])
@@ -557,6 +557,56 @@ def test_simulation_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
+# Jacobians on demand
+
+
+def _jacobian_reading_payoff():
+    return cm.PathFunctional(
+        value=lambda b: b.jacobians.y[..., -1, 0, 0] * b.states[..., -1, 0])
+
+
+_OU, _GRID_50 = cm.ou_model(1.0), cm.TimeGrid(1.0, 50)
+_ELL, _G = cm.terminal_power(2), cm.shift_functional(cm.marginal_power(25, 1), 0.1)
+
+# call -> Jacobian passes it makes; each block or restarted side that a
+# functional reads builds one, and nothing else does
+JACOBIAN_PASSES = {
+    "loss, 4 blocks": (4, lambda: cm.conditional_loss_estimate(
+        _OU, 1.0, _ELL, _G, "canonical", 200, 3, _GRID_50, 0.2, block_size=50)),
+    "counterfactual random-k, 2 blocks": (10, lambda: cm.counterfactual_gradient(
+        _OU, 1.0, _ELL, _G, "canonical", _GRID_50, 0.2, 200, "random-k", 3, block_size=100)),
+    "hj random-k, Jacobian-reading payoff, 2 blocks": (4, lambda: cm.hj_gradient(
+        _OU, 1.0, 0.2, _GRID_50, _jacobian_reading_payoff(), 200, "random-k", 3,
+        block_size=100)),
+    "hj random-k, terminal payoff": (0, lambda: cm.hj_gradient(
+        _OU, 1.0, 0.2, _GRID_50, _ELL, 200, "random-k", 3, block_size=100)),
+    "hj sum-over-k, terminal payoff": (0, lambda: cm.hj_gradient(
+        _OU, 1.0, 0.2, _GRID_50, _ELL, 200, "sum-over-k", 3)),
+    "score function, terminal payoff": (0, lambda: cm.score_function_gradient(
+        _OU, 1.0, 0.2, _GRID_50, _ELL, 200, 3)),
+    "single branch, Jacobian-reading payoff": (2, lambda: cm.hj_single_branch(
+        _OU, 1.0, 0.2, _GRID_50, 20, _jacobian_reading_payoff(), 3, 7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JACOBIAN_PASSES))
+def test_jacobian_passes_per_call(name, monkeypatch):
+    # the loss reads each block's Jacobians twice (weight and loss profile),
+    # so its count also shows that a bundle keeps what it computed
+    expected, call = JACOBIAN_PASSES[name]
+    passes = []
+    original = sde._euler_jacobians
+
+    def counted(*args):
+        passes.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sde, "_euler_jacobians", counted)
+    call()
+    assert len(passes) == expected
+
+
+# ---------------------------------------------------------------------------
 # resume_path
 
 
@@ -564,7 +614,7 @@ def test_resume_noop_matches_simulate():
     grid = cm.TimeGrid(1.0, 40)
     model = cm.ou_model(1.0)
     noise = cm.generate_noise(9, 4, grid, 1)
-    base = cm.simulate_path(model, 1.0, 0.3, grid, noise, with_jacobian=True)
+    base = cm.simulate_path(model, 1.0, 0.3, grid, noise)
     again = cm.resume_path(base, 0, base.states[0], noise)
     assert np.array_equal(again.states, base.states)
     assert np.array_equal(again.jacobians.y, base.jacobians.y)
@@ -623,14 +673,14 @@ def test_ragged_restart_rows_match_resume_path_property(name, steps, theta, seed
     n_dim = model.state_dim
     n_paths = data.draw(st.integers(1, 6))
     x0 = np.linspace(-0.3, 0.4, n_dim)
-    batch = cm.simulate_paths(model, theta, x0, grid, n_paths, seed, with_jacobian=True)
+    batch = cm.simulate_paths(model, theta, x0, grid, n_paths, seed)
     step = st.one_of(st.sampled_from([0, steps - 1]), st.integers(0, steps - 1))
     starts = np.array(data.draw(st.lists(step, min_size=n_paths, max_size=n_paths)))
     shifts = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n_paths * n_dim,
                                 max_size=n_paths * n_dim))
     rows = np.arange(n_paths)
     new_states = batch.states[rows, starts + 1] + np.reshape(shifts, (n_paths, n_dim))
-    restarted = _branch_batch(batch, starts, new_states, with_jacobian=True)
+    restarted = _branch_batch(batch, starts, new_states)
     for i, k in enumerate(starts):
         row = batch.path(i)
         x = row.states[k]

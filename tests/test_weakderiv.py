@@ -434,7 +434,6 @@ def test_jacobian_reading_payoff_matches_reference():
     grid = cm.TimeGrid(0.5, 5)
     f = PathFunctional(
         value=lambda b: b.jacobians.y[..., -1, 0, 0] * b.states[..., -1, 0],
-        value_requires_jacobian=True,
     )
     n, seed = 24, 43
     report = cm.hj_gradient(model, 0.8, np.array([0.4]), grid, f, n,
