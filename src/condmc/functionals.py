@@ -14,8 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CoefficientShapeError
-from .sde import PathBatch, PathBundle, shared_row
+from .sde import PathBatch, PathBundle, on_grid, shared_row
 
 
 @dataclass(frozen=True)
@@ -52,23 +51,10 @@ def derivative_profile(f: PathFunctional, bundle: PathBundle | PathBatch) -> np.
 
 
 def _sigma_profile(bundle) -> np.ndarray:
-    """sigma(X_s, t_s) at every grid time, as a (..., M+1, n, d) view.
-
-    The model sees all grid times at once, so a diffusion that combines t
-    with the state axes can come back in another shape; CoefficientShapeError
-    when it does not broadcast to (..., M+1, n, d).
-    """
-    sig = np.asarray(bundle.model.diffusion(bundle.states, bundle.grid.times))
-    target = bundle.states.shape[:-1] + (bundle.model.state_dim, bundle.model.noise_dim)
-    try:
-        fits = np.broadcast_shapes(sig.shape, target) == target
-    except ValueError:
-        fits = False
-    if not fits:
-        raise CoefficientShapeError(
-            f"diffusion over the grid has shape {sig.shape}, which does not broadcast "
-            f"to {target}")
-    return np.broadcast_to(sig, target)
+    """sigma(X_s, t_s) at every grid time, as a (..., M+1, n, d) array."""
+    model = bundle.model
+    return on_grid(model.diffusion, bundle.states, bundle.grid.times,
+                   (model.state_dim, model.noise_dim))
 
 
 def malliavin_derivative_state(bundle: PathBundle, s: int, t: int) -> np.ndarray:

@@ -251,9 +251,11 @@ def kernel_loss_estimate(paths, ell: PathFunctional, g: PathFunctional,
         l_val = np.atleast_1d(np.asarray(ell.value(paths), dtype=float))
         seed = paths.master_seed if isinstance(paths, PathBatch) else paths.noise.master_seed
     else:
+        if not paths:
+            raise ValueError("paths is empty")
         g_val = np.array([float(g.value(p)) for p in paths])
         l_val = np.array([float(ell.value(p)) for p in paths])
-        seed = paths[0].noise.master_seed if paths else 0
+        seed = paths[0].noise.master_seed
     weights = np.exp(-(g_val * g_val) / (2.0 * bandwidth * bandwidth)) / (
         bandwidth * math.sqrt(2.0 * math.pi))
     mass = fsum(weights)

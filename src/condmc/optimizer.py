@@ -25,8 +25,8 @@ from .errors import CondMcError, DegenerateDenominator, SingularDiffusion
 from .functionals import PathFunctional
 from .malliavin import _loss_report, conditional_quotient_terms
 from .sde import (DEFAULT_BLOCK_SIZE, PathBatch, SdeModel, TimeGrid, finite_fsum, fsum,
-                  require_finite, simulate_blocks)
-from .streams import _StreamPool, child_seed
+                  on_grid, require_finite, simulate_blocks)
+from .streams import child_seed
 from .weakderiv import GRADIENT_MODES, _hj_values
 
 _DENOMINATOR_FLOOR = 1e-12
@@ -50,19 +50,16 @@ def quotient_gradient(e1: float, e2: float, grad_e1: float, grad_e2: float) -> f
 def _increments_at(model, grid, batch, b_base, bumped):
     """Brownian increments that reproduce the frozen states at parameter
     `bumped`: the Euler identity gives dW' = dW + dt * sigma^{-1} (b - b')."""
-    steps = grid.steps
-    x_left = batch.states[:, :steps, :]
-    t_col = grid.times[:steps, None]
-    shift = grid.dt * (b_base - np.asarray(model.drift(x_left, t_col, bumped)))
+    x_left = batch.states[:, :grid.steps, :]
+    n = model.state_dim
+    shift = grid.dt * (b_base - on_grid(model.drift, x_left, grid.times, (n,), bumped))
     if not np.any(shift):
         return batch.increments
-    sig = np.asarray(model.diffusion(x_left, t_col))
-    if sig.ndim == 2:
-        sig = np.broadcast_to(sig, x_left.shape[:-1] + sig.shape)
-    if sig.shape[-2] != sig.shape[-1]:
+    if model.noise_dim != n:
         raise ValueError(
             "reconstructing increments from states needs a square diffusion")
-    if model.state_dim == 1:
+    sig = on_grid(model.diffusion, x_left, grid.times, (n, n))
+    if n == 1:
         diag = sig[..., 0, 0]
         if np.any((diag == 0.0) & (shift[..., 0] != 0.0)):
             raise SingularDiffusion("zero diffusion cannot absorb a drift change")
@@ -90,8 +87,8 @@ def _integrand_theta_terms(batch: PathBatch, ell, g, weight_rule) -> np.ndarray:
     """
     model, grid, theta = batch.model, batch.grid, batch.theta
     h = _THETA_BUMP
-    b_base = np.asarray(model.drift(batch.states[:, :grid.steps, :],
-                                    grid.times[:grid.steps, None], theta))
+    b_base = on_grid(model.drift, batch.states[:, :grid.steps, :], grid.times,
+                     (model.state_dim,), theta)
     sides = []
     for bumped in (theta + h, theta - h):
         increments = _increments_at(model, grid, batch, b_base, bumped)
@@ -140,7 +137,6 @@ def counterfactual_gradient(model: SdeModel, theta: float, ell: PathFunctional,
         value=lambda bundle: np.stack(
             conditional_quotient_terms(ell, g, weight_rule, bundle)[:2], -1),
     )
-    pool = _StreamPool()
     a_parts, b_parts, measure_parts, explicit_parts = [], [], [], []
     accepted = 0
     for batch in blocks:
@@ -148,7 +144,7 @@ def counterfactual_gradient(model: SdeModel, theta: float, ell: PathFunctional,
         a_parts.append(a)
         b_parts.append(b)
         accepted += int(np.count_nonzero(indicator))
-        measure_parts.append(_hj_values(batch, integrands, gradient_mode, pool)[0])
+        measure_parts.append(_hj_values(batch, integrands, gradient_mode)[0])
         explicit_parts.append(_integrand_theta_terms(batch, ell, g, weight_rule))
     report = _loss_report(np.concatenate(a_parts), np.concatenate(b_parts), accepted,
                           master_seed)

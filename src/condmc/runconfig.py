@@ -98,7 +98,6 @@ _INT_KEYS = {"steps", "paths", "seed", "replications", "iterations"}
 _FLOAT_KEYS = {"theta", "sigma", "x0", "horizon", "step_size", "theta_min",
                "theta_max", "target"}
 _STR_KEYS = {"mode", "out"}
-_LIST_KEYS = {"t_values", "n_values", "estimators"}
 
 
 def _parse_value(key: str, raw: str):

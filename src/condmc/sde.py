@@ -7,9 +7,10 @@ to its starting point) and its inverse Z_k, from which Malliavin derivatives
 of smooth path functionals are assembled downstream, depend on nothing else:
 a bundle computes them on the first read of its `jacobians` and keeps them.
 
-All model callables must broadcast over leading axes: states arrive either
-as (n,) for a single path or (N, n) for a block of paths.  Constant
-coefficients may simply return (n,), (n, n) or (n, n, d) arrays.
+Every model callable gets one grid time t, a scalar, and states x of shape
+(..., n) with any leading (path) axes, over which it must broadcast; constant
+coefficients may simply return (n,), (n, n) or (n, n, d) arrays.  Only
+on_grid evaluates a coefficient along the grid, one model call per step.
 
 _apply_diffusion multiplies dW by a 1x1 sigma directly, one rounding as in the 1x1 product.
 
@@ -31,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteEstimate, NonFiniteState, SingularJacobian
+from .errors import CoefficientShapeError, NonFiniteEstimate, NonFiniteState, SingularJacobian
 from .streams import TAG_NOISE, _StreamPool, stream
 
 _COND_LIMIT = 1e12
@@ -108,12 +109,7 @@ class SdeModel:
     diffusion(x, t) -> (..., n, d);
     diffusion_dx(x, t) -> (..., n, n, d) with [i, m, j] = d sigma_ij / d x_m.
 
-    t comes in three shapes today: a scalar in the Euler, Jacobian and
-    branch steps; the (M+1,) grid in functionals._sigma_profile; and an
-    (M, 1) column in score_function_gradient, optimizer._increments_at and
-    optimizer._integrand_theta_terms, against (..., M, n) states.  A
-    coefficient that branches on t in Python (`if t >= 0.5`) works in the
-    first and fails in the others with a bare numpy ValueError.
+    t is always one grid time (a scalar) and x has shape (..., n).
     """
 
     drift: Callable
@@ -272,6 +268,28 @@ def shared_row(a: np.ndarray, core_ndim: int) -> np.ndarray | None:
     if lead < 1 or any(a.strides[:lead]):
         return None
     return a[(0,) * lead]
+
+
+def on_grid(fn: Callable, states: np.ndarray, times: np.ndarray, core: tuple,
+            *args) -> np.ndarray:
+    """fn(states[..., k, :], times[k], *args) at every step k of states, as one
+    read-only (..., K) + core array; a view broadcast over the path axes (see
+    shared_row) when no value has a path axis.  CoefficientShapeError when a
+    value does not broadcast to (...,) + core."""
+    rest = (slice(None),) * len(core)
+    shared = np.empty(states.shape[-2:-1] + core)
+    out = shared
+    for k in range(len(shared)):
+        value = np.asarray(fn(states[..., k, :], times[k], *args))
+        if out is shared and value.ndim > len(core):  # the first value with a path axis
+            out = np.empty(states.shape[:-2] + shared.shape)
+            out[(..., slice(k)) + rest] = shared[:k]
+        try:
+            out[(..., k) + rest] = value
+        except ValueError as exc:
+            raise CoefficientShapeError(f"a coefficient value of shape {value.shape} does "
+                                        f"not broadcast to {out[(..., k) + rest].shape}") from exc
+    return np.broadcast_to(out, states.shape[:-2] + shared.shape)
 
 
 def _euler_jacobians(model: SdeModel, theta: float, grid: TimeGrid, states: np.ndarray,

@@ -38,6 +38,7 @@ from .sde import (
     _euler_continue,
     finite_fsum,
     generate_noise,
+    on_grid,
     require_finite,
     resume_path,
     simulate_blocks,
@@ -238,10 +239,10 @@ def _path_branch_draws(rng: np.random.Generator, steps: int, n_dim: int):
     return rng.random(steps), rng.rayleigh(1.0, steps), rng.standard_normal((steps, n_dim))
 
 
-def _branch_draw_block(master_seed: int, path_indices: np.ndarray, steps: int, n_dim: int,
-                       pool: _StreamPool):
+def _branch_draw_block(master_seed: int, path_indices: np.ndarray, steps: int, n_dim: int):
     """(N, M) / (N, M, n) branch randomness of a block of paths, one rekey per
     path; row i holds _path_branch_draws of path_indices[i]."""
+    pool = _StreamPool()
     count = len(path_indices)
     r = np.empty((count, steps))
     u = np.empty((count, steps)) if n_dim > 1 else None
@@ -343,7 +344,7 @@ def _step_sum(scale_k: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     return np.sum(np.ascontiguousarray(weighted), axis=-1)
 
 
-def _all_steps_branches(batch: PathBatch, pool: _StreamPool, before_step=None):
+def _all_steps_branches(batch: PathBatch, before_step=None):
     """Branch every path at every step and carry all branch copies to the horizon.
 
     All live copies advance together under the base path's increments, so
@@ -358,7 +359,7 @@ def _all_steps_branches(batch: PathBatch, pool: _StreamPool, before_step=None):
     times = grid.times
     n_dim = model.state_dim
     count = batch.n_paths
-    draws = _branch_draw_block(batch.master_seed, batch.path_indices, steps, n_dim, pool)
+    draws = _branch_draw_block(batch.master_seed, batch.path_indices, steps, n_dim)
     plus = np.zeros((count, steps, n_dim))
     minus = np.zeros((count, steps, n_dim))
     scale_k = np.empty((count, steps))
@@ -386,16 +387,16 @@ def _all_steps_branches(batch: PathBatch, pool: _StreamPool, before_step=None):
     return plus, minus, scale_k
 
 
-def _terminal_sum_over_k(batch: PathBatch, functional: PathFunctional, pool: _StreamPool):
+def _terminal_sum_over_k(batch: PathBatch, functional: PathFunctional):
     """All-steps engine for terminal-state functionals: the gap of each branch
     is the terminal value gap of its copies at the horizon."""
-    plus, minus, scale_k = _all_steps_branches(batch, pool)
+    plus, minus, scale_k = _all_steps_branches(batch)
     gaps = (np.asarray(functional.terminal_value(plus))
             - np.asarray(functional.terminal_value(minus)))
     return _step_sum(scale_k, gaps), [float(np.sum(np.abs(gaps)))], gaps.size
 
 
-def _integral_sum_over_k(batch: PathBatch, functional: PathFunctional, pool: _StreamPool):
+def _integral_sum_over_k(batch: PathBatch, functional: PathFunctional):
     """All-steps engine for left-point step-sum functionals.
 
     The shared prefix of each branch pair cancels in the value gap, so only
@@ -408,7 +409,7 @@ def _integral_sum_over_k(batch: PathBatch, functional: PathFunctional, pool: _St
     def accumulate(j, live_plus, live_minus):
         gap_acc[:, :j] += dt * (np.asarray(h(live_plus)) - np.asarray(h(live_minus)))
 
-    _, _, scale_k = _all_steps_branches(batch, pool, accumulate)
+    _, _, scale_k = _all_steps_branches(batch, accumulate)
     return _step_sum(scale_k, gap_acc), [float(np.sum(np.abs(gap_acc)))], gap_acc.size
 
 
@@ -440,7 +441,7 @@ def _branch_batch(base: PathBatch, starts: np.ndarray, new_states: np.ndarray) -
                      base.path_indices)
 
 
-def _grouped_random_k(batch: PathBatch, functional: PathFunctional, pool: _StreamPool):
+def _grouped_random_k(batch: PathBatch, functional: PathFunctional):
     """One branch per path at a uniformly drawn step.
 
     The split terms and branch states are formed step by step, so the model
@@ -454,10 +455,11 @@ def _grouped_random_k(batch: PathBatch, functional: PathFunctional, pool: _Strea
     count = batch.n_paths
     indices = batch.path_indices
     ks = np.empty(count, dtype=np.intp)
+    pool = _StreamPool()
     for row, idx in enumerate(indices):
         rng = pool.rekey(batch.master_seed, int(idx), tag=TAG_CHOICE)
         ks[row] = rng.integers(0, steps)
-    draws = _branch_draw_block(batch.master_seed, indices, steps, model.state_dim, pool)
+    draws = _branch_draw_block(batch.master_seed, indices, steps, model.state_dim)
     total = np.zeros(count)
     new_plus = batch.states[np.arange(count), ks + 1]
     new_minus = new_plus.copy()
@@ -491,14 +493,14 @@ def _grouped_random_k(batch: PathBatch, functional: PathFunctional, pool: _Strea
     return block_vals, gap_sums, block_vals.size
 
 
-def _generic_sum_over_k(batch: PathBatch, functional: PathFunctional, pool: _StreamPool):
+def _generic_sum_over_k(batch: PathBatch, functional: PathFunctional):
     """Branch at every step with full branch re-propagation (any functional)."""
     model, grid, theta = batch.model, batch.grid, batch.theta
     block_vals = 0.0
     gap_sums = []
     gap_count = 0
     draws = _branch_draw_block(batch.master_seed, batch.path_indices, grid.steps,
-                               model.state_dim, pool)
+                               model.state_dim)
     for k in range(grid.steps):
         mean, scales, weights, total, signs = _hj_terms_batch(
             model, batch.states[:, k], grid.times[k], theta, grid.dt)
@@ -514,16 +516,16 @@ def _generic_sum_over_k(batch: PathBatch, functional: PathFunctional, pool: _Str
     return block_vals, gap_sums, gap_count
 
 
-def _hj_values(batch: PathBatch, functional: PathFunctional, mode: str, pool: _StreamPool):
+def _hj_values(batch: PathBatch, functional: PathFunctional, mode: str):
     """Per-path branch estimates on one simulated block (mean-one-unbiased for
     d/dtheta E[C]), with the block's |gap| sums and gap count."""
     if mode == "random-k":
-        return _grouped_random_k(batch, functional, pool)
+        return _grouped_random_k(batch, functional)
     if functional.terminal_value is not None:
-        return _terminal_sum_over_k(batch, functional, pool)
+        return _terminal_sum_over_k(batch, functional)
     if functional.step_value is not None:
-        return _integral_sum_over_k(batch, functional, pool)
-    return _generic_sum_over_k(batch, functional, pool)
+        return _integral_sum_over_k(batch, functional)
+    return _generic_sum_over_k(batch, functional)
 
 
 def _column_moments(columns: np.ndarray):
@@ -552,12 +554,11 @@ def hj_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
     blocks = simulate_blocks(model, theta, x0, grid, n_paths, master_seed, block_size)
     if mode not in GRADIENT_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    pool = _StreamPool()
     parts = []
     gap_sum = 0.0
     gap_count = 0
     for batch in blocks:
-        vals, gap_sums, block_gaps = _hj_values(batch, functional, mode, pool)
+        vals, gap_sums, block_gaps = _hj_values(batch, functional, mode)
         parts.append(vals)
         for part in gap_sums:
             gap_sum += part
@@ -591,20 +592,16 @@ def score_function_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
     over the steps; its variance grows with the horizon.
     """
     blocks = simulate_blocks(model, theta, x0, grid, n_paths, master_seed, block_size)
-    steps = grid.steps
     dt = grid.dt
-    times = grid.times[:steps]
+    n, d = model.state_dim, model.noise_dim
     parts = []
     for batch in blocks:
-        x_left = batch.states[:, :steps, :]
-        b = np.asarray(model.drift(x_left, times[:, None], theta))
-        db = np.broadcast_to(
-            np.asarray(model.drift_dtheta(x_left, times[:, None], theta)), x_left.shape)
+        x_left = batch.states[:, :grid.steps, :]
+        b = on_grid(model.drift, x_left, grid.times, (n,), theta)
+        db = on_grid(model.drift_dtheta, x_left, grid.times, (n,), theta)
         resid = batch.states[:, 1:, :] - x_left - dt * b
-        sig = np.asarray(model.diffusion(x_left, times[:, None]))
-        if sig.ndim == 2:
-            sig = np.broadcast_to(sig, x_left.shape[:-1] + sig.shape)
-        if model.state_dim == 1 and model.noise_dim == 1:
+        sig = on_grid(model.diffusion, x_left, grid.times, (n, d))
+        if n == 1 and d == 1:
             var = dt * sig[..., 0, 0] ** 2
             if np.any(var == 0.0):
                 raise SingularDiffusion("zero diffusion makes the transition degenerate")

@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import condmc as cm
 from condmc.cli import main
@@ -57,6 +58,7 @@ def test_conditional_second_moment_matches_closed_form():
 # 2 -------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_rmse_convergence_rate_is_root_n(tmp_path):
     start = time.perf_counter()
     code = main(["bench-convergence", "--seed", "20", "--out", str(tmp_path)])
@@ -78,6 +80,7 @@ def test_rmse_convergence_rate_is_root_n(tmp_path):
 # 3 -------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_branch_gradient_variance_stays_bounded_in_horizon(tmp_path):
     start = time.perf_counter()
     code = main(["bench-variance", "--seed", "21", "--out", str(tmp_path)])

@@ -461,6 +461,8 @@ def test_kernel_rejects_degenerate_inputs():
         cm.kernel_loss_estimate(batch, ell, g, 1e-6)
     with pytest.raises(ValueError):
         cm.kernel_loss_estimate(batch, ell, g, 0.0)
+    with pytest.raises(ValueError, match="empty"):
+        cm.kernel_loss_estimate([], ell, g, 0.5)
 
 
 def test_kernel_accepts_bundle_sequence():

@@ -49,6 +49,13 @@ def sine_diffusion_model():
     )
 
 
+def time_diffusion_model():
+    """OU drift with diffusion 1 + t on every path: a coefficient that reads
+    the grid time."""
+    return dataclasses.replace(cm.ou_model(1.0), name="time-diffusion",
+                               diffusion=lambda x, t: np.ones_like(x)[..., None] * (1 + t))
+
+
 def same_bits(a, b) -> bool:
     """Equal shapes and float64 bit patterns; unlike array_equal, -0.0 != 0.0."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -319,8 +326,9 @@ def test_scalar_jacobian_matches_matrix_recursion(model):
 
 
 @pytest.mark.parametrize("power", [1, 3])
-@pytest.mark.parametrize("model", [cm.ou_model(0.8), sine_diffusion_model()],
-                         ids=["ou", "sine-diffusion"])
+@pytest.mark.parametrize("model", [cm.ou_model(0.8), sine_diffusion_model(),
+                                   time_diffusion_model()],
+                         ids=["ou", "sine-diffusion", "time-diffusion"])
 def test_marginal_power_rows_match_malliavin_derivative_state(model, power):
     grid = cm.TimeGrid(1.0, 24)
     step = 15
@@ -469,12 +477,18 @@ def test_path_dependent_jacobians_stay_per_row(model):
 # float.hex values and a sha256 of (Y, Z, marginal_power(12, 2) derivative)
 # for sine_diffusion_model, whose Jacobians and derivative rows take the
 # per-row recursion; they were captured with elementwise scalar arithmetic,
-# which the 1x1 matrix products must reproduce bit for bit
-SINE_DIFFUSION_PINS = {
+# which the 1x1 matrix products must reproduce bit for bit.  The score-function
+# (estimate, std_error, variance) of both per-row models were captured while
+# the model still saw t as an (M, 1) column.
+PER_ROW_PINS = {
     "loss": ("0x1.51f2dfad35622p-3", "0x1.86945fb82ca9ap-5"),
     "random-k": ("0x1.85b1c1cce5dd9p-6", "0x1.949438ab358f7p-4", "0x1.8968f0385b670p-4"),
     "sum-over-k": ("0x1.85b1c1cce5dd9p-6", "0x1.8d1a8da0fd094p-5", "0x1.0f1ada9e2677ap-4"),
     "profiles": "b9c7030381f72691986a0f1218c1d40be922f3ad8df26a10ff823324e22eeb42",
+    "score sine-diffusion": ("-0x1.9cb3e698d750bp-3", "0x1.81c834e800c13p-5",
+                             "0x1.54a3c95bc7843p-1"),
+    "score linear-noise": ("-0x1.1e273aa708277p-5", "0x1.88c58a3c9f417p-8",
+                           "0x1.6118523f03462p-7"),
 }
 
 
@@ -496,7 +510,12 @@ def test_per_row_scalar_outputs_keep_their_bits():
     for a in (batch.jacobians.y, batch.jacobians.z, cm.marginal_power(12, 2).derivative(batch)):
         digest.update(np.ascontiguousarray(a).tobytes())
     got["profiles"] = digest.hexdigest()
-    assert got == SINE_DIFFUSION_PINS
+    for score_model in (model, linear_noise_model()):
+        sf = cm.score_function_gradient(score_model, 0.9, 0.3, grid, cm.terminal_power(2), 300,
+                                        5, block_size=128)
+        got["score " + score_model.name] = tuple(
+            float(v).hex() for v in (sf.estimate, sf.std_error, sf.variance))
+    assert got == PER_ROW_PINS
 
 
 def test_shared_jacobians_are_read_only():
@@ -508,16 +527,6 @@ def test_shared_jacobians_are_read_only():
     profile = cm.marginal_power(5, 1).derivative(batch)
     with pytest.raises(ValueError):
         profile[0, 0, 0] = 1.0
-
-
-def test_diffusion_reading_the_time_grid_raises_a_shape_error():
-    # diffusion(x, t) sees all M+1 grid times at once when the derivative
-    # profile is built, and (1 + t) then spans a new axis: (4, 11, 1, 11)
-    model = dataclasses.replace(
-        cm.ou_model(1.0), diffusion=lambda x, t: np.ones_like(x)[..., None] * (1 + t))
-    batch = cm.simulate_paths(model, 1.0, 0.0, cm.TimeGrid(1.0, 10), 4, 0)
-    with pytest.raises(CoefficientShapeError, match=r"\(4, 11, 1, 11\)"):
-        cm.marginal_power(5, 1).derivative(batch)
 
 
 def test_batch_two_dimensional_model():
@@ -554,6 +563,113 @@ def test_simulation_is_deterministic():
     a = cm.simulate_paths(cm.ou_model(1.0), 1.0, 0.0, grid, 8, 23)
     b = cm.simulate_paths(cm.ou_model(1.0), 1.0, 0.0, grid, 8, 23)
     assert np.array_equal(a.states, b.states)
+
+
+# ---------------------------------------------------------------------------
+# the model time contract: one scalar grid time per coefficient call
+
+
+COEFFICIENTS = ("drift", "drift_dtheta", "drift_dx", "diffusion", "diffusion_dx")
+
+
+def strict_t(model):
+    """The model with every coefficient asserting that t is one grid time."""
+
+    def checked(fn):
+        def call(x, t, *args):
+            assert np.ndim(t) == 0, f"t has shape {np.shape(t)}"
+            return fn(x, t, *args)
+        return call
+
+    return dataclasses.replace(model, **{name: checked(getattr(model, name))
+                                         for name in COEFFICIENTS})
+
+
+def _estimator_calls(model):
+    """name -> call of every estimator on the model (M = 12, OU-scale)."""
+    grid, x0 = cm.TimeGrid(1.0, 12), 0.3
+    ell, g = cm.terminal_power(2), cm.shift_functional(cm.marginal_power(6, 1), 0.1)
+    integral = cm.integral_functional(lambda x: x[..., 0] ** 2, lambda x: 2.0 * x)
+    calls = {
+        "simulate": lambda: cm.simulate_paths(model, 1.1, x0, grid, 50, 3).states,
+        "loss": lambda: cm.conditional_loss_estimate(model, 1.1, ell, g, "canonical", 300, 3,
+                                                     grid, x0, block_size=128).estimate,
+        "score": lambda: cm.score_function_gradient(model, 1.1, x0, grid, ell, 200, 3,
+                                                    block_size=64).estimate,
+    }
+    for mode in ("random-k", "sum-over-k"):
+        for name, f in (("terminal", ell), ("integral", integral), ("generic", g)):
+            calls[f"hj {mode} {name}"] = lambda mode=mode, f=f: cm.hj_gradient(
+                model, 1.1, x0, grid, f, 200, mode, 3, block_size=64).estimate
+        calls[f"counterfactual {mode}"] = lambda mode=mode: cm.counterfactual_gradient(
+            model, 1.1, ell, g, "canonical", grid, x0, 300, mode, 3, block_size=128)[:2]
+    return calls
+
+
+STRICT_CASES = [(m, name) for m in ("ou", "time-diffusion")
+                for name in _estimator_calls(cm.ou_model(1.0))]
+CONTRACT_MODELS = {"ou": lambda: cm.ou_model(1.0), "time-diffusion": time_diffusion_model,
+                   "shared-before-half": mixed_model}
+
+
+@pytest.mark.parametrize("model_name, call", STRICT_CASES)
+def test_every_coefficient_call_gets_a_scalar_t(model_name, call):
+    model = CONTRACT_MODELS[model_name]()
+    got = _estimator_calls(strict_t(model))[call]()
+    assert same_bits(got, _estimator_calls(model)[call]())
+
+
+@pytest.mark.parametrize("mode", ["random-k", "sum-over-k"])
+def test_model_branching_on_t_runs_every_gradient(mode):
+    # mixed_model's drift reads `if t >= 0.5` in Python, which only a scalar t allows
+    calls = _estimator_calls(mixed_model())
+    assert np.isfinite(calls["score"]())
+    assert np.all(np.isfinite(calls[f"counterfactual {mode}"]()))
+
+
+def test_diffusion_missing_its_noise_axis_raises_a_shape_error():
+    # (N, 1) in place of (N, 1, 1): a block simulated under the well-formed
+    # diffusion, then read back under one that drops the d axis
+    model = sine_diffusion_model()
+    batch = cm.simulate_paths(model, 1.0, 0.2, cm.TimeGrid(1.0, 10), 4, 0)
+    flat = dataclasses.replace(model, diffusion=lambda x, t: 0.5 + 0.2 * np.sin(x))
+    with pytest.raises(CoefficientShapeError, match=r"\(4, 1\)"):
+        cm.marginal_power(5, 1).derivative(dataclasses.replace(batch, model=flat))
+
+
+GRID_MODELS = {
+    "ou-1": lambda: cm.ou_model(0.8),
+    "ou-2": lambda: cm.ou_model(0.8, dim=2),
+    "mean-reverting-2": lambda: cm.mean_reverting_model(0.5, 1.3, dim=2),
+    "sine-diffusion": sine_diffusion_model,
+    "time-diffusion": time_diffusion_model,
+    "shared-before-half": mixed_model,
+}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(GRID_MODELS)), steps=st.integers(1, 12),
+       n_paths=st.integers(1, 4), theta=st.floats(-1.0, 1.5), seed=st.integers(0, 2 ** 32))
+def test_on_grid_matches_per_step_evaluation_property(name, steps, n_paths, theta, seed):
+    model = GRID_MODELS[name]()
+    n, d = model.state_dim, model.noise_dim
+    grid = cm.TimeGrid(1.0, steps)
+    batch = cm.simulate_paths(model, theta, np.full(n, 0.3), grid, n_paths, seed)
+    cores = {"drift": (n,), "drift_dtheta": (n,), "drift_dx": (n, n), "diffusion": (n, d),
+             "diffusion_dx": (n, n, d)}
+    for coefficient in COEFFICIENTS:
+        fn, core = getattr(model, coefficient), cores[coefficient]
+        args = (theta,) if coefficient.startswith("drift") else ()
+        for states in (batch.states[0], batch.states):  # one path, then the block
+            lead = states.shape[:-2]
+            values = [np.asarray(fn(states[..., k, :], t, *args))
+                      for k, t in enumerate(grid.times)]
+            got = sde.on_grid(fn, states, grid.times, core, *args)
+            assert not got.flags.writeable
+            assert same_bits(got, np.stack([np.broadcast_to(v, lead + core) for v in values],
+                                           axis=len(lead)))
+        if all(v.ndim <= len(core) for v in values):  # no path axis: one shared row
+            assert shared_row(got, len(core) + 1) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -688,10 +688,24 @@ RANDOM_K_PINS = {
 }
 
 
+# (state dim, block size): score-function (estimate, std_error, variance) as
+# float.hex, captured while the model still saw t as an (M, 1) column
+SCORE_PINS = {
+    (1, 400): ("-0x1.91bb6b5e860b1p-1", "0x1.495ab3139da46p-3", "0x1.4b0982537441ep+3"),
+    (1, 64): ("-0x1.91bb6b5e860b1p-1", "0x1.495ab3139da46p-3", "0x1.4b0982537441ep+3"),
+    (2, 400): ("-0x1.a4a30d20cbe08p-2", "0x1.890af025bed00p-4", "0x1.d7718507024fep+1"),
+    (2, 64): ("-0x1.a4a30d20cbe08p-2", "0x1.890af025bed00p-4", "0x1.d7718507024fep+1"),
+}
+
+
+def _pinned_ou(n_dim):
+    return ((cm.ou_model(1.0), np.array([0.5])) if n_dim == 1
+            else (cm.ou_model(0.8, dim=2), np.array([0.5, -0.3])))
+
+
 @pytest.mark.parametrize("n_dim, block_size", sorted(RANDOM_K_PINS))
 def test_random_k_outputs_keep_their_bits(n_dim, block_size):
-    model, x0 = ((cm.ou_model(1.0), np.array([0.5])) if n_dim == 1
-                 else (cm.ou_model(0.8, dim=2), np.array([0.5, -0.3])))
+    model, x0 = _pinned_ou(n_dim)
     grid = cm.TimeGrid(1.0, 20)
     report = cm.hj_gradient(model, 1.0, x0, grid, _radius_square_at(grid.steps), 400,
                             "random-k", 11, block_size=block_size)
@@ -700,13 +714,23 @@ def test_random_k_outputs_keep_their_bits(n_dim, block_size):
     assert got == RANDOM_K_PINS[n_dim, block_size]
 
 
+@pytest.mark.parametrize("n_dim, block_size", sorted(SCORE_PINS))
+def test_score_function_outputs_keep_their_bits(n_dim, block_size):
+    model, x0 = _pinned_ou(n_dim)
+    grid = cm.TimeGrid(1.0, 20)
+    report = cm.score_function_gradient(model, 1.0, x0, grid, _radius_square_at(grid.steps),
+                                        400, 11, block_size=block_size)
+    got = tuple(float(v).hex() for v in (report.estimate, report.std_error, report.variance))
+    assert got == SCORE_PINS[n_dim, block_size]
+
+
 def test_random_k_rows_branched_at_step_zero_are_exact_zeros():
     # from x0 = 0 the OU drift sensitivity -x vanishes at step 0, so the rows
     # whose branch step is 0 carry no gap: +0.0, never 0 * gap
     grid = cm.TimeGrid(1.0, 8)
     n, seed = 200, 4
     batch = cm.simulate_paths(cm.ou_model(1.0), 1.0, X0, grid, n, seed)
-    vals, gap_sums, _ = _hj_values(batch, terminal_square(), "random-k", _StreamPool())
+    vals, gap_sums, _ = _hj_values(batch, terminal_square(), "random-k")
     ks = np.array([stream(seed, i, tag=TAG_CHOICE).integers(0, grid.steps) for i in range(n)])
     assert np.count_nonzero(ks == 0) > 0
     assert np.array_equal(vals[ks == 0].view(np.int64), np.zeros(np.count_nonzero(ks == 0),
