@@ -11,16 +11,24 @@ Every model callable gets one grid time t, a scalar, and states x of shape
 (..., n) with any leading (path) axes, over which it must broadcast; constant
 coefficients may simply return (n,), (n, n) or (n, n, d) arrays.  Only
 on_grid evaluates a coefficient along the grid, one model call per step.
+Each Euler pass checks the diffusion's shape once, at its first step.
 
 _apply_diffusion multiplies dW by a 1x1 sigma directly, one rounding as in the 1x1 product.
 
-When drift_dx returns an (n, n) array with no path axis and diffusion_dx is
-all zero at every step (OU and the mean-reverting family), Y and Z are the
+A model states two structural facts through its derivatives: a drift_dx
+with no path axis, (n, n), means a drift affine in x, and an all-zero
+diffusion_dx means a diffusion that does not depend on the state.  An Euler
+step with both (_step_jacobian) is affine in the state under common noise,
+with the same factor I + dt drift_dx on every path.
+
+When every step is so (OU and the mean-reverting family), Y and Z are the
 same on every path of a block.  They are then built once, as one (M+1, n, n)
 product, and handed out as read-only views broadcast over the path axes;
 shared_row recognises such a view downstream.  A model that is path-dependent
 at any step gets per-row Jacobians.  A zero diffusion_dx adds +-0.0 to each
-step factor, so both ways give the same bits.
+step factor, so both ways give the same bits.  The sum-over-k branch engine
+of weakderiv uses the same test to carry branches to the horizon by
+products of the step factors.
 """
 
 from __future__ import annotations
@@ -110,6 +118,12 @@ class SdeModel:
     diffusion_dx(x, t) -> (..., n, n, d) with [i, m, j] = d sigma_ij / d x_m.
 
     t is always one grid time (a scalar) and x has shape (..., n).
+
+    The engines read structure from the derivatives' shapes and values: a
+    drift_dx that returns (n, n) with no path axis declares a drift affine in
+    x at that t, and an all-zero diffusion_dx declares a diffusion that does
+    not depend on x.  Where both hold, Jacobians are shared across paths and
+    sum-over-k branches are carried to the horizon by products, not by Euler.
     """
 
     drift: Callable
@@ -218,6 +232,23 @@ def _apply_diffusion(sig: np.ndarray, dw: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j->...i", sig, dw)
 
 
+def _check_diffusion_shape(model: SdeModel, x: np.ndarray, t: float, sig: np.ndarray) -> None:
+    """CoefficientShapeError unless the diffusion sig at states x broadcasts to
+    (..., n, d) and the diffusion at one state of x is (n, d).  The second test
+    tells a block value that dropped its noise axis, (N, n), from a constant
+    (n, d) when N = n."""
+    want = x.shape[:-1] + (model.state_dim, model.noise_dim)
+    one = np.shape(model.diffusion(x[(0,) * (x.ndim - 1)], t))
+    try:
+        fits = np.broadcast_shapes(sig.shape, want) == want
+    except ValueError:
+        fits = False
+    if one != want[-2:] or not fits:
+        raise CoefficientShapeError(
+            f"the diffusion returned shape {sig.shape} at states of shape {x.shape} and "
+            f"{one} at one state; its contract is (..., {want[-2]}, {want[-1]})")
+
+
 def _euler_continue(model: SdeModel, theta: float, grid: TimeGrid, states: np.ndarray,
                     increments: np.ndarray, from_step: int | np.ndarray) -> np.ndarray:
     """Fill states beyond from_step by Euler, given the state at from_step.
@@ -226,8 +257,8 @@ def _euler_continue(model: SdeModel, theta: float, grid: TimeGrid, states: np.nd
     for an (N, M+1, n) block.  Each row is then filled beyond its own start
     and keeps the states it was given up to it; stepping begins at the
     smallest start, all rows advancing together under the model's scalar t.
-    NonFiniteState names the first step at which a filled state is NaN or
-    infinite.
+    The diffusion's shape is checked once, at the first step.  NonFiniteState
+    names the first step at which a filled state is NaN or infinite.
     """
     times = grid.times
     dt = grid.dt
@@ -237,6 +268,8 @@ def _euler_continue(model: SdeModel, theta: float, grid: TimeGrid, states: np.nd
     for k in range(first, grid.steps):
         b = np.asarray(model.drift(x, times[k], theta))
         sig = np.asarray(model.diffusion(x, times[k]))
+        if k == first:
+            _check_diffusion_shape(model, x, times[k], sig)
         x = x + dt * b + _apply_diffusion(sig, increments[..., k, :])
         if starts.ndim:
             # rows not yet started take their given state into the next step
@@ -292,6 +325,16 @@ def on_grid(fn: Callable, states: np.ndarray, times: np.ndarray, core: tuple,
     return np.broadcast_to(out, states.shape[:-2] + shared.shape)
 
 
+def _step_jacobian(model: SdeModel, theta: float, x: np.ndarray, t: float):
+    """(drift_dx, diffusion_dx, shared) at states x.  shared tells whether the
+    Euler step's factor I + dt drift_dx + diffusion_dx . dW is the same on
+    every path: drift_dx has no path axis and diffusion_dx is all zero, so the
+    step is affine in the state under common noise."""
+    jb = np.asarray(model.drift_dx(x, t, theta))
+    js = np.asarray(model.diffusion_dx(x, t))
+    return jb, js, jb.ndim == 2 and not js.any()
+
+
 def _euler_jacobians(model: SdeModel, theta: float, grid: TimeGrid, states: np.ndarray,
                      increments: np.ndarray) -> JacobianPath:
     times = grid.times
@@ -300,19 +343,16 @@ def _euler_jacobians(model: SdeModel, theta: float, grid: TimeGrid, states: np.n
     n = model.state_dim
     lead = states.shape[:-2]
     eye = np.eye(n)
-    # a step whose factor is the same on every path (drift_dx has no path axis
-    # and diffusion_dx is zero) extends one Y for all paths; from the first
-    # path-dependent step on, y holds every row, its prefix copied from the
-    # shared one
+    # a step whose factor is the same on every path (_step_jacobian) extends
+    # one Y for all paths; from the first path-dependent step on, y holds every
+    # row, its prefix copied from the shared one
     shared = np.empty((steps + 1, n, n))
     shared[0] = eye
     y = None
     for k in range(steps):
-        x = states[..., k, :]
-        jb = np.asarray(model.drift_dx(x, times[k], theta))
-        js = np.asarray(model.diffusion_dx(x, times[k]))
+        jb, js, shared_step = _step_jacobian(model, theta, states[..., k, :], times[k])
         if y is None:
-            if jb.ndim == 2 and not js.any():
+            if shared_step:
                 shared[k + 1] = (dt * jb + eye) @ shared[k]
                 continue
             y = np.empty(lead + (steps + 1, n, n))

@@ -36,6 +36,7 @@ from .sde import (
     TimeGrid,
     _apply_diffusion,
     _euler_continue,
+    _step_jacobian,
     finite_fsum,
     generate_noise,
     on_grid,
@@ -344,6 +345,33 @@ def _step_sum(scale_k: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     return np.sum(np.ascontiguousarray(weighted), axis=-1)
 
 
+def _placed_branches(batch: PathBatch):
+    """The branch pair of every path at every step, as placed: entry [:, k] of
+    the (N, M, n) arrays (plus, minus) is the pair split off at step k, at
+    time k+1.  Returns (plus, minus, per-step scales (N, M))."""
+    model, grid, theta = batch.model, batch.grid, batch.theta
+    steps = grid.steps
+    n_dim = model.state_dim
+    count = batch.n_paths
+    draws = _branch_draw_block(batch.master_seed, batch.path_indices, steps, n_dim)
+    plus = np.empty((count, steps, n_dim))
+    minus = np.empty((count, steps, n_dim))
+    scale_k = np.empty((count, steps))
+    for k in range(steps):
+        mean, scales, weights, total, signs = _hj_terms_batch(
+            model, batch.states[:, k], grid.times[k], theta, grid.dt)
+        plus[:, k], minus[:, k] = _assemble_branch_states(
+            mean, scales, weights, total, signs, *_draws_at(draws, slice(None), k))
+        scale_k[:, k] = total
+    return plus, minus, scale_k
+
+
+def _require_finite_branches(plus: np.ndarray, minus: np.ndarray, steps: int) -> None:
+    # a non-finite state stays non-finite under Euler, so the horizon shows it
+    if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
+        raise NonFiniteState(steps)
+
+
 def _all_steps_branches(batch: PathBatch, before_step=None):
     """Branch every path at every step and carry all branch copies to the horizon.
 
@@ -357,40 +385,65 @@ def _all_steps_branches(batch: PathBatch, before_step=None):
     steps = grid.steps
     dt = grid.dt
     times = grid.times
-    n_dim = model.state_dim
-    count = batch.n_paths
-    draws = _branch_draw_block(batch.master_seed, batch.path_indices, steps, n_dim)
-    plus = np.zeros((count, steps, n_dim))
-    minus = np.zeros((count, steps, n_dim))
-    scale_k = np.empty((count, steps))
-    for j in range(steps):
-        if j > 0:
-            if before_step is not None:
-                before_step(j, plus[:, :j], minus[:, :j])
-            dw = batch.increments[:, None, j, :]
-            for side in (plus, minus):
-                # an Euler step in place; the unnamed drift result is a
-                # temporary that numpy scales by dt in place, so each side
-                # holds one (N, j, n) array at a time
-                x = side[:, :j]
-                sig = np.asarray(model.diffusion(x, times[j]))
-                x += dt * np.asarray(model.drift(x, times[j], theta))
-                x += _apply_diffusion(sig, dw)
-        mean, scales, weights, total, signs = _hj_terms_batch(
-            model, batch.states[:, j], times[j], theta, dt)
-        plus[:, j], minus[:, j] = _assemble_branch_states(
-            mean, scales, weights, total, signs, *_draws_at(draws, slice(None), j))
-        scale_k[:, j] = total
-    # a non-finite state stays non-finite under Euler, so the horizon shows it
-    if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
-        raise NonFiniteState(steps)
+    plus, minus, scale_k = _placed_branches(batch)
+    for j in range(1, steps):
+        if before_step is not None:
+            before_step(j, plus[:, :j], minus[:, :j])
+        dw = batch.increments[:, None, j, :]
+        for side in (plus, minus):
+            # an Euler step in place; the unnamed drift result is a
+            # temporary that numpy scales by dt in place, so each side
+            # holds one (N, j, n) array at a time
+            x = side[:, :j]
+            sig = np.asarray(model.diffusion(x, times[j]))
+            x += dt * np.asarray(model.drift(x, times[j], theta))
+            x += _apply_diffusion(sig, dw)
+    _require_finite_branches(plus, minus, steps)
+    return plus, minus, scale_k
+
+
+def _affine_propagators(batch: PathBatch):
+    """(M-1, n, n) products P[k] = (I + dt B_{M-1}) ... (I + dt B_{k+1}) when
+    every Euler step from step 1 on is affine in the state under common noise
+    (sde._step_jacobian, with B_j = drift_dx); None at the first step that is
+    not.  The difference of two such chains takes the step factor I + dt B_j
+    at each step, so P[k] carries a difference at time k+1 to the horizon."""
+    model, grid = batch.model, batch.grid
+    eye = np.eye(model.state_dim)
+    props = np.empty((grid.steps - 1,) + eye.shape)
+    prop = eye
+    for j in range(grid.steps - 1, 0, -1):
+        jb, _, shared = _step_jacobian(model, batch.theta, batch.states[:, j], grid.times[j])
+        if not shared:
+            return None
+        prop = props[j - 1] = prop @ (grid.dt * jb + eye)
+    return props
+
+
+def _affine_branches(batch: PathBatch, props: np.ndarray):
+    """_all_steps_branches for a model whose steps are affine in the state:
+    the branch placed at time k+1 < M reaches the horizon at
+    X_M + P[k] (x_branch - X_{k+1}), so no branch copy takes an Euler step."""
+    plus, minus, scale_k = _placed_branches(batch)
+    for side in (plus, minus):
+        carried = side[:, :-1]  # the branches of the last step are placed at the horizon
+        carried -= batch.states[:, 1:-1]
+        carried[:] = np.matmul(props, carried[..., None])[..., 0]
+        carried += batch.states[:, -1:]
+    _require_finite_branches(plus, minus, batch.grid.steps)
     return plus, minus, scale_k
 
 
 def _terminal_sum_over_k(batch: PathBatch, functional: PathFunctional):
     """All-steps engine for terminal-state functionals: the gap of each branch
-    is the terminal value gap of its copies at the horizon."""
-    plus, minus, scale_k = _all_steps_branches(batch)
+    is the terminal value gap of its copies at the horizon.  On a model whose
+    steps are affine in the state the copies get there by one product each,
+    O(N M n^2) work, and otherwise by Euler, O(N M^2)."""
+    props = _affine_propagators(batch)
+    if props is None:
+        plus, minus, scale_k = _all_steps_branches(batch)
+    else:
+        plus, minus, scale_k = _affine_branches(batch, props)
     gaps = (np.asarray(functional.terminal_value(plus))
             - np.asarray(functional.terminal_value(minus)))
     return _step_sum(scale_k, gaps), [float(np.sum(np.abs(gaps)))], gaps.size

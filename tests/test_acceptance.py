@@ -80,7 +80,6 @@ def test_rmse_convergence_rate_is_root_n(tmp_path):
 # 3 -------------------------------------------------------------------------
 
 
-@pytest.mark.slow
 def test_branch_gradient_variance_stays_bounded_in_horizon(tmp_path):
     start = time.perf_counter()
     code = main(["bench-variance", "--seed", "21", "--out", str(tmp_path)])

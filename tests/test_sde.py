@@ -637,6 +637,15 @@ def test_diffusion_missing_its_noise_axis_raises_a_shape_error():
         cm.marginal_power(5, 1).derivative(dataclasses.replace(batch, model=flat))
 
 
+@pytest.mark.parametrize("n_paths", [2, 3])
+def test_diffusion_dropping_its_noise_axis_fails_the_first_euler_step(n_paths):
+    # (N, n) in place of (N, n, d) for a 2-D OU: at N = n = 2 it reads like a
+    # constant (n, d) matrix, and dW @ sig.T would mix the two paths' states
+    model = dataclasses.replace(cm.ou_model(1.0, dim=2), diffusion=lambda x, t: np.ones_like(x))
+    with pytest.raises(CoefficientShapeError, match=r"\(2,\) at one state"):
+        cm.simulate_paths(model, 1.0, 0.0, cm.TimeGrid(1.0, 4), n_paths, 1)
+
+
 GRID_MODELS = {
     "ou-1": lambda: cm.ou_model(0.8),
     "ou-2": lambda: cm.ou_model(0.8, dim=2),

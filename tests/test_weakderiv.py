@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import condmc as cm
+from condmc import weakderiv as wd
 from condmc.errors import (
     NonDiagonalDiffusion,
     NonFiniteEstimate,
@@ -19,8 +20,10 @@ from condmc.errors import (
     ZeroSensitivity,
 )
 from condmc.functionals import PathFunctional
+from condmc.sde import simulate_blocks
 from condmc.streams import TAG_BRANCH, TAG_CHOICE, TAG_NOISE, _StreamPool, stream
 from condmc.weakderiv import _hj_values
+from test_sde import mixed_model, sine_diffusion_model
 
 # d/dtheta of the exact discrete-chain variance of X_1 (unit OU, dt = 0.01,
 # 100 steps): Var_M(theta) = sum_k (1 - theta dt)^{2k} dt, differentiated.
@@ -859,3 +862,125 @@ def test_gradient_is_block_size_invariant_property(engine, case):
                     for bs in (case["n_paths"], case["block_size"]))
     assert (split.estimate, split.std_error, split.variance) == (
         whole.estimate, whole.std_error, whole.variance)
+
+
+# ---------------------------------------------------------------------------
+# the affine sum-over-k engine against the Euler-copy engine
+
+
+def time_affine_model(n_dim):
+    """dX = (-theta A(t) X + sin t) dt + s(t) dW with A(t) = [[1 + t, 0.5],
+    [-0.3 t, 1]] (1 + t when n = 1) and a diagonal s(t): every step is affine
+    in the state, and the step factors do not commute."""
+    def a(t):
+        return np.array([[1.0 + t, 0.5], [-0.3 * t, 1.0]])[:n_dim, :n_dim]
+
+    zeros3 = np.zeros((n_dim, n_dim, n_dim))
+    return cm.SdeModel(
+        drift=lambda x, t, theta: -theta * x @ a(t).T + math.sin(t),
+        drift_dtheta=lambda x, t, theta: -x @ a(t).T,
+        drift_dx=lambda x, t, theta: -theta * a(t),
+        diffusion=lambda x, t: np.diag([1.0 + 0.5 * t, 0.7][:n_dim]),
+        diffusion_dx=lambda x, t: zeros3,
+        state_dim=n_dim,
+        noise_dim=n_dim,
+        name="time-affine",
+    )
+
+
+AFFINE_MODELS = {
+    "ou": lambda n: cm.ou_model(0.8, dim=n),
+    "mean-reverting": lambda n: cm.mean_reverting_model(0.5, 1.3, dim=n),
+    "time-affine": time_affine_model,
+}
+
+
+def _engine_pair(batch, functional):
+    """(affine engine, Euler-copy engine) outputs on one block: the horizon
+    states and scales of every branch, the per-path terminal estimates, and
+    the size of the values each estimate subtracts, sum_k scale_k (|C+| + |C-|)."""
+    props = wd._affine_propagators(batch)
+    assert props is not None
+    out = []
+    for plus, minus, scale_k in (wd._affine_branches(batch, props),
+                                 wd._all_steps_branches(batch)):
+        c_plus, c_minus = (np.asarray(functional.terminal_value(side)) for side in (plus, minus))
+        size = np.sum(scale_k * (np.abs(c_plus) + np.abs(c_minus)), axis=1)
+        out.append((plus, minus, scale_k, wd._step_sum(scale_k, c_plus - c_minus), size))
+    return out
+
+
+def _assert_affine_matches_euler(affine, euler, rel=1e-12):
+    # horizon states to rel of the largest; the per-path estimates to rel of
+    # the values they subtract, whose rounding they carry
+    for got, want in zip(affine[:2], euler[:2]):
+        assert np.max(np.abs(got - want), initial=0.0) <= rel * np.max(np.abs(want), initial=0.0)
+    assert np.array_equal(affine[2], euler[2])
+    assert np.all(np.abs(affine[3] - euler[3]) <= rel * euler[4])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(AFFINE_MODELS)), n_dim=st.sampled_from([1, 2]),
+       steps=st.integers(1, 30), n_paths=st.integers(2, 7), seed=st.integers(0, 2 ** 32),
+       theta=st.floats(0.1, 2.5), horizon=st.floats(0.25, 4.0), data=st.data())
+def test_affine_engine_matches_euler_copies_property(name, n_dim, steps, n_paths, seed,
+                                                     theta, horizon, data):
+    model = AFFINE_MODELS[name](n_dim)
+    x0 = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n_dim, max_size=n_dim)))
+    block_size = data.draw(st.integers(1, n_paths))
+    grid = cm.TimeGrid(horizon, steps)
+    f = PathFunctional(
+        value=lambda b: b.states[..., -1, 0] ** 2 + b.states[..., -1, -1] ** 3,
+        terminal_value=lambda x: x[..., 0] ** 2 + x[..., -1] ** 3,
+    )
+    values, sizes = [], []
+    for batch in simulate_blocks(model, theta, x0, grid, n_paths, seed, block_size):
+        affine, euler = _engine_pair(batch, f)
+        _assert_affine_matches_euler(affine, euler)
+        values.append(euler[3])
+        sizes.append(euler[4])
+    report = cm.hj_gradient(model, theta, x0, grid, f, n_paths, "sum-over-k", seed,
+                            block_size=block_size)
+    assert abs(report.estimate - np.mean(np.concatenate(values))) <= 1e-12 * np.mean(
+        np.concatenate(sizes))
+
+
+@pytest.mark.parametrize("name", sorted(AFFINE_MODELS))
+@pytest.mark.parametrize("n_dim", [1, 2])
+def test_affine_engine_carries_a_zero_step_factor(name, n_dim):
+    # theta dt = 1 exactly: 1 - theta dt = 0 is no Jacobian to invert, and
+    # every branch but the last one reaches the horizon on the base path
+    # (time-affine: the factor of step 3 alone is zero for n = 1, and the
+    # coupled 2 x 2 factor there is not)
+    theta, grid = 8.0, cm.TimeGrid(1.0, 8)
+    model = AFFINE_MODELS[name](n_dim)
+    if name == "time-affine":
+        theta = 8.0 / (1.0 + grid.times[3])
+    batch = cm.simulate_paths(model, theta, np.full(n_dim, 0.4), grid, 6, 2)
+    props = wd._affine_propagators(batch)
+    assert (not props[:3].any()) == (n_dim == 1 or name != "time-affine")
+    _assert_affine_matches_euler(*_engine_pair(batch, cm.terminal_power(2)))
+    report = cm.hj_gradient(model, theta, np.full(n_dim, 0.4), grid, cm.terminal_power(2), 6,
+                            "sum-over-k", 2)
+    assert math.isfinite(report.estimate)
+
+
+@pytest.mark.parametrize("model, uses_affine", [
+    (cm.ou_model(1.0), True), (cm.mean_reverting_model(0.5, 1.3, dim=2), True),
+    (time_affine_model(2), True), (cubic_model(), False), (diag2_model(), False),
+    (mixed_model(), False), (sine_diffusion_model(), False),
+], ids=["ou", "mean-reverting-2", "time-affine-2", "cubic", "diag2-per-row",
+        "shared-before-half", "sine-diffusion"])
+def test_terminal_sum_over_k_picks_its_engine_by_the_step_factors(monkeypatch, model,
+                                                                  uses_affine):
+    calls = Counter()
+    for name in ("_affine_branches", "_all_steps_branches"):
+        def counted(*args, name=name, original=getattr(wd, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(wd, name, counted)
+    x0 = np.full(model.state_dim, 0.3)
+    cm.hj_gradient(model, 0.9, x0, cm.TimeGrid(1.0, 12), cm.terminal_power(2), 20,
+                   "sum-over-k", 4, block_size=8)
+    engine = "_affine_branches" if uses_affine else "_all_steps_branches"
+    assert calls == Counter({engine: 3})
