@@ -93,7 +93,8 @@ def cmd_estimate_loss(config: RunConfig) -> ResultTable:
                 "closed_form_reference", "n_paths", "seed"),
         rows=[(report.estimate, report.std_error, report.acceptance_fraction,
                reference, config.paths, config.seed)],
-        manifest={"condition_step": str(condition_step)},
+        manifest={"condition_step": str(condition_step),
+                  "denominator_z": repr(report.denominator_z)},
     )
     print_lines([
         f"conditional loss estimate: {report.estimate!r} "

@@ -192,7 +192,7 @@ def conditional_loss_estimate(model: SdeModel, theta: float, ell: PathFunctional
     Per path: A_i = 1_{g>0} (ell * S(u) - sum_k <D_k ell, u_k> dt) and
     B_i = 1_{g>0} S(u); the estimate is mean(A)/mean(B) with a delta-method
     standard error.  Paths are simulated in blocks; results are independent
-    of the block size because every path owns its own noise stream.
+    of the block size because every path reads its own row of noise.
     """
     blocks = simulate_blocks(model, theta, x0, grid, n_paths, master_seed, block_size)
     a_parts, b_parts = [], []
@@ -234,6 +234,7 @@ def _loss_report(a: np.ndarray, b: np.ndarray, accepted: int,
         a_terms=a,
         b_terms=b,
         acceptance_fraction=accepted / n_paths,
+        denominator_z=float(abs(e2) / se_b) if se_b else math.inf,
     )
 
 

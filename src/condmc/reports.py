@@ -23,7 +23,7 @@ class ConditionalLossReport(EstimatorReport):
 
     per-path numerator terms A_i and denominator terms B_i are retained so
     callers can reuse or re-weight them; std_error is the delta-method error
-    of the quotient.
+    of the quotient; denominator_z = |e2_hat| / its std error, at least 5.
     """
 
     e1_hat: float
@@ -31,6 +31,7 @@ class ConditionalLossReport(EstimatorReport):
     a_terms: np.ndarray
     b_terms: np.ndarray
     acceptance_fraction: float
+    denominator_z: float
 
 
 @dataclass(frozen=True)

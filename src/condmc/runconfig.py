@@ -43,6 +43,8 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.paths < 2:
             raise ConfigError("paths must be at least 2")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError("seed must lie in [0, 2**64)")
         if self.steps < 1:
             raise ConfigError("steps must be positive")
         if self.horizon <= 0.0:

@@ -41,12 +41,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import CoefficientShapeError, NonFiniteEstimate, NonFiniteState, SingularJacobian
-from .streams import TAG_NOISE, _StreamPool, stream
+from .streams import PATHS_PER_STREAM, TAG_NOISE, group_streams, stream
 
 _COND_LIMIT = 1e12
 
 # paths per simulated block in the block-wise estimators; results do not
-# depend on it, since every path owns its own noise stream
+# depend on it, since every path reads its own row of its group's streams
 DEFAULT_BLOCK_SIZE = 25_000
 
 
@@ -203,18 +203,21 @@ class PathBatch:
 
 
 def generate_noise(master_seed: int, path_index: int, grid: TimeGrid, noise_dim: int) -> NoisePath:
-    """Draw the (M, d) Brownian increments of one path from its own stream."""
-    rng = stream(master_seed, path_index, tag=TAG_NOISE)
-    increments = rng.standard_normal((grid.steps, noise_dim)) * math.sqrt(grid.dt)
-    return NoisePath(increments, master_seed, path_index)
+    """The (M, d) increments of one path: row path_index % G of its group's noise."""
+    group, row = divmod(path_index, PATHS_PER_STREAM)
+    rng = stream(master_seed, group, tag=TAG_NOISE)
+    draws = rng.standard_normal((row + 1, grid.steps, noise_dim))
+    return NoisePath(draws[row] * math.sqrt(grid.dt), master_seed, path_index)
 
 
 def _noise_block(master_seed: int, path_indices, grid: TimeGrid, noise_dim: int) -> np.ndarray:
-    """(N, M, d) increments; row i bit-identical to generate_noise(seed, indices[i])."""
-    pool = _StreamPool()
+    """(N, M, d) increments of contiguous paths; row i == generate_noise(seed, indices[i])."""
     out = np.empty((len(path_indices), grid.steps, noise_dim))
-    for row, idx in enumerate(path_indices):
-        pool.rekey(master_seed, int(idx), tag=TAG_NOISE).standard_normal(out=out[row])
+    for rng, rows, part in group_streams(master_seed, path_indices, tag=TAG_NOISE):
+        if part.stop - part.start == PATHS_PER_STREAM:
+            rng.standard_normal(out=out[rows])
+        else:
+            out[rows] = rng.standard_normal((PATHS_PER_STREAM,) + out.shape[1:])[part]
     out *= math.sqrt(grid.dt)
     return out
 

@@ -1,11 +1,11 @@
-"""Counter-based random streams keyed by (master_seed, path_index).
+"""Counter-based random streams, one Philox key per group of G paths.
 
-Each path owns Philox streams identified purely by their key, so any path
-can be regenerated bit-for-bit in isolation and blocks of paths can be
-simulated in any order (or in parallel) without consuming shared generator
-state.  A path has one stream per purpose, in disjoint counter blocks of the
-same key: its noise, its branch randomness (every step's draws from one
-stream, row k for step k) and its branch-step choice.
+Path i reads row i % G of the draws of key (master_seed, i // G), which have
+leading axis G = PATHS_PER_STREAM; so any path can be regenerated bit-for-bit
+in isolation, at the cost of G rows, and blocks of paths can be simulated in
+any order without consuming shared generator state.  Each key has one stream
+per purpose, in disjoint counter blocks: the group's noise, its branch
+randomness (every step's draws, column k for step k) and its branch steps.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
+PATHS_PER_STREAM = 100  # divides the CLI block size and the benchmark path counts
+
 # Counter-block tags. The third counter word selects the purpose of the
 # stream; the two low words start at 0 and are left to the generator itself.
 TAG_NOISE = 0
@@ -21,18 +23,36 @@ TAG_BRANCH = 1
 TAG_CHOICE = 2
 
 
-def stream(master_seed: int, path_index: int, *, tag: int = TAG_NOISE) -> np.random.Generator:
-    """Return the Generator for one (seed, path) substream.
+def _check_key(master_seed: int, index: int) -> None:
+    if not (0 <= master_seed <= _MASK64 and 0 <= index <= _MASK64):
+        raise ValueError("master_seed and the stream index must lie in [0, 2**64)")
 
-    Streams with different (master_seed, path_index, tag) are statistically
+
+def stream(master_seed: int, group: int, *, tag: int = TAG_NOISE) -> np.random.Generator:
+    """Return the Generator of one (seed, group of G paths) substream.
+
+    Streams with different (master_seed, group, tag) are statistically
     independent; recreating a stream replays it exactly.
     """
-    if master_seed < 0 or path_index < 0:
-        raise ValueError("master_seed and path_index must be non-negative")
+    _check_key(master_seed, group)
     # a uint64 array: numpy would turn a list holding a word >= 2**63 into
     # float64 and drop the key's low bits
-    key = np.array([int(master_seed) & _MASK64, int(path_index) & _MASK64], dtype=np.uint64)
+    key = np.array([int(master_seed), int(group)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=[0, 0, int(tag), 0], key=key))
+
+
+def group_streams(master_seed: int, path_indices, *, tag: int):
+    """Walk the groups of contiguous path indices through one pool; yield, per
+    group, its generator, the block rows it covers and the rows of its (G, ...)
+    draws that those read (all G for a full group)."""
+    first, stop = int(path_indices[0]), int(path_indices[-1]) + 1
+    _check_key(master_seed, first)
+    pool = _StreamPool()
+    for group in range(first // PATHS_PER_STREAM, (stop - 1) // PATHS_PER_STREAM + 1):
+        base = group * PATHS_PER_STREAM
+        lo, hi = max(first, base), min(stop, base + PATHS_PER_STREAM)
+        yield (pool.rekey(master_seed, group, tag=tag), slice(lo - first, hi - first),
+               slice(lo - base, hi - base))
 
 
 def child_seed(master_seed: int, *parts: int) -> int:
@@ -42,10 +62,10 @@ def child_seed(master_seed: int, *parts: int) -> int:
 
 
 class _StreamPool:
-    """Reusable Philox/Generator pair for tight per-path loops.
+    """Reusable Philox/Generator pair for tight per-group loops.
 
     Reassigning the bit-generator state is ~2x cheaper than constructing a
-    fresh Generator per path and produces bit-identical output (covered by
+    fresh Generator per group and produces bit-identical output (covered by
     tests against :func:`stream`).  The state dict is built once; a rekey
     updates its counter and key arrays in place, and the setter copies them.
     """
@@ -64,9 +84,9 @@ class _StreamPool:
             "uinteger": 0,
         }
 
-    def rekey(self, master_seed: int, path_index: int, *, tag: int = TAG_NOISE) -> np.random.Generator:
+    def rekey(self, master_seed: int, group: int, *, tag: int = TAG_NOISE) -> np.random.Generator:
         self._counter[2] = tag  # the other counter words stay 0
-        self._key[0] = master_seed & _MASK64
-        self._key[1] = path_index & _MASK64
+        self._key[0] = master_seed
+        self._key[1] = group
         self._bg.state = self._state
         return self.generator

@@ -45,7 +45,7 @@ from .sde import (
     simulate_blocks,
     simulate_path,
 )
-from .streams import TAG_BRANCH, TAG_CHOICE, _StreamPool, stream
+from .streams import PATHS_PER_STREAM, TAG_BRANCH, TAG_CHOICE, group_streams, stream
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -155,12 +155,8 @@ def _branch_pair_from_draws(decomp: HjDecomposition, u, r, z):
     else:
         comp = decomp.per_dimension[0]
     radius = r * comp.rayleigh_scale
-    if n > 1:
-        base = decomp.mean + decomp.rayleigh_scales * z
-    else:
-        base = decomp.mean.copy()
-    x_plus = base.copy()
-    x_minus = base
+    base = decomp.mean + decomp.rayleigh_scales * z if n > 1 else decomp.mean.copy()
+    x_plus, x_minus = base.copy(), base
     x_plus[comp.index] = comp.mean + comp.sign * radius
     x_minus[comp.index] = comp.mean - comp.sign * radius
     return x_plus, x_minus
@@ -228,31 +224,30 @@ def _hj_terms_batch(model: SdeModel, x: np.ndarray, t: float, theta: float, dt: 
     return mean, scales, weights, total, signs
 
 
-def _path_branch_draws(rng: np.random.Generator, steps: int, n_dim: int):
-    """One path's branch randomness for every step, row k for step k.
+def _group_branch_draws(rng: np.random.Generator, steps: int, n_dim: int):
+    """One group's branch randomness: row i for path i % G, column k for step k.
 
-    Returns (choice uniforms (M,), unit Rayleigh radii (M,), nominal normals
-    (M, n)), drawn in that order from the path's TAG_BRANCH stream; a scalar
-    state draws only the radii and gets None for the other two.
+    Returns (choice uniforms (G, M), unit Rayleigh radii (G, M), nominal
+    normals (G, M, n)), drawn in that order from the group's TAG_BRANCH
+    stream; a scalar state draws only the radii and gets None for the others.
     """
+    shape = (PATHS_PER_STREAM, steps)
     if n_dim == 1:
-        return None, rng.rayleigh(1.0, steps), None
-    return rng.random(steps), rng.rayleigh(1.0, steps), rng.standard_normal((steps, n_dim))
+        return None, rng.rayleigh(1.0, shape), None
+    return rng.random(shape), rng.rayleigh(1.0, shape), rng.standard_normal(shape + (n_dim,))
 
 
 def _branch_draw_block(master_seed: int, path_indices: np.ndarray, steps: int, n_dim: int):
-    """(N, M) / (N, M, n) branch randomness of a block of paths, one rekey per
-    path; row i holds _path_branch_draws of path_indices[i]."""
-    pool = _StreamPool()
+    """(N, M) / (N, M, n) branch randomness of contiguous path indices, one
+    rekey per group; row i holds row indices[i] % G of its group's draws."""
     count = len(path_indices)
     r = np.empty((count, steps))
     u = np.empty((count, steps)) if n_dim > 1 else None
     z = np.empty((count, steps, n_dim)) if n_dim > 1 else None
-    for row, idx in enumerate(path_indices):
-        rng = pool.rekey(master_seed, int(idx), tag=TAG_BRANCH)
-        for out, part in zip((u, r, z), _path_branch_draws(rng, steps, n_dim)):
+    for rng, rows, part in group_streams(master_seed, path_indices, tag=TAG_BRANCH):
+        for out, draws in zip((u, r, z), _group_branch_draws(rng, steps, n_dim)):
             if out is not None:
-                out[row] = part
+                out[rows] = draws[part]
     return u, r, z
 
 
@@ -266,15 +261,13 @@ def _assemble_branch_states(mean, scales, weights, total, signs, u, r, z):
     n_dim = mean.shape[-1]
     if n_dim == 1:
         chosen = np.zeros(mean.shape[:-1], dtype=np.intp)
-        base_plus = mean.copy()
-        base_minus = mean.copy()
+        base = mean.copy()
     else:
         cum = np.cumsum(weights, axis=-1)
         target = (u * total)[..., None]
         chosen = np.minimum(np.sum(cum <= target, axis=-1), n_dim - 1)
         base = mean + scales * z
-        base_plus = base.copy()
-        base_minus = base
+    base_plus, base_minus = base.copy(), base
     rows = np.arange(mean.shape[0])
     sign = signs[rows, chosen]
     radius = r * scales[rows, chosen]
@@ -293,8 +286,8 @@ def hj_single_branch(model: SdeModel, theta: float, x0, grid: TimeGrid, branch_s
     """Branch one simulated path at one step and return the weighted gap.
 
     Simulates the base path, splits the transition kernel at the branch step
-    with row branch_step of the path's branch draws (the row the batched
-    engines use), propagates the coupled pair to the horizon with the path's
+    with the path's branch draws for that step (the ones the batched engines
+    use), propagates the coupled pair to the horizon with the path's
     own remaining increments, and returns scale * (C(plus path) - C(minus path)).
     """
     if not 0 <= branch_step < grid.steps:
@@ -305,10 +298,10 @@ def hj_single_branch(model: SdeModel, theta: float, x0, grid: TimeGrid, branch_s
                           theta, grid.dt)
     if decomp.scale == 0.0:
         return 0.0
-    draws = _path_branch_draws(stream(master_seed, path_index, tag=TAG_BRANCH), grid.steps,
-                               model.state_dim)
-    x_plus, x_minus = _branch_pair_from_draws(
-        decomp, *(None if a is None else a[branch_step] for a in draws))
+    group, row = divmod(path_index, PATHS_PER_STREAM)
+    draws = _group_branch_draws(stream(master_seed, group, tag=TAG_BRANCH), grid.steps,
+                                model.state_dim)
+    x_plus, x_minus = _branch_pair_from_draws(decomp, *_draws_at(draws, row, branch_step))
     diag = _diagonal_sigma(model, bundle.states[branch_step], grid.times[branch_step])
     values = []
     for x_new in (x_plus, x_minus):
@@ -508,10 +501,8 @@ def _grouped_random_k(batch: PathBatch, functional: PathFunctional):
     count = batch.n_paths
     indices = batch.path_indices
     ks = np.empty(count, dtype=np.intp)
-    pool = _StreamPool()
-    for row, idx in enumerate(indices):
-        rng = pool.rekey(batch.master_seed, int(idx), tag=TAG_CHOICE)
-        ks[row] = rng.integers(0, steps)
+    for rng, rows, part in group_streams(batch.master_seed, indices, tag=TAG_CHOICE):
+        ks[rows] = rng.integers(0, steps, PATHS_PER_STREAM)[part]
     draws = _branch_draw_block(batch.master_seed, indices, steps, model.state_dim)
     total = np.zeros(count)
     new_plus = batch.states[np.arange(count), ks + 1]

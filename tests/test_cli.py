@@ -182,6 +182,23 @@ def test_estimate_loss_command(tmp_path):
     manifest = read_manifest(out / "manifest.txt")
     assert manifest["command"] == "estimate-loss"
     assert "wall_time_s" in manifest and "git_describe" in manifest
+    # the denominator's z-score goes to the manifest only, never to the CSV
+    assert float(manifest["denominator_z"]) >= 5.0
+
+
+@pytest.mark.parametrize("seed", ["-3", "18446744073709551616", "18446744073709551621"])
+def test_estimate_loss_rejects_seeds_outside_64_bits(tmp_path, capsys, seed):
+    # 2**64 + 5 used to give the estimate of --seed 5, and -3 used to run
+    code = main(["estimate-loss", "--paths", "200", "--seed", seed, "--out", str(tmp_path)])
+    assert code == 2
+    assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+    assert not (tmp_path / "estimate_loss.csv").exists()
+
+
+def test_config_accepts_the_largest_64_bit_seed():
+    assert resolve_config("estimate-loss", {}, {"seed": 2 ** 64 - 1}).seed == 2 ** 64 - 1
+    with pytest.raises(ConfigError):
+        resolve_config("optimize", {"seed": -1}, {})
 
 
 def test_estimate_loss_at_theta_zero(tmp_path):

@@ -368,6 +368,13 @@ def test_conditional_loss_needs_two_paths():
         conditional(n=1)
 
 
+def test_denominator_z_is_the_gate_statistic():
+    rep = conditional(n=4000, seed=11)
+    se_b = rep.b_terms.std(ddof=1) / math.sqrt(rep.n_paths)
+    assert rep.denominator_z == abs(rep.e2_hat) / se_b
+    assert rep.denominator_z >= 5.0
+
+
 def test_conditional_loss_block_size_invariance():
     whole = conditional(n=5000, seed=44)
     split = conditional(n=5000, seed=44, block_size=137)

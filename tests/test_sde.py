@@ -476,19 +476,19 @@ def test_path_dependent_jacobians_stay_per_row(model):
 
 # float.hex values and a sha256 of (Y, Z, marginal_power(12, 2) derivative)
 # for sine_diffusion_model, whose Jacobians and derivative rows take the
-# per-row recursion; they were captured with elementwise scalar arithmetic,
-# which the 1x1 matrix products must reproduce bit for bit.  The score-function
-# (estimate, std_error, variance) of both per-row models were captured while
-# the model still saw t as an (M, 1) column.
+# per-row recursion, and the score-function (estimate, std_error, variance) of
+# both per-row models.  Re-captured when paths moved to grouped Philox streams;
+# a version that changed only the noise, branch and choice draw sites
+# reproduced every value.
 PER_ROW_PINS = {
-    "loss": ("0x1.51f2dfad35622p-3", "0x1.86945fb82ca9ap-5"),
-    "random-k": ("0x1.85b1c1cce5dd9p-6", "0x1.949438ab358f7p-4", "0x1.8968f0385b670p-4"),
-    "sum-over-k": ("0x1.85b1c1cce5dd9p-6", "0x1.8d1a8da0fd094p-5", "0x1.0f1ada9e2677ap-4"),
-    "profiles": "b9c7030381f72691986a0f1218c1d40be922f3ad8df26a10ff823324e22eeb42",
-    "score sine-diffusion": ("-0x1.9cb3e698d750bp-3", "0x1.81c834e800c13p-5",
-                             "0x1.54a3c95bc7843p-1"),
-    "score linear-noise": ("-0x1.1e273aa708277p-5", "0x1.88c58a3c9f417p-8",
-                           "0x1.6118523f03462p-7"),
+    "loss": ("0x1.f2cb47eff0770p-4", "0x1.35b2222af6176p-5"),
+    "random-k": ("0x1.764b20e47a250p-4", "-0x1.fc4b740446fa5p-8", "0x1.5cfa2c8268923p-4"),
+    "sum-over-k": ("0x1.764b20e47a250p-4", "0x1.83805ae1e80c7p-5", "0x1.c42477b9dc369p-5"),
+    "profiles": "59c04db4fe2027a017125e5947d5543ccadd383d580b1d3653c8a90ff339519f",
+    "score sine-diffusion": ("-0x1.9c4f95ae61fc3p-3", "0x1.a31aa7bcf9306p-5",
+                             "0x1.9206e7c2600f7p-1"),
+    "score linear-noise": ("-0x1.20dd961c9f68cp-5", "0x1.937e358cacfedp-8",
+                           "0x1.74a27eb6d9cfap-7"),
 }
 
 

@@ -21,7 +21,7 @@ from condmc.errors import (
 )
 from condmc.functionals import PathFunctional
 from condmc.sde import simulate_blocks
-from condmc.streams import TAG_BRANCH, TAG_CHOICE, TAG_NOISE, _StreamPool, stream
+from condmc.streams import PATHS_PER_STREAM, TAG_BRANCH, TAG_CHOICE, TAG_NOISE, _StreamPool, stream
 from condmc.weakderiv import _hj_values
 from test_sde import mixed_model, sine_diffusion_model
 
@@ -125,6 +125,12 @@ def marginal_at(step):
     return PathFunctional(
         value=lambda bundle: bundle.states[..., step, 0] ** 2,
     )
+
+
+def choice_step(seed, i, steps):
+    """Path i's random-k branch step: row i % G of its group's choice draws."""
+    return int(stream(seed, i // PATHS_PER_STREAM, tag=TAG_CHOICE).integers(
+        0, steps, PATHS_PER_STREAM)[i % PATHS_PER_STREAM])
 
 
 def sum_over_k_reference(model, theta, x0, grid, functional, n_paths, seed):
@@ -361,7 +367,7 @@ def test_random_k_engine_matches_reference():
     report = cm.hj_gradient(model, 1.0, X0, grid, f, n, "random-k", seed)
     vals = np.empty(n)
     for i in range(n):
-        k = int(stream(seed, i, tag=TAG_CHOICE).integers(0, grid.steps))
+        k = choice_step(seed, i, grid.steps)
         vals[i] = grid.steps * cm.hj_single_branch(model, 1.0, X0, grid, k, f,
                                                    seed, i)
     assert report.estimate == pytest.approx(math.fsum(vals) / n, rel=1e-12)
@@ -424,7 +430,7 @@ def test_random_k_two_dim_matches_reference():
                             "random-k", seed)
     vals = np.empty(n)
     for i in range(n):
-        k = int(stream(seed, i, tag=TAG_CHOICE).integers(0, grid.steps))
+        k = choice_step(seed, i, grid.steps)
         vals[i] = grid.steps * cm.hj_single_branch(
             model, 1.0, np.array([0.3, -0.2]), grid, k, f, seed, i)
     assert report.estimate == pytest.approx(math.fsum(vals) / n, rel=1e-12)
@@ -443,7 +449,7 @@ def test_jacobian_reading_payoff_matches_reference():
                             "random-k", seed)
     vals = np.empty(n)
     for i in range(n):
-        k = int(stream(seed, i, tag=TAG_CHOICE).integers(0, grid.steps))
+        k = choice_step(seed, i, grid.steps)
         vals[i] = grid.steps * cm.hj_single_branch(model, 0.8, np.array([0.4]),
                                                    grid, k, f, seed, i)
     assert report.estimate == pytest.approx(math.fsum(vals) / n, rel=1e-12)
@@ -565,8 +571,9 @@ def test_gradient_constant_payoff_is_exact_zero():
     cm.integral_functional(lambda x: x[..., 0] ** 2, lambda x: 2.0 * x),
 ], ids=["terminal", "integral"])
 def test_sum_over_k_exploding_branch_raises_non_finite_state(functional):
-    # dX = theta X^3 dt + dW: the base paths stay finite, but some branch
-    # copies blow up before the horizon
+    # dX = theta X^3 dt + dW: at this theta and path count the base paths
+    # stay finite (asserted below), but some branch copies blow up before
+    # the horizon, so the branch pass is what raises
     model = cm.SdeModel(
         drift=lambda x, t, theta: theta * x ** 3,
         drift_dtheta=lambda x, t, theta: x ** 3,
@@ -578,12 +585,14 @@ def test_sum_over_k_exploding_branch_raises_non_finite_state(functional):
         name="explosive-cubic",
     )
     grid = cm.TimeGrid(1.0, 20)
+    theta, n = 0.34, 400
     with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isfinite(cm.simulate_paths(model, theta, X0, grid, n, 3).states).all()
         with pytest.raises(NonFiniteState) as failure:
-            cm.hj_gradient(model, 0.5, X0, grid, functional, 400, "sum-over-k", 3)
+            cm.hj_gradient(model, theta, X0, grid, functional, n, "sum-over-k", 3)
         assert failure.value.step == grid.steps
         with pytest.raises(NonFiniteState):
-            cm.hj_gradient(model, 0.5, X0, grid, functional, 400, "random-k", 3)
+            cm.hj_gradient(model, theta, X0, grid, functional, n, "random-k", 3)
 
 
 @pytest.mark.parametrize("estimator", ["random-k", "sum-over-k", "score-function"])
@@ -678,26 +687,28 @@ def test_gradient_deterministic_under_seed_and_blocking():
 
 
 # ---------------------------------------------------------------------------
-# random-k outputs pinned to the bit (captured before the engine restarted
-# every branch row in one pass; any change here is a change of numbers)
+# random-k outputs pinned to the bit (re-captured when paths moved to grouped
+# Philox streams, PATHS_PER_STREAM per key; a version that changed only the
+# noise, branch and choice draw sites reproduced them; any change here is a
+# change of numbers)
 
 
 RANDOM_K_PINS = {
     # (state dim, block size): (estimate, variance, branch_stats) as float.hex
-    (1, 400): ("-0x1.778eba308a088p-1", "0x1.d0bd9c9bed4b9p+1", "0x1.a0fb4619e046fp-1"),
-    (1, 64): ("-0x1.778eba308a088p-1", "0x1.d0bd9c9bed4b9p+1", "0x1.a0fb4619e0472p-1"),
-    (2, 400): ("-0x1.bb3cbcce11b8cp-2", "0x1.aee6d27b60daap-1", "0x1.043b1e7168aa4p-2"),
-    (2, 64): ("-0x1.bb3cbcce11b8cp-2", "0x1.aee6d27b60daap-1", "0x1.043b1e7168aa5p-2"),
+    (1, 400): ("-0x1.79617e9aca1b2p-1", "0x1.8e65200e6eb99p+1", "0x1.84f38a1f9f7a5p-1"),
+    (1, 64): ("-0x1.79617e9aca1b2p-1", "0x1.8e65200e6eb99p+1", "0x1.84f38a1f9f7a4p-1"),
+    (2, 400): ("-0x1.19d8eddff38e8p-1", "0x1.d2230d606fa45p-1", "0x1.2ac4c4c5de7fbp-2"),
+    (2, 64): ("-0x1.19d8eddff38e8p-1", "0x1.d2230d606fa45p-1", "0x1.2ac4c4c5de7fap-2"),
 }
 
 
 # (state dim, block size): score-function (estimate, std_error, variance) as
-# float.hex, captured while the model still saw t as an (M, 1) column
+# float.hex, re-captured with the random-k pins above
 SCORE_PINS = {
-    (1, 400): ("-0x1.91bb6b5e860b1p-1", "0x1.495ab3139da46p-3", "0x1.4b0982537441ep+3"),
-    (1, 64): ("-0x1.91bb6b5e860b1p-1", "0x1.495ab3139da46p-3", "0x1.4b0982537441ep+3"),
-    (2, 400): ("-0x1.a4a30d20cbe08p-2", "0x1.890af025bed00p-4", "0x1.d7718507024fep+1"),
-    (2, 64): ("-0x1.a4a30d20cbe08p-2", "0x1.890af025bed00p-4", "0x1.d7718507024fep+1"),
+    (1, 400): ("-0x1.2feb482516af4p-1", "0x1.c74ad59d14bf6p-4", "0x1.3c4d15d88890ep+2"),
+    (1, 64): ("-0x1.2feb482516af4p-1", "0x1.c74ad59d14bf6p-4", "0x1.3c4d15d88890ep+2"),
+    (2, 400): ("-0x1.ad1f2b0f2f6bbp-2", "0x1.4fc5e146f3d06p-4", "0x1.5810d94d8525bp+1"),
+    (2, 64): ("-0x1.ad1f2b0f2f6bbp-2", "0x1.4fc5e146f3d06p-4", "0x1.5810d94d8525bp+1"),
 }
 
 
@@ -734,7 +745,7 @@ def test_random_k_rows_branched_at_step_zero_are_exact_zeros():
     n, seed = 200, 4
     batch = cm.simulate_paths(cm.ou_model(1.0), 1.0, X0, grid, n, seed)
     vals, gap_sums, _ = _hj_values(batch, terminal_square(), "random-k")
-    ks = np.array([stream(seed, i, tag=TAG_CHOICE).integers(0, grid.steps) for i in range(n)])
+    ks = np.array([choice_step(seed, i, grid.steps) for i in range(n)])
     assert np.count_nonzero(ks == 0) > 0
     assert np.array_equal(vals[ks == 0].view(np.int64), np.zeros(np.count_nonzero(ks == 0),
                                                                   dtype=np.int64))
@@ -743,7 +754,7 @@ def test_random_k_rows_branched_at_step_zero_are_exact_zeros():
 
 
 # ---------------------------------------------------------------------------
-# stream layout: one noise stream and one branch stream per path
+# stream layout: one noise stream and one branch stream per group of paths
 
 
 @pytest.mark.parametrize("mode, functional, tags", [
@@ -754,20 +765,24 @@ def test_random_k_rows_branched_at_step_zero_are_exact_zeros():
     ("random-k", terminal_square(), (TAG_NOISE, TAG_CHOICE, TAG_BRANCH)),
 ], ids=["terminal", "integral", "generic", "random-k"])
 def test_gradient_rekeys_each_stream_once_per_path(monkeypatch, mode, functional, tags):
+    # each block rekeys once per stream purpose and group of paths it touches:
+    # blocks [0, 120), [120, 240), [240, 250) touch groups {0, 1}, {1, 2}, {2}
     rekeyed = Counter()
     rekey = _StreamPool.rekey
 
-    def counted(self, master_seed, path_index, *, tag=TAG_NOISE):
-        rekeyed[tag] += 1
-        return rekey(self, master_seed, path_index, tag=tag)
+    def counted(self, master_seed, group, *, tag=TAG_NOISE):
+        rekeyed[tag, group] += 1
+        return rekey(self, master_seed, group, tag=tag)
 
     monkeypatch.setattr(_StreamPool, "rekey", counted)
-    n = 30
+    assert PATHS_PER_STREAM == 100
+    n = 250
     for steps in (5, 40):
         rekeyed.clear()
         cm.hj_gradient(cm.ou_model(1.0), 1.0, np.array([0.5]), cm.TimeGrid(1.0, steps),
-                       functional, n, mode, 3, block_size=12)
-        assert rekeyed == Counter({tag: n for tag in tags})
+                       functional, n, mode, 3, block_size=120)
+        assert rekeyed == Counter({(tag, group): count for tag in tags
+                                   for group, count in ((0, 1), (1, 2), (2, 2))})
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +854,7 @@ def test_engines_match_single_branch_reference_property(engine, case):
     if mode == "random-k":
         vals = np.empty(n)
         for i in range(n):
-            k = int(stream(seed, i, tag=TAG_CHOICE).integers(0, grid.steps))
+            k = choice_step(seed, i, grid.steps)
             vals[i] = grid.steps * cm.hj_single_branch(model, theta, x0, grid, k, f, seed, i)
     else:
         vals = sum_over_k_reference(model, theta, x0, grid, f, n, seed)
