@@ -27,7 +27,7 @@ from .errors import (
 )
 from .functionals import PathFunctional, derivative_profile
 from .reports import ConditionalLossReport, EstimatorReport
-from .sde import (DEFAULT_BLOCK_SIZE, PathBatch, PathBundle, SdeModel, TimeGrid, finite_fsum,
+from .sde import (PathBatch, PathBundle, SdeModel, TimeGrid, finite_fsum,
                   fsum, require_finite, shared_row, simulate_blocks)
 
 _ENERGY_FLOOR = 1e-14
@@ -186,7 +186,7 @@ def conditional_quotient_terms(ell: PathFunctional, g: PathFunctional, weight_ru
 def conditional_loss_estimate(model: SdeModel, theta: float, ell: PathFunctional,
                               g: PathFunctional, weight_rule, n_paths: int,
                               master_seed: int, grid: TimeGrid, x0,
-                              block_size: int = DEFAULT_BLOCK_SIZE) -> ConditionalLossReport:
+                              block_size: int | None = None) -> ConditionalLossReport:
     """Estimate E[ell(X) | g(X) = 0] as a quotient of Skorohod-weighted means.
 
     Per path: A_i = 1_{g>0} (ell * S(u) - sum_k <D_k ell, u_k> dt) and

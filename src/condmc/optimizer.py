@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import CondMcError, DegenerateDenominator, SingularDiffusion
 from .functionals import PathFunctional
 from .malliavin import _loss_report, conditional_quotient_terms
-from .sde import (DEFAULT_BLOCK_SIZE, PathBatch, SdeModel, TimeGrid, finite_fsum, fsum,
+from .sde import (PathBatch, SdeModel, TimeGrid, finite_fsum, fsum,
                   on_grid, require_finite, simulate_blocks)
 from .streams import child_seed
 from .weakderiv import GRADIENT_MODES, _hj_values
@@ -120,7 +120,7 @@ def counterfactual_gradient(model: SdeModel, theta: float, ell: PathFunctional,
                             g: PathFunctional, weight_rule, grid: TimeGrid, x0,
                             n_paths: int, gradient_mode: str = "random-k",
                             master_seed: int = 0,
-                            block_size: int = DEFAULT_BLOCK_SIZE):
+                            block_size: int | None = None):
     """Loss and its theta-gradient at one parameter point.
 
     Returns (loss, gradient, diagnostics).  The loss is the quotient of
@@ -208,11 +208,14 @@ class OptimizerConfig:
             raise ValueError("theta_bounds must satisfy lo < hi")
         if self.gradient_mode not in GRADIENT_MODES:
             raise ValueError(f"unknown gradient mode {self.gradient_mode!r}")
+        if not 0 <= self.master_seed < 2 ** 64:
+            raise ValueError("master_seed must lie in [0, 2**64)")
 
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One SGD step: the iterate and everything estimated at it."""
+    """One SGD step: the iterate and everything estimated at it; the fields
+    after gradient are counterfactual_gradient's diagnostics of that name."""
 
     iteration: int
     theta: float
@@ -222,6 +225,14 @@ class IterationRecord:
     e2: float
     se_loss: float
     se_gradient: float
+    grad_e1_measure: float
+    grad_e1_integrand: float
+    grad_e2_measure: float
+    grad_e2_integrand: float
+    acceptance_fraction: float
+
+
+_DIAGNOSTIC_FIELDS = tuple(f.name for f in fields(IterationRecord))[4:]
 
 
 @dataclass(frozen=True)
@@ -275,15 +286,8 @@ def run_sgd(model: SdeModel, ell: PathFunctional, g: PathFunctional,
                 error=f"{type(exc).__name__}: {exc}",
             )
         records.append(IterationRecord(
-            iteration=n,
-            theta=theta,
-            loss=loss,
-            gradient=gradient,
-            e1=diag["e1"],
-            e2=diag["e2"],
-            se_loss=diag["se_loss"],
-            se_gradient=diag["se_gradient"],
-        ))
+            iteration=n, theta=theta, loss=loss, gradient=gradient,
+            **{field: diag[field] for field in _DIAGNOSTIC_FIELDS}))
         theta = min(max(theta - config.step_size * gradient, lo), hi)
     return OptimizationTrace(
         records=tuple(records),

@@ -13,6 +13,10 @@ coefficients may simply return (n,), (n, n) or (n, n, d) arrays.  Only
 on_grid evaluates a coefficient along the grid, one model call per step.
 Each Euler pass checks the diffusion's shape once, at its first step.
 
+The block-wise estimators simulate block_rows(model, grid) paths at a time
+unless given a block_size: as many as keep states plus increments within
+BLOCK_BYTES, in whole stream groups.  No result depends on the block size.
+
 _apply_diffusion multiplies dW by a 1x1 sigma directly, one rounding as in the 1x1 product.
 
 A model states two structural facts through its derivatives: a drift_dx
@@ -45,9 +49,8 @@ from .streams import PATHS_PER_STREAM, TAG_NOISE, group_streams, stream
 
 _COND_LIMIT = 1e12
 
-# paths per simulated block in the block-wise estimators; results do not
-# depend on it, since every path reads its own row of its group's streams
-DEFAULT_BLOCK_SIZE = 25_000
+# bytes of states plus increments in one simulated block (block_rows)
+BLOCK_BYTES = 16 * 2 ** 20
 
 
 def fsum(values) -> float:
@@ -409,15 +412,25 @@ def simulate_paths(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: i
     return PathBatch(model, grid, float(theta), states, increments, master_seed, indices)
 
 
+def block_rows(model: SdeModel, grid: TimeGrid) -> int:
+    """Rows of one block whose states and increments fit in BLOCK_BYTES, in
+    whole stream groups, and at least one group."""
+    row_bytes = 8 * ((grid.steps + 1) * model.state_dim + grid.steps * model.noise_dim)
+    return max(BLOCK_BYTES // row_bytes // PATHS_PER_STREAM, 1) * PATHS_PER_STREAM
+
+
 def simulate_blocks(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: int,
-                    master_seed: int, block_size: int = DEFAULT_BLOCK_SIZE):
-    """Paths 0 .. n_paths-1 as simulate_paths blocks of at most block_size rows.
+                    master_seed: int, block_size: int | None = None):
+    """Paths 0 .. n_paths-1 as simulate_paths blocks of at most block_size
+    rows, block_rows(model, grid) when None.
 
     The arguments are checked at the call; the blocks are simulated one at a
     time as they are drawn, and none is kept here once it has been handed out.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
+    if block_size is None:
+        block_size = block_rows(model, grid)
     if block_size < 1:
         raise ValueError("block_size must be at least 1")
     return (simulate_paths(model, theta, x0, grid, min(block_size, n_paths - first),

@@ -14,7 +14,7 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-PATHS_PER_STREAM = 100  # divides the CLI block size and the benchmark path counts
+PATHS_PER_STREAM = 100  # divides every derived block size and the benchmark path counts
 
 # Counter-block tags. The third counter word selects the purpose of the
 # stream; the two low words start at 0 and are left to the generator itself.
@@ -23,9 +23,9 @@ TAG_BRANCH = 1
 TAG_CHOICE = 2
 
 
-def _check_key(master_seed: int, index: int) -> None:
-    if not (0 <= master_seed <= _MASK64 and 0 <= index <= _MASK64):
-        raise ValueError("master_seed and the stream index must lie in [0, 2**64)")
+def _check_key(*words: int) -> None:
+    if not all(0 <= w <= _MASK64 for w in words):
+        raise ValueError("master_seed, stream indices and seed parts must lie in [0, 2**64)")
 
 
 def stream(master_seed: int, group: int, *, tag: int = TAG_NOISE) -> np.random.Generator:
@@ -56,8 +56,11 @@ def group_streams(master_seed: int, path_indices, *, tag: int):
 
 
 def child_seed(master_seed: int, *parts: int) -> int:
-    """Derive a sub-seed deterministically from a master seed and context ints."""
-    ss = np.random.SeedSequence(entropy=[int(master_seed) & _MASK64] + [int(p) & _MASK64 for p in parts])
+    """Derive a sub-seed deterministically from a master seed and context ints,
+    each in [0, 2**64)."""
+    words = [int(master_seed), *map(int, parts)]
+    _check_key(*words)
+    ss = np.random.SeedSequence(entropy=words)
     return int(ss.generate_state(1, np.uint64)[0])
 
 

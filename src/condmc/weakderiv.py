@@ -29,7 +29,6 @@ from .errors import (
 from .functionals import PathFunctional
 from .reports import GradientReport
 from .sde import (
-    DEFAULT_BLOCK_SIZE,
     NoisePath,
     PathBatch,
     SdeModel,
@@ -322,8 +321,8 @@ def hj_single_branch(model: SdeModel, theta: float, x0, grid: TimeGrid, branch_s
 # aggregated gradient estimators
 #
 # Each engine branches one simulated block of base paths and returns the
-# block's per-path estimates, its |gap| sums in the order they were formed,
-# and the number of gaps behind them.  A functional may return (N,) values
+# block's per-path estimates, each row's sum of |gap| over its branches, and
+# the number of gaps behind them.  A functional may return (N,) values
 # or (N, m) columns; every column gets the bits a scalar run of it would.
 
 
@@ -336,6 +335,11 @@ def _step_sum(scale_k: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     """Sum of scale_k * gaps over the step axis 1, one contiguous row per column."""
     weighted = np.moveaxis(_per_row(scale_k, gaps) * gaps, 1, -1)
     return np.sum(np.ascontiguousarray(weighted), axis=-1)
+
+
+def _row_abs_sums(gaps: np.ndarray) -> np.ndarray:
+    """Sum of |gaps| over all but the path axis 0, one contiguous row per path."""
+    return np.sum(np.ascontiguousarray(np.abs(gaps).reshape(len(gaps), -1)), axis=-1)
 
 
 def _placed_branches(batch: PathBatch):
@@ -439,7 +443,7 @@ def _terminal_sum_over_k(batch: PathBatch, functional: PathFunctional):
         plus, minus, scale_k = _affine_branches(batch, props)
     gaps = (np.asarray(functional.terminal_value(plus))
             - np.asarray(functional.terminal_value(minus)))
-    return _step_sum(scale_k, gaps), [float(np.sum(np.abs(gaps)))], gaps.size
+    return _step_sum(scale_k, gaps), _row_abs_sums(gaps), gaps.size
 
 
 def _integral_sum_over_k(batch: PathBatch, functional: PathFunctional):
@@ -456,7 +460,7 @@ def _integral_sum_over_k(batch: PathBatch, functional: PathFunctional):
         gap_acc[:, :j] += dt * (np.asarray(h(live_plus)) - np.asarray(h(live_minus)))
 
     _, _, scale_k = _all_steps_branches(batch, accumulate)
-    return _step_sum(scale_k, gap_acc), [float(np.sum(np.abs(gap_acc)))], gap_acc.size
+    return _step_sum(scale_k, gap_acc), _row_abs_sums(gap_acc), gap_acc.size
 
 
 def _branch_batch(base: PathBatch, starts: np.ndarray, new_states: np.ndarray) -> PathBatch:
@@ -508,7 +512,6 @@ def _grouped_random_k(batch: PathBatch, functional: PathFunctional):
     new_plus = batch.states[np.arange(count), ks + 1]
     new_minus = new_plus.copy()
     live = np.zeros(count, dtype=bool)
-    groups = []
     for k in np.unique(ks):
         rows = np.nonzero(ks == k)[0]
         mean, scales, weights, group_total, signs = _hj_terms_batch(
@@ -519,13 +522,12 @@ def _grouped_random_k(batch: PathBatch, functional: PathFunctional):
             mean, scales, weights, group_total, signs, *_draws_at(draws, rows, k))
         total[rows] = group_total
         live[rows] = True
-        groups.append(rows)
     # free the spent draws and keep one restarted side alive at a time: the
     # restart passes then add one block copy to the peak memory, not three
     del draws
-    if not groups:  # no path is sensitive at its branch step
+    if not live.any():  # no path is sensitive at its branch step
         block_vals = np.zeros(np.shape(functional.value(batch)))
-        return block_vals, [], block_vals.size
+        return block_vals, np.zeros(count), block_vals.size
     plus = _branch_batch(batch, ks, new_plus)
     plus_values = np.asarray(functional.value(plus))
     del plus
@@ -533,15 +535,14 @@ def _grouped_random_k(batch: PathBatch, functional: PathFunctional):
     gaps = plus_values - np.asarray(functional.value(minus))
     block_vals = np.zeros(gaps.shape)
     block_vals[live] = _per_row(steps * total[live], gaps[live]) * gaps[live]
-    gap_sums = [float(np.sum(np.abs(gaps[rows]))) for rows in groups]
-    return block_vals, gap_sums, block_vals.size
+    return block_vals, np.where(live, _row_abs_sums(gaps), 0.0), block_vals.size
 
 
 def _generic_sum_over_k(batch: PathBatch, functional: PathFunctional):
     """Branch at every step with full branch re-propagation (any functional)."""
     model, grid, theta = batch.model, batch.grid, batch.theta
     block_vals = 0.0
-    gap_sums = []
+    gap_rows = np.zeros(batch.n_paths)
     gap_count = 0
     draws = _branch_draw_block(batch.master_seed, batch.path_indices, grid.steps,
                                model.state_dim)
@@ -555,14 +556,14 @@ def _generic_sum_over_k(batch: PathBatch, functional: PathFunctional):
         minus = _branch_batch(batch, starts, bm)
         gaps = np.asarray(functional.value(plus)) - np.asarray(functional.value(minus))
         block_vals = block_vals + _per_row(total, gaps) * gaps
-        gap_sums.append(float(np.sum(np.abs(gaps))))
+        gap_rows += _row_abs_sums(gaps)
         gap_count += gaps.size
-    return block_vals, gap_sums, gap_count
+    return block_vals, gap_rows, gap_count
 
 
 def _hj_values(batch: PathBatch, functional: PathFunctional, mode: str):
     """Per-path branch estimates on one simulated block (mean-one-unbiased for
-    d/dtheta E[C]), with the block's |gap| sums and gap count."""
+    d/dtheta E[C]), with the block's per-row |gap| sums and gap count."""
     if mode == "random-k":
         return _grouped_random_k(batch, functional)
     if functional.terminal_value is not None:
@@ -586,7 +587,7 @@ def _column_moments(columns: np.ndarray):
 
 def hj_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
                 functional: PathFunctional, n_paths: int, mode: str = "random-k",
-                master_seed: int = 0, block_size: int = DEFAULT_BLOCK_SIZE) -> GradientReport:
+                master_seed: int = 0, block_size: int | None = None) -> GradientReport:
     """Estimate d/dtheta E[C(X)] by kernel splitting with coupled branches.
 
     mode 'random-k' branches each path once at a uniform step and scales the
@@ -598,14 +599,12 @@ def hj_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
     blocks = simulate_blocks(model, theta, x0, grid, n_paths, master_seed, block_size)
     if mode not in GRADIENT_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    parts = []
-    gap_sum = 0.0
+    parts, gap_rows = [], []
     gap_count = 0
     for batch in blocks:
-        vals, gap_sums, block_gaps = _hj_values(batch, functional, mode)
+        vals, rows, block_gaps = _hj_values(batch, functional, mode)
         parts.append(vals)
-        for part in gap_sums:
-            gap_sum += part
+        gap_rows.append(rows)
         gap_count += block_gaps
     estimate, std_error, variance = _column_moments(
         np.concatenate(parts).reshape(n_paths, -1).T)
@@ -618,7 +617,7 @@ def hj_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
         master_seed=master_seed,
         variance=variance,
         mode=mode,
-        branch_stats=gap_sum / max(gap_count, 1),
+        branch_stats=finite_fsum(np.concatenate(gap_rows)) / gap_count,
     )
 
 
@@ -629,7 +628,7 @@ def hj_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
 def score_function_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
                             functional: PathFunctional, n_paths: int,
                             master_seed: int = 0,
-                            block_size: int = DEFAULT_BLOCK_SIZE) -> GradientReport:
+                            block_size: int | None = None) -> GradientReport:
     """Likelihood-ratio gradient: mean of C(path) times the path's score.
 
     The score accumulates (dt db/dtheta)^T (dt Sigma)^{-1} (X_{k+1}-X_k-dt b)

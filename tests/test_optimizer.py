@@ -370,6 +370,22 @@ SGD_PINS = (
 )
 
 
+def test_sgd_records_carry_the_estimate_health_of_their_iteration():
+    model, grid, ell, g = ou_setup(20)
+    cfg = cm.OptimizerConfig(theta0=1.0, step_size=0.5, n_iterations=2,
+                             paths_per_iteration=300, master_seed=4)
+    trace = cm.run_sgd(model, ell, g, cfg, grid, X0)
+    assert trace.error is None
+    for n, record in enumerate(trace.records):
+        _, _, diag = cm.counterfactual_gradient(model, record.theta, ell, g, "canonical",
+                                                grid, X0, 300, "random-k",
+                                                cm.child_seed(4, n))
+        for name in ("grad_e1_measure", "grad_e1_integrand", "grad_e2_measure",
+                     "grad_e2_integrand", "acceptance_fraction"):
+            assert float(getattr(record, name)).hex() == float(diag[name]).hex(), name
+        assert 0.0 < record.acceptance_fraction < 1.0
+
+
 def test_sgd_records_keep_their_bits():
     # the first iteration's child seed is >= 2**63, the second's below it
     grid = cm.TimeGrid(1.0, 20)

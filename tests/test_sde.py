@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import condmc as cm
 from condmc import sde
 from condmc.errors import CoefficientShapeError, NonFiniteState, SingularJacobian
 from condmc.sde import _euler_continue, _noise_block, shared_row
+from condmc.streams import PATHS_PER_STREAM as G
 from condmc.streams import TAG_BRANCH, TAG_CHOICE, TAG_NOISE, _StreamPool, stream
 from condmc.weakderiv import _branch_batch
 
@@ -556,6 +558,76 @@ def test_estimators_reject_block_sizes_below_one(estimator, block_size):
     }
     with pytest.raises(ValueError, match="block_size must be at least 1"):
         calls[estimator]()
+
+
+# ---------------------------------------------------------------------------
+# blocks sized by bytes: states plus increments within sde.BLOCK_BYTES, in
+# whole stream groups
+
+
+def _dims_model(n, d):
+    """A model carrying only its dimensions, for block sizing."""
+    return cm.SdeModel(*(None,) * 5, state_dim=n, noise_dim=d)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(steps=st.integers(1, 200_000), n=st.integers(1, 4), d=st.integers(1, 4))
+def test_derived_block_rows_are_whole_groups_within_the_byte_budget(steps, n, d):
+    rows = sde.block_rows(_dims_model(n, d), cm.TimeGrid(1.0, steps))
+    assert rows >= G and rows % G == 0
+    if rows > G:
+        assert rows * 8 * ((steps + 1) * n + steps * d) <= sde.BLOCK_BYTES
+
+
+@pytest.mark.parametrize("n_paths, steps", [(1_500, 400), (2_000, 50)])
+def test_benchmark_path_counts_stay_one_block(n_paths, steps):
+    blocks = sde.simulate_blocks(cm.ou_model(1.0), 1.0, 0.0, cm.TimeGrid(1.0, steps),
+                                 n_paths, 3)
+    assert [batch.n_paths for batch in blocks] == [n_paths]
+
+
+SPLIT_STEPS, SPLIT_PATHS = 2_000, 1_300  # derived blocks of 500, 500 and 300 rows
+
+
+def _split_runs(block_size):
+    """Every block-wise estimator's outputs, as bytes, at one block size."""
+    model, grid, x0 = cm.ou_model(1.0), cm.TimeGrid(1.0, SPLIT_STEPS), 0.2
+    f, g = cm.terminal_power(2), cm.marginal_power(SPLIT_STEPS // 2, 1)
+    loss = cm.conditional_loss_estimate(model, 1.0, f, g, "canonical", SPLIT_PATHS, 5,
+                                        grid, x0, block_size=block_size)
+    out = [loss.estimate, loss.std_error, loss.a_terms, loss.b_terms]
+    for mode in ("random-k", "sum-over-k"):
+        rep = cm.hj_gradient(model, 1.0, x0, grid, f, SPLIT_PATHS, mode, 6,
+                             block_size=block_size)
+        out += [rep.estimate, rep.std_error, rep.variance, rep.branch_stats]
+    rep = cm.score_function_gradient(model, 1.0, x0, grid, f, SPLIT_PATHS, 7,
+                                     block_size=block_size)
+    out += [rep.estimate, rep.std_error, rep.variance]
+    _, gradient, diag = cm.counterfactual_gradient(model, 1.0, f, g, "canonical", grid, x0,
+                                                   SPLIT_PATHS, "random-k", 8,
+                                                   block_size=block_size)
+    out += [gradient] + [diag[key] for key in sorted(diag) if key != "gradient_mode"]
+    return [np.asarray(v).tobytes() for v in out]
+
+
+def test_derived_blocks_give_the_bits_of_one_block():
+    model, grid = cm.ou_model(1.0), cm.TimeGrid(1.0, SPLIT_STEPS)
+    assert sde.block_rows(model, grid) == 500
+    assert _split_runs(None) == _split_runs(SPLIT_PATHS)
+
+
+def test_loss_estimate_memory_is_bounded_by_the_block_budget():
+    # traced numpy allocations, not the resident set, which moves with heap layout
+    grid = cm.TimeGrid(1.0, 200)
+    tracemalloc.start()
+    try:
+        cm.conditional_loss_estimate(cm.ou_model(1.0), 1.0, cm.terminal_power(2),
+                                     cm.marginal_power(100, 1), "canonical", 20_000, 0,
+                                     grid, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * sde.BLOCK_BYTES
 
 
 def test_simulation_is_deterministic():

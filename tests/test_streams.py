@@ -119,7 +119,8 @@ def _loss_bits(seed, steps, block_size):
 def _gradient_bits(seed, steps, mode, block_size):
     rep = cm.hj_gradient(cm.ou_model(1.0), 1.0, np.array([0.5]), cm.TimeGrid(1.0, steps),
                          cm.terminal_power(2), N_PATHS, mode, seed, block_size=block_size)
-    return tuple(float(v).hex() for v in (rep.estimate, rep.std_error, rep.variance))
+    return tuple(float(v).hex() for v in (rep.estimate, rep.std_error, rep.variance,
+                                          rep.branch_stats))
 
 
 @settings(max_examples=5, deadline=None, derandomize=True)
@@ -152,6 +153,13 @@ def test_out_of_range_seeds_raise_instead_of_aliasing(seed):
     with pytest.raises(ValueError, match=message):
         cm.hj_gradient(cm.ou_model(1.0), 1.0, np.array([0.5]), grid, cm.terminal_power(2),
                        50, "random-k", seed)
+    # child seeds: -3 would replay 2**64 - 3, in run_sgd's iterations too
+    for words in ((seed, 0), (0, seed), (5, 2, seed)):
+        with pytest.raises(ValueError, match=message):
+            cm.child_seed(*words)
+    with pytest.raises(ValueError, match=message):
+        cm.OptimizerConfig(theta0=1.0, step_size=0.1, n_iterations=2,
+                           paths_per_iteration=10, master_seed=seed)
 
 
 def test_negative_path_index_raises():
@@ -166,3 +174,6 @@ def test_edge_seeds_are_accepted():
     for seed in (0, 2 ** 64 - 1):
         batch = cm.simulate_paths(cm.ou_model(1.0), 1.0, 0.0, grid, 3, seed)
         assert same_bits(batch.increments[2], cm.generate_noise(seed, 2, grid, 1).increments)
+        cm.OptimizerConfig(theta0=1.0, step_size=0.1, n_iterations=2,
+                           paths_per_iteration=10, master_seed=seed)
+    assert cm.child_seed(2 ** 64 - 1, 2 ** 64 - 1) != cm.child_seed(0, 0)
