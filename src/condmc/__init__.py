@@ -68,7 +68,6 @@ from .sde import (
     JacobianPath,
     NoisePath,
     PathBatch,
-    PathBundle,
     SdeModel,
     TimeGrid,
     fsum,

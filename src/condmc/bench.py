@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DegenerateDenominator
 from .functionals import PathFunctional, marginal_power, terminal_power
 from .malliavin import conditional_loss_estimate
 from .optimizer import OptimizerConfig, counterfactual_gradient, run_sgd
@@ -117,7 +118,8 @@ def cmd_estimate_grad(config: RunConfig) -> ResultTable:
                 "closed_form_reference", "n_paths", "seed", "mode"),
         rows=[(gradient, diag["se_gradient"], loss, diag["se_loss"],
                reference, config.paths, config.seed, config.mode)],
-        manifest={"condition_step": str(condition_step)},
+        manifest={"condition_step": str(condition_step),
+                  **{key: repr(diag[key]) for key in ("acceptance_fraction", "denominator_z")}},
     )
     print_lines([
         f"loss gradient estimate: {gradient!r} "
@@ -132,18 +134,25 @@ def cmd_bench_convergence(config: RunConfig) -> ResultTable:
     model, grid, ell, g, condition_step = _conditional_setup(config)
     reference = ou_conditional_second_moment(config.theta, config.sigma,
                                              condition_step * grid.dt, config.horizon)
-    rows = []
+    rows, degenerate = [], []
     for i, n in enumerate(config.n_values):
-        errors = np.empty(config.replications)
-        std_errors = np.empty(config.replications)
+        errors, std_errors = [], []
         for r in range(config.replications):
-            report = conditional_loss_estimate(
-                model, config.theta, ell, g, "canonical", n,
-                child_seed(config.seed, i, r), grid, _x0(config))
-            errors[r] = report.estimate - reference
-            std_errors[r] = report.std_error
-        rmse = float(np.sqrt(np.mean(errors ** 2)))
-        rows.append((n, rmse, float(std_errors.mean()), reference))
+            try:
+                report = conditional_loss_estimate(
+                    model, config.theta, ell, g, "canonical", n,
+                    child_seed(config.seed, i, r), grid, _x0(config))
+            except DegenerateDenominator:
+                continue
+            errors.append(report.estimate - reference)
+            std_errors.append(report.std_error)
+        if not errors:
+            raise DegenerateDenominator(f"every replicate at n = {n} has a degenerate "
+                                        "denominator")
+        if len(errors) < config.replications:
+            degenerate.append(f"{n}:{config.replications - len(errors)}")
+        rmse = float(np.sqrt(np.mean(np.square(errors))))
+        rows.append((n, rmse, float(np.mean(std_errors)), reference))
     table = ResultTable(
         schema=("n_paths", "rmse_vs_reference", "mean_std_error",
                 "closed_form_reference"),
@@ -158,6 +167,10 @@ def cmd_bench_convergence(config: RunConfig) -> ResultTable:
         lines.append(f"fitted log-log slope (rmse vs paths): {slope:.4f}")
     else:
         lines.append("slope omitted (single sample size)")
+    if degenerate:
+        table.manifest["degenerate_replicates"] = ",".join(degenerate)
+        lines.append("warning: replicates with a degenerate denominator left out "
+                     f"(n:count) {','.join(degenerate)}")
     if config.replications < 2:
         table.manifest["low_confidence"] = ("single replication; "
                                             "rmse has no averaging")

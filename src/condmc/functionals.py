@@ -1,8 +1,8 @@
 """Path functionals with Malliavin derivatives assembled from the Jacobians.
 
-A PathFunctional evaluates on a PathBundle (one path) or a PathBatch (block
-of paths, leading axis N); values come back as a scalar or an (N,) array and
-derivative profiles as (M+1, d) or (N, M+1, d) arrays.  Built-ins cover
+A PathFunctional evaluates on a PathBatch of one path or of a block (leading
+axis N); values come back as a scalar or an (N,) array and derivative
+profiles as (M+1, d) or (N, M+1, d) arrays.  Built-ins cover
 marginal powers X_{t*}^p and running integrals of a smooth function of the
 state; anything else can be supplied as a custom functional.
 """
@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sde import PathBatch, PathBundle, on_grid, shared_row
+from .sde import PathBatch, on_grid, shared_row
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class PathFunctional:
     step_value: Callable | None = None
 
 
-def derivative_profile(f: PathFunctional, bundle: PathBundle | PathBatch) -> np.ndarray:
+def derivative_profile(f: PathFunctional, bundle: PathBatch) -> np.ndarray:
     """Full derivative profile (..., M+1, d); ValueError when f has none."""
     if f.derivative is None:
         raise ValueError("the functional has no derivative profile (derivative is None)")
@@ -57,7 +57,7 @@ def _sigma_profile(bundle) -> np.ndarray:
                    (model.state_dim, model.noise_dim))
 
 
-def malliavin_derivative_state(bundle: PathBundle, s: int, t: int) -> np.ndarray:
+def malliavin_derivative_state(bundle: PathBatch, s: int, t: int) -> np.ndarray:
     """D_{t_s} X_{t_t} = Y_t Z_s sigma(X_s, t_s) for s <= t, zero matrix after."""
     jac = bundle.jacobians
     n, d = bundle.model.state_dim, bundle.model.noise_dim

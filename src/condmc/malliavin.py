@@ -27,8 +27,8 @@ from .errors import (
 )
 from .functionals import PathFunctional, derivative_profile
 from .reports import ConditionalLossReport, EstimatorReport
-from .sde import (PathBatch, PathBundle, SdeModel, TimeGrid, finite_fsum,
-                  fsum, require_finite, shared_row, simulate_blocks)
+from .sde import (PathBatch, SdeModel, TimeGrid, finite_fsum, fsum, per_path,
+                  require_finite, shared_row, simulate_blocks)
 
 _ENERGY_FLOOR = 1e-14
 _DERIVATIVE_RATIO_FLOOR = 1e-8
@@ -60,7 +60,7 @@ def _energy_and_support(profile: np.ndarray, grid: TimeGrid):
     return energy, np.count_nonzero(rows_nonzero, axis=-1) * dt
 
 
-def make_weight_canonical(g: PathFunctional, bundle: PathBundle | PathBatch) -> WeightProcess:
+def make_weight_canonical(g: PathFunctional, bundle: PathBatch) -> WeightProcess:
     """u = D g / (left-point energy of D g); normalization holds by construction.
 
     A D g shared by every path (see sde.shared_row) gives one weight row,
@@ -78,7 +78,7 @@ def make_weight_canonical(g: PathFunctional, bundle: PathBundle | PathBatch) -> 
     return WeightProcess(values, "canonical", support, adapted=True)
 
 
-def make_weight_reciprocal(g: PathFunctional, bundle: PathBundle | PathBatch) -> WeightProcess:
+def make_weight_reciprocal(g: PathFunctional, bundle: PathBatch) -> WeightProcess:
     """u = 1 / (support_measure * D g) on the support of D g, 1 elsewhere.
 
     Dividing by the support measure (rather than the horizon) keeps the
@@ -128,7 +128,7 @@ def weight_from_rule(rule, g: PathFunctional, bundle) -> WeightProcess:
     raise ValueError(f"unknown weight rule {rule!r}")
 
 
-def skorohod_integral(u: WeightProcess, bundle: PathBundle | PathBatch,
+def skorohod_integral(u: WeightProcess, bundle: PathBatch,
                       anticipative_factor: tuple[float, Callable] | None = None):
     """Skorohod integral of u along the bundle's noise.
 
@@ -195,20 +195,14 @@ def conditional_loss_estimate(model: SdeModel, theta: float, ell: PathFunctional
     of the block size because every path reads its own row of noise.
     """
     blocks = simulate_blocks(model, theta, x0, grid, n_paths, master_seed, block_size)
-    a_parts, b_parts = [], []
-    accepted = 0
-    for batch in blocks:
-        a, b, indicator = conditional_quotient_terms(ell, g, weight_rule, batch)
-        a_parts.append(a)
-        b_parts.append(b)
-        accepted += int(np.count_nonzero(indicator))
-    return _loss_report(np.concatenate(a_parts), np.concatenate(b_parts), accepted,
-                        master_seed)
+    a, b, indicator = per_path(
+        blocks, lambda batch: conditional_quotient_terms(ell, g, weight_rule, batch))
+    return _loss_report(a, b, indicator, master_seed)
 
 
-def _loss_report(a: np.ndarray, b: np.ndarray, accepted: int,
+def _loss_report(a: np.ndarray, b: np.ndarray, indicator: np.ndarray,
                  master_seed: int) -> ConditionalLossReport:
-    """Quotient report from all per-path terms A_i, B_i and the {g > 0} count.
+    """Quotient report from all per-path terms A_i, B_i and the {g > 0} mask.
 
     Raises DegenerateDenominator when mean(B) lies within 5 standard errors
     of zero, where the quotient is not defined by the sample, and
@@ -233,7 +227,7 @@ def _loss_report(a: np.ndarray, b: np.ndarray, accepted: int,
         e2_hat=e2,
         a_terms=a,
         b_terms=b,
-        acceptance_fraction=accepted / n_paths,
+        acceptance_fraction=int(np.count_nonzero(indicator)) / n_paths,
         denominator_z=float(abs(e2) / se_b) if se_b else math.inf,
     )
 
@@ -247,16 +241,16 @@ def kernel_loss_estimate(paths, ell: PathFunctional, g: PathFunctional,
     """Nadaraya-Watson style baseline: Gaussian kernel weights around g = 0."""
     if bandwidth <= 0.0:
         raise ValueError("bandwidth must be positive")
-    if isinstance(paths, (PathBundle, PathBatch)):
+    if isinstance(paths, PathBatch):
         g_val = np.atleast_1d(np.asarray(g.value(paths), dtype=float))
         l_val = np.atleast_1d(np.asarray(ell.value(paths), dtype=float))
-        seed = paths.master_seed if isinstance(paths, PathBatch) else paths.noise.master_seed
+        seed = paths.master_seed
     else:
         if not paths:
             raise ValueError("paths is empty")
         g_val = np.array([float(g.value(p)) for p in paths])
         l_val = np.array([float(ell.value(p)) for p in paths])
-        seed = paths[0].noise.master_seed
+        seed = paths[0].master_seed
     weights = np.exp(-(g_val * g_val) / (2.0 * bandwidth * bandwidth)) / (
         bandwidth * math.sqrt(2.0 * math.pi))
     mass = fsum(weights)

@@ -25,7 +25,7 @@ from .errors import CondMcError, DegenerateDenominator, SingularDiffusion
 from .functionals import PathFunctional
 from .malliavin import _loss_report, conditional_quotient_terms
 from .sde import (PathBatch, SdeModel, TimeGrid, finite_fsum, fsum,
-                  on_grid, require_finite, simulate_blocks)
+                  on_grid, per_path, require_finite, simulate_blocks)
 from .streams import child_seed
 from .weakderiv import GRADIENT_MODES, _hj_values
 
@@ -137,19 +137,11 @@ def counterfactual_gradient(model: SdeModel, theta: float, ell: PathFunctional,
         value=lambda bundle: np.stack(
             conditional_quotient_terms(ell, g, weight_rule, bundle)[:2], -1),
     )
-    a_parts, b_parts, measure_parts, explicit_parts = [], [], [], []
-    accepted = 0
-    for batch in blocks:
-        a, b, indicator = conditional_quotient_terms(ell, g, weight_rule, batch)
-        a_parts.append(a)
-        b_parts.append(b)
-        accepted += int(np.count_nonzero(indicator))
-        measure_parts.append(_hj_values(batch, integrands, gradient_mode)[0])
-        explicit_parts.append(_integrand_theta_terms(batch, ell, g, weight_rule))
-    report = _loss_report(np.concatenate(a_parts), np.concatenate(b_parts), accepted,
-                          master_seed)
-    measure = np.concatenate(measure_parts)
-    explicit = np.concatenate(explicit_parts)
+    a, b, indicator, measure, explicit = per_path(blocks, lambda batch: (
+        *conditional_quotient_terms(ell, g, weight_rule, batch),
+        _hj_values(batch, integrands, gradient_mode)[0],
+        _integrand_theta_terms(batch, ell, g, weight_rule)))
+    report = _loss_report(a, b, indicator, master_seed)
     g1_terms, g2_terms = (measure + explicit).T
     grad_e1 = finite_fsum(g1_terms) / n_paths
     grad_e2 = finite_fsum(g2_terms) / n_paths
@@ -169,6 +161,7 @@ def counterfactual_gradient(model: SdeModel, theta: float, ell: PathFunctional,
         "se_loss": report.std_error,
         "se_gradient": se_gradient,
         "acceptance_fraction": report.acceptance_fraction,
+        "denominator_z": report.denominator_z,
         "n_paths": n_paths,
         "gradient_mode": gradient_mode,
     }
@@ -197,8 +190,10 @@ class OptimizerConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.step_size < 0.0:
-            raise ValueError("step_size must be nonnegative")
+        if not math.isfinite(self.theta0):
+            raise ValueError("theta0 must be finite")
+        if not 0.0 <= self.step_size < math.inf:
+            raise ValueError("step_size must be finite and nonnegative")
         if self.n_iterations < 1:
             raise ValueError("n_iterations must be at least 1")
         if self.paths_per_iteration < 2:

@@ -8,6 +8,7 @@ manifest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -41,6 +42,9 @@ class RunConfig:
     target: float = 3.0
 
     def validate(self) -> "RunConfig":
+        for key in sorted(_FLOAT_KEYS):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key.replace('_', '-')} must be finite")
         if self.paths < 2:
             raise ConfigError("paths must be at least 2")
         if not 0 <= self.seed < 2 ** 64:
@@ -59,8 +63,8 @@ class RunConfig:
             raise ConfigError("theta-min must lie below theta-max")
         if self.mode not in GRADIENT_MODES:
             raise ConfigError(f"mode must be one of {GRADIENT_MODES}, got {self.mode!r}")
-        if not self.t_values or any(t <= 0.0 for t in self.t_values):
-            raise ConfigError("t-values must be positive")
+        if not self.t_values or not all(0.0 < t < math.inf for t in self.t_values):
+            raise ConfigError("t-values must be positive and finite")
         if not self.n_values or any(n < 2 for n in self.n_values):
             raise ConfigError("n-values must be at least 2")
         if (not self.estimators

@@ -1,11 +1,13 @@
 """Euler-Maruyama simulation of parametric SDEs with pathwise Jacobians.
 
 Models are dX_t = b(X_t, t; theta) dt + sigma(X_t, t) dW_t with a scalar
-parameter theta entering the drift only.  The simulator returns states and
-the noise behind them.  The first-variation process Y_k (sensitivity of X_k
-to its starting point) and its inverse Z_k, from which Malliavin derivatives
-of smooth path functionals are assembled downstream, depend on nothing else:
-a bundle computes them on the first read of its `jacobians` and keeps them.
+parameter theta entering the drift only.  The simulator returns a PathBatch,
+the one type for simulated paths: the states and the noise behind them, of
+one path or of a block with a leading path axis.  The first-variation process
+Y_k (sensitivity of X_k to its starting point) and its inverse Z_k, from
+which Malliavin derivatives of smooth path functionals are assembled
+downstream, depend on nothing else: a PathBatch computes them on the first
+read of its `jacobians` and keeps them.
 
 Every model callable gets one grid time t, a scalar, and states x of shape
 (..., n) with any leading (path) axes, over which it must broadcast; constant
@@ -15,7 +17,8 @@ Each Euler pass checks the diffusion's shape once, at its first step.
 
 The block-wise estimators simulate block_rows(model, grid) paths at a time
 unless given a block_size: as many as keep states plus increments within
-BLOCK_BYTES, in whole stream groups.  No result depends on the block size.
+BLOCK_BYTES, in whole stream groups, and join the per-path terms of the
+blocks with per_path.  No result depends on the block size.
 
 _apply_diffusion multiplies dW by a 1x1 sigma directly, one rounding as in the 1x1 product.
 
@@ -154,51 +157,34 @@ class JacobianPath:
 
 
 @dataclass(frozen=True)
-class PathBundle:
-    """One simulated path: states on the grid plus the noise that produced them."""
-
-    model: SdeModel
-    grid: TimeGrid
-    theta: float
-    states: np.ndarray  # (M+1, n)
-    noise: NoisePath
-
-    @property
-    def increments(self) -> np.ndarray:
-        return self.noise.increments
-
-    @cached_property
-    def jacobians(self) -> JacobianPath:
-        """Y and Z along the path, computed on the first read and kept."""
-        return _euler_jacobians(self.model, self.theta, self.grid, self.states,
-                                np.asarray(self.increments, dtype=float))
-
-
-@dataclass(frozen=True)
 class PathBatch:
-    """A block of paths simulated together; row i is bit-identical to the
-    single path generated from (master_seed, path_indices[i])."""
+    """Simulated paths: states on the grid plus the noise that produced them.
+
+    One path has states (M+1, n), increments (M, d) and an int path_indices;
+    a block adds a leading path axis, and its row i is bit-identical to the
+    single path generated from (master_seed, path_indices[i]).
+    """
 
     model: SdeModel
     grid: TimeGrid
     theta: float
-    states: np.ndarray       # (N, M+1, n)
-    increments: np.ndarray   # (N, M, d)
+    states: np.ndarray       # (..., M+1, n)
+    increments: np.ndarray   # (..., M, d)
     master_seed: int
-    path_indices: np.ndarray  # (N,)
+    path_indices: np.ndarray | int  # (...)
 
     @property
     def n_paths(self) -> int:
-        return self.states.shape[0]
+        return math.prod(self.states.shape[:-2])
 
     @cached_property
     def jacobians(self) -> JacobianPath:
-        """Y and Z of every row, computed on the first read and kept."""
+        """Y and Z of every path, computed on the first read and kept."""
         return _euler_jacobians(self.model, self.theta, self.grid, self.states, self.increments)
 
-    def path(self, i: int) -> PathBundle:
-        noise = NoisePath(self.increments[i], self.master_seed, int(self.path_indices[i]))
-        return PathBundle(self.model, self.grid, self.theta, self.states[i], noise)
+    def path(self, i: int) -> PathBatch:
+        return PathBatch(self.model, self.grid, self.theta, self.states[i], self.increments[i],
+                         self.master_seed, int(self.path_indices[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +212,7 @@ def _noise_block(master_seed: int, path_indices, grid: TimeGrid, noise_dim: int)
 
 
 # ---------------------------------------------------------------------------
-# Euler engine, shared by single-path and block simulation
+# Euler engine
 
 
 def _apply_diffusion(sig: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -290,14 +276,6 @@ def _euler_continue(model: SdeModel, theta: float, grid: TimeGrid, states: np.nd
         bad = filled & ~np.isfinite(states).all(axis=-1)
         raise NonFiniteState(int(np.argmax(bad.reshape(-1, grid.steps + 1).any(axis=0))))
     return states
-
-
-def _euler_states(model: SdeModel, theta: float, x0: np.ndarray, grid: TimeGrid,
-                  increments: np.ndarray) -> np.ndarray:
-    lead = increments.shape[:-2]
-    states = np.empty(lead + (grid.steps + 1, model.state_dim))
-    states[..., 0, :] = x0
-    return _euler_continue(model, theta, grid, states, increments, 0)
 
 
 def shared_row(a: np.ndarray, core_ndim: int) -> np.ndarray | None:
@@ -391,15 +369,22 @@ def _euler_jacobians(model: SdeModel, theta: float, grid: TimeGrid, states: np.n
     return JacobianPath(y, z)
 
 
+def _simulate(model: SdeModel, theta: float, x0, grid: TimeGrid, increments: np.ndarray,
+              master_seed: int, path_indices) -> PathBatch:
+    """The paths that Euler runs from x0 under increments (..., M, d)."""
+    states = np.empty(increments.shape[:-2] + (grid.steps + 1, model.state_dim))
+    states[..., 0, :] = np.broadcast_to(np.asarray(x0, dtype=float), (model.state_dim,))
+    _euler_continue(model, theta, grid, states, increments, 0)
+    return PathBatch(model, grid, float(theta), states, increments, master_seed, path_indices)
+
+
 def simulate_path(model: SdeModel, theta: float, x0, grid: TimeGrid,
-                  noise: NoisePath) -> PathBundle:
+                  noise: NoisePath) -> PathBatch:
     """Run the Euler recursion along one noise path."""
     increments = np.asarray(noise.increments, dtype=float)
     if increments.shape != (grid.steps, model.noise_dim):
         raise ValueError("noise increments do not match grid/model dimensions")
-    x0 = np.broadcast_to(np.asarray(x0, dtype=float), (model.state_dim,))
-    states = _euler_states(model, theta, x0, grid, increments)
-    return PathBundle(model, grid, float(theta), states, noise)
+    return _simulate(model, theta, x0, grid, increments, noise.master_seed, noise.path_index)
 
 
 def simulate_paths(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: int,
@@ -407,9 +392,7 @@ def simulate_paths(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: i
     """Simulate a block of paths with indices first_index .. first_index+n_paths-1."""
     indices = np.arange(first_index, first_index + n_paths)
     increments = _noise_block(master_seed, indices, grid, model.noise_dim)
-    x0 = np.broadcast_to(np.asarray(x0, dtype=float), (model.state_dim,))
-    states = _euler_states(model, theta, x0, grid, increments)
-    return PathBatch(model, grid, float(theta), states, increments, master_seed, indices)
+    return _simulate(model, theta, x0, grid, increments, master_seed, indices)
 
 
 def block_rows(model: SdeModel, grid: TimeGrid) -> int:
@@ -438,7 +421,18 @@ def simulate_blocks(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: 
             for first in range(0, n_paths, block_size))
 
 
-def resume_path(bundle: PathBundle, from_step: int, new_state_at_step, noise: NoisePath) -> PathBundle:
+def per_path(blocks, terms) -> tuple:
+    """Per-path arrays of all blocks: terms(block) returns a tuple of arrays
+    with the block's paths on axis 0, joined here in block order.  A block
+    lives until the next is drawn, the last until the join: freeing it sooner
+    lowers no peak and moved the page faults of the loss benchmark."""
+    parts = []
+    for batch in blocks:
+        parts.append(terms(batch))
+    return tuple(map(np.concatenate, zip(*parts)))
+
+
+def resume_path(bundle: PathBatch, from_step: int, new_state_at_step, noise: NoisePath) -> PathBatch:
     """Restart a path at a given step from a new state, reusing supplied noise.
 
     The result keeps the input states strictly before from_step, places
@@ -456,7 +450,8 @@ def resume_path(bundle: PathBundle, from_step: int, new_state_at_step, noise: No
     states[from_step] = np.broadcast_to(np.asarray(new_state_at_step, dtype=float),
                                         (model.state_dim,))
     _euler_continue(model, bundle.theta, grid, states, increments, from_step)
-    return PathBundle(model, grid, bundle.theta, states, noise)
+    return PathBatch(model, grid, bundle.theta, states, increments, noise.master_seed,
+                     noise.path_index)
 
 
 # ---------------------------------------------------------------------------

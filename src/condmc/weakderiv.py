@@ -39,6 +39,7 @@ from .sde import (
     finite_fsum,
     generate_noise,
     on_grid,
+    per_path,
     require_finite,
     resume_path,
     simulate_blocks,
@@ -321,9 +322,9 @@ def hj_single_branch(model: SdeModel, theta: float, x0, grid: TimeGrid, branch_s
 # aggregated gradient estimators
 #
 # Each engine branches one simulated block of base paths and returns the
-# block's per-path estimates, each row's sum of |gap| over its branches, and
-# the number of gaps behind them.  A functional may return (N,) values
-# or (N, m) columns; every column gets the bits a scalar run of it would.
+# block's per-path estimates and each row's sum of |gap| over its branches.
+# A functional may return (N,) values or (N, m) columns; every column gets
+# the bits a scalar run of it would.
 
 
 def _per_row(v: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -443,7 +444,7 @@ def _terminal_sum_over_k(batch: PathBatch, functional: PathFunctional):
         plus, minus, scale_k = _affine_branches(batch, props)
     gaps = (np.asarray(functional.terminal_value(plus))
             - np.asarray(functional.terminal_value(minus)))
-    return _step_sum(scale_k, gaps), _row_abs_sums(gaps), gaps.size
+    return _step_sum(scale_k, gaps), _row_abs_sums(gaps)
 
 
 def _integral_sum_over_k(batch: PathBatch, functional: PathFunctional):
@@ -460,7 +461,7 @@ def _integral_sum_over_k(batch: PathBatch, functional: PathFunctional):
         gap_acc[:, :j] += dt * (np.asarray(h(live_plus)) - np.asarray(h(live_minus)))
 
     _, _, scale_k = _all_steps_branches(batch, accumulate)
-    return _step_sum(scale_k, gap_acc), _row_abs_sums(gap_acc), gap_acc.size
+    return _step_sum(scale_k, gap_acc), _row_abs_sums(gap_acc)
 
 
 def _branch_batch(base: PathBatch, starts: np.ndarray, new_states: np.ndarray) -> PathBatch:
@@ -526,8 +527,7 @@ def _grouped_random_k(batch: PathBatch, functional: PathFunctional):
     # restart passes then add one block copy to the peak memory, not three
     del draws
     if not live.any():  # no path is sensitive at its branch step
-        block_vals = np.zeros(np.shape(functional.value(batch)))
-        return block_vals, np.zeros(count), block_vals.size
+        return np.zeros(np.shape(functional.value(batch))), np.zeros(count)
     plus = _branch_batch(batch, ks, new_plus)
     plus_values = np.asarray(functional.value(plus))
     del plus
@@ -535,7 +535,7 @@ def _grouped_random_k(batch: PathBatch, functional: PathFunctional):
     gaps = plus_values - np.asarray(functional.value(minus))
     block_vals = np.zeros(gaps.shape)
     block_vals[live] = _per_row(steps * total[live], gaps[live]) * gaps[live]
-    return block_vals, np.where(live, _row_abs_sums(gaps), 0.0), block_vals.size
+    return block_vals, np.where(live, _row_abs_sums(gaps), 0.0)
 
 
 def _generic_sum_over_k(batch: PathBatch, functional: PathFunctional):
@@ -543,7 +543,6 @@ def _generic_sum_over_k(batch: PathBatch, functional: PathFunctional):
     model, grid, theta = batch.model, batch.grid, batch.theta
     block_vals = 0.0
     gap_rows = np.zeros(batch.n_paths)
-    gap_count = 0
     draws = _branch_draw_block(batch.master_seed, batch.path_indices, grid.steps,
                                model.state_dim)
     for k in range(grid.steps):
@@ -557,13 +556,12 @@ def _generic_sum_over_k(batch: PathBatch, functional: PathFunctional):
         gaps = np.asarray(functional.value(plus)) - np.asarray(functional.value(minus))
         block_vals = block_vals + _per_row(total, gaps) * gaps
         gap_rows += _row_abs_sums(gaps)
-        gap_count += gaps.size
-    return block_vals, gap_rows, gap_count
+    return block_vals, gap_rows
 
 
 def _hj_values(batch: PathBatch, functional: PathFunctional, mode: str):
     """Per-path branch estimates on one simulated block (mean-one-unbiased for
-    d/dtheta E[C]), with the block's per-row |gap| sums and gap count."""
+    d/dtheta E[C]), with the block's per-row |gap| sums."""
     if mode == "random-k":
         return _grouped_random_k(batch, functional)
     if functional.terminal_value is not None:
@@ -599,17 +597,12 @@ def hj_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
     blocks = simulate_blocks(model, theta, x0, grid, n_paths, master_seed, block_size)
     if mode not in GRADIENT_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    parts, gap_rows = [], []
-    gap_count = 0
-    for batch in blocks:
-        vals, rows, block_gaps = _hj_values(batch, functional, mode)
-        parts.append(vals)
-        gap_rows.append(rows)
-        gap_count += block_gaps
-    estimate, std_error, variance = _column_moments(
-        np.concatenate(parts).reshape(n_paths, -1).T)
-    if parts[0].ndim == 1:  # a scalar functional reports plain floats
+    values, gap_rows = per_path(blocks, lambda batch: _hj_values(batch, functional, mode))
+    estimate, std_error, variance = _column_moments(values.reshape(n_paths, -1).T)
+    if values.ndim == 1:  # a scalar functional reports plain floats
         estimate, std_error, variance = (float(v[0]) for v in (estimate, std_error, variance))
+    # one gap per branch: one branch per path and column in random-k, M in sum-over-k
+    gap_count = values.size * (1 if mode == "random-k" else grid.steps)
     return GradientReport(
         estimate=estimate,
         std_error=std_error,
@@ -617,7 +610,7 @@ def hj_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
         master_seed=master_seed,
         variance=variance,
         mode=mode,
-        branch_stats=finite_fsum(np.concatenate(gap_rows)) / gap_count,
+        branch_stats=finite_fsum(gap_rows) / gap_count,
     )
 
 
@@ -637,8 +630,8 @@ def score_function_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
     blocks = simulate_blocks(model, theta, x0, grid, n_paths, master_seed, block_size)
     dt = grid.dt
     n, d = model.state_dim, model.noise_dim
-    parts = []
-    for batch in blocks:
+
+    def terms(batch):
         x_left = batch.states[:, :grid.steps, :]
         b = on_grid(model.drift, x_left, grid.times, (n,), theta)
         db = on_grid(model.drift_dtheta, x_left, grid.times, (n,), theta)
@@ -656,8 +649,10 @@ def score_function_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
             except np.linalg.LinAlgError as exc:
                 raise SingularDiffusion(f"transition covariance not invertible: {exc}") from exc
             score = np.sum(dt * db * solved, axis=(-2, -1))
-        parts.append(np.asarray(functional.value(batch)) * score)
-    (estimate,), (std_error,), (variance,) = _column_moments(np.concatenate(parts)[None, :])
+        return (np.asarray(functional.value(batch)) * score,)
+
+    (values,) = per_path(blocks, terms)
+    (estimate,), (std_error,), (variance,) = _column_moments(values[None, :])
     return GradientReport(
         estimate=float(estimate),
         std_error=float(std_error),

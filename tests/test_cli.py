@@ -6,9 +6,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from condmc.bench import _loss_slope_closed_form
+from condmc.bench import _conditional_setup, _loss_slope_closed_form
 from condmc.cli import main
 from condmc.errors import ConfigError
+from condmc.optimizer import counterfactual_gradient
 from condmc.runconfig import RunConfig, parse_config_file, resolve_config
 from condmc.sde import ou_conditional_second_moment
 from condmc.svgplot import render_line_plot
@@ -242,6 +243,23 @@ def test_estimate_grad_command(tmp_path):
     assert row[7] == "random-k"
 
 
+def test_estimate_grad_manifest_reports_estimate_health(tmp_path):
+    out = tmp_path / "run"
+    args = ["--paths", "600", "--steps", "40", "--seed", "4"]
+    assert main(["estimate-grad", *args, "--out", str(out)]) == 0
+    config = resolve_config("estimate-grad", {}, {"paths": 600, "steps": 40, "seed": 4})
+    model, grid, ell, g, _ = _conditional_setup(config)
+    _, _, diag = counterfactual_gradient(model, config.theta, ell, g, "canonical", grid,
+                                         np.array([config.x0]), 600, config.mode, 4)
+    manifest = read_manifest(out / "manifest.txt")
+    assert float(manifest["acceptance_fraction"]) == diag["acceptance_fraction"]
+    assert float(manifest["denominator_z"]) == diag["denominator_z"]
+    # the health figures go to the manifest only, never to the CSV
+    header, _ = read_csv(out / "estimate_grad.csv")
+    assert header == ["gradient", "std_error", "loss", "loss_std_error",
+                      "closed_form_reference", "n_paths", "seed", "mode"]
+
+
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.5])
 def test_loss_slope_matches_central_difference(theta):
     h = 1e-5
@@ -310,6 +328,50 @@ def test_bench_convergence_single_replication_flagged(tmp_path, capsys):
     manifest = read_manifest(out / "manifest.txt")
     assert "fitted_slope" in manifest
     assert "low_confidence" in manifest
+
+
+def test_bench_convergence_leaves_out_degenerate_replicates(tmp_path, capsys):
+    # at seed 0 and n = 100, replicate 21 fails the 5-standard-error denominator
+    # gate; the sweep goes on without it
+    out = tmp_path / "run"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_values = 100\nreplications = 22\n", encoding="utf-8")
+    code = main(["bench-convergence", "--config", str(cfg), "--seed", "0",
+                 "--out", str(out)])
+    assert code == 0
+    assert "degenerate denominator left out (n:count) 100:1" in capsys.readouterr().out
+    assert read_manifest(out / "manifest.txt")["degenerate_replicates"] == "100:1"
+    _, rows = read_csv(out / "bench_convergence.csv")
+    assert [row[0] for row in rows] == ["100"]
+
+
+def test_bench_convergence_fails_when_a_row_is_all_degenerate(tmp_path, capsys):
+    # seed 91's first replicate at n = 100 has a degenerate denominator
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_values = 100\nreplications = 1\n", encoding="utf-8")
+    code = main(["bench-convergence", "--config", str(cfg), "--seed", "91",
+                 "--out", str(tmp_path / "run")])
+    assert code == 3
+    assert "DegenerateDenominator: every replicate at n = 100" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("horizon", "inf"), ("horizon", "nan"),
+                                        ("theta", "nan"), ("sigma", "-inf")])
+def test_non_finite_flags_are_config_errors(tmp_path, capsys, key, value):
+    code = main(["estimate-loss", "--paths", "200", f"--{key}={value}", "--out", str(tmp_path)])
+    assert code == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "estimate_loss.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("x0", math.inf), ("step_size", math.nan), ("theta_min", -math.inf),
+    ("theta_max", math.inf), ("target", math.nan), ("t_values", (2.0, math.inf)),
+    ("t_values", (math.nan,)),
+])
+def test_config_rejects_non_finite_floats(key, value):
+    with pytest.raises(ConfigError, match="finite"):
+        resolve_config("optimize", {key: value}, {})
 
 
 def test_bench_variance_command_and_swapped_selectors(tmp_path, capsys):

@@ -222,6 +222,24 @@ def test_config_validation():
         cm.OptimizerConfig(**{**good, "gradient_mode": "spicy"})
 
 
+@pytest.mark.parametrize("field", ["theta0", "step_size"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_floats(field, value):
+    good = dict(theta0=1.0, step_size=0.1, n_iterations=5, paths_per_iteration=100)
+    with pytest.raises(ValueError, match="finite"):
+        cm.OptimizerConfig(**{**good, field: value})
+
+
+def test_counterfactual_reports_the_loss_denominator_z():
+    model, grid, ell, g = ou_setup(30)
+    _, _, diag = cm.counterfactual_gradient(model, 1.0, ell, g, "canonical", grid,
+                                            np.array([0.0]), 600, master_seed=5)
+    report = cm.conditional_loss_estimate(model, 1.0, ell, g, "canonical", 600, 5, grid,
+                                          np.array([0.0]))
+    assert diag["denominator_z"] == report.denominator_z >= 5.0
+    assert diag["acceptance_fraction"] == report.acceptance_fraction
+
+
 # ---------------------------------------------------------------------------
 # projected SGD
 

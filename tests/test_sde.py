@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -167,8 +168,48 @@ def test_block_rows_match_generate_noise_for_a_large_child_seed():
                          cm.simulate_path(model, 1.0, 0.3, grid, noise).states)
 
 
+def test_per_path_joins_block_terms_in_order_and_keeps_no_block():
+    model, grid = cm.ou_model(1.0), cm.TimeGrid(1.0, 6)
+    seen = []
+
+    def terms(batch):
+        assert all(ref() is None for ref in seen)  # every earlier block is freed
+        seen.append(weakref.ref(batch))
+        return batch.states[:, -1, 0].copy(), batch.path_indices
+
+    blocks = sde.simulate_blocks(model, 1.0, 0.2, grid, 250, 3, block_size=100)
+    terminal, indices = sde.per_path(blocks, terms)
+    assert len(seen) == 3
+    assert np.array_equal(indices, np.arange(250))
+    whole = cm.simulate_paths(model, 1.0, 0.2, grid, 250, 3)
+    assert same_bits(terminal, whole.states[:, -1, 0])
+
+
 # ---------------------------------------------------------------------------
 # simulate_path
+
+
+def test_one_path_is_a_path_batch():
+    # one type for simulated paths: a single path carries its own seed and index
+    model, grid = cm.ou_model(1.0), cm.TimeGrid(1.0, 10)
+    noise = cm.generate_noise(7, 123, grid, 1)
+    path = cm.simulate_path(model, 1.0, 0.2, grid, noise)
+    assert isinstance(path, cm.PathBatch)
+    assert path.n_paths == 1 and path.states.shape == (11, 1)
+    assert path.master_seed == 7 and path.path_indices == 123
+    batch = cm.simulate_paths(model, 1.0, 0.2, grid, 5, 7, first_index=120)
+    assert batch.n_paths == 5
+    for i in range(5):
+        row = batch.path(i)
+        assert isinstance(row, cm.PathBatch) and row.n_paths == 1
+        assert row.master_seed == 7 and row.path_indices == 120 + i
+    assert same_bits(batch.path(3).states, path.states)
+    resumed = cm.resume_path(path, 4, path.states[4] + 0.5, noise)
+    assert resumed.n_paths == 1 and (resumed.master_seed, resumed.path_indices) == (7, 123)
+    ell, g = cm.terminal_power(2), cm.marginal_power(5, 1)
+    report = cm.kernel_loss_estimate(path, ell, g, 0.5)
+    assert report.n_paths == 1 and report.master_seed == 7
+    assert cm.kernel_loss_estimate([batch.path(i) for i in range(5)], ell, g, 0.5).master_seed == 7
 
 
 def test_random_walk_degenerate_model():
@@ -888,7 +929,7 @@ def test_ragged_restart_rows_match_resume_path_property(name, steps, theta, seed
         increments[k] = implied
         assert same_bits(restarted.increments[i], increments)
         single = cm.resume_path(row, k + 1, new_states[i],
-                                cm.NoisePath(increments, seed, int(row.noise.path_index)))
+                                cm.NoisePath(increments, seed, row.path_indices))
         assert same_bits(restarted.states[i], single.states)
         assert same_bits(restarted.jacobians.y[i], single.jacobians.y)
         assert same_bits(restarted.jacobians.z[i], single.jacobians.z)

@@ -673,6 +673,23 @@ def test_gradient_report_fields_are_consistent():
     assert sf.branch_stats is None
 
 
+@pytest.mark.parametrize("mode", wd.GRADIENT_MODES)
+def test_branch_stats_is_the_mean_gap_over_all_branches(mode):
+    # random-k takes one branch per path, sum-over-k one per path and step;
+    # each gap is the scalar reference's weighted gap over its kernel scale
+    model, grid, x0, seed, n = cm.ou_model(1.0), cm.TimeGrid(1.0, 5), np.array([0.5]), 3, 6
+    f = terminal_square()
+    report = cm.hj_gradient(model, 1.0, x0, grid, f, n, mode, seed)
+    gaps = []
+    for i in range(n):
+        path = cm.simulate_path(model, 1.0, x0, grid, cm.generate_noise(seed, i, grid, 1))
+        steps = [choice_step(seed, i, grid.steps)] if mode == "random-k" else range(grid.steps)
+        for k in steps:
+            scale = cm.hj_decompose(model, path.states[k], grid.times[k], 1.0, grid.dt).scale
+            gaps.append(abs(cm.hj_single_branch(model, 1.0, x0, grid, k, f, seed, i)) / scale)
+    assert report.branch_stats == pytest.approx(np.mean(gaps), rel=1e-9)
+
+
 def test_gradient_deterministic_under_seed_and_blocking():
     grid = cm.TimeGrid(1.0, 20)
     f = terminal_square()
@@ -745,7 +762,7 @@ def test_random_k_rows_branched_at_step_zero_are_exact_zeros():
     grid = cm.TimeGrid(1.0, 8)
     n, seed = 200, 4
     batch = cm.simulate_paths(cm.ou_model(1.0), 1.0, X0, grid, n, seed)
-    vals, gap_rows, _ = _hj_values(batch, terminal_square(), "random-k")
+    vals, gap_rows = _hj_values(batch, terminal_square(), "random-k")
     ks = np.array([choice_step(seed, i, grid.steps) for i in range(n)])
     assert np.count_nonzero(ks == 0) > 0
     assert np.array_equal(vals[ks == 0].view(np.int64), np.zeros(np.count_nonzero(ks == 0),
