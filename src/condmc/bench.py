@@ -119,7 +119,8 @@ def cmd_estimate_grad(config: RunConfig) -> ResultTable:
         rows=[(gradient, diag["se_gradient"], loss, diag["se_loss"],
                reference, config.paths, config.seed, config.mode)],
         manifest={"condition_step": str(condition_step),
-                  **{key: repr(diag[key]) for key in ("acceptance_fraction", "denominator_z")}},
+                  **{key: repr(diag[key])
+                     for key in ("acceptance_fraction", "denominator_z", "branch_stats")}},
     )
     print_lines([
         f"loss gradient estimate: {gradient!r} "

@@ -27,7 +27,7 @@ from .malliavin import _loss_report, conditional_quotient_terms
 from .sde import (PathBatch, SdeModel, TimeGrid, finite_fsum, fsum,
                   on_grid, per_path, require_finite, simulate_blocks)
 from .streams import child_seed
-from .weakderiv import GRADIENT_MODES, _hj_values
+from .weakderiv import GRADIENT_MODES, _hj_values, _mean_branch_gap
 
 _DENOMINATOR_FLOOR = 1e-12
 # central-difference width for the integrand's explicit theta dependence;
@@ -137,9 +137,9 @@ def counterfactual_gradient(model: SdeModel, theta: float, ell: PathFunctional,
         value=lambda bundle: np.stack(
             conditional_quotient_terms(ell, g, weight_rule, bundle)[:2], -1),
     )
-    a, b, indicator, measure, explicit = per_path(blocks, lambda batch: (
+    a, b, indicator, measure, gap_rows, explicit = per_path(blocks, lambda batch: (
         *conditional_quotient_terms(ell, g, weight_rule, batch),
-        _hj_values(batch, integrands, gradient_mode)[0],
+        *_hj_values(batch, integrands, gradient_mode),
         _integrand_theta_terms(batch, ell, g, weight_rule)))
     report = _loss_report(a, b, indicator, master_seed)
     g1_terms, g2_terms = (measure + explicit).T
@@ -162,6 +162,7 @@ def counterfactual_gradient(model: SdeModel, theta: float, ell: PathFunctional,
         "se_gradient": se_gradient,
         "acceptance_fraction": report.acceptance_fraction,
         "denominator_z": report.denominator_z,
+        "branch_stats": _mean_branch_gap(measure, gap_rows, gradient_mode, grid.steps),
         "n_paths": n_paths,
         "gradient_mode": gradient_mode,
     }

@@ -305,7 +305,7 @@ def on_grid(fn: Callable, states: np.ndarray, times: np.ndarray, core: tuple,
             out[(..., k) + rest] = value
         except ValueError as exc:
             raise CoefficientShapeError(f"a coefficient value of shape {value.shape} does "
-                                        f"not broadcast to {out[(..., k) + rest].shape}") from exc
+                                        f"not broadcast to {states.shape[:-2] + core}") from exc
     return np.broadcast_to(out, states.shape[:-2] + shared.shape)
 
 

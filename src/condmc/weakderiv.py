@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CoefficientShapeError,
     NonDiagonalDiffusion,
     NonFiniteState,
     SingularDiffusion,
@@ -42,12 +43,16 @@ from .sde import (
     per_path,
     require_finite,
     resume_path,
+    shared_row,
     simulate_blocks,
     simulate_path,
 )
 from .streams import PATHS_PER_STREAM, TAG_BRANCH, TAG_CHOICE, group_streams, stream
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# bytes of one (N, K, n) temporary of the branch placement pass (_placed_branches)
+_PLACE_CHUNK_BYTES = 512 * 2 ** 10
 
 GRADIENT_MODES = ("random-k", "sum-over-k")
 
@@ -83,7 +88,11 @@ class HjDecomposition:
 
 def _diagonal_sigma(model: SdeModel, x: np.ndarray, t: float) -> np.ndarray:
     """Signed diagonal of the diffusion matrix; rejects non-diagonal models."""
-    sig = np.asarray(model.diffusion(x, t), dtype=float)
+    return _diagonal(np.asarray(model.diffusion(x, t), dtype=float))
+
+
+def _diagonal(sig: np.ndarray) -> np.ndarray:
+    """Signed diagonal of diffusion matrices (..., n, n); rejects non-diagonal ones."""
     if sig.shape[-2] != sig.shape[-1]:
         raise NonDiagonalDiffusion("kernel splitting needs a square diffusion matrix")
     if np.any((sig - sig * np.eye(sig.shape[-1])) != 0.0):
@@ -205,23 +214,51 @@ def signed_density(decomp: HjDecomposition, y) -> np.ndarray:
 # batched decomposition and branch draws (shared by the gradient engines)
 
 
-def _hj_terms_batch(model: SdeModel, x: np.ndarray, t: float, theta: float, dt: float):
-    """Vectorized decomposition pieces at a block of states x of shape (N, n)."""
-    diag = np.abs(_diagonal_sigma(model, x, t))
-    scales = np.broadcast_to(diag * math.sqrt(dt), x.shape)
-    b = np.asarray(model.drift(x, t, theta), dtype=float)
-    db = np.asarray(model.drift_dtheta(x, t, theta), dtype=float)
-    mean = x + dt * b
-    dtheta_mean = np.broadcast_to(dt * db, x.shape)
-    if np.any((scales == 0.0) & (dtheta_mean != 0.0)):
+def _hj_terms_batch(model: SdeModel, x: np.ndarray, t, theta: float, dt: float):
+    """Vectorized decomposition pieces at a block of states: x (N, n) at one
+    grid time t, or x (N, K, n) with t the K grid times of its step axis,
+    whose coefficients are read through on_grid.  The model sees one scalar t
+    per call either way, and a coefficient value that does not broadcast to
+    its shape raises CoefficientShapeError.  A diffusion with no path axis is
+    checked for diagonality once, on its shared core.
+    """
+    n, d = model.state_dim, model.noise_dim
+    if np.ndim(t) == 0:
+        sig = _fitted(model.diffusion(x, t), x.shape[:-1] + (n, d))
+        b = _fitted(model.drift(x, t, theta), x.shape)
+        db = _fitted(model.drift_dtheta(x, t, theta), x.shape)
+        core = shared_row(sig, 2)
+    else:
+        sig = on_grid(model.diffusion, x, t, (n, d))
+        b = on_grid(model.drift, x, t, (n,), theta)
+        db = on_grid(model.drift_dtheta, x, t, (n,), theta)
+        core = shared_row(sig, 3)
+    scales = np.abs(_diagonal(sig if core is None else core)) * math.sqrt(dt)
+    mean = dt * b
+    mean += x
+    dtheta_mean = dt * db
+    del b, db  # free the coefficient values before the weights are formed
+    if not scales.all() and np.any((scales == 0.0) & (dtheta_mean != 0.0)):
         raise SingularDiffusion("drift sensitivity in a coordinate with zero diffusion")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        weights = np.where(dtheta_mean != 0.0,
-                           np.abs(dtheta_mean) / np.where(scales == 0.0, 1.0, scales)
-                           / _SQRT_2PI, 0.0)
+    # |dt db| / (scale sqrt(2 pi)), 0 where dt db is; a zero scale meets only
+    # a zero numerator here, so it divides as 1
+    weights = np.abs(dtheta_mean)
+    weights /= np.where(scales == 0.0, 1.0, scales)
+    weights /= _SQRT_2PI
     total = np.sum(weights, axis=-1)
     signs = np.sign(dtheta_mean)
-    return mean, scales, weights, total, signs
+    return mean, np.broadcast_to(scales, x.shape), weights, total, signs
+
+
+def _fitted(value, shape: tuple) -> np.ndarray:
+    """A coefficient value broadcast to shape; CoefficientShapeError when it
+    does not broadcast."""
+    value = np.asarray(value, dtype=float)
+    try:
+        return np.broadcast_to(value, shape)
+    except ValueError as exc:
+        raise CoefficientShapeError(f"a coefficient value of shape {value.shape} does not "
+                                    f"broadcast to {shape}") from exc
 
 
 def _group_branch_draws(rng: np.random.Generator, steps: int, n_dim: int):
@@ -251,30 +288,30 @@ def _branch_draw_block(master_seed: int, path_indices: np.ndarray, steps: int, n
     return u, r, z
 
 
-def _draws_at(draws, rows, step: int):
-    """The (u, r, z) draws of the given block rows at one step."""
+def _draws_at(draws, rows, step):
+    """The (u, r, z) draws of the given block rows at one step or a slice of steps."""
     return tuple(None if a is None else a[rows, step] for a in draws)
 
 
 def _assemble_branch_states(mean, scales, weights, total, signs, u, r, z):
-    """Vectorized analogue of sample_branch_pair over a block of paths."""
+    """Vectorized analogue of sample_branch_pair over any leading axes: the
+    split terms (..., n) and (...) of _hj_terms_batch with the matching draws
+    u, r (...) and z (..., n).  Every coordinate's candidate pair
+    mean +- sign * (r * scale) is formed, and the chosen one kept."""
+    plus = r[..., None] * scales
+    plus *= signs
+    minus = mean - plus
+    plus += mean
     n_dim = mean.shape[-1]
-    if n_dim == 1:
-        chosen = np.zeros(mean.shape[:-1], dtype=np.intp)
-        base = mean.copy()
-    else:
+    if n_dim > 1:  # the other coordinates take the nominal Gaussian draws
         cum = np.cumsum(weights, axis=-1)
-        target = (u * total)[..., None]
-        chosen = np.minimum(np.sum(cum <= target, axis=-1), n_dim - 1)
-        base = mean + scales * z
-    base_plus, base_minus = base.copy(), base
-    rows = np.arange(mean.shape[0])
-    sign = signs[rows, chosen]
-    radius = r * scales[rows, chosen]
-    center = mean[rows, chosen]
-    base_plus[rows, chosen] = center + sign * radius
-    base_minus[rows, chosen] = center - sign * radius
-    return base_plus, base_minus
+        chosen = np.minimum(np.sum(cum <= (u * total)[..., None], axis=-1), n_dim - 1)
+        others = chosen[..., None] != np.arange(n_dim)
+        base = scales * z
+        base += mean
+        np.copyto(plus, base, where=others)
+        np.copyto(minus, base, where=others)
+    return plus, minus
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +383,12 @@ def _row_abs_sums(gaps: np.ndarray) -> np.ndarray:
 def _placed_branches(batch: PathBatch):
     """The branch pair of every path at every step, as placed: entry [:, k] of
     the (N, M, n) arrays (plus, minus) is the pair split off at step k, at
-    time k+1.  Returns (plus, minus, per-step scales (N, M))."""
+    time k+1.  Returns (plus, minus, per-step scales (N, M)).
+
+    The steps are taken in chunks whose (N, K, n) temporaries stay within
+    _PLACE_CHUNK_BYTES each: a few numpy calls per chunk, not per step, at a
+    peak memory that does not grow with the block.
+    """
     model, grid, theta = batch.model, batch.grid, batch.theta
     steps = grid.steps
     n_dim = model.state_dim
@@ -355,12 +397,14 @@ def _placed_branches(batch: PathBatch):
     plus = np.empty((count, steps, n_dim))
     minus = np.empty((count, steps, n_dim))
     scale_k = np.empty((count, steps))
-    for k in range(steps):
-        mean, scales, weights, total, signs = _hj_terms_batch(
-            model, batch.states[:, k], grid.times[k], theta, grid.dt)
-        plus[:, k], minus[:, k] = _assemble_branch_states(
-            mean, scales, weights, total, signs, *_draws_at(draws, slice(None), k))
-        scale_k[:, k] = total
+    chunk = max(_PLACE_CHUNK_BYTES // (8 * count * n_dim), 1)
+    for start in range(0, steps, chunk):
+        at = slice(start, min(start + chunk, steps))
+        terms = _hj_terms_batch(model, batch.states[:, at], grid.times[at], theta, grid.dt)
+        plus[:, at], minus[:, at] = _assemble_branch_states(
+            *terms, *_draws_at(draws, slice(None), at))
+        scale_k[:, at] = terms[3]
+        del terms  # two chunks of terms alive at once would raise the peak memory
     return plus, minus, scale_k
 
 
@@ -571,6 +615,13 @@ def _hj_values(batch: PathBatch, functional: PathFunctional, mode: str):
     return _generic_sum_over_k(batch, functional)
 
 
+def _mean_branch_gap(values: np.ndarray, gap_rows: np.ndarray, mode: str, steps: int) -> float:
+    """The mean |gap| over all branches behind the per-path values of _hj_values
+    and their per-row |gap| sums: one branch per path and column in random-k,
+    one per step in sum-over-k."""
+    return finite_fsum(gap_rows) / (values.size * (1 if mode == "random-k" else steps))
+
+
 def _column_moments(columns: np.ndarray):
     """(estimate, std_error, variance) arrays of the per-path values in each
     row of columns (m, N); NonFiniteEstimate when any of them is not finite."""
@@ -601,8 +652,6 @@ def hj_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
     estimate, std_error, variance = _column_moments(values.reshape(n_paths, -1).T)
     if values.ndim == 1:  # a scalar functional reports plain floats
         estimate, std_error, variance = (float(v[0]) for v in (estimate, std_error, variance))
-    # one gap per branch: one branch per path and column in random-k, M in sum-over-k
-    gap_count = values.size * (1 if mode == "random-k" else grid.steps)
     return GradientReport(
         estimate=estimate,
         std_error=std_error,
@@ -610,7 +659,7 @@ def hj_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
         master_seed=master_seed,
         variance=variance,
         mode=mode,
-        branch_stats=finite_fsum(gap_rows) / gap_count,
+        branch_stats=_mean_branch_gap(values, gap_rows, mode, grid.steps),
     )
 
 

@@ -1,5 +1,6 @@
 """Tests for run configuration, table/SVG emission, and the CLI commands."""
 
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 
@@ -254,10 +255,43 @@ def test_estimate_grad_manifest_reports_estimate_health(tmp_path):
     manifest = read_manifest(out / "manifest.txt")
     assert float(manifest["acceptance_fraction"]) == diag["acceptance_fraction"]
     assert float(manifest["denominator_z"]) == diag["denominator_z"]
+    assert float(manifest["branch_stats"]) == diag["branch_stats"] > 0.0
     # the health figures go to the manifest only, never to the CSV
     header, _ = read_csv(out / "estimate_grad.csv")
     assert header == ["gradient", "std_error", "loss", "loss_std_error",
                       "closed_form_reference", "n_paths", "seed", "mode"]
+
+
+# sha256 of the CSV and SVG outputs of small estimate-grad and optimize runs
+# (600 x 40 and 3 iterations of 300 x 20, seed 4); the manifest, which carries
+# the health figures and the wall time, is not part of this contract
+OUTPUT_DIGESTS = {
+    ("estimate-grad", "random-k", "estimate_grad.csv"):
+        "8f1ecb275f84775c0f20178fd25daaca34b409e1bdb32e3656492fbf69561de2",
+    ("estimate-grad", "sum-over-k", "estimate_grad.csv"):
+        "e2dc4977ee2bb802a7654b72e0c5b8015e3afe37681982b1114f26c210f12b2c",
+    ("optimize", "random-k", "optimize.csv"):
+        "aabf4dab7ad781772d11dc71b1f89d47a838727f34d56520cd09a31882479bf0",
+    ("optimize", "random-k", "optimize.svg"):
+        "78b0407e8274776bfa227c26e3ded62ef881691315c8e84513c20672ec443ca1",
+    ("optimize", "sum-over-k", "optimize.csv"):
+        "9bfad90125667ade11fe6467dbfc967efcd114cff3996a8ce9e7b091e8993962",
+    ("optimize", "sum-over-k", "optimize.svg"):
+        "1d751066aa2266758335f9b572c70b7149ac97e64e8f6c5e3399a8cab2322be0",
+}
+
+
+@pytest.mark.parametrize("command, mode", sorted({key[:2] for key in OUTPUT_DIGESTS}))
+def test_gradient_command_outputs_keep_their_bytes(tmp_path, command, mode):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("iterations = 3\n", encoding="utf-8")
+    size = ["--paths", "600", "--steps", "40"] if command == "estimate-grad" else [
+        "--config", str(cfg), "--paths", "300", "--steps", "20"]
+    out = tmp_path / "run"
+    assert main([command, *size, "--seed", "4", "--mode", mode, "--out", str(out)]) == 0
+    for (cmd, mod, name), digest in OUTPUT_DIGESTS.items():
+        if (cmd, mod) == (command, mode):
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.5])

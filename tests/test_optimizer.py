@@ -1,5 +1,6 @@
 """Tests for the quotient-rule gradient assembly and the projected SGD loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import condmc as cm
 from condmc.errors import DegenerateDenominator, NonFiniteEstimate
+from condmc.malliavin import conditional_quotient_terms
 
 # d/dtheta of (1 - e^{-theta}) / (2 theta) at theta = 1, the closed-form
 # slope of the conditional second moment E[X_1^2 | X_{0.5} = 0]
@@ -240,6 +242,19 @@ def test_counterfactual_reports_the_loss_denominator_z():
     assert diag["acceptance_fraction"] == report.acceptance_fraction
 
 
+@pytest.mark.parametrize("mode", ["random-k", "sum-over-k"])
+def test_counterfactual_reports_the_branch_stats_of_its_integrands(mode):
+    # the mean |gap| over the branches of both integrand columns, as
+    # hj_gradient reports it for the same two-column functional and blocks
+    model, grid, ell, g = ou_setup(16)
+    _, _, diag = cm.counterfactual_gradient(model, 1.0, ell, g, "canonical", grid, X0, 300,
+                                            mode, 5, block_size=128)
+    integrands = cm.PathFunctional(value=lambda bundle: np.stack(
+        conditional_quotient_terms(ell, g, "canonical", bundle)[:2], -1))
+    report = cm.hj_gradient(model, 1.0, X0, grid, integrands, 300, mode, 5, block_size=128)
+    assert diag["branch_stats"] == report.branch_stats > 0.0
+
+
 # ---------------------------------------------------------------------------
 # projected SGD
 
@@ -328,6 +343,18 @@ def test_sgd_overflow_returns_partial_trace(mode):
     assert trace.records == () and trace.final_theta == 1.0
 
 
+@pytest.mark.parametrize("mode", ["random-k", "sum-over-k"])
+def test_sgd_mis_shaped_sensitivity_returns_partial_trace(mode):
+    # drift_dtheta drops the state axis: (N,) in place of (N, 1)
+    model = dataclasses.replace(cm.ou_model(1.0), drift_dtheta=lambda x, t, theta: -x[..., 0])
+    _, grid, ell, g = ou_setup(20)
+    cfg = cm.OptimizerConfig(theta0=1.0, step_size=0.5, n_iterations=2,
+                             paths_per_iteration=300, gradient_mode=mode, master_seed=4)
+    trace = cm.run_sgd(model, ell, g, cfg, grid, X0)
+    assert trace.error.startswith("CoefficientShapeError")
+    assert trace.records == () and trace.final_theta == 1.0
+
+
 def test_sgd_is_deterministic_in_the_master_seed():
     model, grid, ell, g = ou_setup(30)
     cfg = cm.OptimizerConfig(theta0=1.0, step_size=0.4, n_iterations=3,
@@ -375,6 +402,12 @@ def test_counterfactual_measure_columns_keep_their_bits():
         grid, 0.0, 600, "random-k", 5, block_size=256)
     assert (float(diag["grad_e1_measure"]).hex(), float(diag["grad_e2_measure"]).hex()) == (
         "-0x1.37094d243075ap-2", "-0x1.53307b70821b3p-3")
+    # sum-over-k branches both integrand columns at every step (generic engine)
+    _, _, diag = cm.counterfactual_gradient(
+        cm.ou_model(1.0), 1.0, cm.terminal_power(2), cm.marginal_power(10, 1), "canonical",
+        grid, 0.0, 300, "sum-over-k", 5, block_size=128)
+    assert (float(diag["grad_e1_measure"]).hex(), float(diag["grad_e2_measure"]).hex()) == (
+        "-0x1.657618b7cad91p-2", "-0x1.8568b391d1ae9p-3")
 
 
 SGD_PINS = (

@@ -2,8 +2,11 @@
 score-function baseline: decomposition algebra, coupled sampling, the signed
 density identity, engine consistency and closed-form agreement."""
 
+import dataclasses
 import math
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 import condmc as cm
 from condmc import weakderiv as wd
 from condmc.errors import (
+    CoefficientShapeError,
     NonDiagonalDiffusion,
     NonFiniteEstimate,
     NonFiniteState,
@@ -20,10 +24,10 @@ from condmc.errors import (
     ZeroSensitivity,
 )
 from condmc.functionals import PathFunctional
-from condmc.sde import simulate_blocks
+from condmc.sde import block_rows, simulate_blocks
 from condmc.streams import PATHS_PER_STREAM, TAG_BRANCH, TAG_CHOICE, TAG_NOISE, _StreamPool, stream
 from condmc.weakderiv import _hj_values
-from test_sde import mixed_model, sine_diffusion_model
+from test_sde import mixed_model, same_bits, sine_diffusion_model
 
 # d/dtheta of the exact discrete-chain variance of X_1 (unit OU, dt = 0.01,
 # 100 steps): Var_M(theta) = sum_k (1 - theta dt)^{2k} dt, differentiated.
@@ -756,6 +760,53 @@ def test_score_function_outputs_keep_their_bits(n_dim, block_size):
     assert got == SCORE_PINS[n_dim, block_size]
 
 
+def _cubic_terminal():
+    return PathFunctional(
+        value=lambda b: b.states[..., -1, 0] ** 2 + b.states[..., -1, -1] ** 3,
+        terminal_value=lambda x: x[..., 0] ** 2 + x[..., -1] ** 3,
+    )
+
+
+def _square_integral():
+    return cm.integral_functional(lambda x: x[..., 0] ** 2 + x[..., -1] ** 2, lambda x: 2.0 * x)
+
+
+# sum-over-k outputs pinned to the bit: (model, x0, paths, steps, functional)
+# -> (estimate, variance, branch_stats) as float.hex, at seed 11, theta 1 and
+# horizon 1.  The terminal OU cases run the affine engine (1,000 x 100 spans
+# two placement chunks in one block and one in 64-row blocks), cubic and
+# diag2 carry Euler copies, and the last three run the integral and generic
+# engines; an exact zero in x0 gives zero-weight coordinates or steps.
+SUM_OVER_K_PINS = {
+    "ou1-terminal": ((lambda: cm.ou_model(1.0), [0.5], 1000, 100, _cubic_terminal),
+                     ("-0x1.4e95f64313edfp-1", "0x1.3f127b2ab5fa4p+1", "0x1.1c91935ec5620p-2")),
+    "ou2-terminal": ((lambda: cm.ou_model(0.8, dim=2), [0.5, -0.3], 400, 60, _cubic_terminal),
+                     ("-0x1.9275753a0f6a4p-6", "0x1.8baa9f70c927cp-1", "0x1.5e5e369631b90p-3")),
+    "cubic-terminal": ((cubic_model, [0.5], 400, 30, _cubic_terminal),
+                       ("-0x1.63cf91950b0cdp-2", "0x1.0ea21655e6cf2p-1", "0x1.8127ba7730c59p-2")),
+    "diag2-terminal": ((diag2_model, [0.0, 0.4], 300, 20, _cubic_terminal),
+                       ("-0x1.3fa62d9532a68p-2", "0x1.b3cc3a814c979p-3", "0x1.43a5af3e681d9p-3")),
+    "ou1-integral": ((lambda: cm.ou_model(1.0), [0.0], 400, 30, _square_integral),
+                     ("-0x1.fb66af5d5bf21p-3", "0x1.dc0733fc4dff2p-4", "0x1.f7acf3d3999bcp-3")),
+    "ou2-integral": ((lambda: cm.ou_model(0.8, dim=2), [0.5, -0.3], 300, 20, _square_integral),
+                     ("-0x1.067ab96f05326p-2", "0x1.67abab4f4b610p-5", "0x1.0c403b4330062p-3")),
+    "ou2-generic": ((lambda: cm.ou_model(0.8, dim=2), [0.5, -0.3], 200, 12,
+                     lambda: _radius_square_at(7)),
+                    ("-0x1.30b445d157a30p-2", "0x1.ba5ce9d172e0fp-4", "0x1.d99c1247d1c91p-3")),
+}
+
+
+@pytest.mark.parametrize("block_size", [None, 64])
+@pytest.mark.parametrize("case", sorted(SUM_OVER_K_PINS))
+def test_sum_over_k_outputs_keep_their_bits(case, block_size):
+    (model, x0, n, steps, functional), pins = SUM_OVER_K_PINS[case]
+    report = cm.hj_gradient(model(), 1.0, np.array(x0), cm.TimeGrid(1.0, steps), functional(),
+                            n, "sum-over-k", 11, block_size=block_size)
+    got = tuple(float(v).hex() for v in (report.estimate, report.variance,
+                                         report.branch_stats))
+    assert got == pins
+
+
 def test_random_k_rows_branched_at_step_zero_are_exact_zeros():
     # from x0 = 0 the OU drift sensitivity -x vanishes at step 0, so the rows
     # whose branch step is 0 carry no gap: +0.0, never 0 * gap
@@ -1018,3 +1069,93 @@ def test_terminal_sum_over_k_picks_its_engine_by_the_step_factors(monkeypatch, m
                    "sum-over-k", 4, block_size=8)
     engine = "_affine_branches" if uses_affine else "_all_steps_branches"
     assert calls == Counter({engine: 3})
+
+
+# ---------------------------------------------------------------------------
+# the branch placement pass: chunks of the step axis against the scalar oracle
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_mis_shaped_sensitivity_raises_a_shape_error(engine):
+    # drift_dtheta drops the state axis: (N,) in place of (N, 1)
+    model = dataclasses.replace(cm.ou_model(1.0), drift_dtheta=lambda x, t, theta: -x[..., 0])
+    mode, f = _engine_case(engine, 1, 10)
+    with pytest.raises(CoefficientShapeError, match=r"shape \((\d+),\) does not broadcast "
+                                                    r"to \(\1, 1\)"):
+        cm.hj_gradient(model, 1.0, np.array([0.3]), cm.TimeGrid(1.0, 10), f, 50, mode, 1)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_gradient_rejects_offdiagonal_diffusion(engine):
+    mode, f = _engine_case(engine, 2, 10)
+    with pytest.raises(NonDiagonalDiffusion):
+        cm.hj_gradient(offdiag_model(), 1.0, np.array([0.3, -0.2]), cm.TimeGrid(1.0, 10), f,
+                       50, mode, 1)
+
+
+PLACEMENT_MODELS = {
+    "ou1": lambda: cm.ou_model(0.9),
+    "ou2": lambda: cm.ou_model(0.8, dim=2),
+    "ou3": lambda: cm.ou_model(1.1, dim=3),
+    "mean-reverting2": lambda: cm.mean_reverting_model(0.5, 1.3, dim=2),
+    "cubic": cubic_model,
+    "diag2": diag2_model,
+    "sine-diffusion": sine_diffusion_model,
+    "shared-before-half": mixed_model,
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(PLACEMENT_MODELS)), chunk=st.integers(1, 4),
+       n_paths=st.integers(1, 6), first=st.sampled_from([0, 97]), seed=st.integers(0, 2 ** 32),
+       theta=st.floats(0.2, 1.5), data=st.data())
+def test_placed_branches_match_the_scalar_oracle_property(name, chunk, n_paths, first, seed,
+                                                          theta, data):
+    # step counts around the chunk edges: one step, C - 1, C, C + 1 and 2C + 1
+    model = PLACEMENT_MODELS[name]()
+    n_dim = model.state_dim
+    steps = data.draw(st.sampled_from(sorted({max(s, 1) for s in
+                                              (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1)})))
+    x0 = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(-1.5, 1.5)),
+                                     min_size=n_dim, max_size=n_dim)))
+    grid = cm.TimeGrid(1.0, steps)
+    batch = cm.simulate_paths(model, theta, x0, grid, n_paths, seed, first_index=first)
+    with mock.patch.object(wd, "_PLACE_CHUNK_BYTES", 8 * n_paths * n_dim * chunk):
+        plus, minus, scale_k = wd._placed_branches(batch)
+    draws = wd._branch_draw_block(seed, batch.path_indices, steps, n_dim)
+    for k in range(steps):
+        # the same terms and pairs as one scalar-t evaluation of step k alone
+        terms = wd._hj_terms_batch(model, batch.states[:, k], grid.times[k], theta, grid.dt)
+        pair = wd._assemble_branch_states(*terms, *wd._draws_at(draws, slice(None), k))
+        assert same_bits(plus[:, k], pair[0]) and same_bits(minus[:, k], pair[1])
+        assert same_bits(scale_k[:, k], terms[3])
+        for i in range(n_paths):
+            decomp = cm.hj_decompose(model, batch.states[i, k], grid.times[k], theta, grid.dt)
+            # the batch divides by the scale and sqrt(2 pi) in turn, the oracle by
+            # their product, and sums the weights in the same order
+            assert abs(scale_k[i, k] - decomp.scale) <= 4 * np.spacing(decomp.scale)
+            if decomp.scale > 0.0:
+                oracle = wd._branch_pair_from_draws(decomp, *wd._draws_at(draws, i, k))
+                assert same_bits(plus[i, k], oracle[0]) and same_bits(minus[i, k], oracle[1])
+
+
+# bytes the placement pass may hold beyond its outputs and its branch draws;
+# an unchunked pass holds several (N, M, n) temporaries, 4.8 MB each at
+# 1,500 x 400
+PLACEMENT_ALLOWANCE = 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("rows, steps", [(1500, 400), (None, 50)], ids=["1500x400", "block"])
+def test_placement_memory_is_its_outputs_and_draws(rows, steps):
+    model, grid = cm.ou_model(1.0), cm.TimeGrid(1.0, steps)
+    rows = rows or block_rows(model, grid)  # 20,700 rows at M = 50
+    batch = cm.simulate_paths(model, 1.0, X0, grid, rows, 3)
+    draw_bytes = sum(a.nbytes for a in wd._branch_draw_block(3, batch.path_indices, steps, 1)
+                     if a is not None)
+    tracemalloc.start()
+    try:
+        placed = wd._placed_branches(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sum(a.nbytes for a in placed) + draw_bytes + PLACEMENT_ALLOWANCE
