@@ -239,8 +239,8 @@ def _loss_report(a: np.ndarray, b: np.ndarray, indicator: np.ndarray,
 def kernel_loss_estimate(paths, ell: PathFunctional, g: PathFunctional,
                          bandwidth: float) -> EstimatorReport:
     """Nadaraya-Watson style baseline: Gaussian kernel weights around g = 0."""
-    if bandwidth <= 0.0:
-        raise ValueError("bandwidth must be positive")
+    if not (math.isfinite(bandwidth) and bandwidth > 0.0):
+        raise ValueError("bandwidth must be positive and finite")
     if isinstance(paths, PathBatch):
         g_val = np.atleast_1d(np.asarray(g.value(paths), dtype=float))
         l_val = np.atleast_1d(np.asarray(ell.value(paths), dtype=float))

@@ -16,7 +16,6 @@ integrands, and the explicit-theta terms.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -233,7 +232,7 @@ _DIAGNOSTIC_FIELDS = tuple(f.name for f in fields(IterationRecord))[4:]
 
 @dataclass(frozen=True)
 class OptimizationTrace:
-    """Per-iteration records, the final iterate, and the wall time.
+    """Per-iteration records and the final iterate.
 
     error is None on a clean run; on an estimator failure it carries the
     structured error name and message, and records holds the iterations
@@ -242,7 +241,6 @@ class OptimizationTrace:
 
     records: tuple[IterationRecord, ...]
     final_theta: float
-    wall_time: float
     error: str | None = None
 
     @property
@@ -267,7 +265,6 @@ def run_sgd(model: SdeModel, ell: PathFunctional, g: PathFunctional,
     lo, hi = config.theta_bounds
     theta = min(max(config.theta0, lo), hi)
     records = []
-    start = time.perf_counter()
     for n in range(config.n_iterations):
         seed = child_seed(config.master_seed, n)
         try:
@@ -278,7 +275,6 @@ def run_sgd(model: SdeModel, ell: PathFunctional, g: PathFunctional,
             return OptimizationTrace(
                 records=tuple(records),
                 final_theta=theta,
-                wall_time=time.perf_counter() - start,
                 error=f"{type(exc).__name__}: {exc}",
             )
         records.append(IterationRecord(
@@ -288,6 +284,5 @@ def run_sgd(model: SdeModel, ell: PathFunctional, g: PathFunctional,
     return OptimizationTrace(
         records=tuple(records),
         final_theta=theta,
-        wall_time=time.perf_counter() - start,
         error=None,
     )

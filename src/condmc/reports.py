@@ -41,8 +41,8 @@ class GradientReport(EstimatorReport):
     mode is 'sum-over-k' or 'random-k' for the branch estimator and
     'score-function' for the likelihood-ratio baseline.  branch_stats holds
     the mean absolute branch gap |C+ - C-| as a coupling diagnostic (None
-    for the baseline).  A branch gradient of a functional with (N, m)
-    values carries (m,) arrays in estimate, std_error and variance.
+    for the baseline).  A gradient of a functional with (N, m) values
+    carries (m,) arrays in estimate, std_error and variance.
     """
 
     variance: float

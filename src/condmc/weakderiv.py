@@ -508,96 +508,88 @@ def _integral_sum_over_k(batch: PathBatch, functional: PathFunctional):
     return _step_sum(scale_k, gap_acc), _row_abs_sums(gap_acc)
 
 
-def _branch_batch(base: PathBatch, starts: np.ndarray, new_states: np.ndarray) -> PathBatch:
-    """The block with row i branched at step starts[i] to new_states[i].
+def _step_pair(batch: PathBatch, rows, k: int, draws):
+    """The branch pair split off the given block rows at step k, as
+    (per-row split scale, [(plus states, increments), (minus states, increments)]).
 
-    Each row records the increment its Euler step would have needed to reach
-    its branch state, keeping the row a consistent state/noise pair, places
-    the branch state at starts[i] + 1 and runs on by Euler from there.  One
-    Euler pass covers the whole block; its Jacobians take one more pass, on
-    the first read of the result's jacobians.
+    A side's increment is the one its Euler step from X_k would have needed to
+    reach its branch state, (x_new - X_k - dt*b) / sigma_ii, and 0 where
+    sigma_ii is 0; it keeps a branched row a consistent state/noise pair.  One
+    drift and diffusion read serves both sides.  A row with zero split scale
+    has every sign 0, so its two sides coincide and its gap is 0.
     """
-    model, grid, theta = base.model, base.grid, base.theta
+    model, grid, theta = batch.model, batch.grid, batch.theta
+    x, t = batch.states[rows, k], grid.times[k]
+    terms = _hj_terms_batch(model, x, t, theta, grid.dt)
+    pair = _assemble_branch_states(*terms, *_draws_at(draws, rows, k))
+    drift_step = grid.dt * np.asarray(model.drift(x, t, theta))
+    diag = np.diagonal(np.asarray(model.diffusion(x, t)), axis1=-2, axis2=-1)
+    divisor = np.where(diag == 0.0, 1.0, diag)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return terms[3], [(y, np.where(diag != 0.0, (y - x - drift_step) / divisor, 0.0))
+                          for y in pair]
+
+
+def _branch_batch(base: PathBatch, starts: np.ndarray, new_states: np.ndarray,
+                  new_increments: np.ndarray) -> PathBatch:
+    """The block with row i branched at step starts[i]: its increment there
+    becomes new_increments[i] and its state at starts[i] + 1 new_states[i]
+    (a side of _step_pair), and it runs on by Euler from there.  One Euler
+    pass covers the whole block; its Jacobians take one more pass, on the
+    first read of the result's jacobians.
+    """
+    rows = np.arange(base.n_paths)
     states = base.states.copy()
     increments = base.increments.copy()
-    for k in np.unique(starts):  # the model sees one t per call
-        at = starts == k
-        x = states[at, k, :]
-        sig = np.asarray(model.diffusion(x, grid.times[k]))
-        diag = np.diagonal(sig, axis1=-2, axis2=-1)
-        drift = np.asarray(model.drift(x, grid.times[k], theta))
-        resid = new_states[at] - x - grid.dt * drift
-        with np.errstate(invalid="ignore", divide="ignore"):
-            increments[at, k, :] = np.where(
-                diag != 0.0, resid / np.where(diag == 0.0, 1.0, diag), 0.0)
-    states[np.arange(base.n_paths), starts + 1, :] = new_states
-    _euler_continue(model, theta, grid, states, increments, starts + 1)
-    return PathBatch(model, grid, theta, states, increments, base.master_seed,
+    states[rows, starts + 1] = new_states
+    increments[rows, starts] = new_increments
+    _euler_continue(base.model, base.theta, base.grid, states, increments, starts + 1)
+    return PathBatch(base.model, base.grid, base.theta, states, increments, base.master_seed,
                      base.path_indices)
 
 
 def _grouped_random_k(batch: PathBatch, functional: PathFunctional):
     """One branch per path at a uniformly drawn step.
 
-    The split terms and branch states are formed step by step, so the model
-    sees one t per call; the branch pairs then run to the horizon in one
-    restart pass per side over the whole block.  A row whose whole step group
-    has zero scale is not branched: it restarts at its own next state, which
-    reproduces its base path, and its estimate stays an exact 0.0.
+    The branch pairs and their increments are formed step group by step
+    group, so the model sees one t per call; they then run to the horizon in
+    one restart pass per side over the whole block.  A row with zero split
+    scale at its branch step gets the coinciding pair, as in the sum-over-k
+    engines, so its estimate and gap are exact +0.0.
     """
-    model, grid, theta = batch.model, batch.grid, batch.theta
-    steps = grid.steps
+    steps = batch.grid.steps
     count = batch.n_paths
-    indices = batch.path_indices
     ks = np.empty(count, dtype=np.intp)
-    for rng, rows, part in group_streams(batch.master_seed, indices, tag=TAG_CHOICE):
+    for rng, rows, part in group_streams(batch.master_seed, batch.path_indices, tag=TAG_CHOICE):
         ks[rows] = rng.integers(0, steps, PATHS_PER_STREAM)[part]
-    draws = _branch_draw_block(batch.master_seed, indices, steps, model.state_dim)
-    total = np.zeros(count)
-    new_plus = batch.states[np.arange(count), ks + 1]
-    new_minus = new_plus.copy()
-    live = np.zeros(count, dtype=bool)
+    draws = _branch_draw_block(batch.master_seed, batch.path_indices, steps,
+                               batch.model.state_dim)
+    total = np.empty(count)
+    sides = np.empty((2, 2, count, batch.model.state_dim))  # (plus, minus) x (state, increment)
     for k in np.unique(ks):
         rows = np.nonzero(ks == k)[0]
-        mean, scales, weights, group_total, signs = _hj_terms_batch(
-            model, batch.states[rows, k], grid.times[k], theta, grid.dt)
-        if not np.any(group_total != 0.0):
-            continue
-        new_plus[rows], new_minus[rows] = _assemble_branch_states(
-            mean, scales, weights, group_total, signs, *_draws_at(draws, rows, k))
-        total[rows] = group_total
-        live[rows] = True
-    # free the spent draws and keep one restarted side alive at a time: the
-    # restart passes then add one block copy to the peak memory, not three
+        total[rows], sides[:, :, rows] = _step_pair(batch, rows, k, draws)
+    # free the spent draws; each restarted side is freed once valued, so the
+    # restart passes add one block copy to the peak memory
     del draws
-    if not live.any():  # no path is sensitive at its branch step
-        return np.zeros(np.shape(functional.value(batch))), np.zeros(count)
-    plus = _branch_batch(batch, ks, new_plus)
-    plus_values = np.asarray(functional.value(plus))
-    del plus
-    minus = _branch_batch(batch, ks, new_minus)
-    gaps = plus_values - np.asarray(functional.value(minus))
-    block_vals = np.zeros(gaps.shape)
-    block_vals[live] = _per_row(steps * total[live], gaps[live]) * gaps[live]
-    return block_vals, np.where(live, _row_abs_sums(gaps), 0.0)
+    plus, minus = [np.asarray(functional.value(_branch_batch(batch, ks, *side)))
+                   for side in sides]
+    gaps = plus - minus
+    return _per_row(steps * total, gaps) * gaps, _row_abs_sums(gaps)
 
 
 def _generic_sum_over_k(batch: PathBatch, functional: PathFunctional):
     """Branch at every step with full branch re-propagation (any functional)."""
-    model, grid, theta = batch.model, batch.grid, batch.theta
     block_vals = 0.0
     gap_rows = np.zeros(batch.n_paths)
-    draws = _branch_draw_block(batch.master_seed, batch.path_indices, grid.steps,
-                               model.state_dim)
-    for k in range(grid.steps):
-        mean, scales, weights, total, signs = _hj_terms_batch(
-            model, batch.states[:, k], grid.times[k], theta, grid.dt)
-        bp, bm = _assemble_branch_states(mean, scales, weights, total, signs,
-                                         *_draws_at(draws, slice(None), k))
+    draws = _branch_draw_block(batch.master_seed, batch.path_indices, batch.grid.steps,
+                               batch.model.state_dim)
+    for k in range(batch.grid.steps):
         starts = np.full(batch.n_paths, k)
-        plus = _branch_batch(batch, starts, bp)
-        minus = _branch_batch(batch, starts, bm)
-        gaps = np.asarray(functional.value(plus)) - np.asarray(functional.value(minus))
+        total, pair = _step_pair(batch, slice(None), k, draws)
+        plus, minus = [np.asarray(functional.value(_branch_batch(batch, starts, *side)))
+                       for side in pair]
+        gaps = plus - minus
         block_vals = block_vals + _per_row(total, gaps) * gaps
         gap_rows += _row_abs_sums(gaps)
     return block_vals, gap_rows
@@ -634,6 +626,19 @@ def _column_moments(columns: np.ndarray):
     return estimate, np.sqrt(variance / n_paths), variance
 
 
+def _gradient_report(values: np.ndarray, master_seed: int, mode: str,
+                     branch_stats: float | None) -> GradientReport:
+    """The report of per-path values (N,) or (N, m): plain floats for a scalar
+    functional, (m,) arrays with each column as its own scalar run otherwise."""
+    n_paths = len(values)
+    estimate, std_error, variance = _column_moments(values.reshape(n_paths, -1).T)
+    if values.ndim == 1:
+        estimate, std_error, variance = (float(v[0]) for v in (estimate, std_error, variance))
+    return GradientReport(estimate=estimate, std_error=std_error, n_paths=n_paths,
+                          master_seed=master_seed, variance=variance, mode=mode,
+                          branch_stats=branch_stats)
+
+
 def hj_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
                 functional: PathFunctional, n_paths: int, mode: str = "random-k",
                 master_seed: int = 0, block_size: int | None = None) -> GradientReport:
@@ -649,18 +654,8 @@ def hj_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
     if mode not in GRADIENT_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     values, gap_rows = per_path(blocks, lambda batch: _hj_values(batch, functional, mode))
-    estimate, std_error, variance = _column_moments(values.reshape(n_paths, -1).T)
-    if values.ndim == 1:  # a scalar functional reports plain floats
-        estimate, std_error, variance = (float(v[0]) for v in (estimate, std_error, variance))
-    return GradientReport(
-        estimate=estimate,
-        std_error=std_error,
-        n_paths=n_paths,
-        master_seed=master_seed,
-        variance=variance,
-        mode=mode,
-        branch_stats=_mean_branch_gap(values, gap_rows, mode, grid.steps),
-    )
+    return _gradient_report(values, master_seed, mode,
+                            _mean_branch_gap(values, gap_rows, mode, grid.steps))
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +669,8 @@ def score_function_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
     """Likelihood-ratio gradient: mean of C(path) times the path's score.
 
     The score accumulates (dt db/dtheta)^T (dt Sigma)^{-1} (X_{k+1}-X_k-dt b)
-    over the steps; its variance grows with the horizon.
+    over the steps; its variance grows with the horizon.  A functional with
+    (N, m) values gets (m,) arrays, each column as its own scalar run.
     """
     blocks = simulate_blocks(model, theta, x0, grid, n_paths, master_seed, block_size)
     dt = grid.dt
@@ -698,16 +694,8 @@ def score_function_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
             except np.linalg.LinAlgError as exc:
                 raise SingularDiffusion(f"transition covariance not invertible: {exc}") from exc
             score = np.sum(dt * db * solved, axis=(-2, -1))
-        return (np.asarray(functional.value(batch)) * score,)
+        values = np.asarray(functional.value(batch))
+        return (_per_row(score, values) * values,)
 
     (values,) = per_path(blocks, terms)
-    (estimate,), (std_error,), (variance,) = _column_moments(values[None, :])
-    return GradientReport(
-        estimate=float(estimate),
-        std_error=float(std_error),
-        n_paths=n_paths,
-        master_seed=master_seed,
-        variance=float(variance),
-        mode="score-function",
-        branch_stats=None,
-    )
+    return _gradient_report(values, master_seed, "score-function", None)

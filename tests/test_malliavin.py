@@ -466,8 +466,9 @@ def test_kernel_rejects_degenerate_inputs():
     ell, g = cm.terminal_power(2), cm.shift_functional(cm.marginal_power(100, 1), 5.0)
     with pytest.raises(EmptyKernelMass):
         cm.kernel_loss_estimate(batch, ell, g, 1e-6)
-    with pytest.raises(ValueError):
-        cm.kernel_loss_estimate(batch, ell, g, 0.0)
+    for bandwidth in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            cm.kernel_loss_estimate(batch, ell, g, bandwidth)
     with pytest.raises(ValueError, match="empty"):
         cm.kernel_loss_estimate([], ell, g, 0.5)
 

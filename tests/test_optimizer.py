@@ -168,19 +168,30 @@ def _columns(f):
                              terminal_value=terminal, step_value=step)
 
 
-@pytest.mark.parametrize("mode, f", [
-    ("random-k", cm.terminal_power(2)),
-    ("sum-over-k", cm.marginal_power(12, 2)),
-    ("sum-over-k", cm.terminal_power(2)),
-    ("sum-over-k", cm.integral_functional(lambda x: x[..., 0] ** 2, lambda x: 2.0 * x)),
-], ids=["random-k", "generic", "terminal", "integral"])
-def test_vector_valued_branch_gradient_matches_scalar_columns(mode, f):
+@pytest.mark.parametrize("mode, f, block_size", [
+    ("random-k", cm.terminal_power(2), 128),
+    ("sum-over-k", cm.marginal_power(12, 2), 128),
+    ("sum-over-k", cm.terminal_power(2), 128),
+    ("sum-over-k", cm.integral_functional(lambda x: x[..., 0] ** 2, lambda x: 2.0 * x), 128),
+    ("score-function", cm.terminal_power(2), None),
+    ("score-function", cm.terminal_power(2), 2),
+    ("score-function", cm.terminal_power(2), 7),
+], ids=["random-k", "generic", "terminal", "integral", "score", "score-block-2",
+        "score-block-7"])
+def test_vector_valued_branch_gradient_matches_scalar_columns(mode, f, block_size):
+    # the score baseline scales each path's row of columns by that path's score
     grid = cm.TimeGrid(1.0, 25)
-    scalar = cm.hj_gradient(cm.ou_model(1.0), 1.0, X0, grid, f, 300, mode, 8,
-                            block_size=128)
-    vector = cm.hj_gradient(cm.ou_model(1.0), 1.0, X0, grid, _columns(f), 300,
-                            mode, 8, block_size=128)
-    assert vector.estimate.shape == vector.variance.shape == (2,)
+
+    def gradient(functional):
+        if mode == "score-function":
+            return cm.score_function_gradient(cm.ou_model(1.0), 1.0, X0, grid, functional,
+                                              300, 8, block_size)
+        return cm.hj_gradient(cm.ou_model(1.0), 1.0, X0, grid, functional, 300, mode, 8,
+                              block_size=block_size)
+
+    scalar, vector = gradient(f), gradient(_columns(f))
+    assert vector.mode == scalar.mode == mode
+    assert vector.estimate.shape == vector.variance.shape == vector.std_error.shape == (2,)
     assert vector.estimate[0] == scalar.estimate
     assert vector.variance[0] == scalar.variance
     assert vector.std_error[0] == scalar.std_error

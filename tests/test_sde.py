@@ -17,7 +17,7 @@ from condmc.errors import CoefficientShapeError, NonFiniteState, SingularJacobia
 from condmc.sde import _euler_continue, _noise_block, shared_row
 from condmc.streams import PATHS_PER_STREAM as G
 from condmc.streams import TAG_BRANCH, TAG_CHOICE, TAG_NOISE, _StreamPool, stream
-from condmc.weakderiv import _branch_batch
+from condmc.weakderiv import _branch_batch, _branch_draw_block, _step_pair
 
 E_INV = math.exp(-1.0)            # 0.36787944117144233
 OU_VAR_T1 = 0.4323323583816936    # sigma^2 (1 - e^{-2 theta}) / (2 theta) at theta=sigma=1
@@ -904,8 +904,9 @@ RESTART_MODELS = {
 @given(name=st.sampled_from(sorted(RESTART_MODELS)), steps=st.integers(2, 12),
        theta=st.floats(-1.0, 1.5), seed=st.integers(0, 2 ** 32), data=st.data())
 def test_ragged_restart_rows_match_resume_path_property(name, steps, theta, seed, data):
-    # one restart pass over a block with mixed branch steps gives, row for
-    # row, what resume_path gives for that row alone with the same increment
+    # the engine's branch states at mixed steps, restarted in one pass, give
+    # row for row what resume_path gives for that row alone; each row's
+    # increment at its branch step is the one Euler needed to reach it
     model = RESTART_MODELS[name]()
     grid = cm.TimeGrid(1.0, steps)
     n_dim = model.state_dim
@@ -914,11 +915,15 @@ def test_ragged_restart_rows_match_resume_path_property(name, steps, theta, seed
     batch = cm.simulate_paths(model, theta, x0, grid, n_paths, seed)
     step = st.one_of(st.sampled_from([0, steps - 1]), st.integers(0, steps - 1))
     starts = np.array(data.draw(st.lists(step, min_size=n_paths, max_size=n_paths)))
-    shifts = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n_paths * n_dim,
-                                max_size=n_paths * n_dim))
-    rows = np.arange(n_paths)
-    new_states = batch.states[rows, starts + 1] + np.reshape(shifts, (n_paths, n_dim))
-    restarted = _branch_batch(batch, starts, new_states)
+    sides = data.draw(st.lists(st.sampled_from([0, 1]), min_size=n_paths, max_size=n_paths))
+    draws = _branch_draw_block(seed, batch.path_indices, steps, n_dim)
+    new_states, new_increments = np.empty((2, n_paths, n_dim))
+    for k in np.unique(starts):
+        rows = np.nonzero(starts == k)[0]
+        _, pair = _step_pair(batch, rows, k, draws)
+        for j, i in enumerate(rows):
+            new_states[i], new_increments[i] = (a[j] for a in pair[sides[i]])
+    restarted = _branch_batch(batch, starts, new_states, new_increments)
     for i, k in enumerate(starts):
         row = batch.path(i)
         x = row.states[k]

@@ -120,6 +120,22 @@ def offdiag_model():
     )
 
 
+def relu_drift_model():
+    # b = -theta max(x, 0): no theta-sensitivity wherever x <= 0
+    sig = np.array([[1.0]])
+    zeros3 = np.zeros((1, 1, 1))
+    return cm.SdeModel(
+        drift=lambda x, t, theta: -theta * np.maximum(x, 0.0),
+        drift_dtheta=lambda x, t, theta: -np.maximum(x, 0.0),
+        drift_dx=lambda x, t, theta: (-theta * (x > 0.0))[..., None],
+        diffusion=lambda x, t: sig,
+        diffusion_dx=lambda x, t: zeros3,
+        state_dim=1,
+        noise_dim=1,
+        name="relu-drift",
+    )
+
+
 def terminal_square():
     return cm.terminal_power(2)
 
@@ -807,20 +823,33 @@ def test_sum_over_k_outputs_keep_their_bits(case, block_size):
     assert got == pins
 
 
-def test_random_k_rows_branched_at_step_zero_are_exact_zeros():
-    # from x0 = 0 the OU drift sensitivity -x vanishes at step 0, so the rows
-    # whose branch step is 0 carry no gap: +0.0, never 0 * gap
+@pytest.mark.parametrize("model, n_paths, mixes", [
+    (lambda: cm.ou_model(1.0), 200, False),
+    (relu_drift_model, 300, True),
+], ids=["ou", "relu-drift"])
+def test_random_k_rows_branched_at_step_zero_are_exact_zeros(model, n_paths, mixes):
+    # rows with no drift sensitivity at their branch step carry no gap: +0.0,
+    # never 0 * gap.  From x0 = 0 the OU sensitivity -x vanishes at step 0
+    # only; -max(x, 0) vanishes on every row at or below 0, so step groups mix
+    # zero-scale rows with branched ones
+    model = model()
     grid = cm.TimeGrid(1.0, 8)
-    n, seed = 200, 4
-    batch = cm.simulate_paths(cm.ou_model(1.0), 1.0, X0, grid, n, seed)
+    seed = 4
+    batch = cm.simulate_paths(model, 1.0, X0, grid, n_paths, seed)
     vals, gap_rows = _hj_values(batch, terminal_square(), "random-k")
-    ks = np.array([choice_step(seed, i, grid.steps) for i in range(n)])
-    assert np.count_nonzero(ks == 0) > 0
-    assert np.array_equal(vals[ks == 0].view(np.int64), np.zeros(np.count_nonzero(ks == 0),
-                                                                  dtype=np.int64))
-    assert np.all(vals[ks != 0] != 0.0)
-    assert gap_rows.shape == (n,)
-    assert np.all(gap_rows[ks == 0] == 0.0) and np.all(gap_rows[ks != 0] > 0.0)
+    ks = np.array([choice_step(seed, i, grid.steps) for i in range(n_paths)])
+    zero = np.array([cm.hj_decompose(model, batch.states[i, k], grid.times[k], 1.0,
+                                     grid.dt).scale == 0.0 for i, k in enumerate(ks)])
+    mixed = [k for k in np.unique(ks) if 0 < np.count_nonzero(zero[ks == k]) < np.sum(ks == k)]
+    assert np.any(zero) and bool(mixed) == mixes
+    assert np.array_equal(vals[zero].view(np.int64), np.zeros(np.count_nonzero(zero),
+                                                              dtype=np.int64))
+    assert np.all(vals[~zero] != 0.0)
+    assert gap_rows.shape == (n_paths,)
+    assert np.all(gap_rows[zero] == 0.0) and np.all(gap_rows[~zero] > 0.0)
+    reference = [grid.steps * cm.hj_single_branch(model, 1.0, X0, grid, k, terminal_square(),
+                                                  seed, i) for i, k in enumerate(ks)]
+    assert vals.tolist() == pytest.approx(reference, rel=1e-12, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
