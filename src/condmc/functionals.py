@@ -35,6 +35,8 @@ class PathFunctional:
     value up to an additive constant, since the engines read nothing but
     branch gaps.  value may return (N, m) columns for m functionals at once;
     the gradient engines treat each column as its own scalar functional.
+    The estimators may call these fields from several threads at once, each
+    on its own block, so they must not mutate state they share.
     """
 
     value: Callable

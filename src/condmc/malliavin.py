@@ -28,7 +28,7 @@ from .errors import (
 from .functionals import PathFunctional, derivative_profile
 from .reports import ConditionalLossReport, EstimatorReport
 from .sde import (PathBatch, SdeModel, TimeGrid, finite_fsum, fsum, per_path,
-                  require_finite, shared_row, simulate_blocks)
+                  require_finite, shared_row)
 
 _ENERGY_FLOOR = 1e-14
 _DERIVATIVE_RATIO_FLOOR = 1e-8
@@ -194,9 +194,9 @@ def conditional_loss_estimate(model: SdeModel, theta: float, ell: PathFunctional
     standard error.  Paths are simulated in blocks; results are independent
     of the block size because every path reads its own row of noise.
     """
-    blocks = simulate_blocks(model, theta, x0, grid, n_paths, master_seed, block_size)
     a, b, indicator = per_path(
-        blocks, lambda batch: conditional_quotient_terms(ell, g, weight_rule, batch))
+        model, theta, x0, grid, n_paths, master_seed, block_size,
+        lambda batch: conditional_quotient_terms(ell, g, weight_rule, batch))
     return _loss_report(a, b, indicator, master_seed)
 
 

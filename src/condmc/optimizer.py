@@ -24,7 +24,7 @@ from .errors import CondMcError, DegenerateDenominator, SingularDiffusion
 from .functionals import PathFunctional
 from .malliavin import _loss_report, conditional_quotient_terms
 from .sde import (PathBatch, SdeModel, TimeGrid, finite_fsum, fsum,
-                  on_grid, per_path, require_finite, simulate_blocks)
+                  on_grid, per_path, require_finite)
 from .streams import child_seed
 from .weakderiv import GRADIENT_MODES, _hj_values, _mean_branch_gap
 
@@ -129,17 +129,17 @@ def counterfactual_gradient(model: SdeModel, theta: float, ell: PathFunctional,
     the loss terms, one branch pass over both integrands as two columns, and
     the explicit-theta terms.
     """
-    blocks = simulate_blocks(model, theta, x0, grid, n_paths, master_seed, block_size)
     if gradient_mode not in GRADIENT_MODES:
         raise ValueError(f"unknown gradient mode {gradient_mode!r}")
     integrands = PathFunctional(
         value=lambda bundle: np.stack(
             conditional_quotient_terms(ell, g, weight_rule, bundle)[:2], -1),
     )
-    a, b, indicator, measure, gap_rows, explicit = per_path(blocks, lambda batch: (
-        *conditional_quotient_terms(ell, g, weight_rule, batch),
-        *_hj_values(batch, integrands, gradient_mode),
-        _integrand_theta_terms(batch, ell, g, weight_rule)))
+    a, b, indicator, measure, gap_rows, explicit = per_path(
+        model, theta, x0, grid, n_paths, master_seed, block_size, lambda batch: (
+            *conditional_quotient_terms(ell, g, weight_rule, batch),
+            *_hj_values(batch, integrands, gradient_mode),
+            _integrand_theta_terms(batch, ell, g, weight_rule)))
     report = _loss_report(a, b, indicator, master_seed)
     g1_terms, g2_terms = (measure + explicit).T
     grad_e1 = finite_fsum(g1_terms) / n_paths

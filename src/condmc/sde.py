@@ -15,10 +15,13 @@ coefficients may simply return (n,), (n, n) or (n, n, d) arrays.  Only
 on_grid evaluates a coefficient along the grid, one model call per step.
 Each Euler pass checks the diffusion's shape once, at its first step.
 
-The block-wise estimators simulate block_rows(model, grid) paths at a time
-unless given a block_size: as many as keep states plus increments within
-BLOCK_BYTES, in whole stream groups, and join the per-path terms of the
-blocks with per_path.  No result depends on the block size.
+The block-wise estimators run their blocks through per_path, on as many
+workers as there are usable CPUs and blocks: the calling thread and helper
+threads, each simulating and handing on one block at a time.  The blocks in
+flight together keep states plus increments within BLOCK_BYTES: a worker's
+block has block_rows(model, grid) // workers rows, in whole stream groups,
+unless the call gives a block_size.  No result depends on the block size or
+the number of workers.
 
 _apply_diffusion multiplies dW by a 1x1 sigma directly, one rounding as in the 1x1 product.
 
@@ -40,7 +43,10 @@ products of the step factors.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -130,6 +136,9 @@ class SdeModel:
     x at that t, and an all-zero diffusion_dx declares a diffusion that does
     not depend on x.  Where both hold, Jacobians are shared across paths and
     sum-over-k branches are carried to the horizon by products, not by Euler.
+
+    per_path may call the coefficients from several threads at once, each on
+    its own block, so they must not mutate state they share.
     """
 
     drift: Callable
@@ -402,33 +411,101 @@ def block_rows(model: SdeModel, grid: TimeGrid) -> int:
     return max(BLOCK_BYTES // row_bytes // PATHS_PER_STREAM, 1) * PATHS_PER_STREAM
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS keeps one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _block_plan(model: SdeModel, grid: TimeGrid, n_paths: int,
+                block_size: int | None) -> tuple[int, int]:
+    """(rows per block, workers) for paths 0 .. n_paths-1.
+
+    Workers are the usable CPUs, but no more than there are blocks of
+    block_size rows, block_rows(model, grid) when None.  Derived blocks then
+    shrink to block_rows // workers rows, in whole stream groups, so that the
+    blocks in flight together stay within BLOCK_BYTES; an explicit
+    block_size keeps its rows.
+    """
+    if n_paths < 2:
+        raise ValueError("n_paths must be at least 2")
+    if block_size is not None and block_size < 1:
+        raise ValueError("block_size must be at least 1")
+    rows = block_rows(model, grid) if block_size is None else block_size
+    workers = min(_usable_cpus(), -(-n_paths // rows))
+    if block_size is None:
+        rows = max(rows // workers // PATHS_PER_STREAM, 1) * PATHS_PER_STREAM
+    return rows, workers
+
+
 def simulate_blocks(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: int,
                     master_seed: int, block_size: int | None = None):
-    """Paths 0 .. n_paths-1 as simulate_paths blocks of at most block_size
-    rows, block_rows(model, grid) when None.
+    """Paths 0 .. n_paths-1 as the simulate_paths blocks that per_path runs.
 
     The arguments are checked at the call; the blocks are simulated one at a
     time as they are drawn, and none is kept here once it has been handed out.
     """
-    if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
-    if block_size is None:
-        block_size = block_rows(model, grid)
-    if block_size < 1:
-        raise ValueError("block_size must be at least 1")
-    return (simulate_paths(model, theta, x0, grid, min(block_size, n_paths - first),
+    rows, _ = _block_plan(model, grid, n_paths, block_size)
+    return (simulate_paths(model, theta, x0, grid, min(rows, n_paths - first),
                            master_seed, first_index=first)
-            for first in range(0, n_paths, block_size))
+            for first in range(0, n_paths, rows))
 
 
-def per_path(blocks, terms) -> tuple:
-    """Per-path arrays of all blocks: terms(block) returns a tuple of arrays
-    with the block's paths on axis 0, joined here in block order.  A block
-    lives until the next is drawn, the last until the join: freeing it sooner
-    lowers no peak and moved the page faults of the loss benchmark."""
-    parts = []
-    for batch in blocks:
-        parts.append(terms(batch))
+def per_path(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: int,
+             master_seed: int, block_size: int | None, terms) -> tuple:
+    """Per-path arrays of paths 0 .. n_paths-1: terms(block) returns a tuple of
+    arrays with the block's paths on axis 0, joined here in block order.
+
+    The blocks are those of simulate_blocks, run by the workers of
+    _block_plan: the calling thread and workers - 1 helper threads, each
+    taking the next block index under a lock, simulating that block (by the
+    module's simulate_paths, looked up at each call) and handing it to terms,
+    which so may run on several blocks at once.  A worker frees its block
+    before it takes the next.  Helpers run in a copy of the caller's
+    context, so an np.errstate around the call holds in them too.  After a
+    failure no block is taken; the caller joins every helper and raises the
+    error of the earliest failed block, the error a one-block-at-a-time loop
+    would raise, since blocks are taken in order.  With one worker no thread
+    starts.
+    """
+    rows, workers = _block_plan(model, grid, n_paths, block_size)
+    n_blocks = -(-n_paths // rows)
+    parts = [None] * n_blocks
+    pending = list(range(n_blocks - 1, -1, -1))  # popped from the end: block 0 first
+    failed = {}  # block index -> the exception its terms or simulation raised
+    lock = threading.Lock()
+
+    def take():
+        with lock:
+            return pending.pop() if pending else None
+
+    def work():
+        while (i := take()) is not None:
+            first = i * rows
+            try:
+                parts[i] = terms(simulate_paths(model, theta, x0, grid,
+                                                min(rows, n_paths - first), master_seed,
+                                                first_index=first))
+            except BaseException as exc:
+                failed[i] = exc
+                with lock:
+                    pending.clear()
+
+    helpers = []
+    try:
+        for _ in range(workers - 1):
+            helper = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        with lock:
+            pending.clear()
+        for helper in helpers:
+            helper.join()
+    if failed:
+        raise failed[min(failed)]
     return tuple(map(np.concatenate, zip(*parts)))
 
 

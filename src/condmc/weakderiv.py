@@ -44,7 +44,6 @@ from .sde import (
     require_finite,
     resume_path,
     shared_row,
-    simulate_blocks,
     simulate_path,
 )
 from .streams import PATHS_PER_STREAM, TAG_BRANCH, TAG_CHOICE, group_streams, stream
@@ -650,10 +649,10 @@ def hj_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
     as the horizon grows.  A functional with (N, m) values gets (m,) arrays
     for estimate, std_error and variance, each column as its own scalar run.
     """
-    blocks = simulate_blocks(model, theta, x0, grid, n_paths, master_seed, block_size)
     if mode not in GRADIENT_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    values, gap_rows = per_path(blocks, lambda batch: _hj_values(batch, functional, mode))
+    values, gap_rows = per_path(model, theta, x0, grid, n_paths, master_seed, block_size,
+                                lambda batch: _hj_values(batch, functional, mode))
     return _gradient_report(values, master_seed, mode,
                             _mean_branch_gap(values, gap_rows, mode, grid.steps))
 
@@ -672,7 +671,6 @@ def score_function_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
     over the steps; its variance grows with the horizon.  A functional with
     (N, m) values gets (m,) arrays, each column as its own scalar run.
     """
-    blocks = simulate_blocks(model, theta, x0, grid, n_paths, master_seed, block_size)
     dt = grid.dt
     n, d = model.state_dim, model.noise_dim
 
@@ -697,5 +695,5 @@ def score_function_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
         values = np.asarray(functional.value(batch))
         return (_per_row(score, values) * values,)
 
-    (values,) = per_path(blocks, terms)
+    (values,) = per_path(model, theta, x0, grid, n_paths, master_seed, block_size, terms)
     return _gradient_report(values, master_seed, "score-function", None)

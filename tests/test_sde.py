@@ -3,8 +3,10 @@
 import dataclasses
 import hashlib
 import math
+import threading
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -168,21 +170,61 @@ def test_block_rows_match_generate_noise_for_a_large_child_seed():
                          cm.simulate_path(model, 1.0, 0.3, grid, noise).states)
 
 
-def test_per_path_joins_block_terms_in_order_and_keeps_no_block():
+def _force_workers(monkeypatch, workers):
+    """Run per_path on up to `workers` workers, whatever the machine has."""
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: workers)
+
+
+def test_per_path_joins_block_terms_in_order_and_keeps_no_block(monkeypatch):
+    # joined in block order, with at most one block per worker alive at once;
+    # the barrier holds the first `workers` blocks until all of them are in
+    # terms together, so every worker does run
     model, grid = cm.ou_model(1.0), cm.TimeGrid(1.0, 6)
-    seen = []
+    whole = cm.simulate_paths(model, 1.0, 0.2, grid, 750, 3)
+    for workers in (1, 2, 3):
+        _force_workers(monkeypatch, workers)
+        seen, lock = [], threading.Lock()
+        barrier = threading.Barrier(workers, timeout=30)
+
+        def terms(batch):
+            with lock:
+                seen.append(weakref.ref(batch))
+                assert sum(ref() is not None for ref in seen) <= workers
+                first = len(seen) <= workers
+            if first:
+                barrier.wait()
+            return batch.states[:, -1, 0].copy(), batch.path_indices
+
+        terminal, indices = sde.per_path(model, 1.0, 0.2, grid, 750, 3, 100, terms)
+        assert len(seen) == 8
+        assert np.array_equal(indices, np.arange(750))
+        assert same_bits(terminal, whole.states[:, -1, 0])
+
+
+def test_per_path_raises_the_earliest_failed_block_and_leaves_no_thread(monkeypatch):
+    # block 3 fails first in time, then block 2; block 2's error is the one a
+    # one-block-at-a-time loop raises, and no block is taken after them
+    model, grid = cm.ou_model(1.0), cm.TimeGrid(1.0, 6)
+    _force_workers(monkeypatch, 2)
+    taken, later_failed = [], threading.Event()
+    threads = threading.active_count()
 
     def terms(batch):
-        assert all(ref() is None for ref in seen)  # every earlier block is freed
-        seen.append(weakref.ref(batch))
-        return batch.states[:, -1, 0].copy(), batch.path_indices
+        block = int(batch.path_indices[0]) // 100
+        taken.append(block)
+        if block == 2:
+            assert later_failed.wait(30)
+            raise NonFiniteState(4)
+        if block == 3:
+            later_failed.set()
+            raise ValueError("a later block")
+        return (batch.path_indices,)
 
-    blocks = sde.simulate_blocks(model, 1.0, 0.2, grid, 250, 3, block_size=100)
-    terminal, indices = sde.per_path(blocks, terms)
-    assert len(seen) == 3
-    assert np.array_equal(indices, np.arange(250))
-    whole = cm.simulate_paths(model, 1.0, 0.2, grid, 250, 3)
-    assert same_bits(terminal, whole.states[:, -1, 0])
+    with pytest.raises(NonFiniteState) as info:
+        sde.per_path(model, 1.0, 0.2, grid, 600, 3, 100, terms)
+    assert info.value.step == 4
+    assert sorted(taken) == [0, 1, 2, 3]
+    assert threading.active_count() == threads
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +662,22 @@ def test_derived_block_rows_are_whole_groups_within_the_byte_budget(steps, n, d)
         assert rows * 8 * ((steps + 1) * n + steps * d) <= sde.BLOCK_BYTES
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(steps=st.integers(1, 20_000), n_paths=st.integers(2, 10 ** 6), cpus=st.integers(1, 64))
+def test_blocks_in_flight_share_the_byte_budget(steps, n_paths, cpus):
+    # one worker per CPU, but none without a block of block_rows; the
+    # workers' derived blocks together stay within BLOCK_BYTES
+    model, grid = _dims_model(1, 1), cm.TimeGrid(1.0, steps)
+    one_worker_rows = sde.block_rows(model, grid)
+    with mock.patch.object(sde, "_usable_cpus", lambda: cpus):
+        rows, workers = sde._block_plan(model, grid, n_paths, None)
+        assert sde._block_plan(model, grid, n_paths, 700)[0] == 700
+    assert workers == min(cpus, -(-n_paths // one_worker_rows))
+    assert rows >= G and rows % G == 0
+    if rows > G:
+        assert workers * rows * 8 * (2 * steps + 1) <= sde.BLOCK_BYTES
+
+
 @pytest.mark.parametrize("n_paths, steps", [(1_500, 400), (2_000, 50)])
 def test_benchmark_path_counts_stay_one_block(n_paths, steps):
     blocks = sde.simulate_blocks(cm.ou_model(1.0), 1.0, 0.0, cm.TimeGrid(1.0, steps),
@@ -651,14 +709,23 @@ def _split_runs(block_size):
     return [np.asarray(v).tobytes() for v in out]
 
 
-def test_derived_blocks_give_the_bits_of_one_block():
+def test_derived_blocks_give_the_bits_of_one_block(monkeypatch):
+    # one worker: derived blocks of 500, 500 and 300 rows; two: 200 rows each
+    # and a last of 100; three: 13 blocks of 100 rows; and three CPUs for two
+    # explicit blocks of 1,000 and 300 rows, so fewer blocks than CPUs
     model, grid = cm.ou_model(1.0), cm.TimeGrid(1.0, SPLIT_STEPS)
     assert sde.block_rows(model, grid) == 500
-    assert _split_runs(None) == _split_runs(SPLIT_PATHS)
+    _force_workers(monkeypatch, 1)
+    whole = _split_runs(SPLIT_PATHS)
+    for workers, block_size in ((1, None), (2, None), (3, None), (3, 1_000)):
+        _force_workers(monkeypatch, workers)
+        assert _split_runs(block_size) == whole, (workers, block_size)
 
 
-def test_loss_estimate_memory_is_bounded_by_the_block_budget():
-    # traced numpy allocations, not the resident set, which moves with heap layout
+def test_loss_estimate_memory_is_bounded_by_the_block_budget(monkeypatch):
+    # traced numpy allocations, not the resident set, which moves with heap
+    # layout; two workers, each on its own 2,600-row block
+    _force_workers(monkeypatch, 2)
     grid = cm.TimeGrid(1.0, 200)
     tracemalloc.start()
     try:

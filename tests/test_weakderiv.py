@@ -4,6 +4,7 @@ density identity, engine consistency and closed-form agreement."""
 
 import dataclasses
 import math
+import threading
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -865,12 +866,14 @@ def test_random_k_rows_branched_at_step_zero_are_exact_zeros(model, n_paths, mix
 ], ids=["terminal", "integral", "generic", "random-k"])
 def test_gradient_rekeys_each_stream_once_per_path(monkeypatch, mode, functional, tags):
     # each block rekeys once per stream purpose and group of paths it touches:
-    # blocks [0, 120), [120, 240), [240, 250) touch groups {0, 1}, {1, 2}, {2}
-    rekeyed = Counter()
+    # blocks [0, 120), [120, 240), [240, 250) touch groups {0, 1}, {1, 2}, {2};
+    # two blocks may run at once on two workers, so the count takes a lock
+    rekeyed, lock = Counter(), threading.Lock()
     rekey = _StreamPool.rekey
 
     def counted(self, master_seed, group, *, tag=TAG_NOISE):
-        rekeyed[tag, group] += 1
+        with lock:
+            rekeyed[tag, group] += 1
         return rekey(self, master_seed, group, tag=tag)
 
     monkeypatch.setattr(_StreamPool, "rekey", counted)
