@@ -16,12 +16,13 @@ on_grid evaluates a coefficient along the grid, one model call per step.
 Each Euler pass checks the diffusion's shape once, at its first step.
 
 The block-wise estimators run their blocks through per_path, on as many
-workers as there are usable CPUs and blocks: the calling thread and helper
-threads, each simulating and handing on one block at a time.  The blocks in
-flight together keep states plus increments within BLOCK_BYTES: a worker's
-block has block_rows(model, grid) // workers rows, in whole stream groups,
-unless the call gives a block_size.  No result depends on the block size or
-the number of workers.
+workers as there are usable CPUs and blocks, while each worker's block keeps
+at least MIN_WORKER_ROWS rows: the calling thread and helper threads, each
+simulating and handing on one block at a time.  The blocks in flight
+together keep states plus increments within BLOCK_BYTES: a worker's block
+has block_rows(model, grid) // workers rows, in whole stream groups, unless
+the call gives a block_size.  No result depends on the block size or the
+number of workers.
 
 _apply_diffusion multiplies dW by a 1x1 sigma directly, one rounding as in the 1x1 product.
 
@@ -60,6 +61,13 @@ _COND_LIMIT = 1e12
 
 # bytes of states plus increments in one simulated block (block_rows)
 BLOCK_BYTES = 16 * 2 ** 20
+
+# fewest rows per worker's block for per_path to run more than one worker.
+# Below it the per-step Python work of each block, which holds the GIL, is
+# too large a share: against one worker, two on 2 vCPUs made random-k
+# hj_gradient 1.3-1.4x slower at 300-1,300 rows per block, even at 2,600 and
+# faster at 5,200 (OU, 100-1,600 steps)
+MIN_WORKER_ROWS = 2_600
 
 
 def fsum(values) -> float:
@@ -423,10 +431,11 @@ def _block_plan(model: SdeModel, grid: TimeGrid, n_paths: int,
     """(rows per block, workers) for paths 0 .. n_paths-1.
 
     Workers are the usable CPUs, but no more than there are blocks of
-    block_size rows, block_rows(model, grid) when None.  Derived blocks then
+    block_size rows, block_rows(model, grid) when None, and no more than
+    leave each worker's block MIN_WORKER_ROWS rows.  Derived blocks then
     shrink to block_rows // workers rows, in whole stream groups, so that the
     blocks in flight together stay within BLOCK_BYTES; an explicit
-    block_size keeps its rows.
+    block_size keeps its rows, and runs on one worker below MIN_WORKER_ROWS.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
@@ -435,7 +444,10 @@ def _block_plan(model: SdeModel, grid: TimeGrid, n_paths: int,
     rows = block_rows(model, grid) if block_size is None else block_size
     workers = min(_usable_cpus(), -(-n_paths // rows))
     if block_size is None:
+        workers = max(min(workers, rows // MIN_WORKER_ROWS), 1)
         rows = max(rows // workers // PATHS_PER_STREAM, 1) * PATHS_PER_STREAM
+    elif block_size < MIN_WORKER_ROWS:
+        workers = 1
     return rows, workers
 
 
@@ -462,23 +474,31 @@ def per_path(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: int,
     taking the next block index under a lock, simulating that block (by the
     module's simulate_paths, looked up at each call) and handing it to terms,
     which so may run on several blocks at once.  A worker frees its block
-    before it takes the next.  Helpers run in a copy of the caller's
-    context, so an np.errstate around the call holds in them too.  After a
-    failure no block is taken; the caller joins every helper and raises the
-    error of the earliest failed block, the error a one-block-at-a-time loop
-    would raise, since blocks are taken in order.  With one worker no thread
-    starts.
+    before it takes the next.  Helpers run in a copy of the caller's context
+    and under the caller's np.errstate settings, which NumPy before 2.0 keeps
+    per thread.  After a failure no block is taken, and the caller joins
+    every helper.  An interrupt or exit (a BaseException that is not an
+    Exception) is then raised ahead of any block's error; otherwise the
+    error of the earliest failed block is raised, the error a
+    one-block-at-a-time loop would raise, since blocks are taken in order.
+    With one worker no thread starts.
     """
     rows, workers = _block_plan(model, grid, n_paths, block_size)
     n_blocks = -(-n_paths // rows)
     parts = [None] * n_blocks
     pending = list(range(n_blocks - 1, -1, -1))  # popped from the end: block 0 first
-    failed = {}  # block index -> the exception its terms or simulation raised
+    failed = {}  # block index -> the Exception its simulation or terms raised
+    exits = []  # BaseExceptions, not Exceptions, that ended a helper
     lock = threading.Lock()
+    errstate = dict(np.geterr(), call=np.geterrcall())
 
     def take():
         with lock:
             return pending.pop() if pending else None
+
+    def stop():
+        with lock:
+            pending.clear()
 
     def work():
         while (i := take()) is not None:
@@ -487,26 +507,47 @@ def per_path(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: int,
                 parts[i] = terms(simulate_paths(model, theta, x0, grid,
                                                 min(rows, n_paths - first), master_seed,
                                                 first_index=first))
-            except BaseException as exc:
+            except Exception as exc:
                 failed[i] = exc
-                with lock:
-                    pending.clear()
+                stop()
+
+    def helper():
+        try:
+            with np.errstate(**errstate):
+                work()
+        except BaseException as exc:
+            exits.append(exc)
+            stop()
 
     helpers = []
     try:
         for _ in range(workers - 1):
-            helper = threading.Thread(target=contextvars.copy_context().run, args=(work,))
-            helper.start()
-            helpers.append(helper)
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
+            thread.start()
+            helpers.append(thread)
         work()
     finally:
-        with lock:
-            pending.clear()
-        for helper in helpers:
-            helper.join()
+        stop()
+        _join_all(helpers)
+    if exits:
+        raise exits[0]
     if failed:
         raise failed[min(failed)]
     return tuple(map(np.concatenate, zip(*parts)))
+
+
+def _join_all(threads) -> None:
+    """Join every thread, also when interrupted while joining; the last
+    interrupt is raised once all have ended."""
+    interrupt = None
+    for thread in threads:
+        while thread.is_alive():
+            try:
+                thread.join()
+            except BaseException as exc:
+                interrupt = exc
+    if interrupt is not None:
+        raise interrupt
 
 
 def resume_path(bundle: PathBatch, from_step: int, new_state_at_step, noise: NoisePath) -> PathBatch:

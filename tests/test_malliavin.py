@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import condmc as cm
-from condmc import sde
 from condmc.errors import (
     DegenerateConstraint,
     DegenerateDenominator,
@@ -427,10 +426,10 @@ def test_overflowing_loss_raises_non_finite_estimate(estimator):
                                          estimator, 50, 0, grid, x0)
 
 
-def test_overflowing_multi_block_loss_raises_non_finite_estimate(monkeypatch):
+def test_overflowing_multi_block_loss_raises_non_finite_estimate(force_workers):
     # the caller's np.errstate holds in the helper thread too: without it the
     # helper's overflow would warn, and the suite turns that into an error
-    monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
+    force_workers(2)
     model, grid, x0 = cm.ou_model(1.0), cm.TimeGrid(1.0, 10), np.array([1e160])
     with pytest.raises(NonFiniteEstimate), np.errstate(over="ignore", invalid="ignore"):
         cm.conditional_loss_estimate(model, 1.0, cm.terminal_power(2), cm.marginal_power(5, 1),

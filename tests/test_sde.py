@@ -1,10 +1,14 @@
 """Tests for the Euler engine, noise streams, Jacobians and built-in models."""
 
+import contextvars
 import dataclasses
 import hashlib
 import math
+import sys
 import threading
+import time
 import tracemalloc
+import types
 import weakref
 from unittest import mock
 
@@ -170,42 +174,44 @@ def test_block_rows_match_generate_noise_for_a_large_child_seed():
                          cm.simulate_path(model, 1.0, 0.3, grid, noise).states)
 
 
-def _force_workers(monkeypatch, workers):
-    """Run per_path on up to `workers` workers, whatever the machine has."""
-    monkeypatch.setattr(sde, "_usable_cpus", lambda: workers)
-
-
-def test_per_path_joins_block_terms_in_order_and_keeps_no_block(monkeypatch):
+def test_per_path_joins_block_terms_in_order_and_keeps_no_block(force_workers):
     # joined in block order, with at most one block per worker alive at once;
     # the barrier holds the first `workers` blocks until all of them are in
-    # terms together, so every worker does run
+    # terms together, so every worker does run.  Three workers on any CPU
+    # count and a short switch interval make a block taken twice, or not at
+    # all, show as a wrong join
     model, grid = cm.ou_model(1.0), cm.TimeGrid(1.0, 6)
-    whole = cm.simulate_paths(model, 1.0, 0.2, grid, 750, 3)
-    for workers in (1, 2, 3):
-        _force_workers(monkeypatch, workers)
-        seen, lock = [], threading.Lock()
-        barrier = threading.Barrier(workers, timeout=30)
+    whole = cm.simulate_paths(model, 1.0, 0.2, grid, 3_000, 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            force_workers(workers)
+            seen, lock = [], threading.Lock()
+            barrier = threading.Barrier(workers, timeout=30)
 
-        def terms(batch):
-            with lock:
-                seen.append(weakref.ref(batch))
-                assert sum(ref() is not None for ref in seen) <= workers
-                first = len(seen) <= workers
-            if first:
-                barrier.wait()
-            return batch.states[:, -1, 0].copy(), batch.path_indices
+            def terms(batch):
+                with lock:
+                    seen.append(weakref.ref(batch))
+                    assert sum(ref() is not None for ref in seen) <= workers
+                    first = len(seen) <= workers
+                if first:
+                    barrier.wait()
+                return batch.states[:, -1, 0].copy(), batch.path_indices
 
-        terminal, indices = sde.per_path(model, 1.0, 0.2, grid, 750, 3, 100, terms)
-        assert len(seen) == 8
-        assert np.array_equal(indices, np.arange(750))
-        assert same_bits(terminal, whole.states[:, -1, 0])
+            terminal, indices = sde.per_path(model, 1.0, 0.2, grid, 3_000, 3, 100, terms)
+            assert len(seen) == 30
+            assert np.array_equal(indices, np.arange(3_000))
+            assert same_bits(terminal, whole.states[:, -1, 0])
+    finally:
+        sys.setswitchinterval(interval)
 
 
-def test_per_path_raises_the_earliest_failed_block_and_leaves_no_thread(monkeypatch):
+def test_per_path_raises_the_earliest_failed_block_and_leaves_no_thread(force_workers):
     # block 3 fails first in time, then block 2; block 2's error is the one a
     # one-block-at-a-time loop raises, and no block is taken after them
     model, grid = cm.ou_model(1.0), cm.TimeGrid(1.0, 6)
-    _force_workers(monkeypatch, 2)
+    force_workers(2)
     taken, later_failed = [], threading.Event()
     threads = threading.active_count()
 
@@ -225,6 +231,102 @@ def test_per_path_raises_the_earliest_failed_block_and_leaves_no_thread(monkeypa
     assert info.value.step == 4
     assert sorted(taken) == [0, 1, 2, 3]
     assert threading.active_count() == threads
+
+
+def test_per_path_raises_an_interrupt_ahead_of_an_earlier_block_error(force_workers):
+    # the calling thread is interrupted on a later block than the helper's
+    # failed one; the interrupt, not the block's error, reaches the caller
+    model, grid = cm.ou_model(1.0), cm.TimeGrid(1.0, 6)
+    force_workers(2)
+    caller, entered = threading.current_thread(), set()
+    both_in, caller_on_later_block = threading.Barrier(2, timeout=30), threading.Event()
+    threads = threading.active_count()
+
+    def terms(batch):
+        me, block = threading.current_thread(), int(batch.path_indices[0]) // 100
+        if me not in entered:
+            entered.add(me)
+            both_in.wait()  # blocks 0 and 1 are taken, one by each thread
+            if me is caller and block == 0:
+                return (batch.path_indices,)  # the caller goes on to block 2
+        if me is caller:
+            caller_on_later_block.set()
+            raise KeyboardInterrupt
+        assert caller_on_later_block.wait(30)
+        raise ValueError("an earlier block")
+
+    with pytest.raises(KeyboardInterrupt):
+        sde.per_path(model, 1.0, 0.2, grid, 600, 3, 100, terms)
+    assert threading.active_count() == threads
+
+
+def test_per_path_raises_an_exit_from_a_helper(force_workers):
+    # a helper ended by a BaseException that is not an Exception hands it to
+    # the caller, ahead of any block's error
+    model, grid = cm.ou_model(1.0), cm.TimeGrid(1.0, 6)
+    force_workers(2)
+    caller, entered, both_in = threading.current_thread(), set(), threading.Barrier(2, timeout=30)
+
+    def terms(batch):
+        me = threading.current_thread()
+        if me not in entered:
+            entered.add(me)
+            both_in.wait()
+        if me is caller:
+            raise ValueError("a block of the caller")
+        raise SystemExit(3)
+
+    with pytest.raises(SystemExit):
+        sde.per_path(model, 1.0, 0.2, grid, 600, 3, 100, terms)
+
+
+def test_per_path_joins_every_helper_when_interrupted_while_joining(force_workers, monkeypatch):
+    # an interrupt during the first join still leaves no helper running
+    model, grid = cm.ou_model(1.0), cm.TimeGrid(1.0, 6)
+    force_workers(3)
+    caller, join, interrupted = threading.current_thread(), threading.Thread.join, []
+    threads = threading.active_count()
+
+    def interrupted_once(thread, timeout=None):
+        if not interrupted:
+            interrupted.append(thread)
+            raise KeyboardInterrupt
+        return join(thread, timeout)
+
+    def terms(batch):
+        if threading.current_thread() is not caller:
+            time.sleep(0.05)  # helpers are still on a block when the caller joins
+        return (batch.path_indices,)
+
+    monkeypatch.setattr(threading.Thread, "join", interrupted_once)
+    with pytest.raises(KeyboardInterrupt):
+        sde.per_path(model, 1.0, 0.2, grid, 600, 3, 100, terms)
+    assert interrupted and threading.active_count() == threads
+
+
+def test_helpers_run_under_the_callers_errstate_without_its_context(force_workers,
+                                                                   monkeypatch):
+    # NumPy before 2.0 keeps np.errstate per thread, outside the context, so
+    # a helper run in an empty context must still get the caller's settings
+    model, grid = cm.ou_model(1.0), cm.TimeGrid(1.0, 6)
+    force_workers(2)
+    monkeypatch.setattr(sde, "contextvars",
+                        types.SimpleNamespace(copy_context=contextvars.Context))
+    seen, entered, both_in = [], set(), threading.Barrier(2, timeout=30)
+
+    def terms(batch):
+        me = threading.current_thread()
+        seen.append((me, np.geterr()))
+        if me not in entered:
+            entered.add(me)
+            both_in.wait()
+        return (batch.path_indices,)
+
+    with np.errstate(divide="raise", over="ignore", under="warn", invalid="print"):
+        expected = np.geterr()
+        sde.per_path(model, 1.0, 0.2, grid, 400, 3, 100, terms)
+    assert len({me for me, _ in seen}) == 2
+    assert all(err == expected for _, err in seen)
 
 
 # ---------------------------------------------------------------------------
@@ -663,19 +765,35 @@ def test_derived_block_rows_are_whole_groups_within_the_byte_budget(steps, n, d)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(steps=st.integers(1, 20_000), n_paths=st.integers(2, 10 ** 6), cpus=st.integers(1, 64))
-def test_blocks_in_flight_share_the_byte_budget(steps, n_paths, cpus):
-    # one worker per CPU, but none without a block of block_rows; the
-    # workers' derived blocks together stay within BLOCK_BYTES
+@given(steps=st.integers(1, 20_000), n_paths=st.integers(2, 10 ** 6), cpus=st.integers(1, 64),
+       block_size=st.integers(1, 10_000))
+def test_blocks_in_flight_share_the_byte_budget(steps, n_paths, cpus, block_size):
+    # one worker per CPU, but none without a block of block_rows, and none
+    # whose block would fall below MIN_WORKER_ROWS; the workers' derived
+    # blocks together stay within BLOCK_BYTES
     model, grid = _dims_model(1, 1), cm.TimeGrid(1.0, steps)
     one_worker_rows = sde.block_rows(model, grid)
     with mock.patch.object(sde, "_usable_cpus", lambda: cpus):
         rows, workers = sde._block_plan(model, grid, n_paths, None)
-        assert sde._block_plan(model, grid, n_paths, 700)[0] == 700
-    assert workers == min(cpus, -(-n_paths // one_worker_rows))
+        explicit = sde._block_plan(model, grid, n_paths, block_size)
+    assert workers == max(min(cpus, -(-n_paths // one_worker_rows),
+                              one_worker_rows // sde.MIN_WORKER_ROWS), 1)
     assert rows >= G and rows % G == 0
+    if workers > 1:
+        assert rows >= sde.MIN_WORKER_ROWS
     if rows > G:
         assert workers * rows * 8 * (2 * steps + 1) <= sde.BLOCK_BYTES
+    assert explicit == (block_size, min(cpus, -(-n_paths // block_size))
+                        if block_size >= sde.MIN_WORKER_ROWS else 1)
+
+
+@pytest.mark.parametrize("steps", [400, 800, 1_600, 3_200])
+def test_long_grids_run_on_one_worker(monkeypatch, steps):
+    # from 400 steps a derived block has at most 2,600 rows, so splitting it
+    # would leave each worker under MIN_WORKER_ROWS, however many CPUs
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: 64)
+    plan = sde._block_plan(cm.ou_model(1.0), cm.TimeGrid(1.0, steps), 100_000, None)
+    assert plan == (sde.block_rows(cm.ou_model(1.0), cm.TimeGrid(1.0, steps)), 1)
 
 
 @pytest.mark.parametrize("n_paths, steps", [(1_500, 400), (2_000, 50)])
@@ -709,23 +827,23 @@ def _split_runs(block_size):
     return [np.asarray(v).tobytes() for v in out]
 
 
-def test_derived_blocks_give_the_bits_of_one_block(monkeypatch):
+def test_derived_blocks_give_the_bits_of_one_block(force_workers):
     # one worker: derived blocks of 500, 500 and 300 rows; two: 200 rows each
     # and a last of 100; three: 13 blocks of 100 rows; and three CPUs for two
     # explicit blocks of 1,000 and 300 rows, so fewer blocks than CPUs
     model, grid = cm.ou_model(1.0), cm.TimeGrid(1.0, SPLIT_STEPS)
     assert sde.block_rows(model, grid) == 500
-    _force_workers(monkeypatch, 1)
+    force_workers(1)
     whole = _split_runs(SPLIT_PATHS)
     for workers, block_size in ((1, None), (2, None), (3, None), (3, 1_000)):
-        _force_workers(monkeypatch, workers)
+        force_workers(workers)
         assert _split_runs(block_size) == whole, (workers, block_size)
 
 
-def test_loss_estimate_memory_is_bounded_by_the_block_budget(monkeypatch):
+def test_loss_estimate_memory_is_bounded_by_the_block_budget(force_workers):
     # traced numpy allocations, not the resident set, which moves with heap
     # layout; two workers, each on its own 2,600-row block
-    _force_workers(monkeypatch, 2)
+    force_workers(2)
     grid = cm.TimeGrid(1.0, 200)
     tracemalloc.start()
     try:

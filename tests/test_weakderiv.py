@@ -864,10 +864,12 @@ def test_random_k_rows_branched_at_step_zero_are_exact_zeros(model, n_paths, mix
     ("sum-over-k", marginal_at(3), (TAG_NOISE, TAG_BRANCH)),
     ("random-k", terminal_square(), (TAG_NOISE, TAG_CHOICE, TAG_BRANCH)),
 ], ids=["terminal", "integral", "generic", "random-k"])
-def test_gradient_rekeys_each_stream_once_per_path(monkeypatch, mode, functional, tags):
+def test_gradient_rekeys_each_stream_once_per_path(monkeypatch, force_workers, mode,
+                                                  functional, tags):
     # each block rekeys once per stream purpose and group of paths it touches:
     # blocks [0, 120), [120, 240), [240, 250) touch groups {0, 1}, {1, 2}, {2};
     # two blocks may run at once on two workers, so the count takes a lock
+    force_workers(2)
     rekeyed, lock = Counter(), threading.Lock()
     rekey = _StreamPool.rekey
 
