@@ -46,31 +46,21 @@ def quotient_gradient(e1: float, e2: float, grad_e1: float, grad_e2: float) -> f
 # counterfactual gradient
 
 
-def _increments_at(model, grid, batch, b_base, bumped):
-    """Brownian increments that reproduce the frozen states at parameter
-    `bumped`: the Euler identity gives dW' = dW + dt * sigma^{-1} (b - b')."""
-    x_left = batch.states[:, :grid.steps, :]
-    n = model.state_dim
-    shift = grid.dt * (b_base - on_grid(model.drift, x_left, grid.times, (n,), bumped))
-    if not np.any(shift):
-        return batch.increments
-    if model.noise_dim != n:
-        raise ValueError(
-            "reconstructing increments from states needs a square diffusion")
-    sig = on_grid(model.diffusion, x_left, grid.times, (n, n))
-    if n == 1:
+def _drift_absorbed(sig: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """sigma^{-1} shift along the grid: the increment change that keeps the
+    frozen states when the drift step changes by shift = dt * (b - b')."""
+    if sig.shape[-1] == 1:
         diag = sig[..., 0, 0]
         if np.any((diag == 0.0) & (shift[..., 0] != 0.0)):
             raise SingularDiffusion("zero diffusion cannot absorb a drift change")
         with np.errstate(invalid="ignore", divide="ignore"):
             solved = np.where(diag == 0.0, 0.0,
                               shift[..., 0] / np.where(diag == 0.0, 1.0, diag))
-        return batch.increments + solved[..., None]
+        return solved[..., None]
     try:
-        solved = np.linalg.solve(sig, shift[..., None])[..., 0]
+        return np.linalg.solve(sig, shift[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularDiffusion(f"diffusion not invertible: {exc}") from exc
-    return batch.increments + solved
 
 
 def _integrand_theta_terms(batch: PathBatch, ell, g, weight_rule) -> np.ndarray:
@@ -80,30 +70,42 @@ def _integrand_theta_terms(batch: PathBatch, ell, g, weight_rule) -> np.ndarray:
     Viewed as functions of the state path, the integrands carry theta in the
     derivative profiles (through the jacobians), in the weight process, and
     in the increments the Skorohod sum reads, since a frozen state path
-    implies theta-dependent increments.  All three slots are moved together
-    by central differences; the {g > 0} gate depends on the states alone, so
-    it cannot flip between the two evaluations.
+    implies theta-dependent increments: the Euler identity gives
+    dW' = dW + dt * sigma^{-1} (b - b') at the bumped parameter, with the
+    diffusion profile read once, on the first side whose drift moves.  All
+    three slots are moved together by central differences; the {g > 0} gate
+    depends on the states alone, so it cannot flip between the two
+    evaluations.
     """
     model, grid, theta = batch.model, batch.grid, batch.theta
-    h = _THETA_BUMP
-    b_base = on_grid(model.drift, batch.states[:, :grid.steps, :], grid.times,
-                     (model.state_dim,), theta)
+    n = model.state_dim
+    x_left = batch.states[:, :grid.steps, :]
+    b_base = on_grid(model.drift, x_left, grid.times, (n,), theta)
+    sig = None
     sides = []
-    for bumped in (theta + h, theta - h):
-        increments = _increments_at(model, grid, batch, b_base, bumped)
+    for bumped in (theta + _THETA_BUMP, theta - _THETA_BUMP):
+        shift = grid.dt * (b_base - on_grid(model.drift, x_left, grid.times, (n,), bumped))
+        increments = batch.increments
+        if np.any(shift):
+            if sig is None:
+                if model.noise_dim != n:
+                    raise ValueError(
+                        "reconstructing increments from states needs a square diffusion")
+                sig = on_grid(model.diffusion, x_left, grid.times, (n, n))
+            increments = increments + _drift_absorbed(sig, shift)
+        del shift  # one block-sized array fewer while the quotient terms run
         shifted = PathBatch(model, grid, bumped, batch.states, increments,
                             batch.master_seed, batch.path_indices)
         a, b, _ = conditional_quotient_terms(ell, g, weight_rule, shifted)
         sides.append(np.stack((a, b), -1))
     up, down = sides
-    return (up - down) / (2.0 * h)
+    return (up - down) / (2.0 * _THETA_BUMP)
 
 
-def _quotient_gradient_std_error(a, b, g1, g2, n_paths):
+def _quotient_gradient_std_error(ma, mb, m1, m2, a, b, g1, g2):
     """Delta-method standard error of the quotient-rule gradient from the
-    joint spread of the four per-path ingredient arrays."""
-    means = [fsum(v) / n_paths for v in (a, b, g1, g2)]
-    ma, mb, m1, m2 = means
+    means ma, mb, m1, m2 of the four per-path ingredient arrays a, b, g1, g2
+    and their joint spread."""
     grad = np.array([
         -m2 / mb ** 2,                       # d/d mean(a)
         (2.0 * ma * m2 - m1 * mb) / mb ** 3,  # d/d mean(b)
@@ -111,7 +113,7 @@ def _quotient_gradient_std_error(a, b, g1, g2, n_paths):
         -ma / mb ** 2,                       # d/d mean(g2)
     ])
     cov = np.cov(np.vstack([a, b, g1, g2]), ddof=1)
-    var = float(grad @ cov @ grad) / n_paths
+    var = float(grad @ cov @ grad) / len(a)
     return math.sqrt(max(var, 0.0))
 
 
@@ -145,8 +147,8 @@ def counterfactual_gradient(model: SdeModel, theta: float, ell: PathFunctional,
     grad_e1 = finite_fsum(g1_terms) / n_paths
     grad_e2 = finite_fsum(g2_terms) / n_paths
     gradient = quotient_gradient(report.e1_hat, report.e2_hat, grad_e1, grad_e2)
-    se_gradient = _quotient_gradient_std_error(report.a_terms, report.b_terms,
-                                               g1_terms, g2_terms, n_paths)
+    se_gradient = _quotient_gradient_std_error(report.e1_hat, report.e2_hat, grad_e1, grad_e2,
+                                               report.a_terms, report.b_terms, g1_terms, g2_terms)
     require_finite("the gradient or its std error", gradient, se_gradient)
     diagnostics = {
         "e1": report.e1_hat,

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -104,6 +105,8 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if self.horizon <= 0.0 or not math.isfinite(self.horizon):
             raise ValueError("horizon must be positive and finite")
+        if not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, not {type(self.steps).__name__}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 
@@ -451,37 +454,24 @@ def _block_plan(model: SdeModel, grid: TimeGrid, n_paths: int,
     return rows, workers
 
 
-def simulate_blocks(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: int,
-                    master_seed: int, block_size: int | None = None):
-    """Paths 0 .. n_paths-1 as the simulate_paths blocks that per_path runs.
-
-    The arguments are checked at the call; the blocks are simulated one at a
-    time as they are drawn, and none is kept here once it has been handed out.
-    """
-    rows, _ = _block_plan(model, grid, n_paths, block_size)
-    return (simulate_paths(model, theta, x0, grid, min(rows, n_paths - first),
-                           master_seed, first_index=first)
-            for first in range(0, n_paths, rows))
-
-
 def per_path(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: int,
              master_seed: int, block_size: int | None, terms) -> tuple:
     """Per-path arrays of paths 0 .. n_paths-1: terms(block) returns a tuple of
     arrays with the block's paths on axis 0, joined here in block order.
 
-    The blocks are those of simulate_blocks, run by the workers of
-    _block_plan: the calling thread and workers - 1 helper threads, each
-    taking the next block index under a lock, simulating that block (by the
-    module's simulate_paths, looked up at each call) and handing it to terms,
-    which so may run on several blocks at once.  A worker frees its block
-    before it takes the next.  Helpers run in a copy of the caller's context
-    and under the caller's np.errstate settings, which NumPy before 2.0 keeps
-    per thread.  After a failure no block is taken, and the caller joins
-    every helper.  An interrupt or exit (a BaseException that is not an
-    Exception) is then raised ahead of any block's error; otherwise the
-    error of the earliest failed block is raised, the error a
-    one-block-at-a-time loop would raise, since blocks are taken in order.
-    With one worker no thread starts.
+    Each block holds the rows of _block_plan, the last one the rest, and
+    they run on its workers: the calling thread and workers - 1 helper
+    threads, each taking the next block index under a lock, simulating that
+    block (by the module's simulate_paths, looked up at each call) and
+    handing it to terms, which so may run on several blocks at once.  A
+    worker frees its block before it takes the next.  Helpers run in a copy
+    of the caller's context and under the caller's np.errstate settings,
+    which NumPy before 2.0 keeps per thread.  After a failure no block is
+    taken, and the caller joins every helper.  An interrupt or exit (a
+    BaseException that is not an Exception) is then raised ahead of any
+    block's error; otherwise the error of the earliest failed block is
+    raised, the error a one-block-at-a-time loop would raise, since blocks
+    are taken in order.  With one worker no thread starts.
     """
     rows, workers = _block_plan(model, grid, n_paths, block_size)
     n_blocks = -(-n_paths // rows)

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
-    CoefficientShapeError,
     NonDiagonalDiffusion,
     NonFiniteState,
     SingularDiffusion,
@@ -85,11 +85,6 @@ class HjDecomposition:
     dtheta_mean: np.ndarray
 
 
-def _diagonal_sigma(model: SdeModel, x: np.ndarray, t: float) -> np.ndarray:
-    """Signed diagonal of the diffusion matrix; rejects non-diagonal models."""
-    return _diagonal(np.asarray(model.diffusion(x, t), dtype=float))
-
-
 def _diagonal(sig: np.ndarray) -> np.ndarray:
     """Signed diagonal of diffusion matrices (..., n, n); rejects non-diagonal ones."""
     if sig.shape[-2] != sig.shape[-1]:
@@ -110,7 +105,7 @@ def hj_decompose(model: SdeModel, x, t: float, theta: float, dt: float) -> HjDec
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     x = np.asarray(x, dtype=float)
-    diag = _diagonal_sigma(model, x, t)
+    diag = _diagonal(np.asarray(model.diffusion(x, t), dtype=float))
     b = np.asarray(model.drift(x, t, theta), dtype=float)
     db = np.broadcast_to(np.asarray(model.drift_dtheta(x, t, theta), dtype=float), x.shape)
     mean = x + dt * b
@@ -213,28 +208,34 @@ def signed_density(decomp: HjDecomposition, y) -> np.ndarray:
 # batched decomposition and branch draws (shared by the gradient engines)
 
 
-def _hj_terms_batch(model: SdeModel, x: np.ndarray, t, theta: float, dt: float):
-    """Vectorized decomposition pieces at a block of states: x (N, n) at one
-    grid time t, or x (N, K, n) with t the K grid times of its step axis,
-    whose coefficients are read through on_grid.  The model sees one scalar t
-    per call either way, and a coefficient value that does not broadcast to
-    its shape raises CoefficientShapeError.  A diffusion with no path axis is
-    checked for diagonality once, on its shared core.
-    """
+class SplitTerms(NamedTuple):
+    """The split of the Euler kernel's theta-derivative at states (N, K, n):
+    total is (N, K), diag (K, n) when every path shares it, the rest (N, K, n)."""
+
+    mean: np.ndarray        # nominal mean x + dt*b
+    scales: np.ndarray      # Rayleigh scales |sigma_ii| * sqrt(dt)
+    weights: np.ndarray     # |dt*db| / (scale * sqrt(2 pi))
+    total: np.ndarray       # split scale, the weights' sum; perfbench/tracer.py reads terms[3]
+    signs: np.ndarray       # sign(dt*db)
+    drift_step: np.ndarray  # dt*b
+    diag: np.ndarray        # signed sigma_ii
+
+
+def _hj_terms_batch(model: SdeModel, x: np.ndarray, t, theta: float, dt: float) -> SplitTerms:
+    """The SplitTerms of states x (N, K, n) at the K grid times t, each
+    coefficient read once through on_grid (one model call per step, one
+    scalar t; CoefficientShapeError for a value that does not broadcast).  A
+    diffusion with no path axis is checked for diagonality once, on its
+    shared core."""
     n, d = model.state_dim, model.noise_dim
-    if np.ndim(t) == 0:
-        sig = _fitted(model.diffusion(x, t), x.shape[:-1] + (n, d))
-        b = _fitted(model.drift(x, t, theta), x.shape)
-        db = _fitted(model.drift_dtheta(x, t, theta), x.shape)
-        core = shared_row(sig, 2)
-    else:
-        sig = on_grid(model.diffusion, x, t, (n, d))
-        b = on_grid(model.drift, x, t, (n,), theta)
-        db = on_grid(model.drift_dtheta, x, t, (n,), theta)
-        core = shared_row(sig, 3)
-    scales = np.abs(_diagonal(sig if core is None else core)) * math.sqrt(dt)
-    mean = dt * b
-    mean += x
+    sig = on_grid(model.diffusion, x, t, (n, d))
+    b = on_grid(model.drift, x, t, (n,), theta)
+    db = on_grid(model.drift_dtheta, x, t, (n,), theta)
+    core = shared_row(sig, 3)
+    diag = _diagonal(sig if core is None else core)
+    scales = np.abs(diag) * math.sqrt(dt)
+    drift_step = dt * b
+    mean = drift_step + x
     dtheta_mean = dt * db
     del b, db  # free the coefficient values before the weights are formed
     if not scales.all() and np.any((scales == 0.0) & (dtheta_mean != 0.0)):
@@ -246,18 +247,8 @@ def _hj_terms_batch(model: SdeModel, x: np.ndarray, t, theta: float, dt: float):
     weights /= _SQRT_2PI
     total = np.sum(weights, axis=-1)
     signs = np.sign(dtheta_mean)
-    return mean, np.broadcast_to(scales, x.shape), weights, total, signs
-
-
-def _fitted(value, shape: tuple) -> np.ndarray:
-    """A coefficient value broadcast to shape; CoefficientShapeError when it
-    does not broadcast."""
-    value = np.asarray(value, dtype=float)
-    try:
-        return np.broadcast_to(value, shape)
-    except ValueError as exc:
-        raise CoefficientShapeError(f"a coefficient value of shape {value.shape} does not "
-                                    f"broadcast to {shape}") from exc
+    return SplitTerms(mean, np.broadcast_to(scales, x.shape), weights, total, signs,
+                      drift_step, diag)
 
 
 def _group_branch_draws(rng: np.random.Generator, steps: int, n_dim: int):
@@ -288,23 +279,26 @@ def _branch_draw_block(master_seed: int, path_indices: np.ndarray, steps: int, n
 
 
 def _draws_at(draws, rows, step):
-    """The (u, r, z) draws of the given block rows at one step or a slice of steps."""
+    """The (u, r, z) draws of the given block rows at one step or a slice of
+    steps; with step None, draws already taken at one step per row get a unit
+    step axis."""
     return tuple(None if a is None else a[rows, step] for a in draws)
 
 
-def _assemble_branch_states(mean, scales, weights, total, signs, u, r, z):
-    """Vectorized analogue of sample_branch_pair over any leading axes: the
-    split terms (..., n) and (...) of _hj_terms_batch with the matching draws
-    u, r (...) and z (..., n).  Every coordinate's candidate pair
-    mean +- sign * (r * scale) is formed, and the chosen one kept."""
+def _assemble_branch_states(terms: SplitTerms, u, r, z):
+    """Vectorized analogue of sample_branch_pair over the (N, K) axes of the
+    split terms, with the matching draws u, r (N, K) and z (N, K, n).  Every
+    coordinate's candidate pair mean +- sign * (r * scale) is formed, and the
+    chosen one kept.  Returns (plus, minus), each (N, K, n)."""
+    mean, scales = terms.mean, terms.scales
     plus = r[..., None] * scales
-    plus *= signs
+    plus *= terms.signs
     minus = mean - plus
     plus += mean
     n_dim = mean.shape[-1]
     if n_dim > 1:  # the other coordinates take the nominal Gaussian draws
-        cum = np.cumsum(weights, axis=-1)
-        chosen = np.minimum(np.sum(cum <= (u * total)[..., None], axis=-1), n_dim - 1)
+        cum = np.cumsum(terms.weights, axis=-1)
+        chosen = np.minimum(np.sum(cum <= (u * terms.total)[..., None], axis=-1), n_dim - 1)
         others = chosen[..., None] != np.arange(n_dim)
         base = scales * z
         base += mean
@@ -338,7 +332,8 @@ def hj_single_branch(model: SdeModel, theta: float, x0, grid: TimeGrid, branch_s
     draws = _group_branch_draws(stream(master_seed, group, tag=TAG_BRANCH), grid.steps,
                                 model.state_dim)
     x_plus, x_minus = _branch_pair_from_draws(decomp, *_draws_at(draws, row, branch_step))
-    diag = _diagonal_sigma(model, bundle.states[branch_step], grid.times[branch_step])
+    diag = _diagonal(np.asarray(model.diffusion(bundle.states[branch_step],
+                                                grid.times[branch_step]), dtype=float))
     values = []
     for x_new in (x_plus, x_minus):
         # record the increment the Euler step would have needed to reach the
@@ -401,8 +396,8 @@ def _placed_branches(batch: PathBatch):
         at = slice(start, min(start + chunk, steps))
         terms = _hj_terms_batch(model, batch.states[:, at], grid.times[at], theta, grid.dt)
         plus[:, at], minus[:, at] = _assemble_branch_states(
-            *terms, *_draws_at(draws, slice(None), at))
-        scale_k[:, at] = terms[3]
+            terms, *_draws_at(draws, slice(None), at))
+        scale_k[:, at] = terms.total
         del terms  # two chunks of terms alive at once would raise the peak memory
     return plus, minus, scale_k
 
@@ -508,25 +503,26 @@ def _integral_sum_over_k(batch: PathBatch, functional: PathFunctional):
 
 
 def _step_pair(batch: PathBatch, rows, k: int, draws):
-    """The branch pair split off the given block rows at step k, as
-    (per-row split scale, [(plus states, increments), (minus states, increments)]).
+    """The branch pair split off the given block rows at step k, with draws
+    their (u, r, z) at that step as (R, 1[, n]) arrays: (per-row split scale,
+    [(plus states, increments), (minus states, increments)]).
 
-    A side's increment is the one its Euler step from X_k would have needed to
+    The split is that of the one-step slice states[rows, k:k+1], and its
+    terms give both sides' increments with no model call of their own.  A
+    side's increment is the one its Euler step from X_k would have needed to
     reach its branch state, (x_new - X_k - dt*b) / sigma_ii, and 0 where
-    sigma_ii is 0; it keeps a branched row a consistent state/noise pair.  One
-    drift and diffusion read serves both sides.  A row with zero split scale
-    has every sign 0, so its two sides coincide and its gap is 0.
+    sigma_ii is 0; it keeps a branched row a consistent state/noise pair.  A
+    row with zero split scale has every sign 0, so its two sides coincide and
+    its gap is 0.
     """
-    model, grid, theta = batch.model, batch.grid, batch.theta
-    x, t = batch.states[rows, k], grid.times[k]
-    terms = _hj_terms_batch(model, x, t, theta, grid.dt)
-    pair = _assemble_branch_states(*terms, *_draws_at(draws, rows, k))
-    drift_step = grid.dt * np.asarray(model.drift(x, t, theta))
-    diag = np.diagonal(np.asarray(model.diffusion(x, t)), axis1=-2, axis2=-1)
-    divisor = np.where(diag == 0.0, 1.0, diag)
+    grid = batch.grid
+    x = batch.states[rows, k:k + 1]
+    terms = _hj_terms_batch(batch.model, x, grid.times[k:k + 1], batch.theta, grid.dt)
+    divisor = np.where(terms.diag == 0.0, 1.0, terms.diag)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return terms[3], [(y, np.where(diag != 0.0, (y - x - drift_step) / divisor, 0.0))
-                          for y in pair]
+        return terms.total[:, 0], [
+            (y[:, 0], np.where(terms.diag != 0.0, (y - x - terms.drift_step) / divisor, 0.0)[:, 0])
+            for y in _assemble_branch_states(terms, *draws)]
 
 
 def _branch_batch(base: PathBatch, starts: np.ndarray, new_states: np.ndarray,
@@ -547,33 +543,39 @@ def _branch_batch(base: PathBatch, starts: np.ndarray, new_states: np.ndarray,
                      base.path_indices)
 
 
+def _restarted_gaps(batch: PathBatch, functional: PathFunctional, starts: np.ndarray, draws):
+    """(per-row split scale, value gap) of the branch pair split off each row
+    i at step starts[i], with draws the rows' (u, r, z) at their steps.  The
+    pairs are formed step group by step group (_step_pair); each side then
+    restarts over the whole block in one pass (_branch_batch), and is valued
+    and freed before the next, so the restarts add one block copy to the peak
+    memory."""
+    count = batch.n_paths
+    total = np.empty(count)
+    sides = np.empty((2, 2, count, batch.model.state_dim))  # (plus, minus) x (state, increment)
+    for k in np.unique(starts):
+        rows = np.nonzero(starts == k)[0]
+        total[rows], sides[:, :, rows] = _step_pair(batch, rows, k, _draws_at(draws, rows, None))
+    plus, minus = [np.asarray(functional.value(_branch_batch(batch, starts, *side)))
+                   for side in sides]
+    return total, plus - minus
+
+
 def _grouped_random_k(batch: PathBatch, functional: PathFunctional):
     """One branch per path at a uniformly drawn step.
 
-    The branch pairs and their increments are formed step group by step
-    group, so the model sees one t per call; they then run to the horizon in
-    one restart pass per side over the whole block.  A row with zero split
-    scale at its branch step gets the coinciding pair, as in the sum-over-k
-    engines, so its estimate and gap are exact +0.0.
+    A row with zero split scale at its branch step gets the coinciding pair,
+    as in the sum-over-k engines, so its estimate and gap are exact +0.0.
     """
     steps = batch.grid.steps
     count = batch.n_paths
     ks = np.empty(count, dtype=np.intp)
     for rng, rows, part in group_streams(batch.master_seed, batch.path_indices, tag=TAG_CHOICE):
         ks[rows] = rng.integers(0, steps, PATHS_PER_STREAM)[part]
-    draws = _branch_draw_block(batch.master_seed, batch.path_indices, steps,
-                               batch.model.state_dim)
-    total = np.empty(count)
-    sides = np.empty((2, 2, count, batch.model.state_dim))  # (plus, minus) x (state, increment)
-    for k in np.unique(ks):
-        rows = np.nonzero(ks == k)[0]
-        total[rows], sides[:, :, rows] = _step_pair(batch, rows, k, draws)
-    # free the spent draws; each restarted side is freed once valued, so the
-    # restart passes add one block copy to the peak memory
-    del draws
-    plus, minus = [np.asarray(functional.value(_branch_batch(batch, ks, *side)))
-                   for side in sides]
-    gaps = plus - minus
+    # each row's draws at its branch step; the (N, M) draws are freed here
+    draws = _draws_at(_branch_draw_block(batch.master_seed, batch.path_indices, steps,
+                                         batch.model.state_dim), np.arange(count), ks)
+    total, gaps = _restarted_gaps(batch, functional, ks, draws)
     return _per_row(steps * total, gaps) * gaps, _row_abs_sums(gaps)
 
 
@@ -584,11 +586,8 @@ def _generic_sum_over_k(batch: PathBatch, functional: PathFunctional):
     draws = _branch_draw_block(batch.master_seed, batch.path_indices, batch.grid.steps,
                                batch.model.state_dim)
     for k in range(batch.grid.steps):
-        starts = np.full(batch.n_paths, k)
-        total, pair = _step_pair(batch, slice(None), k, draws)
-        plus, minus = [np.asarray(functional.value(_branch_batch(batch, starts, *side)))
-                       for side in pair]
-        gaps = plus - minus
+        total, gaps = _restarted_gaps(batch, functional, np.full(batch.n_paths, k),
+                                      _draws_at(draws, slice(None), k))
         block_vals = block_vals + _per_row(total, gaps) * gaps
         gap_rows += _row_abs_sums(gaps)
     return block_vals, gap_rows

@@ -23,7 +23,7 @@ from condmc.errors import CoefficientShapeError, NonFiniteState, SingularJacobia
 from condmc.sde import _euler_continue, _noise_block, shared_row
 from condmc.streams import PATHS_PER_STREAM as G
 from condmc.streams import TAG_BRANCH, TAG_CHOICE, TAG_NOISE, _StreamPool, stream
-from condmc.weakderiv import _branch_batch, _branch_draw_block, _step_pair
+from condmc.weakderiv import _branch_batch, _branch_draw_block, _draws_at, _step_pair
 
 E_INV = math.exp(-1.0)            # 0.36787944117144233
 OU_VAR_T1 = 0.4323323583816936    # sigma^2 (1 - e^{-2 theta}) / (2 theta) at theta=sigma=1
@@ -107,10 +107,19 @@ def test_grid_times_are_computed_once_and_read_only():
     assert grid == cm.TimeGrid(1.0, 8) and hash(grid) == hash(cm.TimeGrid(1.0, 8))
 
 
-@pytest.mark.parametrize("horizon,steps", [(0.0, 10), (-1.0, 10), (1.0, 0), (math.inf, 4)])
+# a float step count (4.0, 2.5) was once accepted and failed later, in
+# linspace or in the estimators, with a bare TypeError
+@pytest.mark.parametrize("horizon,steps", [(0.0, 10), (-1.0, 10), (1.0, 0), (math.inf, 4),
+                                           (1.0, 4.0), (1.0, 2.5), (1.0, np.float64(4.0))])
 def test_grid_rejects_bad_arguments(horizon, steps):
     with pytest.raises(ValueError):
         cm.TimeGrid(horizon, steps)
+
+
+@pytest.mark.parametrize("steps", [np.int64(4), np.int32(4), np.uint8(4)])
+def test_grid_takes_numpy_integer_steps(steps):
+    grid = cm.TimeGrid(1.0, steps)
+    assert grid == cm.TimeGrid(1.0, 4) and same_bits(grid.times, cm.TimeGrid(1.0, 4).times)
 
 
 # ---------------------------------------------------------------------------
@@ -798,9 +807,9 @@ def test_long_grids_run_on_one_worker(monkeypatch, steps):
 
 @pytest.mark.parametrize("n_paths, steps", [(1_500, 400), (2_000, 50)])
 def test_benchmark_path_counts_stay_one_block(n_paths, steps):
-    blocks = sde.simulate_blocks(cm.ou_model(1.0), 1.0, 0.0, cm.TimeGrid(1.0, steps),
-                                 n_paths, 3)
-    assert [batch.n_paths for batch in blocks] == [n_paths]
+    (sizes,) = sde.per_path(cm.ou_model(1.0), 1.0, 0.0, cm.TimeGrid(1.0, steps), n_paths, 3,
+                            None, lambda batch: (np.array([batch.n_paths]),))
+    assert list(sizes) == [n_paths]
 
 
 SPLIT_STEPS, SPLIT_PATHS = 2_000, 1_300  # derived blocks of 500, 500 and 300 rows
@@ -1105,7 +1114,7 @@ def test_ragged_restart_rows_match_resume_path_property(name, steps, theta, seed
     new_states, new_increments = np.empty((2, n_paths, n_dim))
     for k in np.unique(starts):
         rows = np.nonzero(starts == k)[0]
-        _, pair = _step_pair(batch, rows, k, draws)
+        _, pair = _step_pair(batch, rows, k, _draws_at(draws, rows, slice(k, k + 1)))
         for j, i in enumerate(rows):
             new_states[i], new_increments[i] = (a[j] for a in pair[sides[i]])
     restarted = _branch_batch(batch, starts, new_states, new_increments)

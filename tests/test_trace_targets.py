@@ -45,8 +45,8 @@ def test_every_tracer_hook_reads_condmc_results():
     # span name -> (traced function, its arguments)
     calls = {
         "sde.simulate": (cm.simulate_paths, (model, 1.0, 0.0, grid, 6, 3)),
-        "weakderiv.hj_terms": (_hj_terms_batch, (model, np.linspace(-0.5, 0.5, 6)[:, None],
-                                                 grid.times[2], 1.0, grid.dt)),
+        "weakderiv.hj_terms": (_hj_terms_batch, (model, np.linspace(-0.5, 0.5, 6)[:, None, None],
+                                                 grid.times[2:3], 1.0, grid.dt)),
         "malliavin.loss_estimate": (cm.conditional_loss_estimate,
                                     (model, 1.0, ell, g, "canonical", 400, 5, grid, 0.0)),
         "optimizer.counterfactual": (cm.counterfactual_gradient,

@@ -25,7 +25,7 @@ from condmc.errors import (
     ZeroSensitivity,
 )
 from condmc.functionals import PathFunctional
-from condmc.sde import block_rows, simulate_blocks
+from condmc.sde import block_rows, per_path
 from condmc.streams import PATHS_PER_STREAM, TAG_BRANCH, TAG_CHOICE, TAG_NOISE, _StreamPool, stream
 from condmc.weakderiv import _hj_values
 from test_sde import mixed_model, same_bits, sine_diffusion_model
@@ -1052,16 +1052,16 @@ def test_affine_engine_matches_euler_copies_property(name, n_dim, steps, n_paths
         value=lambda b: b.states[..., -1, 0] ** 2 + b.states[..., -1, -1] ** 3,
         terminal_value=lambda x: x[..., 0] ** 2 + x[..., -1] ** 3,
     )
-    values, sizes = [], []
-    for batch in simulate_blocks(model, theta, x0, grid, n_paths, seed, block_size):
+
+    def checked(batch):  # one engine pair per block of the estimator's own loop
         affine, euler = _engine_pair(batch, f)
         _assert_affine_matches_euler(affine, euler)
-        values.append(euler[3])
-        sizes.append(euler[4])
+        return euler[3], euler[4]
+
+    values, sizes = per_path(model, theta, x0, grid, n_paths, seed, block_size, checked)
     report = cm.hj_gradient(model, theta, x0, grid, f, n_paths, "sum-over-k", seed,
                             block_size=block_size)
-    assert abs(report.estimate - np.mean(np.concatenate(values))) <= 1e-12 * np.mean(
-        np.concatenate(sizes))
+    assert abs(report.estimate - np.mean(values)) <= 1e-12 * np.mean(sizes)
 
 
 @pytest.mark.parametrize("name", sorted(AFFINE_MODELS))
@@ -1158,11 +1158,13 @@ def test_placed_branches_match_the_scalar_oracle_property(name, chunk, n_paths, 
         plus, minus, scale_k = wd._placed_branches(batch)
     draws = wd._branch_draw_block(seed, batch.path_indices, steps, n_dim)
     for k in range(steps):
-        # the same terms and pairs as one scalar-t evaluation of step k alone
-        terms = wd._hj_terms_batch(model, batch.states[:, k], grid.times[k], theta, grid.dt)
-        pair = wd._assemble_branch_states(*terms, *wd._draws_at(draws, slice(None), k))
-        assert same_bits(plus[:, k], pair[0]) and same_bits(minus[:, k], pair[1])
-        assert same_bits(scale_k[:, k], terms[3])
+        # the same terms and pairs as the split of step k alone, as _step_pair
+        # forms it
+        at = slice(k, k + 1)
+        terms = wd._hj_terms_batch(model, batch.states[:, at], grid.times[at], theta, grid.dt)
+        pair = wd._assemble_branch_states(terms, *wd._draws_at(draws, slice(None), at))
+        assert same_bits(plus[:, at], pair[0]) and same_bits(minus[:, at], pair[1])
+        assert same_bits(scale_k[:, at], terms.total)
         for i in range(n_paths):
             decomp = cm.hj_decompose(model, batch.states[i, k], grid.times[k], theta, grid.dt)
             # the batch divides by the scale and sqrt(2 pi) in turn, the oracle by
@@ -1193,3 +1195,35 @@ def test_placement_memory_is_its_outputs_and_draws(rows, steps):
     finally:
         tracemalloc.stop()
     assert peak <= sum(a.nbytes for a in placed) + draw_bytes + PLACEMENT_ALLOWANCE
+
+
+def _counting(model):
+    """model with drift, drift_dtheta and diffusion counting their calls."""
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(model, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    names = ("drift", "drift_dtheta", "diffusion")
+    return dataclasses.replace(model, **{name: counted(name) for name in names}), calls
+
+
+@pytest.mark.parametrize("name", ["ou1", "ou2", "cubic", "sine-diffusion"])
+def test_step_pair_reads_each_coefficient_once(name):
+    # the split and both sides' increments come from one read of each
+    # coefficient, whichever rows branch and whether or not the model's
+    # values have a path axis
+    model = PLACEMENT_MODELS[name]()
+    grid = cm.TimeGrid(1.0, 6)
+    batch = cm.simulate_paths(model, 0.7, np.full(model.state_dim, 0.4), grid, 5, 2)
+    draws = wd._branch_draw_block(2, batch.path_indices, grid.steps, model.state_dim)
+    for rows, k in ((np.array([0, 2, 3]), 4), (np.arange(5), 0)):
+        counting, calls = _counting(model)
+        wd._step_pair(dataclasses.replace(batch, model=counting), rows, k,
+                      wd._draws_at(draws, rows, slice(k, k + 1)))
+        assert calls == {"drift": 1, "drift_dtheta": 1, "diffusion": 1}
