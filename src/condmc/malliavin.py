@@ -185,8 +185,7 @@ def conditional_quotient_terms(ell: PathFunctional, g: PathFunctional, weight_ru
 
 def conditional_loss_estimate(model: SdeModel, theta: float, ell: PathFunctional,
                               g: PathFunctional, weight_rule, n_paths: int,
-                              master_seed: int, grid: TimeGrid, x0,
-                              block_size: int | None = None) -> ConditionalLossReport:
+                              master_seed: int, grid: TimeGrid, x0) -> ConditionalLossReport:
     """Estimate E[ell(X) | g(X) = 0] as a quotient of Skorohod-weighted means.
 
     Per path: A_i = 1_{g>0} (ell * S(u) - sum_k <D_k ell, u_k> dt) and
@@ -195,7 +194,7 @@ def conditional_loss_estimate(model: SdeModel, theta: float, ell: PathFunctional
     of the block size because every path reads its own row of noise.
     """
     a, b, indicator = per_path(
-        model, theta, x0, grid, n_paths, master_seed, block_size,
+        model, theta, x0, grid, n_paths, master_seed,
         lambda batch: conditional_quotient_terms(ell, g, weight_rule, batch))
     return _loss_report(a, b, indicator, master_seed)
 

@@ -16,6 +16,7 @@ integrands, and the explicit-theta terms.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -120,8 +121,7 @@ def _quotient_gradient_std_error(ma, mb, m1, m2, a, b, g1, g2):
 def counterfactual_gradient(model: SdeModel, theta: float, ell: PathFunctional,
                             g: PathFunctional, weight_rule, grid: TimeGrid, x0,
                             n_paths: int, gradient_mode: str = "random-k",
-                            master_seed: int = 0,
-                            block_size: int | None = None):
+                            master_seed: int = 0):
     """Loss and its theta-gradient at one parameter point.
 
     Returns (loss, gradient, diagnostics).  The loss is the quotient of
@@ -138,7 +138,7 @@ def counterfactual_gradient(model: SdeModel, theta: float, ell: PathFunctional,
             conditional_quotient_terms(ell, g, weight_rule, bundle)[:2], -1),
     )
     a, b, indicator, measure, gap_rows, explicit = per_path(
-        model, theta, x0, grid, n_paths, master_seed, block_size, lambda batch: (
+        model, theta, x0, grid, n_paths, master_seed, lambda batch: (
             *conditional_quotient_terms(ell, g, weight_rule, batch),
             *_hj_values(batch, integrands, gradient_mode),
             _integrand_theta_terms(batch, ell, g, weight_rule)))
@@ -196,6 +196,10 @@ class OptimizerConfig:
             raise ValueError("theta0 must be finite")
         if not 0.0 <= self.step_size < math.inf:
             raise ValueError("step_size must be finite and nonnegative")
+        for name in ("n_iterations", "paths_per_iteration", "master_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
         if self.n_iterations < 1:
             raise ValueError("n_iterations must be at least 1")
         if self.paths_per_iteration < 2:

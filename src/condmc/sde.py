@@ -20,9 +20,8 @@ workers as there are usable CPUs and blocks, while each worker's block keeps
 at least MIN_WORKER_ROWS rows: the calling thread and helper threads, each
 simulating and handing on one block at a time.  The blocks in flight
 together keep states plus increments within BLOCK_BYTES: a worker's block
-has block_rows(model, grid) // workers rows, in whole stream groups, unless
-the call gives a block_size.  No result depends on the block size or the
-number of workers.
+has block_rows(model, grid) // workers rows, in whole stream groups.  No
+result depends on the block size or the number of workers.
 
 _apply_diffusion multiplies dW by a 1x1 sigma directly, one rounding as in the 1x1 product.
 
@@ -429,38 +428,35 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _block_plan(model: SdeModel, grid: TimeGrid, n_paths: int,
-                block_size: int | None) -> tuple[int, int]:
+def _block_plan(model: SdeModel, grid: TimeGrid, n_paths: int) -> tuple[int, int]:
     """(rows per block, workers) for paths 0 .. n_paths-1.
 
     Workers are the usable CPUs, but no more than there are blocks of
-    block_size rows, block_rows(model, grid) when None, and no more than
-    leave each worker's block MIN_WORKER_ROWS rows.  Derived blocks then
-    shrink to block_rows // workers rows, in whole stream groups, so that the
-    blocks in flight together stay within BLOCK_BYTES; an explicit
-    block_size keeps its rows, and runs on one worker below MIN_WORKER_ROWS.
+    block_rows(model, grid) rows, and no more than leave each worker's block
+    MIN_WORKER_ROWS rows.  With more than one worker the blocks shrink to
+    block_rows // workers rows, in whole stream groups, so that the blocks in
+    flight together stay within BLOCK_BYTES.  ValueError unless n_paths is an
+    integer of at least 2.
     """
+    if not isinstance(n_paths, numbers.Integral):
+        raise ValueError(f"n_paths must be an integer, not {type(n_paths).__name__}")
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
-    if block_size is not None and block_size < 1:
-        raise ValueError("block_size must be at least 1")
-    rows = block_rows(model, grid) if block_size is None else block_size
-    workers = min(_usable_cpus(), -(-n_paths // rows))
-    if block_size is None:
-        workers = max(min(workers, rows // MIN_WORKER_ROWS), 1)
-        rows = max(rows // workers // PATHS_PER_STREAM, 1) * PATHS_PER_STREAM
-    elif block_size < MIN_WORKER_ROWS:
-        workers = 1
+    rows = block_rows(model, grid)
+    workers = max(min(_usable_cpus(), -(-n_paths // rows), rows // MIN_WORKER_ROWS), 1)
+    if workers > 1:
+        rows = rows // workers // PATHS_PER_STREAM * PATHS_PER_STREAM
     return rows, workers
 
 
 def per_path(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: int,
-             master_seed: int, block_size: int | None, terms) -> tuple:
+             master_seed: int, terms) -> tuple:
     """Per-path arrays of paths 0 .. n_paths-1: terms(block) returns a tuple of
     arrays with the block's paths on axis 0, joined here in block order.
 
-    Each block holds the rows of _block_plan, the last one the rest, and
-    they run on its workers: the calling thread and workers - 1 helper
+    Each block holds the rows of _block_plan, sized by the byte budget alone
+    (the module's block_rows, looked up at each call), the last one the rest,
+    and they run on its workers: the calling thread and workers - 1 helper
     threads, each taking the next block index under a lock, simulating that
     block (by the module's simulate_paths, looked up at each call) and
     handing it to terms, which so may run on several blocks at once.  A
@@ -473,7 +469,7 @@ def per_path(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: int,
     raised, the error a one-block-at-a-time loop would raise, since blocks
     are taken in order.  With one worker no thread starts.
     """
-    rows, workers = _block_plan(model, grid, n_paths, block_size)
+    rows, workers = _block_plan(model, grid, n_paths)
     n_blocks = -(-n_paths // rows)
     parts = [None] * n_blocks
     pending = list(range(n_blocks - 1, -1, -1))  # popped from the end: block 0 first

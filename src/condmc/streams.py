@@ -10,6 +10,8 @@ randomness (every step's draws, column k for step k) and its branch steps.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -24,6 +26,8 @@ TAG_CHOICE = 2
 
 
 def _check_key(*words: int) -> None:
+    if not all(isinstance(w, numbers.Integral) for w in words):
+        raise ValueError("master_seed, stream indices and seed parts must be integers")
     if not all(0 <= w <= _MASK64 for w in words):
         raise ValueError("master_seed, stream indices and seed parts must lie in [0, 2**64)")
 
@@ -45,8 +49,8 @@ def group_streams(master_seed: int, path_indices, *, tag: int):
     """Walk the groups of contiguous path indices through one pool; yield, per
     group, its generator, the block rows it covers and the rows of its (G, ...)
     draws that those read (all G for a full group)."""
+    _check_key(master_seed, path_indices[0])
     first, stop = int(path_indices[0]), int(path_indices[-1]) + 1
-    _check_key(master_seed, first)
     pool = _StreamPool()
     for group in range(first // PATHS_PER_STREAM, (stop - 1) // PATHS_PER_STREAM + 1):
         base = group * PATHS_PER_STREAM
@@ -57,9 +61,9 @@ def group_streams(master_seed: int, path_indices, *, tag: int):
 
 def child_seed(master_seed: int, *parts: int) -> int:
     """Derive a sub-seed deterministically from a master seed and context ints,
-    each in [0, 2**64)."""
+    each an integer in [0, 2**64)."""
+    _check_key(master_seed, *parts)
     words = [int(master_seed), *map(int, parts)]
-    _check_key(*words)
     ss = np.random.SeedSequence(entropy=words)
     return int(ss.generate_state(1, np.uint64)[0])
 

@@ -36,13 +36,13 @@ def _span(values):
 
 
 def _ticks(lo, hi, log_scale):
-    """(position, label) pairs; log axes tick at whole decades when they fit."""
+    """Tick positions; log axes tick at whole decades when they fit."""
     if log_scale:
         first, last = math.ceil(lo), math.floor(hi)
         if last >= first and last - first <= 12:
-            return [(float(k), f"1e{k}") for k in range(first, last + 1)]
+            return [float(k) for k in range(first, last + 1)]
     step = (hi - lo) / 4.0
-    return [(lo + i * step, f"{lo + i * step:.4g}") for i in range(5)]
+    return [lo + i * step for i in range(5)]
 
 
 def _tick_label(value, log_scale):
@@ -83,14 +83,14 @@ def render_line_plot(series, title="", x_label="", y_label="",
     axis = (f'M {_LEFT} {_TOP} L {_LEFT} {_TOP + inner_h} '
             f'L {_LEFT + inner_w} {_TOP + inner_h}')
     parts.append(f'<path d="{axis}" fill="none" stroke="black" stroke-width="1"/>')
-    for pos, _ in _ticks(x_lo, x_hi, log_x):
+    for pos in _ticks(x_lo, x_hi, log_x):
         x = px(pos)
         parts.append(f'<line x1="{x:.2f}" y1="{_TOP + inner_h}" x2="{x:.2f}" '
                      f'y2="{_TOP + inner_h + 5}" stroke="black"/>')
         parts.append(f'<text x="{x:.2f}" y="{_TOP + inner_h + 20}" '
                      f'font-size="11" text-anchor="middle" '
                      f'font-family="sans-serif">{_tick_label(pos, log_x)}</text>')
-    for pos, _ in _ticks(y_lo, y_hi, log_y):
+    for pos in _ticks(y_lo, y_hi, log_y):
         y = py(pos)
         parts.append(f'<line x1="{_LEFT - 5}" y1="{y:.2f}" x2="{_LEFT}" '
                      f'y2="{y:.2f}" stroke="black"/>')

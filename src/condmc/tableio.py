@@ -59,10 +59,6 @@ class ResultTable:
         lines.extend(",".join(format_cell(v) for v in row) for row in self.rows)
         return "\n".join(lines) + "\n"
 
-    def column(self, name: str) -> list:
-        index = self.schema.index(name)
-        return [row[index] for row in self.rows]
-
     def write_csv(self, path) -> None:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as handle:

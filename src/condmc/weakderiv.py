@@ -639,7 +639,7 @@ def _gradient_report(values: np.ndarray, master_seed: int, mode: str,
 
 def hj_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
                 functional: PathFunctional, n_paths: int, mode: str = "random-k",
-                master_seed: int = 0, block_size: int | None = None) -> GradientReport:
+                master_seed: int = 0) -> GradientReport:
     """Estimate d/dtheta E[C(X)] by kernel splitting with coupled branches.
 
     mode 'random-k' branches each path once at a uniform step and scales the
@@ -650,7 +650,7 @@ def hj_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
     """
     if mode not in GRADIENT_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    values, gap_rows = per_path(model, theta, x0, grid, n_paths, master_seed, block_size,
+    values, gap_rows = per_path(model, theta, x0, grid, n_paths, master_seed,
                                 lambda batch: _hj_values(batch, functional, mode))
     return _gradient_report(values, master_seed, mode,
                             _mean_branch_gap(values, gap_rows, mode, grid.steps))
@@ -662,8 +662,7 @@ def hj_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
 
 def score_function_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
                             functional: PathFunctional, n_paths: int,
-                            master_seed: int = 0,
-                            block_size: int | None = None) -> GradientReport:
+                            master_seed: int = 0) -> GradientReport:
     """Likelihood-ratio gradient: mean of C(path) times the path's score.
 
     The score accumulates (dt db/dtheta)^T (dt Sigma)^{-1} (X_{k+1}-X_k-dt b)
@@ -694,5 +693,5 @@ def score_function_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
         values = np.asarray(functional.value(batch))
         return (_per_row(score, values) * values,)
 
-    (values,) = per_path(model, theta, x0, grid, n_paths, master_seed, block_size, terms)
+    (values,) = per_path(model, theta, x0, grid, n_paths, master_seed, terms)
     return _gradient_report(values, master_seed, "score-function", None)

@@ -1,6 +1,8 @@
-"""Suite-wide fixtures."""
+"""Suite-wide fixtures, and the fixed_block_rows seam."""
 
+import contextlib
 import threading
+from unittest import mock
 
 import pytest
 
@@ -29,3 +31,18 @@ def force_workers(monkeypatch):
         monkeypatch.setattr(sde, "MIN_WORKER_ROWS", PATHS_PER_STREAM)
 
     return force
+
+
+@contextlib.contextmanager
+def fixed_block_rows(rows):
+    """Within the with block, sde.per_path plans its blocks from `rows` rows
+    in place of the byte budget's block_rows; None keeps the budget.  Below
+    MIN_WORKER_ROWS that is one worker on blocks of `rows` rows; under
+    force_workers, up to rows // PATHS_PER_STREAM workers split the rows in
+    whole stream groups.  A context manager, not a fixture, so that
+    Hypothesis tests can use it."""
+    if rows is None:
+        yield
+        return
+    with mock.patch.object(sde, "block_rows", lambda model, grid: rows):
+        yield

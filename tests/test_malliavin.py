@@ -20,6 +20,7 @@ from condmc.errors import (
     NonFiniteEstimate,
 )
 from condmc.functionals import PathFunctional
+from conftest import fixed_block_rows
 
 # E[X_1^2 | X_0.5 = 0] for the unit OU model: sigma^2 (1 - e^{-theta}) / (2 theta)
 COND_SECOND_MOMENT = 0.3160602794142788
@@ -377,16 +378,18 @@ def test_denominator_z_is_the_gate_statistic():
 
 def test_conditional_loss_block_size_invariance():
     whole = conditional(n=5000, seed=44)
-    split = conditional(n=5000, seed=44, block_size=137)
+    with fixed_block_rows(137):
+        split = conditional(n=5000, seed=44)
     assert whole.estimate == split.estimate
     assert whole.std_error == split.std_error
     assert np.array_equal(whole.a_terms, split.a_terms)
 
 
-def loss_outcome(**kw):
-    """(estimate, std error, A terms, B terms), or the gate's verdict."""
+def loss_outcome(rows, **kw):
+    """(estimate, std error, A terms, B terms) on blocks of `rows` rows, or
+    the gate's verdict."""
     try:
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), fixed_block_rows(rows):
             warnings.simplefilter("ignore", NearZeroDerivativeWarning)
             rep = conditional(**kw)
     except DegenerateDenominator:
@@ -400,8 +403,8 @@ def loss_outcome(**kw):
        rule=st.sampled_from(["canonical", "reciprocal"]), data=st.data())
 def test_conditional_loss_block_size_invariance_property(n, steps, seed, rule, data):
     block = data.draw(st.integers(1, n))
-    whole, split = (loss_outcome(n=n, seed=seed, steps=steps, rule=rule, block_size=bs)
-                    for bs in (n, block))
+    whole, split = (loss_outcome(rows, n=n, seed=seed, steps=steps, rule=rule)
+                    for rows in (n, block))
     assert split == whole
 
 
@@ -431,9 +434,10 @@ def test_overflowing_multi_block_loss_raises_non_finite_estimate(force_workers):
     # helper's overflow would warn, and the suite turns that into an error
     force_workers(2)
     model, grid, x0 = cm.ou_model(1.0), cm.TimeGrid(1.0, 10), np.array([1e160])
-    with pytest.raises(NonFiniteEstimate), np.errstate(over="ignore", invalid="ignore"):
+    with (pytest.raises(NonFiniteEstimate), np.errstate(over="ignore", invalid="ignore"),
+          fixed_block_rows(200)):  # blocks of 100 rows on two workers
         cm.conditional_loss_estimate(model, 1.0, cm.terminal_power(2), cm.marginal_power(5, 1),
-                                     "canonical", 400, 0, grid, x0, block_size=100)
+                                     "canonical", 400, 0, grid, x0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 import condmc as cm
 from condmc.errors import DegenerateDenominator, NonFiniteEstimate
 from condmc.malliavin import conditional_quotient_terms
+from conftest import fixed_block_rows
 
 # d/dtheta of (1 - e^{-theta}) / (2 theta) at theta = 1, the closed-form
 # slope of the conditional second moment E[X_1^2 | X_{0.5} = 0]
@@ -131,9 +132,13 @@ def test_gradient_is_deterministic_in_the_seed():
 @pytest.mark.parametrize("mode", ["random-k", "sum-over-k"])
 def test_gradient_is_block_size_invariant(mode):
     model, grid, ell, g = ou_setup(20)
-    runs = [cm.counterfactual_gradient(model, 1.0, ell, g, "canonical", grid, X0,
-                                       300, mode, 19, **blocking)
-            for blocking in ({}, {"block_size": 137}, {"block_size": 7})]
+
+    def run(rows):
+        with fixed_block_rows(rows):
+            return cm.counterfactual_gradient(model, 1.0, ell, g, "canonical", grid, X0,
+                                              300, mode, 19)
+
+    runs = [run(rows) for rows in (None, 137, 7)]
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
 
@@ -143,8 +148,9 @@ def test_gradient_loss_matches_loss_estimate(mode):
     # the single pass feeds the loss terms from the same blocks the branch
     # engine reads, so the loss side equals the standalone estimator exactly
     model, grid, ell, g = ou_setup(20)
-    loss, _, diag = cm.counterfactual_gradient(
-        model, 1.0, ell, g, "canonical", grid, X0, 300, mode, 23, block_size=64)
+    with fixed_block_rows(64):
+        loss, _, diag = cm.counterfactual_gradient(
+            model, 1.0, ell, g, "canonical", grid, X0, 300, mode, 23)
     report = cm.conditional_loss_estimate(model, 1.0, ell, g, "canonical", 300,
                                           23, grid, X0)
     assert (loss, diag["e1"], diag["e2"], diag["se_loss"],
@@ -168,7 +174,7 @@ def _columns(f):
                              terminal_value=terminal, step_value=step)
 
 
-@pytest.mark.parametrize("mode, f, block_size", [
+@pytest.mark.parametrize("mode, f, rows", [
     ("random-k", cm.terminal_power(2), 128),
     ("sum-over-k", cm.marginal_power(12, 2), 128),
     ("sum-over-k", cm.terminal_power(2), 128),
@@ -178,18 +184,18 @@ def _columns(f):
     ("score-function", cm.terminal_power(2), 7),
 ], ids=["random-k", "generic", "terminal", "integral", "score", "score-block-2",
         "score-block-7"])
-def test_vector_valued_branch_gradient_matches_scalar_columns(mode, f, block_size):
+def test_vector_valued_branch_gradient_matches_scalar_columns(mode, f, rows):
     # the score baseline scales each path's row of columns by that path's score
     grid = cm.TimeGrid(1.0, 25)
 
     def gradient(functional):
         if mode == "score-function":
             return cm.score_function_gradient(cm.ou_model(1.0), 1.0, X0, grid, functional,
-                                              300, 8, block_size)
-        return cm.hj_gradient(cm.ou_model(1.0), 1.0, X0, grid, functional, 300, mode, 8,
-                              block_size=block_size)
+                                              300, 8)
+        return cm.hj_gradient(cm.ou_model(1.0), 1.0, X0, grid, functional, 300, mode, 8)
 
-    scalar, vector = gradient(f), gradient(_columns(f))
+    with fixed_block_rows(rows):
+        scalar, vector = gradient(f), gradient(_columns(f))
     assert vector.mode == scalar.mode == mode
     assert vector.estimate.shape == vector.variance.shape == vector.std_error.shape == (2,)
     assert vector.estimate[0] == scalar.estimate
@@ -243,6 +249,21 @@ def test_config_rejects_non_finite_floats(field, value):
         cm.OptimizerConfig(**{**good, field: value})
 
 
+@pytest.mark.parametrize("field", ["n_iterations", "paths_per_iteration", "master_seed"])
+@pytest.mark.parametrize("value", [2.5, 100.0, np.float64(3.0), "5"])
+def test_config_rejects_integer_fields_that_are_not_integers(field, value):
+    # 2.5 iterations used to pass and fail later in run_sgd's range()
+    good = dict(theta0=1.0, step_size=0.1, n_iterations=5, paths_per_iteration=100)
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        cm.OptimizerConfig(**{**good, field: value})
+
+
+def test_config_takes_numpy_integers():
+    config = cm.OptimizerConfig(theta0=1.0, step_size=0.1, n_iterations=np.int64(5),
+                                paths_per_iteration=np.int32(100), master_seed=np.uint64(7))
+    assert (config.n_iterations, config.paths_per_iteration, config.master_seed) == (5, 100, 7)
+
+
 def test_counterfactual_reports_the_loss_denominator_z():
     model, grid, ell, g = ou_setup(30)
     _, _, diag = cm.counterfactual_gradient(model, 1.0, ell, g, "canonical", grid,
@@ -258,11 +279,12 @@ def test_counterfactual_reports_the_branch_stats_of_its_integrands(mode):
     # the mean |gap| over the branches of both integrand columns, as
     # hj_gradient reports it for the same two-column functional and blocks
     model, grid, ell, g = ou_setup(16)
-    _, _, diag = cm.counterfactual_gradient(model, 1.0, ell, g, "canonical", grid, X0, 300,
-                                            mode, 5, block_size=128)
     integrands = cm.PathFunctional(value=lambda bundle: np.stack(
         conditional_quotient_terms(ell, g, "canonical", bundle)[:2], -1))
-    report = cm.hj_gradient(model, 1.0, X0, grid, integrands, 300, mode, 5, block_size=128)
+    with fixed_block_rows(128):
+        _, _, diag = cm.counterfactual_gradient(model, 1.0, ell, g, "canonical", grid, X0,
+                                                300, mode, 5)
+        report = cm.hj_gradient(model, 1.0, X0, grid, integrands, 300, mode, 5)
     assert diag["branch_stats"] == report.branch_stats > 0.0
 
 
@@ -408,15 +430,17 @@ def test_sgd_descends_on_average():
 
 def test_counterfactual_measure_columns_keep_their_bits():
     grid = cm.TimeGrid(1.0, 20)
-    _, _, diag = cm.counterfactual_gradient(
-        cm.ou_model(1.0), 1.0, cm.terminal_power(2), cm.marginal_power(10, 1), "canonical",
-        grid, 0.0, 600, "random-k", 5, block_size=256)
+    with fixed_block_rows(256):
+        _, _, diag = cm.counterfactual_gradient(
+            cm.ou_model(1.0), 1.0, cm.terminal_power(2), cm.marginal_power(10, 1),
+            "canonical", grid, 0.0, 600, "random-k", 5)
     assert (float(diag["grad_e1_measure"]).hex(), float(diag["grad_e2_measure"]).hex()) == (
         "-0x1.37094d243075ap-2", "-0x1.53307b70821b3p-3")
     # sum-over-k branches both integrand columns at every step (generic engine)
-    _, _, diag = cm.counterfactual_gradient(
-        cm.ou_model(1.0), 1.0, cm.terminal_power(2), cm.marginal_power(10, 1), "canonical",
-        grid, 0.0, 300, "sum-over-k", 5, block_size=128)
+    with fixed_block_rows(128):
+        _, _, diag = cm.counterfactual_gradient(
+            cm.ou_model(1.0), 1.0, cm.terminal_power(2), cm.marginal_power(10, 1),
+            "canonical", grid, 0.0, 300, "sum-over-k", 5)
     assert (float(diag["grad_e1_measure"]).hex(), float(diag["grad_e2_measure"]).hex()) == (
         "-0x1.657618b7cad91p-2", "-0x1.8568b391d1ae9p-3")
 

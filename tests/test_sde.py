@@ -24,6 +24,7 @@ from condmc.sde import _euler_continue, _noise_block, shared_row
 from condmc.streams import PATHS_PER_STREAM as G
 from condmc.streams import TAG_BRANCH, TAG_CHOICE, TAG_NOISE, _StreamPool, stream
 from condmc.weakderiv import _branch_batch, _branch_draw_block, _draws_at, _step_pair
+from conftest import fixed_block_rows
 
 E_INV = math.exp(-1.0)            # 0.36787944117144233
 OU_VAR_T1 = 0.4323323583816936    # sigma^2 (1 - e^{-2 theta}) / (2 theta) at theta=sigma=1
@@ -208,7 +209,8 @@ def test_per_path_joins_block_terms_in_order_and_keeps_no_block(force_workers):
                     barrier.wait()
                 return batch.states[:, -1, 0].copy(), batch.path_indices
 
-            terminal, indices = sde.per_path(model, 1.0, 0.2, grid, 3_000, 3, 100, terms)
+            with fixed_block_rows(100 * workers):  # blocks of 100 rows
+                terminal, indices = sde.per_path(model, 1.0, 0.2, grid, 3_000, 3, terms)
             assert len(seen) == 30
             assert np.array_equal(indices, np.arange(3_000))
             assert same_bits(terminal, whole.states[:, -1, 0])
@@ -235,8 +237,8 @@ def test_per_path_raises_the_earliest_failed_block_and_leaves_no_thread(force_wo
             raise ValueError("a later block")
         return (batch.path_indices,)
 
-    with pytest.raises(NonFiniteState) as info:
-        sde.per_path(model, 1.0, 0.2, grid, 600, 3, 100, terms)
+    with pytest.raises(NonFiniteState) as info, fixed_block_rows(200):  # 100-row blocks
+        sde.per_path(model, 1.0, 0.2, grid, 600, 3, terms)
     assert info.value.step == 4
     assert sorted(taken) == [0, 1, 2, 3]
     assert threading.active_count() == threads
@@ -264,8 +266,8 @@ def test_per_path_raises_an_interrupt_ahead_of_an_earlier_block_error(force_work
         assert caller_on_later_block.wait(30)
         raise ValueError("an earlier block")
 
-    with pytest.raises(KeyboardInterrupt):
-        sde.per_path(model, 1.0, 0.2, grid, 600, 3, 100, terms)
+    with pytest.raises(KeyboardInterrupt), fixed_block_rows(200):  # 100-row blocks
+        sde.per_path(model, 1.0, 0.2, grid, 600, 3, terms)
     assert threading.active_count() == threads
 
 
@@ -285,8 +287,8 @@ def test_per_path_raises_an_exit_from_a_helper(force_workers):
             raise ValueError("a block of the caller")
         raise SystemExit(3)
 
-    with pytest.raises(SystemExit):
-        sde.per_path(model, 1.0, 0.2, grid, 600, 3, 100, terms)
+    with pytest.raises(SystemExit), fixed_block_rows(200):  # 100-row blocks
+        sde.per_path(model, 1.0, 0.2, grid, 600, 3, terms)
 
 
 def test_per_path_joins_every_helper_when_interrupted_while_joining(force_workers, monkeypatch):
@@ -308,8 +310,9 @@ def test_per_path_joins_every_helper_when_interrupted_while_joining(force_worker
         return (batch.path_indices,)
 
     monkeypatch.setattr(threading.Thread, "join", interrupted_once)
-    with pytest.raises(KeyboardInterrupt):
-        sde.per_path(model, 1.0, 0.2, grid, 600, 3, 100, terms)
+    # 100-row blocks on three workers: three blocks of the 300-row plan
+    with pytest.raises(KeyboardInterrupt), fixed_block_rows(300):
+        sde.per_path(model, 1.0, 0.2, grid, 900, 3, terms)
     assert interrupted and threading.active_count() == threads
 
 
@@ -333,7 +336,8 @@ def test_helpers_run_under_the_callers_errstate_without_its_context(force_worker
 
     with np.errstate(divide="raise", over="ignore", under="warn", invalid="print"):
         expected = np.geterr()
-        sde.per_path(model, 1.0, 0.2, grid, 400, 3, 100, terms)
+        with fixed_block_rows(200):  # 100-row blocks
+            sde.per_path(model, 1.0, 0.2, grid, 400, 3, terms)
     assert len({me for me, _ in seen}) == 2
     assert all(err == expected for _, err in seen)
 
@@ -693,13 +697,14 @@ def test_per_row_scalar_outputs_keep_their_bits():
     grid = cm.TimeGrid(1.0, 20)
     ell = cm.marginal_power(-1, 2)
     g = cm.shift_functional(cm.marginal_power(10, 1), 0.1)
-    report = cm.conditional_loss_estimate(model, 1.1, ell, g, "canonical", 600, 7, grid, 0.3,
-                                          block_size=256)
+    with fixed_block_rows(256):
+        report = cm.conditional_loss_estimate(model, 1.1, ell, g, "canonical", 600, 7, grid,
+                                              0.3)
     got = {"loss": tuple(float(v).hex() for v in (report.estimate, report.std_error))}
     for mode in ("random-k", "sum-over-k"):
-        loss, gradient, diag = cm.counterfactual_gradient(
-            model, 1.1, ell, g, "canonical", cm.TimeGrid(1.0, 10), 0.3, 300, mode, 13,
-            block_size=128)
+        with fixed_block_rows(128):
+            loss, gradient, diag = cm.counterfactual_gradient(
+                model, 1.1, ell, g, "canonical", cm.TimeGrid(1.0, 10), 0.3, 300, mode, 13)
         got[mode] = tuple(float(v).hex() for v in (loss, gradient, diag["se_gradient"]))
     batch = cm.simulate_paths(model, 1.1, 0.3, grid, 40, 5)
     digest = hashlib.sha256()
@@ -707,8 +712,9 @@ def test_per_row_scalar_outputs_keep_their_bits():
         digest.update(np.ascontiguousarray(a).tobytes())
     got["profiles"] = digest.hexdigest()
     for score_model in (model, linear_noise_model()):
-        sf = cm.score_function_gradient(score_model, 0.9, 0.3, grid, cm.terminal_power(2), 300,
-                                        5, block_size=128)
+        with fixed_block_rows(128):
+            sf = cm.score_function_gradient(score_model, 0.9, 0.3, grid, cm.terminal_power(2),
+                                            300, 5)
         got["score " + score_model.name] = tuple(
             float(v).hex() for v in (sf.estimate, sf.std_error, sf.variance))
     assert got == PER_ROW_PINS
@@ -735,25 +741,6 @@ def test_batch_two_dimensional_model():
     assert np.array_equal(batch.jacobians.z[2], single.jacobians.z)
 
 
-@pytest.mark.parametrize("block_size", [0, -5])
-@pytest.mark.parametrize("estimator", ["loss", "hj", "score", "counterfactual"])
-def test_estimators_reject_block_sizes_below_one(estimator, block_size):
-    model, grid, x0 = cm.ou_model(1.0), cm.TimeGrid(1.0, 5), 0.2
-    f = cm.terminal_power(2)
-    g = cm.shift_functional(cm.marginal_power(3, 1), 0.1)
-    calls = {
-        "loss": lambda: cm.conditional_loss_estimate(model, 1.0, f, g, "canonical", 10, 1,
-                                                     grid, x0, block_size=block_size),
-        "hj": lambda: cm.hj_gradient(model, 1.0, x0, grid, f, 10, block_size=block_size),
-        "score": lambda: cm.score_function_gradient(model, 1.0, x0, grid, f, 10,
-                                                    block_size=block_size),
-        "counterfactual": lambda: cm.counterfactual_gradient(
-            model, 1.0, f, g, "canonical", grid, x0, 10, block_size=block_size),
-    }
-    with pytest.raises(ValueError, match="block_size must be at least 1"):
-        calls[estimator]()
-
-
 # ---------------------------------------------------------------------------
 # blocks sized by bytes: states plus increments within sde.BLOCK_BYTES, in
 # whole stream groups
@@ -774,26 +761,22 @@ def test_derived_block_rows_are_whole_groups_within_the_byte_budget(steps, n, d)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(steps=st.integers(1, 20_000), n_paths=st.integers(2, 10 ** 6), cpus=st.integers(1, 64),
-       block_size=st.integers(1, 10_000))
-def test_blocks_in_flight_share_the_byte_budget(steps, n_paths, cpus, block_size):
+@given(steps=st.integers(1, 20_000), n_paths=st.integers(2, 10 ** 6), cpus=st.integers(1, 64))
+def test_blocks_in_flight_share_the_byte_budget(steps, n_paths, cpus):
     # one worker per CPU, but none without a block of block_rows, and none
-    # whose block would fall below MIN_WORKER_ROWS; the workers' derived
-    # blocks together stay within BLOCK_BYTES
+    # whose block would fall below MIN_WORKER_ROWS; the workers' blocks
+    # together stay within BLOCK_BYTES, unless one stream group alone is over
     model, grid = _dims_model(1, 1), cm.TimeGrid(1.0, steps)
     one_worker_rows = sde.block_rows(model, grid)
     with mock.patch.object(sde, "_usable_cpus", lambda: cpus):
-        rows, workers = sde._block_plan(model, grid, n_paths, None)
-        explicit = sde._block_plan(model, grid, n_paths, block_size)
+        rows, workers = sde._block_plan(model, grid, n_paths)
     assert workers == max(min(cpus, -(-n_paths // one_worker_rows),
                               one_worker_rows // sde.MIN_WORKER_ROWS), 1)
-    assert rows >= G and rows % G == 0
+    assert rows == one_worker_rows // workers // G * G
     if workers > 1:
         assert rows >= sde.MIN_WORKER_ROWS
-    if rows > G:
-        assert workers * rows * 8 * (2 * steps + 1) <= sde.BLOCK_BYTES
-    assert explicit == (block_size, min(cpus, -(-n_paths // block_size))
-                        if block_size >= sde.MIN_WORKER_ROWS else 1)
+    assert (workers * rows * 8 * (2 * steps + 1) <= sde.BLOCK_BYTES
+            or (workers, rows) == (1, G))
 
 
 @pytest.mark.parametrize("steps", [400, 800, 1_600, 3_200])
@@ -801,52 +784,84 @@ def test_long_grids_run_on_one_worker(monkeypatch, steps):
     # from 400 steps a derived block has at most 2,600 rows, so splitting it
     # would leave each worker under MIN_WORKER_ROWS, however many CPUs
     monkeypatch.setattr(sde, "_usable_cpus", lambda: 64)
-    plan = sde._block_plan(cm.ou_model(1.0), cm.TimeGrid(1.0, steps), 100_000, None)
+    plan = sde._block_plan(cm.ou_model(1.0), cm.TimeGrid(1.0, steps), 100_000)
     assert plan == (sde.block_rows(cm.ou_model(1.0), cm.TimeGrid(1.0, steps)), 1)
 
 
 @pytest.mark.parametrize("n_paths, steps", [(1_500, 400), (2_000, 50)])
 def test_benchmark_path_counts_stay_one_block(n_paths, steps):
     (sizes,) = sde.per_path(cm.ou_model(1.0), 1.0, 0.0, cm.TimeGrid(1.0, steps), n_paths, 3,
-                            None, lambda batch: (np.array([batch.n_paths]),))
+                            lambda batch: (np.array([batch.n_paths]),))
     assert list(sizes) == [n_paths]
+
+
+def test_loss_workload_runs_two_workers_on_2600_row_blocks(monkeypatch):
+    # the estimate-loss default, 100,000 paths x 200 steps, on two CPUs: 39 blocks
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
+    assert sde._block_plan(cm.ou_model(1.0), cm.TimeGrid(1.0, 200), 100_000) == (2_600, 2)
+
+
+@pytest.mark.parametrize("n_paths", [1000.0, 2.5, np.float64(300.0), "300"])
+@pytest.mark.parametrize("estimator", ["loss", "hj", "score", "counterfactual"])
+def test_estimators_reject_path_counts_that_are_not_integers(estimator, n_paths):
+    # 1000.0 used to fail inside the block loop with a bare TypeError
+    model, grid, x0 = cm.ou_model(1.0), cm.TimeGrid(1.0, 5), 0.2
+    f, g = cm.terminal_power(2), cm.shift_functional(cm.marginal_power(3, 1), 0.1)
+    calls = {
+        "loss": lambda: cm.conditional_loss_estimate(model, 1.0, f, g, "canonical", n_paths, 1,
+                                                     grid, x0),
+        "hj": lambda: cm.hj_gradient(model, 1.0, x0, grid, f, n_paths),
+        "score": lambda: cm.score_function_gradient(model, 1.0, x0, grid, f, n_paths),
+        "counterfactual": lambda: cm.counterfactual_gradient(
+            model, 1.0, f, g, "canonical", grid, x0, n_paths),
+    }
+    with pytest.raises(ValueError, match="n_paths must be an integer"):
+        calls[estimator]()
+
+
+def test_estimators_take_numpy_integer_path_counts():
+    model, grid, f = cm.ou_model(1.0), cm.TimeGrid(1.0, 5), cm.terminal_power(2)
+    for mode in ("random-k", "sum-over-k"):
+        want = cm.hj_gradient(model, 1.0, 0.2, grid, f, 300, mode, 4)
+        got = cm.hj_gradient(model, 1.0, 0.2, grid, f, np.int64(300), mode, 4)
+        assert (got.estimate, got.variance, got.n_paths) == (want.estimate, want.variance, 300)
 
 
 SPLIT_STEPS, SPLIT_PATHS = 2_000, 1_300  # derived blocks of 500, 500 and 300 rows
 
 
-def _split_runs(block_size):
-    """Every block-wise estimator's outputs, as bytes, at one block size."""
+def _split_runs():
+    """Every block-wise estimator's outputs, as bytes."""
     model, grid, x0 = cm.ou_model(1.0), cm.TimeGrid(1.0, SPLIT_STEPS), 0.2
     f, g = cm.terminal_power(2), cm.marginal_power(SPLIT_STEPS // 2, 1)
     loss = cm.conditional_loss_estimate(model, 1.0, f, g, "canonical", SPLIT_PATHS, 5,
-                                        grid, x0, block_size=block_size)
+                                        grid, x0)
     out = [loss.estimate, loss.std_error, loss.a_terms, loss.b_terms]
     for mode in ("random-k", "sum-over-k"):
-        rep = cm.hj_gradient(model, 1.0, x0, grid, f, SPLIT_PATHS, mode, 6,
-                             block_size=block_size)
+        rep = cm.hj_gradient(model, 1.0, x0, grid, f, SPLIT_PATHS, mode, 6)
         out += [rep.estimate, rep.std_error, rep.variance, rep.branch_stats]
-    rep = cm.score_function_gradient(model, 1.0, x0, grid, f, SPLIT_PATHS, 7,
-                                     block_size=block_size)
+    rep = cm.score_function_gradient(model, 1.0, x0, grid, f, SPLIT_PATHS, 7)
     out += [rep.estimate, rep.std_error, rep.variance]
     _, gradient, diag = cm.counterfactual_gradient(model, 1.0, f, g, "canonical", grid, x0,
-                                                   SPLIT_PATHS, "random-k", 8,
-                                                   block_size=block_size)
+                                                   SPLIT_PATHS, "random-k", 8)
     out += [gradient] + [diag[key] for key in sorted(diag) if key != "gradient_mode"]
     return [np.asarray(v).tobytes() for v in out]
 
 
 def test_derived_blocks_give_the_bits_of_one_block(force_workers):
     # one worker: derived blocks of 500, 500 and 300 rows; two: 200 rows each
-    # and a last of 100; three: 13 blocks of 100 rows; and three CPUs for two
-    # explicit blocks of 1,000 and 300 rows, so fewer blocks than CPUs
+    # and a last of 100; three: 13 blocks of 100 rows; and four CPUs for a
+    # 1,200-row plan, which gives two workers blocks of 600, 600 and 100 rows,
+    # so fewer blocks than CPUs and a partial last block
     model, grid = cm.ou_model(1.0), cm.TimeGrid(1.0, SPLIT_STEPS)
     assert sde.block_rows(model, grid) == 500
     force_workers(1)
-    whole = _split_runs(SPLIT_PATHS)
-    for workers, block_size in ((1, None), (2, None), (3, None), (3, 1_000)):
+    with fixed_block_rows(SPLIT_PATHS):
+        whole = _split_runs()
+    for workers, rows in ((1, None), (2, None), (3, None), (4, 1_200)):
         force_workers(workers)
-        assert _split_runs(block_size) == whole, (workers, block_size)
+        with fixed_block_rows(rows):
+            assert _split_runs() == whole, (workers, rows)
 
 
 def test_loss_estimate_memory_is_bounded_by_the_block_budget(force_workers):
@@ -899,17 +914,19 @@ def _estimator_calls(model):
     integral = cm.integral_functional(lambda x: x[..., 0] ** 2, lambda x: 2.0 * x)
     calls = {
         "simulate": lambda: cm.simulate_paths(model, 1.1, x0, grid, 50, 3).states,
-        "loss": lambda: cm.conditional_loss_estimate(model, 1.1, ell, g, "canonical", 300, 3,
-                                                     grid, x0, block_size=128).estimate,
-        "score": lambda: cm.score_function_gradient(model, 1.1, x0, grid, ell, 200, 3,
-                                                    block_size=64).estimate,
+        "loss": fixed_block_rows(128)(lambda: cm.conditional_loss_estimate(
+            model, 1.1, ell, g, "canonical", 300, 3, grid, x0).estimate),
+        "score": fixed_block_rows(64)(lambda: cm.score_function_gradient(
+            model, 1.1, x0, grid, ell, 200, 3).estimate),
     }
     for mode in ("random-k", "sum-over-k"):
         for name, f in (("terminal", ell), ("integral", integral), ("generic", g)):
-            calls[f"hj {mode} {name}"] = lambda mode=mode, f=f: cm.hj_gradient(
-                model, 1.1, x0, grid, f, 200, mode, 3, block_size=64).estimate
-        calls[f"counterfactual {mode}"] = lambda mode=mode: cm.counterfactual_gradient(
-            model, 1.1, ell, g, "canonical", grid, x0, 300, mode, 3, block_size=128)[:2]
+            calls[f"hj {mode} {name}"] = fixed_block_rows(64)(
+                lambda mode=mode, f=f: cm.hj_gradient(
+                    model, 1.1, x0, grid, f, 200, mode, 3).estimate)
+        calls[f"counterfactual {mode}"] = fixed_block_rows(128)(
+            lambda mode=mode: cm.counterfactual_gradient(
+                model, 1.1, ell, g, "canonical", grid, x0, 300, mode, 3)[:2])
     return calls
 
 
@@ -1003,15 +1020,16 @@ _ELL, _G = cm.terminal_power(2), cm.shift_functional(cm.marginal_power(25, 1), 0
 # call -> Jacobian passes it makes; each block or restarted side that a
 # functional reads builds one, and nothing else does
 JACOBIAN_PASSES = {
-    "loss, 4 blocks": (4, lambda: cm.conditional_loss_estimate(
-        _OU, 1.0, _ELL, _G, "canonical", 200, 3, _GRID_50, 0.2, block_size=50)),
-    "counterfactual random-k, 2 blocks": (10, lambda: cm.counterfactual_gradient(
-        _OU, 1.0, _ELL, _G, "canonical", _GRID_50, 0.2, 200, "random-k", 3, block_size=100)),
-    "hj random-k, Jacobian-reading payoff, 2 blocks": (4, lambda: cm.hj_gradient(
-        _OU, 1.0, 0.2, _GRID_50, _jacobian_reading_payoff(), 200, "random-k", 3,
-        block_size=100)),
-    "hj random-k, terminal payoff": (0, lambda: cm.hj_gradient(
-        _OU, 1.0, 0.2, _GRID_50, _ELL, 200, "random-k", 3, block_size=100)),
+    "loss, 4 blocks": (4, fixed_block_rows(50)(lambda: cm.conditional_loss_estimate(
+        _OU, 1.0, _ELL, _G, "canonical", 200, 3, _GRID_50, 0.2))),
+    "counterfactual random-k, 2 blocks": (10, fixed_block_rows(100)(
+        lambda: cm.counterfactual_gradient(
+            _OU, 1.0, _ELL, _G, "canonical", _GRID_50, 0.2, 200, "random-k", 3))),
+    "hj random-k, Jacobian-reading payoff, 2 blocks": (4, fixed_block_rows(100)(
+        lambda: cm.hj_gradient(
+            _OU, 1.0, 0.2, _GRID_50, _jacobian_reading_payoff(), 200, "random-k", 3))),
+    "hj random-k, terminal payoff": (0, fixed_block_rows(100)(lambda: cm.hj_gradient(
+        _OU, 1.0, 0.2, _GRID_50, _ELL, 200, "random-k", 3))),
     "hj sum-over-k, terminal payoff": (0, lambda: cm.hj_gradient(
         _OU, 1.0, 0.2, _GRID_50, _ELL, 200, "sum-over-k", 3)),
     "score function, terminal payoff": (0, lambda: cm.score_function_gradient(

@@ -17,6 +17,7 @@ from condmc.sde import _noise_block
 from condmc.streams import PATHS_PER_STREAM as G
 from condmc.streams import TAG_BRANCH, TAG_CHOICE, TAG_NOISE, group_streams, stream
 from condmc.weakderiv import _branch_draw_block, _group_branch_draws, _hj_values
+from conftest import fixed_block_rows
 
 BIG_SEED = 2 ** 63 + 12_345
 SEEDS = st.one_of(st.integers(0, 2 ** 32), st.integers(2 ** 63, 2 ** 64 - 1))
@@ -104,21 +105,23 @@ N_PATHS = 230  # three groups, the last one partial
 BLOCK_SIZES = (1, 7, 99, 100, 101, N_PATHS)
 
 
-def _loss_bits(seed, steps, block_size):
+def _loss_bits(seed, steps, rows):
     grid = cm.TimeGrid(1.0, steps)
     try:
-        rep = cm.conditional_loss_estimate(
-            cm.ou_model(1.0), 1.0, cm.terminal_power(2), cm.marginal_power(steps // 2, 1),
-            "canonical", N_PATHS, seed, grid, 0.2, block_size=block_size)
+        with fixed_block_rows(rows):
+            rep = cm.conditional_loss_estimate(
+                cm.ou_model(1.0), 1.0, cm.terminal_power(2), cm.marginal_power(steps // 2, 1),
+                "canonical", N_PATHS, seed, grid, 0.2)
     except DegenerateDenominator:
         return "degenerate denominator"
     return (rep.estimate, rep.std_error, rep.denominator_z, rep.a_terms.tobytes(),
             rep.b_terms.tobytes())
 
 
-def _gradient_bits(seed, steps, mode, block_size):
-    rep = cm.hj_gradient(cm.ou_model(1.0), 1.0, np.array([0.5]), cm.TimeGrid(1.0, steps),
-                         cm.terminal_power(2), N_PATHS, mode, seed, block_size=block_size)
+def _gradient_bits(seed, steps, mode, rows):
+    with fixed_block_rows(rows):
+        rep = cm.hj_gradient(cm.ou_model(1.0), 1.0, np.array([0.5]), cm.TimeGrid(1.0, steps),
+                             cm.terminal_power(2), N_PATHS, mode, seed)
     return tuple(float(v).hex() for v in (rep.estimate, rep.std_error, rep.variance,
                                           rep.branch_stats))
 
@@ -160,6 +163,48 @@ def test_out_of_range_seeds_raise_instead_of_aliasing(seed):
     with pytest.raises(ValueError, match=message):
         cm.OptimizerConfig(theta0=1.0, step_size=0.1, n_iterations=2,
                            paths_per_iteration=10, master_seed=seed)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(2.0)])
+def test_non_integer_seeds_raise_instead_of_truncating(seed):
+    # 1.5 used to replay seed 1's numbers: stream, child seeds and estimates
+    message = "must be integers"
+    grid = cm.TimeGrid(1.0, 4)
+    with pytest.raises(ValueError, match=message):
+        stream(seed, 0)
+    with pytest.raises(ValueError, match=message):
+        stream(0, seed)
+    for words in ((seed, 0), (0, seed), (5, 2, seed)):
+        with pytest.raises(ValueError, match=message):
+            cm.child_seed(*words)
+    with pytest.raises(ValueError, match=message):
+        cm.simulate_paths(cm.ou_model(1.0), 1.0, 0.0, grid, 10, seed)
+    # path counts and first indices too: 2.5 paths were 3, first index 1.5
+    # labelled paths 1 .. 3 as 1.5 .. 3.5
+    with pytest.raises(ValueError, match=message):
+        cm.simulate_paths(cm.ou_model(1.0), 1.0, 0.0, grid, seed, 0)
+    with pytest.raises(ValueError, match=message):
+        cm.simulate_paths(cm.ou_model(1.0), 1.0, 0.0, grid, 3, 0, first_index=seed)
+    with pytest.raises(ValueError, match=message):
+        cm.conditional_loss_estimate(cm.ou_model(1.0), 1.0, cm.terminal_power(2),
+                                     cm.marginal_power(2, 1), "canonical", 50, seed, grid, 0.2)
+    for mode in wd.GRADIENT_MODES:
+        with pytest.raises(ValueError, match=message):
+            cm.hj_gradient(cm.ou_model(1.0), 1.0, np.array([0.5]), grid, cm.terminal_power(2),
+                           50, mode, seed)
+    with pytest.raises(ValueError, match=message):
+        cm.score_function_gradient(cm.ou_model(1.0), 1.0, 0.0, grid, cm.terminal_power(2), 50,
+                                   seed)
+
+
+def test_numpy_integer_seeds_give_the_bits_of_python_ints():
+    grid = cm.TimeGrid(1.0, 4)
+    assert cm.child_seed(np.uint64(BIG_SEED), np.int32(3)) == cm.child_seed(BIG_SEED, 3)
+    assert same_bits(stream(np.uint64(BIG_SEED), np.int64(2)).standard_normal(5),
+                     stream(BIG_SEED, 2).standard_normal(5))
+    assert same_bits(cm.simulate_paths(cm.ou_model(1.0), 1.0, 0.0, grid, 10,
+                                       np.uint64(BIG_SEED)).states,
+                     cm.simulate_paths(cm.ou_model(1.0), 1.0, 0.0, grid, 10, BIG_SEED).states)
 
 
 def test_negative_path_index_raises():

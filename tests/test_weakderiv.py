@@ -28,6 +28,7 @@ from condmc.functionals import PathFunctional
 from condmc.sde import block_rows, per_path
 from condmc.streams import PATHS_PER_STREAM, TAG_BRANCH, TAG_CHOICE, TAG_NOISE, _StreamPool, stream
 from condmc.weakderiv import _hj_values
+from conftest import fixed_block_rows
 from test_sde import mixed_model, same_bits, sine_diffusion_model
 
 # d/dtheta of the exact discrete-chain variance of X_1 (unit OU, dt = 0.01,
@@ -715,12 +716,11 @@ def test_gradient_deterministic_under_seed_and_blocking():
     grid = cm.TimeGrid(1.0, 20)
     f = terminal_square()
     a = cm.hj_gradient(cm.ou_model(1.0), 1.0, X0, grid, f, 300, "random-k", 9)
-    b = cm.hj_gradient(cm.ou_model(1.0), 1.0, X0, grid, f, 300, "random-k", 9,
-                       block_size=64)
-    assert a.estimate == b.estimate
     c = cm.score_function_gradient(cm.ou_model(1.0), 1.0, X0, grid, f, 300, 9)
-    d = cm.score_function_gradient(cm.ou_model(1.0), 1.0, X0, grid, f, 300, 9,
-                                   block_size=64)
+    with fixed_block_rows(64):
+        b = cm.hj_gradient(cm.ou_model(1.0), 1.0, X0, grid, f, 300, "random-k", 9)
+        d = cm.score_function_gradient(cm.ou_model(1.0), 1.0, X0, grid, f, 300, 9)
+    assert a.estimate == b.estimate
     assert c.estimate == d.estimate
 
 
@@ -756,25 +756,27 @@ def _pinned_ou(n_dim):
             else (cm.ou_model(0.8, dim=2), np.array([0.5, -0.3])))
 
 
-@pytest.mark.parametrize("n_dim, block_size", sorted(RANDOM_K_PINS))
-def test_random_k_outputs_keep_their_bits(n_dim, block_size):
+@pytest.mark.parametrize("n_dim, rows", sorted(RANDOM_K_PINS))
+def test_random_k_outputs_keep_their_bits(n_dim, rows):
     model, x0 = _pinned_ou(n_dim)
     grid = cm.TimeGrid(1.0, 20)
-    report = cm.hj_gradient(model, 1.0, x0, grid, _radius_square_at(grid.steps), 400,
-                            "random-k", 11, block_size=block_size)
+    with fixed_block_rows(rows):
+        report = cm.hj_gradient(model, 1.0, x0, grid, _radius_square_at(grid.steps), 400,
+                                "random-k", 11)
     got = tuple(float(v).hex() for v in (report.estimate, report.variance,
                                          report.branch_stats))
-    assert got == RANDOM_K_PINS[n_dim, block_size]
+    assert got == RANDOM_K_PINS[n_dim, rows]
 
 
-@pytest.mark.parametrize("n_dim, block_size", sorted(SCORE_PINS))
-def test_score_function_outputs_keep_their_bits(n_dim, block_size):
+@pytest.mark.parametrize("n_dim, rows", sorted(SCORE_PINS))
+def test_score_function_outputs_keep_their_bits(n_dim, rows):
     model, x0 = _pinned_ou(n_dim)
     grid = cm.TimeGrid(1.0, 20)
-    report = cm.score_function_gradient(model, 1.0, x0, grid, _radius_square_at(grid.steps),
-                                        400, 11, block_size=block_size)
+    with fixed_block_rows(rows):
+        report = cm.score_function_gradient(model, 1.0, x0, grid,
+                                            _radius_square_at(grid.steps), 400, 11)
     got = tuple(float(v).hex() for v in (report.estimate, report.std_error, report.variance))
-    assert got == SCORE_PINS[n_dim, block_size]
+    assert got == SCORE_PINS[n_dim, rows]
 
 
 def _cubic_terminal():
@@ -813,12 +815,13 @@ SUM_OVER_K_PINS = {
 }
 
 
-@pytest.mark.parametrize("block_size", [None, 64])
+@pytest.mark.parametrize("rows", [None, 64])
 @pytest.mark.parametrize("case", sorted(SUM_OVER_K_PINS))
-def test_sum_over_k_outputs_keep_their_bits(case, block_size):
+def test_sum_over_k_outputs_keep_their_bits(case, rows):
     (model, x0, n, steps, functional), pins = SUM_OVER_K_PINS[case]
-    report = cm.hj_gradient(model(), 1.0, np.array(x0), cm.TimeGrid(1.0, steps), functional(),
-                            n, "sum-over-k", 11, block_size=block_size)
+    with fixed_block_rows(rows):
+        report = cm.hj_gradient(model(), 1.0, np.array(x0), cm.TimeGrid(1.0, steps),
+                                functional(), n, "sum-over-k", 11)
     got = tuple(float(v).hex() for v in (report.estimate, report.variance,
                                          report.branch_stats))
     assert got == pins
@@ -867,8 +870,10 @@ def test_random_k_rows_branched_at_step_zero_are_exact_zeros(model, n_paths, mix
 def test_gradient_rekeys_each_stream_once_per_path(monkeypatch, force_workers, mode,
                                                   functional, tags):
     # each block rekeys once per stream purpose and group of paths it touches:
-    # blocks [0, 120), [120, 240), [240, 250) touch groups {0, 1}, {1, 2}, {2};
-    # two blocks may run at once on two workers, so the count takes a lock
+    # 120-row blocks (one worker, as 120 rows leave no second one 100)
+    # [0, 120), [120, 240), [240, 250) touch groups {0, 1}, {1, 2}, {2}; a
+    # 200-row plan gives two workers 100-row blocks, one group each, and two
+    # blocks may run at once, so the count takes a lock
     force_workers(2)
     rekeyed, lock = Counter(), threading.Lock()
     rekey = _StreamPool.rekey
@@ -881,12 +886,14 @@ def test_gradient_rekeys_each_stream_once_per_path(monkeypatch, force_workers, m
     monkeypatch.setattr(_StreamPool, "rekey", counted)
     assert PATHS_PER_STREAM == 100
     n = 250
-    for steps in (5, 40):
+    for steps, rows, counts in ((5, 120, (1, 2, 2)), (40, 120, (1, 2, 2)),
+                                (40, 200, (1, 1, 1))):
         rekeyed.clear()
-        cm.hj_gradient(cm.ou_model(1.0), 1.0, np.array([0.5]), cm.TimeGrid(1.0, steps),
-                       functional, n, mode, 3, block_size=120)
+        with fixed_block_rows(rows):
+            cm.hj_gradient(cm.ou_model(1.0), 1.0, np.array([0.5]), cm.TimeGrid(1.0, steps),
+                           functional, n, mode, 3)
         assert rekeyed == Counter({(tag, group): count for tag in tags
-                                   for group, count in ((0, 1), (1, 2), (2, 2))})
+                                   for group, count in enumerate(counts)})
 
 
 # ---------------------------------------------------------------------------
@@ -925,7 +932,7 @@ def gradient_cases(draw):
         "grid": cm.TimeGrid(draw(st.floats(0.25, 2.0)), draw(st.integers(2, 12))),
         "n_paths": n_paths,
         "seed": draw(st.integers(0, 2 ** 32)),
-        "block_size": draw(st.integers(1, n_paths)),
+        "rows": draw(st.integers(1, n_paths)),
     }
 
 
@@ -953,8 +960,8 @@ def test_engines_match_single_branch_reference_property(engine, case):
     model, theta, x0, grid = case["model"], case["theta"], case["x0"], case["grid"]
     n, seed = case["n_paths"], case["seed"]
     mode, f = _engine_case(engine, model.state_dim, grid.steps)
-    report = cm.hj_gradient(model, theta, x0, grid, f, n, mode, seed,
-                            block_size=case["block_size"])
+    with fixed_block_rows(case["rows"]):
+        report = cm.hj_gradient(model, theta, x0, grid, f, n, mode, seed)
     if mode == "random-k":
         vals = np.empty(n)
         for i in range(n):
@@ -976,9 +983,13 @@ def test_engines_match_single_branch_reference_property(engine, case):
 def test_gradient_is_block_size_invariant_property(engine, case):
     model, theta, x0, grid = case["model"], case["theta"], case["x0"], case["grid"]
     mode, f = _engine_case(engine, model.state_dim, grid.steps)
-    whole, split = (cm.hj_gradient(model, theta, x0, grid, f, case["n_paths"], mode,
-                                   case["seed"], block_size=bs)
-                    for bs in (case["n_paths"], case["block_size"]))
+
+    def run(rows):
+        with fixed_block_rows(rows):
+            return cm.hj_gradient(model, theta, x0, grid, f, case["n_paths"], mode,
+                                  case["seed"])
+
+    whole, split = run(case["n_paths"]), run(case["rows"])
     assert (split.estimate, split.std_error, split.variance) == (
         whole.estimate, whole.std_error, whole.variance)
 
@@ -1046,7 +1057,7 @@ def test_affine_engine_matches_euler_copies_property(name, n_dim, steps, n_paths
                                                      theta, horizon, data):
     model = AFFINE_MODELS[name](n_dim)
     x0 = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n_dim, max_size=n_dim)))
-    block_size = data.draw(st.integers(1, n_paths))
+    rows = data.draw(st.integers(1, n_paths))
     grid = cm.TimeGrid(horizon, steps)
     f = PathFunctional(
         value=lambda b: b.states[..., -1, 0] ** 2 + b.states[..., -1, -1] ** 3,
@@ -1058,9 +1069,9 @@ def test_affine_engine_matches_euler_copies_property(name, n_dim, steps, n_paths
         _assert_affine_matches_euler(affine, euler)
         return euler[3], euler[4]
 
-    values, sizes = per_path(model, theta, x0, grid, n_paths, seed, block_size, checked)
-    report = cm.hj_gradient(model, theta, x0, grid, f, n_paths, "sum-over-k", seed,
-                            block_size=block_size)
+    with fixed_block_rows(rows):
+        values, sizes = per_path(model, theta, x0, grid, n_paths, seed, checked)
+        report = cm.hj_gradient(model, theta, x0, grid, f, n_paths, "sum-over-k", seed)
     assert abs(report.estimate - np.mean(values)) <= 1e-12 * np.mean(sizes)
 
 
@@ -1099,8 +1110,9 @@ def test_terminal_sum_over_k_picks_its_engine_by_the_step_factors(monkeypatch, m
             return original(*args)
         monkeypatch.setattr(wd, name, counted)
     x0 = np.full(model.state_dim, 0.3)
-    cm.hj_gradient(model, 0.9, x0, cm.TimeGrid(1.0, 12), cm.terminal_power(2), 20,
-                   "sum-over-k", 4, block_size=8)
+    with fixed_block_rows(8):
+        cm.hj_gradient(model, 0.9, x0, cm.TimeGrid(1.0, 12), cm.terminal_power(2), 20,
+                       "sum-over-k", 4)
     engine = "_affine_branches" if uses_affine else "_all_steps_branches"
     assert calls == Counter({engine: 3})
 
