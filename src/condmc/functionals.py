@@ -2,7 +2,7 @@
 
 A PathFunctional evaluates on a PathBatch of one path or of a block (leading
 axis N); values come back as a scalar or an (N,) array and derivative
-profiles as (M+1, d) or (N, M+1, d) arrays.  Built-ins cover
+profiles as arrays that broadcast to (M+1, d) or (N, M+1, d).  Built-ins cover
 marginal powers X_{t*}^p and running integrals of a smooth function of the
 state; anything else can be supplied as a custom functional.
 """
@@ -14,17 +14,18 @@ from typing import Callable
 
 import numpy as np
 
-from .sde import PathBatch, on_grid, shared_row
+from .sde import PathBatch, _check_count, on_grid
 
 
 @dataclass(frozen=True)
 class PathFunctional:
     """value(bundle) plus, optionally, its Malliavin derivative profile.
 
-    derivative(bundle) returns the whole (..., M+1, d) profile D_{t_s} of
-    the functional at every grid step; the quotient estimator needs it for
-    the loss and the constraint, while the gradient engines read values
-    only, so a functional without one (None) still has branch gradients.
+    derivative(bundle) returns the whole profile D_{t_s} of the functional at
+    every grid step, broadcasting to (..., M+1, d), so that one shared by
+    every path may be (M+1, d); the quotient estimator needs it for the loss
+    and the constraint, while the gradient engines read values only, so a
+    functional without one (None) still has branch gradients.
     The built-in derivatives read bundle.jacobians, which a bundle computes
     on the first read; value() may read them too, and a branch engine then
     builds them for a restarted block only because value() asked.
@@ -46,14 +47,14 @@ class PathFunctional:
 
 
 def derivative_profile(f: PathFunctional, bundle: PathBatch) -> np.ndarray:
-    """Full derivative profile (..., M+1, d); ValueError when f has none."""
+    """Derivative profile broadcasting to (..., M+1, d); ValueError when f has none."""
     if f.derivative is None:
         raise ValueError("the functional has no derivative profile (derivative is None)")
     return np.asarray(f.derivative(bundle))
 
 
 def _sigma_profile(bundle) -> np.ndarray:
-    """sigma(X_s, t_s) at every grid time, as a (..., M+1, n, d) array."""
+    """sigma(X_s, t_s) at every grid time, broadcasting to (..., M+1, n, d)."""
     model = bundle.model
     return on_grid(model.diffusion, bundle.states, bundle.grid.times,
                    (model.state_dim, model.noise_dim))
@@ -72,30 +73,22 @@ def malliavin_derivative_state(bundle: PathBatch, s: int, t: int) -> np.ndarray:
 
 
 def _state_derivative_rows(bundle, t_index: int, component: int) -> np.ndarray:
-    """(D_{t_s} X_{t*}[component])_s for all s, shaped (..., M+1, d); zero past t*.
-
-    When Y, Z and sigma are shared by every path, the rows are computed once
-    and come back as a read-only view broadcast over the path axes.
-    """
+    """(D_{t_s} X_{t*}[component])_s for all s, broadcasting to (..., M+1, d);
+    zero past t*.  When Y, Z and sigma are shared by every path, so are the
+    rows: one (M+1, d) array."""
     jac = bundle.jacobians
-    parts = (jac.y, jac.z, _sigma_profile(bundle))
-    shared = [shared_row(part, 3) for part in parts]
-    is_shared = all(part is not None for part in shared)
-    y, z, sig = shared if is_shared else parts
-    prod = y[..., t_index, None, :, :] @ z    # (..., M+1, n, n) = Y_{t*} Z_s
+    prod = jac.y[..., t_index, None, :, :] @ jac.z    # Y_{t*} Z_s
     # a copy, so the rows do not keep all n rows of the products alive
-    rows = (prod @ sig)[..., component, :].copy()
+    rows = (prod @ _sigma_profile(bundle))[..., component, :].copy()
     rows[..., t_index + 1:, :] = 0.0
-    if is_shared:
-        rows = np.broadcast_to(rows, bundle.states.shape[:-1] + rows.shape[-1:])
     return rows
 
 
 def marginal_power(step: int, power: int, component: int = 0) -> PathFunctional:
     """X_{t_step}[component] ** power as a path functional; a negative step
-    counts from the end of the grid."""
-    if power < 1:
-        raise ValueError("power must be a positive integer")
+    counts from the end of the grid; ValueError unless power is an integer of
+    at least 1."""
+    _check_count("power", power)
 
     def value(bundle):
         return bundle.states[..., step, component] ** power

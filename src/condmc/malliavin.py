@@ -28,7 +28,7 @@ from .errors import (
 from .functionals import PathFunctional, derivative_profile
 from .reports import ConditionalLossReport, EstimatorReport
 from .sde import (PathBatch, SdeModel, TimeGrid, finite_fsum, fsum, per_path,
-                  require_finite, shared_row)
+                  require_finite)
 
 _ENERGY_FLOOR = 1e-14
 _DERIVATIVE_RATIO_FLOOR = 1e-8
@@ -36,11 +36,11 @@ _DERIVATIVE_RATIO_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class WeightProcess:
-    """Weight u on the grid; (..., M+1, d) values plus the construction tag.
+    """Weight u on the grid; values broadcasting to (..., M+1, d) plus the tag.
 
-    support_measure is the Lebesgue measure (left-point count times dt) of
-    {t : D_t g != 0}; adapted marks whether the Ito-sum evaluation of the
-    Skorohod integral is valid as-is.
+    support_measure, broadcasting to (...), is the Lebesgue measure
+    (left-point count times dt) of {t : D_t g != 0}; adapted marks whether
+    the Ito-sum evaluation of the Skorohod integral is valid as-is.
     """
 
     values: np.ndarray
@@ -63,19 +63,12 @@ def _energy_and_support(profile: np.ndarray, grid: TimeGrid):
 def make_weight_canonical(g: PathFunctional, bundle: PathBatch) -> WeightProcess:
     """u = D g / (left-point energy of D g); normalization holds by construction.
 
-    A D g shared by every path (see sde.shared_row) gives one weight row,
-    handed out as a read-only view broadcast over the path axes.
+    A D g shared by every path, (M+1, d), gives one (M+1, d) weight and one
+    support measure.
     """
     profile = derivative_profile(g, bundle)
-    row = shared_row(profile, 2)
-    if row is None:
-        energy, support = _energy_and_support(profile, bundle.grid)
-        values = profile / energy[..., None, None]
-    else:
-        energy, support = _energy_and_support(row, bundle.grid)
-        values = np.broadcast_to(row / energy, profile.shape)
-        support = np.broadcast_to(support, profile.shape[:-2])
-    return WeightProcess(values, "canonical", support, adapted=True)
+    energy, support = _energy_and_support(profile, bundle.grid)
+    return WeightProcess(profile / energy[..., None, None], "canonical", support, adapted=True)
 
 
 def make_weight_reciprocal(g: PathFunctional, bundle: PathBatch) -> WeightProcess:

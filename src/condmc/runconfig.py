@@ -9,6 +9,7 @@ manifest.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -42,6 +43,9 @@ class RunConfig:
     target: float = 3.0
 
     def validate(self) -> "RunConfig":
+        for key in sorted(_INT_KEYS):
+            if not isinstance(getattr(self, key), numbers.Integral):
+                raise ConfigError(f"{key} must be an integer, not {getattr(self, key)!r}")
         for key in sorted(_FLOAT_KEYS):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key.replace('_', '-')} must be finite")
@@ -65,8 +69,9 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {GRADIENT_MODES}, got {self.mode!r}")
         if not self.t_values or not all(0.0 < t < math.inf for t in self.t_values):
             raise ConfigError("t-values must be positive and finite")
-        if not self.n_values or any(n < 2 for n in self.n_values):
-            raise ConfigError("n-values must be at least 2")
+        if not self.n_values or any(not isinstance(n, numbers.Integral) or n < 2
+                                    for n in self.n_values):
+            raise ConfigError("n-values must be integers of at least 2")
         if (not self.estimators
                 or any(e not in _ESTIMATORS for e in self.estimators)):
             raise ConfigError(f"estimators must be drawn from {_ESTIMATORS}")

@@ -32,13 +32,13 @@ step with both (_step_jacobian) is affine in the state under common noise,
 with the same factor I + dt drift_dx on every path.
 
 When every step is so (OU and the mean-reverting family), Y and Z are the
-same on every path of a block.  They are then built once, as one (M+1, n, n)
-product, and handed out as read-only views broadcast over the path axes;
-shared_row recognises such a view downstream.  A model that is path-dependent
-at any step gets per-row Jacobians.  A zero diffusion_dx adds +-0.0 to each
-step factor, so both ways give the same bits.  The sum-over-k branch engine
-of weakderiv uses the same test to carry branches to the horizon by
-products of the step factors.
+same on every path of a block.  They are then built once, as read-only
+(M+1, n, n) arrays: a value that all paths share keeps its own shape, and
+NumPy broadcasting applies it where it meets a per-path array.  A model that
+is path-dependent at any step gets per-row Jacobians.  A zero diffusion_dx
+adds +-0.0 to each step factor, so both ways give the same bits.  The
+sum-over-k branch engine of weakderiv uses the same test to carry branches
+to the horizon by products of the step factors.
 """
 
 from __future__ import annotations
@@ -94,6 +94,13 @@ def require_finite(what: str, *values) -> None:
         raise NonFiniteEstimate(f"{what} is not finite")
 
 
+def _check_count(name: str, value, least: int = 1) -> None:
+    """ValueError unless value is an integer (a numbers.Integral) of at least
+    least; int() would truncate 2.5 to 2."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid 0 = t_0 < ... < t_M = horizon."""
@@ -104,10 +111,7 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if self.horizon <= 0.0 or not math.isfinite(self.horizon):
             raise ValueError("horizon must be positive and finite")
-        if not isinstance(self.steps, numbers.Integral):
-            raise ValueError(f"steps must be an integer, not {type(self.steps).__name__}")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        _check_count("steps", self.steps)
 
     @property
     def dt(self) -> float:
@@ -165,14 +169,14 @@ class SdeModel:
 class JacobianPath:
     """First-variation matrices Y_k and inverses Z_k along one path (or a block).
 
-    When drift_dx has no path axis and diffusion_dx is zero at every step,
-    every path of a block has the same Y.  y and z are then read-only views
-    of one (M+1, n, n) array, broadcast over the leading axes; writing to
+    y and z broadcast to (..., M+1, n, n).  When drift_dx has no path axis
+    and diffusion_dx is zero at every step, every path of a block has the
+    same Y, and y and z are then read-only (M+1, n, n) arrays; writing to
     them raises ValueError.
     """
 
-    y: np.ndarray  # (..., M+1, n, n)
-    z: np.ndarray  # (..., M+1, n, n)
+    y: np.ndarray
+    z: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -297,24 +301,14 @@ def _euler_continue(model: SdeModel, theta: float, grid: TimeGrid, states: np.nd
     return states
 
 
-def shared_row(a: np.ndarray, core_ndim: int) -> np.ndarray | None:
-    """The one core array every path shares when `a` is a view of it broadcast
-    over its leading (path) axes, as shared Jacobians are; None otherwise."""
-    lead = a.ndim - core_ndim
-    if lead < 1 or any(a.strides[:lead]):
-        return None
-    return a[(0,) * lead]
-
-
 def on_grid(fn: Callable, states: np.ndarray, times: np.ndarray, core: tuple,
             *args) -> np.ndarray:
     """fn(states[..., k, :], times[k], *args) at every step k of states, as one
-    read-only (..., K) + core array; a view broadcast over the path axes (see
-    shared_row) when no value has a path axis.  CoefficientShapeError when a
-    value does not broadcast to (...,) + core."""
+    read-only array that broadcasts to (..., K) + core: (K,) + core when no
+    value has a path axis.  CoefficientShapeError when a value does not
+    broadcast to (...,) + core."""
     rest = (slice(None),) * len(core)
-    shared = np.empty(states.shape[-2:-1] + core)
-    out = shared
+    shared = out = np.empty(states.shape[-2:-1] + core)
     for k in range(len(shared)):
         value = np.asarray(fn(states[..., k, :], times[k], *args))
         if out is shared and value.ndim > len(core):  # the first value with a path axis
@@ -325,7 +319,8 @@ def on_grid(fn: Callable, states: np.ndarray, times: np.ndarray, core: tuple,
         except ValueError as exc:
             raise CoefficientShapeError(f"a coefficient value of shape {value.shape} does "
                                         f"not broadcast to {states.shape[:-2] + core}") from exc
-    return np.broadcast_to(out, states.shape[:-2] + shared.shape)
+    out.flags.writeable = False
+    return out
 
 
 def _step_jacobian(model: SdeModel, theta: float, x: np.ndarray, t: float):
@@ -363,9 +358,7 @@ def _euler_jacobians(model: SdeModel, theta: float, grid: TimeGrid, states: np.n
             yk = y[..., k, :, :]
         yk = (dt * jb + np.einsum("...imj,...j->...im", js, increments[..., k, :]) + eye) @ yk
         y[..., k + 1, :, :] = yk
-    is_shared = y is None
-    if is_shared:
-        y = shared
+    y = shared if y is None else y
     if not np.all(np.isfinite(y)):
         raise SingularJacobian("non-finite first-variation matrix")
     if n == 1:
@@ -382,9 +375,8 @@ def _euler_jacobians(model: SdeModel, theta: float, grid: TimeGrid, states: np.n
             raise SingularJacobian(f"first-variation condition number exceeds {_COND_LIMIT:g}")
     if not np.all(np.isfinite(z)):
         raise SingularJacobian("first-variation inverse overflowed")
-    if is_shared:
-        y = np.broadcast_to(y, lead + y.shape)
-        z = np.broadcast_to(z, lead + z.shape)
+    if y is shared:
+        y.flags.writeable = z.flags.writeable = False
     return JacobianPath(y, z)
 
 
@@ -409,6 +401,8 @@ def simulate_path(model: SdeModel, theta: float, x0, grid: TimeGrid,
 def simulate_paths(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: int,
                    master_seed: int, first_index: int = 0) -> PathBatch:
     """Simulate a block of paths with indices first_index .. first_index+n_paths-1."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
     indices = np.arange(first_index, first_index + n_paths)
     increments = _noise_block(master_seed, indices, grid, model.noise_dim)
     return _simulate(model, theta, x0, grid, increments, master_seed, indices)
@@ -438,10 +432,7 @@ def _block_plan(model: SdeModel, grid: TimeGrid, n_paths: int) -> tuple[int, int
     flight together stay within BLOCK_BYTES.  ValueError unless n_paths is an
     integer of at least 2.
     """
-    if not isinstance(n_paths, numbers.Integral):
-        raise ValueError(f"n_paths must be an integer, not {type(n_paths).__name__}")
-    if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
+    _check_count("n_paths", n_paths, 2)
     rows = block_rows(model, grid)
     workers = max(min(_usable_cpus(), -(-n_paths // rows), rows // MIN_WORKER_ROWS), 1)
     if workers > 1:
@@ -570,6 +561,7 @@ def _constant_diffusion_matrix(sigma, n: int, d: int) -> np.ndarray:
 
 def ou_model(sigma: float = 1.0, dim: int = 1) -> SdeModel:
     """Ornstein-Uhlenbeck family dX = -theta X dt + sigma dW (diagonal, any dim)."""
+    _check_count("dim", dim)
     n = int(dim)
     sig = _constant_diffusion_matrix(sigma, n, n)
     zeros3 = np.zeros((n, n, n))
@@ -588,6 +580,7 @@ def ou_model(sigma: float = 1.0, dim: int = 1) -> SdeModel:
 
 def mean_reverting_model(mean: float = 1.0, sigma: float = 1.0, dim: int = 1) -> SdeModel:
     """Mean-reverting family dX = theta (mean - X) dt + sigma dW."""
+    _check_count("dim", dim)
     n = int(dim)
     sig = _constant_diffusion_matrix(sigma, n, n)
     zeros3 = np.zeros((n, n, n))

@@ -43,7 +43,6 @@ from .sde import (
     per_path,
     require_finite,
     resume_path,
-    shared_row,
     simulate_path,
 )
 from .streams import PATHS_PER_STREAM, TAG_BRANCH, TAG_CHOICE, group_streams, stream
@@ -210,7 +209,8 @@ def signed_density(decomp: HjDecomposition, y) -> np.ndarray:
 
 class SplitTerms(NamedTuple):
     """The split of the Euler kernel's theta-derivative at states (N, K, n):
-    total is (N, K), diag (K, n) when every path shares it, the rest (N, K, n)."""
+    mean and weights are (N, K, n) and total is (N, K); the rest broadcast to
+    (N, K, n), as (K, n) where every path shares them."""
 
     mean: np.ndarray        # nominal mean x + dt*b
     scales: np.ndarray      # Rayleigh scales |sigma_ii| * sqrt(dt)
@@ -225,14 +225,13 @@ def _hj_terms_batch(model: SdeModel, x: np.ndarray, t, theta: float, dt: float) 
     """The SplitTerms of states x (N, K, n) at the K grid times t, each
     coefficient read once through on_grid (one model call per step, one
     scalar t; CoefficientShapeError for a value that does not broadcast).  A
-    diffusion with no path axis is checked for diagonality once, on its
-    shared core."""
+    diffusion with no path axis is checked for diagonality once, as one
+    (K, n, d) array."""
     n, d = model.state_dim, model.noise_dim
     sig = on_grid(model.diffusion, x, t, (n, d))
     b = on_grid(model.drift, x, t, (n,), theta)
     db = on_grid(model.drift_dtheta, x, t, (n,), theta)
-    core = shared_row(sig, 3)
-    diag = _diagonal(sig if core is None else core)
+    diag = _diagonal(sig)
     scales = np.abs(diag) * math.sqrt(dt)
     drift_step = dt * b
     mean = drift_step + x
@@ -241,14 +240,14 @@ def _hj_terms_batch(model: SdeModel, x: np.ndarray, t, theta: float, dt: float) 
     if not scales.all() and np.any((scales == 0.0) & (dtheta_mean != 0.0)):
         raise SingularDiffusion("drift sensitivity in a coordinate with zero diffusion")
     # |dt db| / (scale sqrt(2 pi)), 0 where dt db is; a zero scale meets only
-    # a zero numerator here, so it divides as 1
-    weights = np.abs(dtheta_mean)
+    # a zero numerator here, so it divides as 1.  The weights get the path
+    # axis of x even when db has none, so that total is (N, K)
+    weights = np.abs(dtheta_mean, out=np.empty(x.shape))
     weights /= np.where(scales == 0.0, 1.0, scales)
     weights /= _SQRT_2PI
     total = np.sum(weights, axis=-1)
     signs = np.sign(dtheta_mean)
-    return SplitTerms(mean, np.broadcast_to(scales, x.shape), weights, total, signs,
-                      drift_step, diag)
+    return SplitTerms(mean, scales, weights, total, signs, drift_step, diag)
 
 
 def _group_branch_draws(rng: np.random.Generator, steps: int, n_dim: int):

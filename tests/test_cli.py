@@ -203,6 +203,24 @@ def test_config_accepts_the_largest_64_bit_seed():
         resolve_config("optimize", {"seed": -1}, {})
 
 
+# a config built in Python once passed 2.5 steps or 1000.5 paths; the CLI
+# parses these fields with int() and is not affected
+@pytest.mark.parametrize("key, value", [
+    ("steps", 2.5), ("paths", 1000.5), ("seed", 1.0), ("replications", 3.5),
+    ("iterations", np.float64(50.0)), ("n_values", (100, 1000.5)), ("paths", "1000"),
+])
+def test_run_config_rejects_integer_fields_that_are_not_integers(key, value):
+    with pytest.raises(ConfigError, match="must be an integer|must be integers"):
+        RunConfig("estimate-loss", **{key: value}).validate()
+
+
+def test_run_config_takes_numpy_integers():
+    config = RunConfig("estimate-loss", steps=np.int64(200), paths=np.int32(1000),
+                       n_values=(np.int64(100), 1_000)).validate()
+    assert config.echo() == RunConfig("estimate-loss", steps=200, paths=1000,
+                                      n_values=(100, 1_000)).echo()
+
+
 def test_estimate_loss_at_theta_zero(tmp_path):
     # theta = 0 leaves sigma W, so the reference is sigma^2 (T - t*) = 0.5
     out = tmp_path / "run"

@@ -192,7 +192,7 @@ def test_reciprocal_marginal_support_and_normalization():
         warnings.simplefilter("error")
         u = cm.make_weight_reciprocal(g, batch)
     # the derivative lives on the first half of the grid: 101 left points
-    support = np.asarray(u.support_measure)
+    support = np.broadcast_to(u.support_measure, (batch.n_paths,))
     assert np.all(support == 101 * grid.dt)
     assert np.max(np.abs(support - 0.5)) <= grid.dt + 1e-15
     prof = cm.derivative_profile(g, batch)

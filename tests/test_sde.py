@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 import condmc as cm
 from condmc import sde
 from condmc.errors import CoefficientShapeError, NonFiniteState, SingularJacobian
-from condmc.sde import _euler_continue, _noise_block, shared_row
+from condmc.sde import _euler_continue, _noise_block
 from condmc.streams import PATHS_PER_STREAM as G
 from condmc.streams import TAG_BRANCH, TAG_CHOICE, TAG_NOISE, _StreamPool, stream
-from condmc.weakderiv import _branch_batch, _branch_draw_block, _draws_at, _step_pair
+from condmc.weakderiv import (_branch_batch, _branch_draw_block, _draws_at, _hj_terms_batch,
+                              _step_pair)
 from conftest import fixed_block_rows
 
 E_INV = math.exp(-1.0)            # 0.36787944117144233
@@ -70,6 +71,13 @@ def same_bits(a, b) -> bool:
     """Equal shapes and float64 bit patterns; unlike array_equal, -0.0 != 0.0."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def every_path(a, batch, ndim):
+    """a over the path axes of batch: a value that every path shares keeps
+    its own shape, the last ndim axes, and np.broadcast_to hands each path
+    its row."""
+    return np.broadcast_to(a, batch.states.shape[:-2] + np.shape(a)[-ndim:])
 
 
 def matrix_jacobian(model, theta, grid, states, increments):
@@ -511,8 +519,8 @@ def test_batch_rows_bit_identical_to_single_paths():
         noise = cm.generate_noise(17, i, grid, 1)
         single = cm.simulate_path(model, 1.0, 0.2, grid, noise)
         assert np.array_equal(batch.path(i).states, single.states)
-        assert np.array_equal(batch.jacobians.y[i], single.jacobians.y)
-        assert np.array_equal(batch.jacobians.z[i], single.jacobians.z)
+        assert np.array_equal(every_path(batch.jacobians.y, batch, 3)[i], single.jacobians.y)
+        assert np.array_equal(every_path(batch.jacobians.z, batch, 3)[i], single.jacobians.z)
 
 
 @pytest.mark.parametrize("model", [cm.ou_model(0.8), sine_diffusion_model()],
@@ -521,8 +529,8 @@ def test_scalar_jacobian_matches_matrix_recursion(model):
     grid = cm.TimeGrid(1.5, 40)
     batch = cm.simulate_paths(model, 0.9, 0.4, grid, 50, 8)
     y = matrix_jacobian(model, 0.9, grid, batch.states, batch.increments)
-    assert same_bits(batch.jacobians.y, y)
-    assert same_bits(batch.jacobians.z, 1.0 / y)
+    assert same_bits(every_path(batch.jacobians.y, batch, 3), y)
+    assert same_bits(every_path(batch.jacobians.z, batch, 3), 1.0 / y)
 
 
 @pytest.mark.parametrize("power", [1, 3])
@@ -533,7 +541,7 @@ def test_marginal_power_rows_match_malliavin_derivative_state(model, power):
     grid = cm.TimeGrid(1.0, 24)
     step = 15
     batch = cm.simulate_paths(model, 1.1, 0.2, grid, 5, 12)
-    profile = cm.marginal_power(step, power).derivative(batch)
+    profile = every_path(cm.marginal_power(step, power).derivative(batch), batch, 2)
     for i in range(batch.n_paths):
         bundle = batch.path(i)
         factor = power * bundle.states[step, 0] ** (power - 1)
@@ -567,14 +575,14 @@ def test_batch_rows_bit_identical_property(n_dim, state_dependent, steps, horizo
     functionals = (cm.marginal_power(data.draw(st.integers(-1, steps)), power, component),
                    cm.terminal_power(power, component),
                    ROW_IDENTITY_FUNCTIONALS[n_dim])
-    profiles = [f.derivative(batch) for f in functionals]
+    profiles = [every_path(f.derivative(batch), batch, 2) for f in functionals]
     for i in range(n_paths):
         noise = cm.generate_noise(seed, first + i, grid, model.noise_dim)
         single = cm.simulate_path(model, theta, x0, grid, noise)
         row = batch.path(i)
         assert same_bits(row.states, single.states)
-        assert same_bits(batch.jacobians.y[i], single.jacobians.y)
-        assert same_bits(batch.jacobians.z[i], single.jacobians.z)
+        assert same_bits(every_path(batch.jacobians.y, batch, 3)[i], single.jacobians.y)
+        assert same_bits(every_path(batch.jacobians.z, batch, 3)[i], single.jacobians.z)
         for f, profile in zip(functionals, profiles):
             assert same_bits(profile[i], f.derivative(single))
 
@@ -584,20 +592,31 @@ def test_batch_rows_bit_identical_property(n_dim, state_dependent, steps, horizo
 
 
 def per_row_copy(model):
-    """The model with drift_dx copied onto every path, which forces the
-    per-row Jacobian recursion (the oracle of the shared one)."""
-    n = model.state_dim
+    """The model with drift_dx and the diffusion copied onto every path, which
+    forces the per-row Jacobian recursion and per-row coefficient values (the
+    oracle of the shared ones)."""
+    n, d = model.state_dim, model.noise_dim
 
     def drift_dx(x, t, theta):
         return np.broadcast_to(model.drift_dx(x, t, theta), x.shape[:-1] + (n, n)).copy()
 
-    return dataclasses.replace(model, drift_dx=drift_dx)
+    def diffusion(x, t):
+        return np.broadcast_to(model.diffusion(x, t), x.shape[:-1] + (n, d)).copy()
+
+    return dataclasses.replace(model, drift_dx=drift_dx, diffusion=diffusion)
 
 
 SHARED_MODELS = {
     "ou": lambda n: cm.ou_model(0.8, dim=n),
     "mean-reverting": lambda n: cm.mean_reverting_model(0.5, 1.3, dim=n),
 }
+
+
+def assert_shared(a, oracle, core):
+    """a has the shape core, no path axis, and every path's row of it has the
+    bits of the per-row oracle."""
+    assert a.shape == core
+    assert same_bits(np.broadcast_to(a, oracle.shape), oracle)
 
 
 @pytest.mark.parametrize("theta", [0.0, -0.7, 1.4])
@@ -613,23 +632,39 @@ def test_shared_jacobians_match_per_row_recursion_property(name, n_dim, theta, s
     x0 = np.linspace(-0.3, 0.4, n_dim)
     shared = cm.simulate_paths(model, theta, x0, grid, n_paths, seed)
     per_row = cm.simulate_paths(per_row_copy(model), theta, x0, grid, n_paths, seed)
-    assert shared_row(shared.jacobians.y, 3) is not None
-    assert shared_row(per_row.jacobians.y, 3) is None
     assert same_bits(shared.states, per_row.states)
+    jacobian_core = (steps + 1, n_dim, n_dim)
     y = matrix_jacobian(model, theta, grid, shared.states, shared.increments)
-    for jac in (shared.jacobians, per_row.jacobians):
-        assert same_bits(jac.y, y)
-    assert same_bits(shared.jacobians.z, per_row.jacobians.z)
+    assert same_bits(per_row.jacobians.y, y)
+    for a, oracle in ((shared.jacobians.y, y), (shared.jacobians.z, per_row.jacobians.z)):
+        assert_shared(a, oracle, jacobian_core)
+        assert not a.flags.writeable
+    sig = sde.on_grid(model.diffusion, shared.states, grid.times, (n_dim, n_dim))
+    assert_shared(sig, sde.on_grid(per_row.model.diffusion, per_row.states, grid.times,
+                                   (n_dim, n_dim)), jacobian_core)
+    assert not sig.flags.writeable
+    row_core = (steps + 1, model.noise_dim)
     step = data.draw(st.integers(-1, steps))
     component = data.draw(st.integers(0, n_dim - 1))
-    for power in (1, 2):
-        f = cm.marginal_power(step, power, component)
-        assert same_bits(f.derivative(shared), f.derivative(per_row))
+    for f in (cm.marginal_power(step, 1, component), cm.terminal_power(1, component)):
+        assert_shared(f.derivative(shared), f.derivative(per_row), row_core)
+    f = cm.marginal_power(step, 2, component)
+    assert same_bits(f.derivative(shared), f.derivative(per_row))
     g = cm.marginal_power(step, 1, component)
     if step % (steps + 1) > 0:  # D g vanishes on the grid when it conditions on X_0
         weights = [cm.make_weight_canonical(g, b) for b in (shared, per_row)]
-        assert same_bits(weights[0].values, weights[1].values)
-        assert same_bits(weights[0].support_measure, weights[1].support_measure)
+        assert_shared(weights[0].values, weights[1].values, row_core)
+        assert_shared(weights[0].support_measure, weights[1].support_measure, ())
+    # the split of every step: its total keeps the path axis, its scales and
+    # diagonal are shared
+    left = slice(0, steps)
+    terms, oracle = (_hj_terms_batch(b.model, b.states[:, left], grid.times[left], theta,
+                                     grid.dt) for b in (shared, per_row))
+    assert terms.total.shape == (n_paths, steps)
+    for field in ("scales", "diag"):
+        assert_shared(getattr(terms, field), getattr(oracle, field), (steps, n_dim))
+    for a, b in zip(terms, oracle):
+        assert same_bits(np.broadcast_to(a, b.shape), b)
 
 
 def scalar_model(drift, drift_dx, diffusion, diffusion_dx, name):
@@ -670,7 +705,7 @@ def test_path_dependent_jacobians_stay_per_row(model):
     y = matrix_jacobian(model, 0.9, grid, batch.states, batch.increments)
     assert same_bits(batch.jacobians.y, y)
     assert same_bits(batch.jacobians.z, 1.0 / y)
-    assert shared_row(batch.jacobians.y, 3) is None
+    assert batch.jacobians.y.shape[:-3] == (6,)
     assert batch.jacobians.y.flags.writeable
 
 
@@ -726,9 +761,8 @@ def test_shared_jacobians_are_read_only():
     for arr in (batch.jacobians.y, batch.jacobians.z, batch.path(1).jacobians.y):
         with pytest.raises(ValueError):
             arr[..., 2, 0, 0] = 1.0
-    profile = cm.marginal_power(5, 1).derivative(batch)
-    with pytest.raises(ValueError):
-        profile[0, 0, 0] = 1.0
+    # shared derivative rows are one fresh array, with no path axis to alias
+    assert cm.marginal_power(5, 1).derivative(batch).shape == (grid.steps + 1, 2)
 
 
 def test_batch_two_dimensional_model():
@@ -738,7 +772,7 @@ def test_batch_two_dimensional_model():
     noise = cm.generate_noise(3, 2, grid, 2)
     single = cm.simulate_path(model, 0.7, [0.1, -0.2], grid, noise)
     assert np.array_equal(batch.path(2).states, single.states)
-    assert np.array_equal(batch.jacobians.z[2], single.jacobians.z)
+    assert np.array_equal(every_path(batch.jacobians.z, batch, 3)[2], single.jacobians.z)
 
 
 # ---------------------------------------------------------------------------
@@ -999,10 +1033,11 @@ def test_on_grid_matches_per_step_evaluation_property(name, steps, n_paths, thet
                       for k, t in enumerate(grid.times)]
             got = sde.on_grid(fn, states, grid.times, core, *args)
             assert not got.flags.writeable
-            assert same_bits(got, np.stack([np.broadcast_to(v, lead + core) for v in values],
-                                           axis=len(lead)))
+            assert same_bits(np.broadcast_to(got, lead + got.shape[-len(core) - 1:]),
+                             np.stack([np.broadcast_to(v, lead + core) for v in values],
+                                      axis=len(lead)))
         if all(v.ndim <= len(core) for v in values):  # no path axis: one shared row
-            assert shared_row(got, len(core) + 1) is not None
+            assert got.shape == (steps + 1,) + core
 
 
 # ---------------------------------------------------------------------------
@@ -1148,8 +1183,8 @@ def test_ragged_restart_rows_match_resume_path_property(name, steps, theta, seed
         single = cm.resume_path(row, k + 1, new_states[i],
                                 cm.NoisePath(increments, seed, row.path_indices))
         assert same_bits(restarted.states[i], single.states)
-        assert same_bits(restarted.jacobians.y[i], single.jacobians.y)
-        assert same_bits(restarted.jacobians.z[i], single.jacobians.z)
+        assert same_bits(every_path(restarted.jacobians.y, restarted, 3)[i], single.jacobians.y)
+        assert same_bits(every_path(restarted.jacobians.z, restarted, 3)[i], single.jacobians.z)
     # a row started at the horizon is not restarted: it keeps its states
     held = data.draw(st.lists(st.sampled_from([steps, 0]), min_size=n_paths,
                               max_size=n_paths))
@@ -1166,6 +1201,43 @@ def test_builtin_drift_gradients_validate():
     rng = np.random.default_rng(0)
     assert cm.validate_drift_gradient(cm.ou_model(1.0), 1.0, rng) < 1e-5
     assert cm.validate_drift_gradient(cm.mean_reverting_model(2.0, 0.5), 0.7, rng) < 1e-5
+
+
+# int() once truncated these: dim=1.5 built a 1-D model and dim=2.9 a 2-D
+# one, dim=0 simulated states with no coordinate, and power 1.5 passed the
+# power check and gave NaN per-path values far from the cause
+@pytest.mark.parametrize("factory, value", [
+    (lambda v: cm.ou_model(1.0, dim=v), 1.5), (lambda v: cm.ou_model(1.0, dim=v), 0),
+    (lambda v: cm.ou_model(1.0, dim=v), "2"),
+    (lambda v: cm.mean_reverting_model(dim=v), 2.9),
+    (lambda v: cm.mean_reverting_model(dim=v), -1),
+    (cm.terminal_power, 1.5), (cm.terminal_power, 2.0),
+    (lambda v: cm.marginal_power(3, v), np.float64(3.0)),
+], ids=["ou-1.5", "ou-0", "ou-str", "mean-reverting-2.9", "mean-reverting--1",
+        "terminal-1.5", "terminal-2.0", "marginal-float64"])
+def test_factories_reject_integer_arguments_that_are_not_integers(factory, value):
+    with pytest.raises(ValueError, match="must be an integer of at least 1"):
+        factory(value)
+
+
+def test_factories_take_numpy_integers():
+    grid = cm.TimeGrid(1.0, 6)
+    for factory in (cm.ou_model, cm.mean_reverting_model):
+        want = cm.simulate_paths(factory(dim=2), 0.8, 0.3, grid, 4, 2)
+        got = cm.simulate_paths(factory(dim=np.int64(2)), 0.8, 0.3, grid, 4, 2)
+        assert same_bits(got.states, want.states)
+    batch = cm.simulate_paths(cm.ou_model(1.0), 0.8, 0.3, grid, 4, 2)
+    assert same_bits(cm.terminal_power(np.int32(3)).value(batch),
+                     cm.terminal_power(3).value(batch))
+
+
+@pytest.mark.parametrize("n_paths", [0, -3])
+def test_simulate_paths_rejects_path_counts_below_one(n_paths):
+    # these used to fail with a bare IndexError inside the noise streams
+    with pytest.raises(ValueError, match="n_paths must be at least 1"):
+        cm.simulate_paths(cm.ou_model(1.0), 1.0, 0.0, cm.TimeGrid(1.0, 4), n_paths, 0)
+    one = cm.simulate_paths(cm.ou_model(1.0), 1.0, 0.0, cm.TimeGrid(1.0, 4), 1, 0)
+    assert one.states.shape == (1, 5, 1)
 
 
 def test_validator_flags_wrong_gradient():

@@ -827,6 +827,81 @@ def test_sum_over_k_outputs_keep_their_bits(case, rows):
     assert got == pins
 
 
+def constant_sensitivity_model():
+    """dX = (theta - X) dt + dW, whose drift_dtheta is np.ones(1): a drift
+    sensitivity with no path axis, so the split's weights are the same on
+    every path while its means are not."""
+    sig, zeros3, slope = np.ones((1, 1)), np.zeros((1, 1, 1)), -np.eye(1)
+    return cm.SdeModel(
+        drift=lambda x, t, theta: theta - x,
+        drift_dtheta=lambda x, t, theta: np.ones(1),
+        drift_dx=lambda x, t, theta: slope,
+        diffusion=lambda x, t: sig,
+        diffusion_dx=lambda x, t: zeros3,
+        state_dim=1,
+        noise_dim=1,
+        name="constant-sensitivity",
+    )
+
+
+_CONSTANT_PAYOFFS = {
+    "terminal": lambda: cm.terminal_power(2),
+    "marginal": lambda: cm.marginal_power(7, 2),
+    "integral": lambda: cm.integral_functional(lambda x: x[..., 0] ** 2, lambda x: 2.0 * x),
+}
+
+
+def _constant_sensitivity_outputs(case):
+    """float.hex outputs of one estimator on constant_sensitivity_model: the
+    branch gradient's (estimate, variance, branch_stats), the score function's
+    (estimate, std_error, variance), or the counterfactual (loss, gradient,
+    se_gradient)."""
+    model, grid = constant_sensitivity_model(), cm.TimeGrid(1.0, 20)
+    estimator, name = case.split(" ", 1)
+    if estimator == "counterfactual":
+        g = cm.shift_functional(cm.marginal_power(10, 1), 0.1)
+        loss, gradient, diag = cm.counterfactual_gradient(
+            model, 0.8, cm.terminal_power(2), g, "canonical", grid, 0.5, 300, name, 13)
+        return tuple(float(v).hex() for v in (loss, gradient, diag["se_gradient"]))
+    if estimator == "score":
+        report = cm.score_function_gradient(model, 0.8, 0.5, grid, _CONSTANT_PAYOFFS[name](),
+                                            300, 5)
+        return tuple(float(v).hex() for v in (report.estimate, report.std_error,
+                                             report.variance))
+    report = cm.hj_gradient(model, 0.8, 0.5, grid, _CONSTANT_PAYOFFS[name](), 300, estimator, 5)
+    return tuple(float(v).hex() for v in (report.estimate, report.variance,
+                                         report.branch_stats))
+
+
+# outputs of every estimator on a model whose drift sensitivity has no path
+# axis, pinned to the bit at seed 5 (seed 13 for the counterfactual), theta
+# 0.8, x0 0.5, 300 paths and 20 steps on [0, 1]; the sum-over-k cases run the
+# affine, integral and generic engines in turn
+CONSTANT_SENSITIVITY_PINS = {
+    "random-k terminal": ("0x1.bd89dac1c0220p-1", "0x1.3980c881362fdp+0", "0x1.20d03e631cdfep-1"),
+    "random-k marginal": ("0x1.83cb831ecb3b3p-2", "0x1.4ebc6d80e2996p-1", "0x1.cb940ee6f23b3p-3"),
+    "random-k integral": ("0x1.eb7fb3bb2afd9p-2", "0x1.7c073a21e57bdp-2", "0x1.26b86cbf4ca60p-2"),
+    "sum-over-k terminal":
+        ("0x1.cee980ca116d2p-1", "0x1.458e51d3514edp-1", "0x1.23346d8623445p-1"),
+    "sum-over-k marginal":
+        ("0x1.87c123b471c84p-2", "0x1.76d8d779c1b1bp-4", "0x1.d76918c686bf0p-3"),
+    "sum-over-k integral":
+        ("0x1.f0a096b2c5144p-2", "0x1.d5b77ff761f2dp-4", "0x1.265cbae5d0bccp-2"),
+    "score terminal": ("0x1.aff495f127c8ap-1", "0x1.1ffc96a152695p-3", "0x1.7ba7013900008p+2"),
+    "score marginal": ("0x1.9f4279be439fcp-2", "0x1.252ad854dc04fp-4", "0x1.896f42e617efbp+0"),
+    "score integral": ("0x1.fbba3be5ef191p-2", "0x1.32f258105fa90p-4", "0x1.af49aaef4f456p+0"),
+    "counterfactual random-k":
+        ("0x1.a5be5cc113bb7p-2", "0x1.0904a822d5616p-1", "0x1.ee81084890386p-2"),
+    "counterfactual sum-over-k":
+        ("0x1.a5be5cc113bb7p-2", "0x1.235401502887dp-3", "0x1.e35fbef39f927p-2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTANT_SENSITIVITY_PINS))
+def test_constant_drift_sensitivity_outputs_keep_their_bits(case):
+    assert _constant_sensitivity_outputs(case) == CONSTANT_SENSITIVITY_PINS[case]
+
+
 @pytest.mark.parametrize("model, n_paths, mixes", [
     (lambda: cm.ou_model(1.0), 200, False),
     (relu_drift_model, 300, True),
