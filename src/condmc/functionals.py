@@ -23,12 +23,15 @@ class PathFunctional:
 
     derivative(bundle) returns the whole profile D_{t_s} of the functional at
     every grid step, broadcasting to (..., M+1, d), so that one shared by
-    every path may be (M+1, d); the quotient estimator needs it for the loss
-    and the constraint, while the gradient engines read values only, so a
-    functional without one (None) still has branch gradients.
+    every path may be (M+1, d).  Such a profile, with no path axis, must be
+    the same for every block of one model, grid and theta, since an
+    estimator call builds the canonical weight from it once.  The quotient
+    estimator needs a profile for the loss and the constraint, while the
+    gradient engines read values only, so a functional without one (None)
+    still has branch gradients.
     The built-in derivatives read bundle.jacobians, which a bundle computes
     on the first read; value() may read them too, and a branch engine then
-    builds them for a restarted block only because value() asked.
+    builds per-row ones for a restarted block only because value() asked.
     terminal_value, when set, evaluates the functional from terminal states
     alone; step_value, when set, declares the functional to be dt times the
     sum of step_value(X_k) over the left grid points k < M.  Either one

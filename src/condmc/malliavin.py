@@ -27,7 +27,7 @@ from .errors import (
 )
 from .functionals import PathFunctional, derivative_profile
 from .reports import ConditionalLossReport, EstimatorReport
-from .sde import (PathBatch, SdeModel, TimeGrid, finite_fsum, fsum, per_path,
+from .sde import (PathBatch, SdeModel, TimeGrid, call_shared, finite_fsum, fsum, per_path,
                   require_finite)
 
 _ENERGY_FLOOR = 1e-14
@@ -64,11 +64,17 @@ def make_weight_canonical(g: PathFunctional, bundle: PathBatch) -> WeightProcess
     """u = D g / (left-point energy of D g); normalization holds by construction.
 
     A D g shared by every path, (M+1, d), gives one (M+1, d) weight and one
-    support measure.
+    support measure, built once per estimator call (sde.call_shared).
     """
-    profile = derivative_profile(g, bundle)
-    energy, support = _energy_and_support(profile, bundle.grid)
-    return WeightProcess(profile / energy[..., None, None], "canonical", support, adapted=True)
+
+    def build():
+        profile = derivative_profile(g, bundle)
+        energy, support = _energy_and_support(profile, bundle.grid)
+        values = profile / energy[..., None, None]
+        values.flags.writeable = False  # a shared weight serves every block of the call
+        return WeightProcess(values, "canonical", support)
+
+    return call_shared(bundle, "canonical weight", g, build, lambda u: u.values.ndim == 2)
 
 
 def make_weight_reciprocal(g: PathFunctional, bundle: PathBatch) -> WeightProcess:

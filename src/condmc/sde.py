@@ -39,6 +39,19 @@ is path-dependent at any step gets per-row Jacobians.  A zero diffusion_dx
 adds +-0.0 to each step factor, so both ways give the same bits.  The
 sum-over-k branch engine of weakderiv uses the same test to carry branches
 to the horizon by products of the step factors.
+
+Shared Jacobians, and a canonical weight with no path axis, are the same on
+every block too (the SdeModel and PathFunctional contracts), so one
+estimator call builds each of them once (call_shared): per_path keeps one
+memo for its blocks and the blocks made from them, keyed by theta.
+
+Euler steps on a step-major scratch copy of the states, (M+1, N, n), so
+that each step reads and writes one contiguous (N, n) slice, in place and
+in the operation order (x + dt b) + sigma dW of the path-major loop, and
+writes the result back one stream group of rows at a time.  PathBatch
+states stay path-major, (N, M+1, n): NumPy sums pairwise only along a
+contiguous axis, so a sum over the steps of a step-major array would
+change the bits of every Skorohod sum, energy and integral value.
 """
 
 from __future__ import annotations
@@ -150,6 +163,9 @@ class SdeModel:
     x at that t, and an all-zero diffusion_dx declares a diffusion that does
     not depend on x.  Where both hold, Jacobians are shared across paths and
     sum-over-k branches are carried to the horizon by products, not by Euler.
+    A step found so (_step_jacobian) at one block's states must be so, with
+    the same drift_dx, at every state: an estimator call builds shared
+    Jacobians on its first block and reuses them on every other.
 
     per_path may call the coefficients from several threads at once, each on
     its own block, so they must not mutate state they share.
@@ -202,12 +218,66 @@ class PathBatch:
 
     @cached_property
     def jacobians(self) -> JacobianPath:
-        """Y and Z of every path, computed on the first read and kept."""
-        return _euler_jacobians(self.model, self.theta, self.grid, self.states, self.increments)
+        """Y and Z of every path, computed on the first read and kept; shared
+        ones once per estimator call (call_shared)."""
+        return call_shared(self, "jacobians", self.model, lambda: _euler_jacobians(
+            self.model, self.theta, self.grid, self.states, self.increments),
+            lambda jac: jac.y.ndim == 3)
 
     def path(self, i: int) -> PathBatch:
         return PathBatch(self.model, self.grid, self.theta, self.states[i], self.increments[i],
                          self.master_seed, int(self.path_indices[i]))
+
+
+class _CallMemo:
+    """The values without a path axis of one estimator call's blocks.
+
+    A value is built by the first block that asks for it, under a lock, so a
+    worker that asks meanwhile waits for it rather than building it again.
+    When that first value has a path axis, the key is marked per-row and
+    every block builds its own, outside the lock.
+    """
+
+    def __init__(self, model: SdeModel, grid: TimeGrid) -> None:
+        self.model = model
+        self.grid = grid
+        self._values = {}  # (kind, id(owner), theta) -> (owner, value or None if per-row)
+        self._lock = threading.RLock()  # reentrant: a weight reads the Jacobians
+
+    def get(self, kind: str, owner, theta: float, build: Callable, shared: Callable):
+        # the owner is kept with its value, so its id names it for the whole call
+        key = (kind, id(owner), float(theta).hex())
+        if key not in self._values:
+            with self._lock:
+                if key not in self._values:
+                    value = build()
+                    self._values[key] = (owner, value if shared(value) else None)
+                    return value
+        value = self._values[key][1]
+        return build() if value is None else value
+
+
+# the memo of the estimator call (per_path) that runs in this context, if any
+_CALL_MEMO = contextvars.ContextVar("condmc_call_memo", default=None)
+
+
+def call_shared(batch: PathBatch, kind: str, owner, build: Callable, shared: Callable):
+    """build() of a block, or the value it gave on an earlier block.
+
+    Inside an estimator call (per_path), a value of kind and owner (say the
+    model's Jacobians, or a functional's weight) that shared(value) finds
+    without a path axis is built on the first block that asks and reused by
+    every block of the call with the same model, grid and theta: the base
+    blocks, the branch blocks made from them, and the blocks of other
+    parameters keep apart.  This rests on the contracts of SdeModel and
+    PathFunctional: a shared value is the same at every state.  Outside a
+    call, and for one path, build() runs every time.
+    """
+    memo = _CALL_MEMO.get()
+    if (memo is None or batch.model is not memo.model or batch.grid is not memo.grid
+            or batch.states.ndim < 3):
+        return build()
+    return memo.get(kind, owner, batch.theta, build, shared)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +342,7 @@ def _euler_continue(model: SdeModel, theta: float, grid: TimeGrid, states: np.nd
     for an (N, M+1, n) block.  Each row is then filled beyond its own start
     and keeps the states it was given up to it; stepping begins at the
     smallest start, all rows advancing together under the model's scalar t.
+    The steps run on a step-major scratch copy of states (module docstring).
     The diffusion's shape is checked once, at the first step.  NonFiniteState
     names the first step at which a filled state is NaN or infinite.
     """
@@ -279,19 +350,28 @@ def _euler_continue(model: SdeModel, theta: float, grid: TimeGrid, states: np.nd
     dt = grid.dt
     starts = np.asarray(from_step)
     first = int(starts.min())
-    x = states[..., first, :]
+    path_major = np.moveaxis(states[..., first:, :], -2, 0)
+    scratch = np.empty(path_major.shape)
+    scratch[0] = path_major[0]
     for k in range(first, grid.steps):
+        x, x_next = scratch[k - first], scratch[k + 1 - first]
         b = np.asarray(model.drift(x, times[k], theta))
         sig = np.asarray(model.diffusion(x, times[k]))
         if k == first:
             _check_diffusion_shape(model, x, times[k], sig)
-        x = x + dt * b + _apply_diffusion(sig, increments[..., k, :])
+        # (x + dt b) + sigma dW in place; a sum in either order has the same bits
+        np.multiply(b, dt, out=x_next)
+        x_next += x
+        x_next += _apply_diffusion(sig, increments[..., k, :])
         if starts.ndim:
             # rows not yet started take their given state into the next step
-            np.copyto(states[:, k + 1, :], x, where=(starts <= k)[:, None])
-            x = states[:, k + 1, :]
-        else:
-            states[..., k + 1, :] = x
+            np.copyto(x_next, path_major[k + 1 - first], where=(starts > k)[:, None])
+    if states.ndim == 2:
+        path_major[...] = scratch
+    else:
+        for rows in range(0, len(states), PATHS_PER_STREAM):
+            group = slice(rows, rows + PATHS_PER_STREAM)
+            path_major[:, group] = scratch[:, group]
     # NaN and inf persist under x + dt b + sigma dW, so a row's horizon state
     # shows whether any of its filled states went bad
     if not np.isfinite(states[..., -1, :][starts < grid.steps]).all():
@@ -401,8 +481,7 @@ def simulate_path(model: SdeModel, theta: float, x0, grid: TimeGrid,
 def simulate_paths(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: int,
                    master_seed: int, first_index: int = 0) -> PathBatch:
     """Simulate a block of paths with indices first_index .. first_index+n_paths-1."""
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
+    _check_count("n_paths", n_paths)
     indices = np.arange(first_index, first_index + n_paths)
     increments = _noise_block(master_seed, indices, grid, model.noise_dim)
     return _simulate(model, theta, x0, grid, increments, master_seed, indices)
@@ -450,7 +529,8 @@ def per_path(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: int,
     and they run on its workers: the calling thread and workers - 1 helper
     threads, each taking the next block index under a lock, simulating that
     block (by the module's simulate_paths, looked up at each call) and
-    handing it to terms, which so may run on several blocks at once.  A
+    handing it to terms, which so may run on several blocks at once; all
+    of them share one memo of values with no path axis (call_shared).  A
     worker frees its block before it takes the next.  Helpers run in a copy
     of the caller's context and under the caller's np.errstate settings,
     which NumPy before 2.0 keeps per thread.  After a failure no block is
@@ -497,6 +577,7 @@ def per_path(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: int,
             stop()
 
     helpers = []
+    token = _CALL_MEMO.set(_CallMemo(model, grid))
     try:
         for _ in range(workers - 1):
             thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
@@ -504,6 +585,7 @@ def per_path(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: int,
             helpers.append(thread)
         work()
     finally:
+        _CALL_MEMO.reset(token)
         stop()
         _join_all(helpers)
     if exits:

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import condmc as cm
-from condmc import sde
+from condmc import malliavin, optimizer, sde
 from condmc.errors import CoefficientShapeError, NonFiniteState, SingularJacobian
 from condmc.sde import _euler_continue, _noise_block
 from condmc.streams import PATHS_PER_STREAM as G
@@ -468,6 +468,61 @@ def test_non_finite_state_reports_step():
     with np.errstate(over="ignore"), pytest.raises(NonFiniteState) as err:
         cm.simulate_path(model, 0.0, 50.0, grid, noise)
     assert 1 <= err.value.step <= 20
+
+
+def _cubic_blow_up_model():
+    return make_custom(
+        drift=lambda x, t, th: x ** 3,
+        drift_dtheta=lambda x, t, th: np.zeros_like(x),
+        drift_dx=lambda x, t, th: 3.0 * x[..., None] ** 2,
+    )
+
+
+def _first_non_finite_step(x, increments, dt, from_step):
+    """The first state index beyond from_step at which x' = x + dt x^3 + dW,
+    run from state x at from_step, is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(from_step, len(increments)):
+            x = x + dt * x ** 3 + increments[k]
+            if not math.isfinite(x):
+                return k + 1
+    raise AssertionError("the state stayed finite")
+
+
+def test_non_finite_state_reports_the_exact_step_of_its_row():
+    # one row of four overflows; the block names that row's step, the one
+    # simulate_path gives for it alone
+    grid = cm.TimeGrid(1.0, 20)
+    model = _cubic_blow_up_model()
+    increments = _noise_block(4, np.arange(4), grid, 1)
+    states = np.empty((4, grid.steps + 1, 1))
+    states[:, 0, 0] = [0.1, -0.2, 50.0, 0.3]
+    step = _first_non_finite_step(50.0, increments[2, :, 0], grid.dt, 0)
+    assert 3 <= step < grid.steps
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState) as block:
+        _euler_continue(model, 0.0, grid, states, increments, 0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState) as alone:
+        cm.simulate_path(model, 0.0, 50.0, grid, cm.NoisePath(increments[2], 4, 2))
+    assert block.value.step == alone.value.step == step
+
+
+def test_non_finite_state_reports_the_exact_step_under_ragged_starts():
+    # restarted rows start at steps 2 .. 9; the row put at 50.0 after step 7
+    # overflows, and the block names its step, the one resume_path gives
+    grid = cm.TimeGrid(1.0, 20)
+    model = _cubic_blow_up_model()
+    base = cm.simulate_paths(model, 0.0, 0.1, grid, 4, 4)
+    starts = np.array([2, 9, 7, 4])
+    rows = np.arange(4)
+    new_states = base.states[rows, starts + 1].copy()
+    new_states[2] = 50.0
+    step = _first_non_finite_step(50.0, base.increments[2, :, 0], grid.dt, 8)
+    assert 11 <= step < grid.steps
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState) as block:
+        _branch_batch(base, starts, new_states, base.increments[rows, starts])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState) as alone:
+        cm.resume_path(base.path(2), 8, 50.0, cm.NoisePath(base.increments[2], 4, 2))
+    assert block.value.step == alone.value.step == step
 
 
 def test_singular_jacobian_detected():
@@ -1052,17 +1107,25 @@ def _jacobian_reading_payoff():
 _OU, _GRID_50 = cm.ou_model(1.0), cm.TimeGrid(1.0, 50)
 _ELL, _G = cm.terminal_power(2), cm.shift_functional(cm.marginal_power(25, 1), 0.1)
 
-# call -> Jacobian passes it makes; each block or restarted side that a
-# functional reads builds one, and nothing else does
+# call -> Jacobian passes it makes.  Shared Jacobians are built once per
+# estimator call and parameter, for its base and restarted blocks alike; a
+# per-row model builds one pass per block or restarted side that reads them
 JACOBIAN_PASSES = {
-    "loss, 4 blocks": (4, fixed_block_rows(50)(lambda: cm.conditional_loss_estimate(
+    "loss, 4 blocks": (1, fixed_block_rows(50)(lambda: cm.conditional_loss_estimate(
         _OU, 1.0, _ELL, _G, "canonical", 200, 3, _GRID_50, 0.2))),
-    "counterfactual random-k, 2 blocks": (10, fixed_block_rows(100)(
+    "per-row model, loss, 4 blocks": (4, fixed_block_rows(50)(
+        lambda: cm.conditional_loss_estimate(
+            sine_diffusion_model(), 1.0, _ELL, _G, "canonical", 200, 3, _GRID_50, 0.2))),
+    # theta and the explicit-theta terms' theta +- h
+    "counterfactual random-k, 2 blocks": (3, fixed_block_rows(100)(
         lambda: cm.counterfactual_gradient(
             _OU, 1.0, _ELL, _G, "canonical", _GRID_50, 0.2, 200, "random-k", 3))),
-    "hj random-k, Jacobian-reading payoff, 2 blocks": (4, fixed_block_rows(100)(
+    "hj random-k, Jacobian-reading payoff, 2 blocks": (1, fixed_block_rows(100)(
         lambda: cm.hj_gradient(
             _OU, 1.0, 0.2, _GRID_50, _jacobian_reading_payoff(), 200, "random-k", 3))),
+    "per-row model, hj random-k, Jacobian-reading payoff, 2 blocks": (4, fixed_block_rows(100)(
+        lambda: cm.hj_gradient(sine_diffusion_model(), 1.0, 0.2, _GRID_50,
+                               _jacobian_reading_payoff(), 200, "random-k", 3))),
     "hj random-k, terminal payoff": (0, fixed_block_rows(100)(lambda: cm.hj_gradient(
         _OU, 1.0, 0.2, _GRID_50, _ELL, 200, "random-k", 3))),
     "hj sum-over-k, terminal payoff": (0, lambda: cm.hj_gradient(
@@ -1089,6 +1152,63 @@ def test_jacobian_passes_per_call(name, monkeypatch):
     monkeypatch.setattr(sde, "_euler_jacobians", counted)
     call()
     assert len(passes) == expected
+
+
+def test_shared_values_are_built_once_per_call_and_parameter(monkeypatch, force_workers):
+    # four workers, on any CPU count, ask for the Jacobians and the weight at
+    # once; one builds, the others wait.  theta +- h get their own, and a
+    # second call its own
+    force_workers(4)
+    thetas, weights = [], []
+    jacobians, weight = sde._euler_jacobians, cm.make_weight_canonical
+
+    def counted_jacobians(model, theta, *args):
+        thetas.append(theta)
+        if len(thetas) == 1:
+            time.sleep(0.05)  # the other workers ask while the first builds
+        return jacobians(model, theta, *args)
+
+    def counted_weight(g, bundle):
+        weights.append(weight(g, bundle))
+        return weights[-1]
+
+    monkeypatch.setattr(sde, "_euler_jacobians", counted_jacobians)
+    monkeypatch.setattr(malliavin, "make_weight_canonical", counted_weight)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with fixed_block_rows(400):  # four workers on blocks of 100 rows
+            for _ in range(2):
+                cm.counterfactual_gradient(_OU, 1.0, _ELL, _G, "canonical", _GRID_50, 0.2,
+                                           1_600, "random-k", 3)
+    finally:
+        sys.setswitchinterval(interval)
+    h = optimizer._THETA_BUMP
+    assert sorted(thetas) == sorted([1.0, 1.0 + h, 1.0 - h] * 2)
+    # base and restarted blocks at theta, then theta + h and theta - h
+    assert len({id(u) for u in weights}) == 6
+
+
+def test_shared_values_keep_to_their_model_and_grid():
+    # blocks of another model or grid made inside an estimator call build
+    # their own Jacobians
+    grid = cm.TimeGrid(1.0, 20)
+    others = [(make_custom(drift=lambda x, t, th: -3.0 * th * x,
+                           drift_dtheta=lambda x, t, th: -3.0 * x,
+                           drift_dx=lambda x, t, th: np.full((1, 1), -3.0 * th)), grid),
+              (_OU, cm.TimeGrid(2.0, 20))]
+
+    def last_y(model, grid):
+        return cm.simulate_paths(model, 1.0, 0.2, grid, 3, 1).jacobians.y[-1]
+
+    def terms(batch):
+        return (np.stack([batch.jacobians.y[-1]] + [last_y(*other) for other in others]
+                         + [batch.jacobians.y[-1]])[None],)
+
+    (ys,) = sde.per_path(_OU, 1.0, 0.2, grid, 2, 0, terms)
+    expected = [last_y(_OU, grid)] + [last_y(*other) for other in others] + [last_y(_OU, grid)]
+    assert same_bits(ys[0], np.stack(expected))
+    assert len({float(y[0, 0]) for y in expected}) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -1234,7 +1354,7 @@ def test_factories_take_numpy_integers():
 @pytest.mark.parametrize("n_paths", [0, -3])
 def test_simulate_paths_rejects_path_counts_below_one(n_paths):
     # these used to fail with a bare IndexError inside the noise streams
-    with pytest.raises(ValueError, match="n_paths must be at least 1"):
+    with pytest.raises(ValueError, match="n_paths must be an integer of at least 1"):
         cm.simulate_paths(cm.ou_model(1.0), 1.0, 0.0, cm.TimeGrid(1.0, 4), n_paths, 0)
     one = cm.simulate_paths(cm.ou_model(1.0), 1.0, 0.0, cm.TimeGrid(1.0, 4), 1, 0)
     assert one.states.shape == (1, 5, 1)
