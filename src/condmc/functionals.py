@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sde import PathBatch, _check_count, on_grid
+from .sde import PathBatch, _check_count, call_shared
 
 
 @dataclass(frozen=True)
@@ -56,13 +56,6 @@ def derivative_profile(f: PathFunctional, bundle: PathBatch) -> np.ndarray:
     return np.asarray(f.derivative(bundle))
 
 
-def _sigma_profile(bundle) -> np.ndarray:
-    """sigma(X_s, t_s) at every grid time, broadcasting to (..., M+1, n, d)."""
-    model = bundle.model
-    return on_grid(model.diffusion, bundle.states, bundle.grid.times,
-                   (model.state_dim, model.noise_dim))
-
-
 def malliavin_derivative_state(bundle: PathBatch, s: int, t: int) -> np.ndarray:
     """D_{t_s} X_{t_t} = Y_t Z_s sigma(X_s, t_s) for s <= t, zero matrix after."""
     jac = bundle.jacobians
@@ -76,15 +69,22 @@ def malliavin_derivative_state(bundle: PathBatch, s: int, t: int) -> np.ndarray:
 
 
 def _state_derivative_rows(bundle, t_index: int, component: int) -> np.ndarray:
-    """(D_{t_s} X_{t*}[component])_s for all s, broadcasting to (..., M+1, d);
-    zero past t*.  When Y, Z and sigma are shared by every path, so are the
-    rows: one (M+1, d) array."""
-    jac = bundle.jacobians
-    prod = jac.y[..., t_index, None, :, :] @ jac.z    # Y_{t*} Z_s
-    # a copy, so the rows do not keep all n rows of the products alive
-    rows = (prod @ _sigma_profile(bundle))[..., component, :].copy()
-    rows[..., t_index + 1:, :] = 0.0
-    return rows
+    """(D_{t_s} X_{t*}[component])_s for all s, read-only and broadcasting to
+    (..., M+1, d); zero past t*.  When Y, Z and sigma are shared by every
+    path, so are the rows: one (M+1, d) array, built once per estimator call
+    and theta (call_shared)."""
+
+    def build():
+        jac = bundle.jacobians
+        prod = jac.y[..., t_index, None, :, :] @ jac.z    # Y_{t*} Z_s
+        # a copy, so the rows do not keep all n rows of the products alive
+        rows = (prod @ bundle.diffusions)[..., component, :].copy()
+        rows[..., t_index + 1:, :] = 0.0
+        rows.flags.writeable = False  # shared rows serve every block of the call
+        return rows
+
+    return call_shared(bundle, ("derivative rows", t_index, component), bundle.model, build,
+                       lambda rows: rows.ndim == 2)
 
 
 def marginal_power(step: int, power: int, component: int = 0) -> PathFunctional:
@@ -132,7 +132,7 @@ def integral_functional(h: Callable, dh: Callable) -> PathFunctional:
         suffix = np.flip(np.cumsum(np.flip(left, axis=-2), axis=-2), axis=-2)
         pad = np.zeros_like(w)
         pad[..., :-1, :] = suffix
-        zs = np.einsum("...si,...sij->...sj", pad, jac.z @ _sigma_profile(bundle))
+        zs = np.einsum("...si,...sij->...sj", pad, jac.z @ bundle.diffusions)
         return bundle.grid.dt * zs
 
     return PathFunctional(value=value, derivative=derivative, step_value=h)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -27,8 +27,8 @@ from .errors import (
 )
 from .functionals import PathFunctional, derivative_profile
 from .reports import ConditionalLossReport, EstimatorReport
-from .sde import (PathBatch, SdeModel, TimeGrid, call_shared, finite_fsum, fsum, per_path,
-                  require_finite)
+from .sde import (PathBatch, SdeModel, TimeGrid, call_shared, chunk_len, finite_fsum, fsum,
+                  per_path, require_finite)
 
 _ENERGY_FLOOR = 1e-14
 _DERIVATIVE_RATIO_FLOOR = 1e-8
@@ -167,18 +167,38 @@ def _quotient_std_error(a: np.ndarray, b: np.ndarray, q: float, b_mean: float) -
 
 def conditional_quotient_terms(ell: PathFunctional, g: PathFunctional, weight_rule,
                                batch: PathBatch):
-    """Per-path numerator terms A_i, denominator terms B_i, and the {g > 0} mask."""
+    """Per-path numerator terms A_i, denominator terms B_i, and the {g > 0} mask.
+
+    The weight is built on the whole block.  The loss value and derivative
+    profile, the Skorohod sum and the correction then run on row tiles
+    (PathBatch.rows) whose (M+1, n, d) arrays stay within sde.CHUNK_BYTES;
+    a tile reads the block's Jacobians and diffusion profile, and its rows
+    get the bits they get in one piece.
+    """
     steps = batch.grid.steps
     dt = batch.grid.dt
-    g_val = np.asarray(g.value(batch))
-    indicator = g_val > 0.0  # ties count as not-exceeded
+    indicator = np.asarray(g.value(batch)) > 0.0  # ties count as not-exceeded
     u = weight_from_rule(weight_rule, g, batch)
-    s_u = skorohod_integral(u, batch)
-    l_val = np.asarray(ell.value(batch))
-    d_ell = derivative_profile(ell, batch)
-    correction = np.sum(d_ell[..., :steps, :] * u.values[..., :steps, :], axis=(-2, -1)) * dt
-    a = np.where(indicator, l_val * s_u - correction, 0.0)
-    b = np.where(indicator, s_u, 0.0)
+
+    def tile_terms(tile, values):
+        s_u = skorohod_integral(replace(u, values=values), tile)
+        l_val = np.asarray(ell.value(tile))
+        d_ell = derivative_profile(ell, tile)
+        correction = np.sum(d_ell[..., :steps, :] * values[..., :steps, :], axis=(-2, -1)) * dt
+        return l_val * s_u - correction, s_u
+
+    if batch.states.ndim == 2:  # one path
+        numerator, s_u = tile_terms(batch, u.values)
+        return np.where(indicator, numerator, 0.0), np.where(indicator, s_u, 0.0), indicator
+    a, b = np.empty(indicator.shape), np.empty(indicator.shape)
+    model = batch.model
+    rows = chunk_len(8 * (steps + 1) * model.state_dim * max(model.state_dim, model.noise_dim))
+    for start in range(0, len(a), rows):
+        part = slice(start, start + rows)
+        numerator, s_u = tile_terms(batch.rows(part),
+                                    u.values[part] if u.values.ndim == 3 else u.values)
+        a[part] = np.where(indicator[part], numerator, 0.0)
+        b[part] = np.where(indicator[part], s_u, 0.0)
     return a, b, indicator
 
 

@@ -20,8 +20,13 @@ workers as there are usable CPUs and blocks, while each worker's block keeps
 at least MIN_WORKER_ROWS rows: the calling thread and helper threads, each
 simulating and handing on one block at a time.  The blocks in flight
 together keep states plus increments within BLOCK_BYTES: a worker's block
-has block_rows(model, grid) // workers rows, in whole stream groups.  No
-result depends on the block size or the number of workers.
+has block_rows(model, grid) // workers rows, in whole stream groups.  A
+worker simulates its later blocks into its first block's arrays
+(simulate_paths' out), so a call allocates its noise and states once per
+worker.  No result depends on the block size or the number of workers.
+Within a block, the passes that need no whole block at once work on chunks
+of CHUNK_BYTES: Euler's step-major scratch, the branch placement pass of
+weakderiv and the quotient terms of malliavin.
 
 _apply_diffusion multiplies dW by a 1x1 sigma directly, one rounding as in the 1x1 product.
 
@@ -45,13 +50,14 @@ every block too (the SdeModel and PathFunctional contracts), so one
 estimator call builds each of them once (call_shared): per_path keeps one
 memo for its blocks and the blocks made from them, keyed by theta.
 
-Euler steps on a step-major scratch copy of the states, (M+1, N, n), so
-that each step reads and writes one contiguous (N, n) slice, in place and
-in the operation order (x + dt b) + sigma dW of the path-major loop, and
-writes the result back one stream group of rows at a time.  PathBatch
-states stay path-major, (N, M+1, n): NumPy sums pairwise only along a
-contiguous axis, so a sum over the steps of a step-major array would
-change the bits of every Skorohod sum, energy and integral value.
+Euler steps on a step-major scratch, (K+1, N, n) for a chunk of K steps
+within CHUNK_BYTES, so that each step reads and writes one contiguous
+(N, n) slice, in place and in the operation order (x + dt b) + sigma dW of
+the path-major loop, and writes each chunk back to the states while it is
+still in cache.  PathBatch states stay path-major, (N, M+1, n): NumPy sums
+pairwise only along a contiguous axis, so a sum over the steps of a
+step-major array would change the bits of every Skorohod sum, energy and
+integral value.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ import math
 import numbers
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -81,6 +87,11 @@ BLOCK_BYTES = 16 * 2 ** 20
 # hj_gradient 1.3-1.4x slower at 300-1,300 rows per block, even at 2,600 and
 # faster at 5,200 (OU, 100-1,600 steps)
 MIN_WORKER_ROWS = 2_600
+
+# bytes of one chunk of a pass that runs over a block piece by piece
+# (chunk_len): Euler's step-major scratch, the branch placement pass and the
+# quotient terms' row tiles, each small enough to stay in cache
+CHUNK_BYTES = 512 * 2 ** 10
 
 
 def fsum(values) -> float:
@@ -105,6 +116,11 @@ def require_finite(what: str, *values) -> None:
     """NonFiniteEstimate when any of the given results is NaN or infinite."""
     if not all(np.isfinite(v).all() for v in values):
         raise NonFiniteEstimate(f"{what} is not finite")
+
+
+def chunk_len(item_bytes: int) -> int:
+    """Items of item_bytes each that fit in CHUNK_BYTES, and at least one."""
+    return max(CHUNK_BYTES // item_bytes, 1)
 
 
 def _check_count(name: str, value, least: int = 1) -> None:
@@ -201,7 +217,8 @@ class PathBatch:
 
     One path has states (M+1, n), increments (M, d) and an int path_indices;
     a block adds a leading path axis, and its row i is bit-identical to the
-    single path generated from (master_seed, path_indices[i]).
+    single path generated from (master_seed, path_indices[i]).  A row tile
+    of a block (rows) reads the block's Jacobians and diffusion profile.
     """
 
     model: SdeModel
@@ -211,6 +228,7 @@ class PathBatch:
     increments: np.ndarray   # (..., M, d)
     master_seed: int
     path_indices: np.ndarray | int  # (...)
+    tile_of: tuple | None = field(default=None, repr=False, compare=False)  # (block, rows)
 
     @property
     def n_paths(self) -> int:
@@ -220,13 +238,34 @@ class PathBatch:
     def jacobians(self) -> JacobianPath:
         """Y and Z of every path, computed on the first read and kept; shared
         ones once per estimator call (call_shared)."""
+        if self.tile_of is not None:
+            block, part = self.tile_of
+            jac = block.jacobians
+            return jac if jac.y.ndim == 3 else JacobianPath(jac.y[part], jac.z[part])
         return call_shared(self, "jacobians", self.model, lambda: _euler_jacobians(
             self.model, self.theta, self.grid, self.states, self.increments),
             lambda jac: jac.y.ndim == 3)
 
+    @cached_property
+    def diffusions(self) -> np.ndarray:
+        """sigma(X_k, t_k) at every grid step k, broadcasting to
+        (..., M+1, n, d): read on the first access and kept."""
+        if self.tile_of is not None:
+            block, part = self.tile_of
+            sig = block.diffusions
+            return sig if sig.ndim == 3 else sig[part]
+        return _diffusion_profile(self.model, self.grid, self.states)
+
     def path(self, i: int) -> PathBatch:
         return PathBatch(self.model, self.grid, self.theta, self.states[i], self.increments[i],
                          self.master_seed, int(self.path_indices[i]))
+
+    def rows(self, part: slice) -> PathBatch:
+        """Rows part of a block as a block of its own, whose Jacobians and
+        diffusion profile are this block's, built here on the first read."""
+        return PathBatch(self.model, self.grid, self.theta, self.states[part],
+                         self.increments[part], self.master_seed, self.path_indices[part],
+                         (self, part))
 
 
 class _CallMemo:
@@ -292,9 +331,12 @@ def generate_noise(master_seed: int, path_index: int, grid: TimeGrid, noise_dim:
     return NoisePath(draws[row] * math.sqrt(grid.dt), master_seed, path_index)
 
 
-def _noise_block(master_seed: int, path_indices, grid: TimeGrid, noise_dim: int) -> np.ndarray:
-    """(N, M, d) increments of contiguous paths; row i == generate_noise(seed, indices[i])."""
-    out = np.empty((len(path_indices), grid.steps, noise_dim))
+def _noise_block(master_seed: int, path_indices, grid: TimeGrid, noise_dim: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """(N, M, d) increments of contiguous paths, written into out when given;
+    row i == generate_noise(seed, indices[i])."""
+    if out is None:
+        out = np.empty((len(path_indices), grid.steps, noise_dim))
     for rng, rows, part in group_streams(master_seed, path_indices, tag=TAG_NOISE):
         if part.stop - part.start == PATHS_PER_STREAM:
             rng.standard_normal(out=out[rows])
@@ -342,36 +384,38 @@ def _euler_continue(model: SdeModel, theta: float, grid: TimeGrid, states: np.nd
     for an (N, M+1, n) block.  Each row is then filled beyond its own start
     and keeps the states it was given up to it; stepping begins at the
     smallest start, all rows advancing together under the model's scalar t.
-    The steps run on a step-major scratch copy of states (module docstring).
+    The steps run on a step-major scratch of one chunk of steps, written
+    back to states chunk by chunk (module docstring).
     The diffusion's shape is checked once, at the first step.  NonFiniteState
     names the first step at which a filled state is NaN or infinite.
     """
     times = grid.times
     dt = grid.dt
+    steps = grid.steps
     starts = np.asarray(from_step)
     first = int(starts.min())
-    path_major = np.moveaxis(states[..., first:, :], -2, 0)
-    scratch = np.empty(path_major.shape)
-    scratch[0] = path_major[0]
-    for k in range(first, grid.steps):
-        x, x_next = scratch[k - first], scratch[k + 1 - first]
-        b = np.asarray(model.drift(x, times[k], theta))
-        sig = np.asarray(model.diffusion(x, times[k]))
-        if k == first:
-            _check_diffusion_shape(model, x, times[k], sig)
-        # (x + dt b) + sigma dW in place; a sum in either order has the same bits
-        np.multiply(b, dt, out=x_next)
-        x_next += x
-        x_next += _apply_diffusion(sig, increments[..., k, :])
-        if starts.ndim:
-            # rows not yet started take their given state into the next step
-            np.copyto(x_next, path_major[k + 1 - first], where=(starts > k)[:, None])
-    if states.ndim == 2:
-        path_major[...] = scratch
-    else:
-        for rows in range(0, len(states), PATHS_PER_STREAM):
-            group = slice(rows, rows + PATHS_PER_STREAM)
-            path_major[:, group] = scratch[:, group]
+    path_major = np.moveaxis(states, -2, 0)  # a view, (M+1, ..., n)
+    chunk = chunk_len(path_major[0].nbytes)
+    # scratch[0] holds the state a chunk starts from, scratch[j] the state j steps on
+    scratch = np.empty((min(chunk, steps - first) + 1,) + path_major.shape[1:])
+    scratch[0] = path_major[first]
+    for start in range(first, steps, chunk):
+        stop = min(start + chunk, steps)
+        for k in range(start, stop):
+            x, x_next = scratch[k - start], scratch[k + 1 - start]
+            b = np.asarray(model.drift(x, times[k], theta))
+            sig = np.asarray(model.diffusion(x, times[k]))
+            if k == first:
+                _check_diffusion_shape(model, x, times[k], sig)
+            # (x + dt b) + sigma dW in place; a sum in either order has the same bits
+            np.multiply(b, dt, out=x_next)
+            x_next += x
+            x_next += _apply_diffusion(sig, increments[..., k, :])
+            if starts.ndim:
+                # rows not yet started take their given state into the next step
+                np.copyto(x_next, path_major[k + 1], where=(starts > k)[:, None])
+        path_major[start + 1:stop + 1] = scratch[1:stop + 1 - start]
+        scratch[0] = scratch[stop - start]
     # NaN and inf persist under x + dt b + sigma dW, so a row's horizon state
     # shows whether any of its filled states went bad
     if not np.isfinite(states[..., -1, :][starts < grid.steps]).all():
@@ -401,6 +445,11 @@ def on_grid(fn: Callable, states: np.ndarray, times: np.ndarray, core: tuple,
                                         f"not broadcast to {states.shape[:-2] + core}") from exc
     out.flags.writeable = False
     return out
+
+
+def _diffusion_profile(model: SdeModel, grid: TimeGrid, states: np.ndarray) -> np.ndarray:
+    """The diffusion at every grid step of states (PathBatch.diffusions)."""
+    return on_grid(model.diffusion, states, grid.times, (model.state_dim, model.noise_dim))
 
 
 def _step_jacobian(model: SdeModel, theta: float, x: np.ndarray, t: float):
@@ -461,9 +510,11 @@ def _euler_jacobians(model: SdeModel, theta: float, grid: TimeGrid, states: np.n
 
 
 def _simulate(model: SdeModel, theta: float, x0, grid: TimeGrid, increments: np.ndarray,
-              master_seed: int, path_indices) -> PathBatch:
-    """The paths that Euler runs from x0 under increments (..., M, d)."""
-    states = np.empty(increments.shape[:-2] + (grid.steps + 1, model.state_dim))
+              master_seed: int, path_indices, states: np.ndarray | None = None) -> PathBatch:
+    """The paths that Euler runs from x0 under increments (..., M, d), into
+    states when given."""
+    if states is None:
+        states = np.empty(increments.shape[:-2] + (grid.steps + 1, model.state_dim))
     states[..., 0, :] = np.broadcast_to(np.asarray(x0, dtype=float), (model.state_dim,))
     _euler_continue(model, theta, grid, states, increments, 0)
     return PathBatch(model, grid, float(theta), states, increments, master_seed, path_indices)
@@ -479,12 +530,25 @@ def simulate_path(model: SdeModel, theta: float, x0, grid: TimeGrid,
 
 
 def simulate_paths(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: int,
-                   master_seed: int, first_index: int = 0) -> PathBatch:
-    """Simulate a block of paths with indices first_index .. first_index+n_paths-1."""
+                   master_seed: int, first_index: int = 0,
+                   out: PathBatch | None = None) -> PathBatch:
+    """Simulate a block of paths with indices first_index .. first_index+n_paths-1.
+
+    Given out, a block of at least n_paths rows on the same grid and
+    dimensions, the noise and states are written into its leading n_paths
+    rows, as NumPy's out= writes, and the batch returned views them.
+    """
     _check_count("n_paths", n_paths)
     indices = np.arange(first_index, first_index + n_paths)
-    increments = _noise_block(master_seed, indices, grid, model.noise_dim)
-    return _simulate(model, theta, x0, grid, increments, master_seed, indices)
+    states = increments = None
+    if out is not None:
+        states, increments = out.states[:n_paths], out.increments[:n_paths]
+        if (states.shape != (n_paths, grid.steps + 1, model.state_dim)
+                or increments.shape != (n_paths, grid.steps, model.noise_dim)):
+            raise ValueError(f"out holds states {out.states.shape} and increments "
+                             f"{out.increments.shape}, too few or wrong for {n_paths} paths")
+    increments = _noise_block(master_seed, indices, grid, model.noise_dim, increments)
+    return _simulate(model, theta, x0, grid, increments, master_seed, indices, states)
 
 
 def block_rows(model: SdeModel, grid: TimeGrid) -> int:
@@ -531,7 +595,10 @@ def per_path(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: int,
     block (by the module's simulate_paths, looked up at each call) and
     handing it to terms, which so may run on several blocks at once; all
     of them share one memo of values with no path axis (call_shared).  A
-    worker frees its block before it takes the next.  Helpers run in a copy
+    worker simulates its later blocks into its first block's states and
+    increments (simulate_paths' out), and frees each block, its Jacobians
+    and any other value it keeps, before it takes the next; a terms result
+    that may share memory with those arrays is copied.  Helpers run in a copy
     of the caller's context and under the caller's np.errstate settings,
     which NumPy before 2.0 keeps per thread.  After a failure no block is
     taken, and the caller joins every helper.  An interrupt or exit (a
@@ -558,12 +625,16 @@ def per_path(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: int,
             pending.clear()
 
     def work():
+        out = None  # the worker's first block, without what that block kept
         while (i := take()) is not None:
             first = i * rows
             try:
-                parts[i] = terms(simulate_paths(model, theta, x0, grid,
-                                                min(rows, n_paths - first), master_seed,
-                                                first_index=first))
+                batch = simulate_paths(model, theta, x0, grid, min(rows, n_paths - first),
+                                       master_seed, first_index=first, out=out)
+                out = out or replace(batch)
+                parts[i] = tuple(np.array(part) if _may_share(part, out) else part
+                                 for part in terms(batch))
+                del batch  # with what it kept, such as per-row Jacobians
             except Exception as exc:
                 failed[i] = exc
                 stop()
@@ -593,6 +664,11 @@ def per_path(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: int,
     if failed:
         raise failed[min(failed)]
     return tuple(map(np.concatenate, zip(*parts)))
+
+
+def _may_share(array, block: PathBatch) -> bool:
+    """Whether array may share memory with the states or increments of block."""
+    return any(np.may_share_memory(array, a) for a in (block.states, block.increments))
 
 
 def _join_all(threads) -> None:

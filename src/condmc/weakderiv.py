@@ -37,6 +37,7 @@ from .sde import (
     _apply_diffusion,
     _euler_continue,
     _step_jacobian,
+    chunk_len,
     finite_fsum,
     generate_noise,
     on_grid,
@@ -48,9 +49,6 @@ from .sde import (
 from .streams import PATHS_PER_STREAM, TAG_BRANCH, TAG_CHOICE, group_streams, stream
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# bytes of one (N, K, n) temporary of the branch placement pass (_placed_branches)
-_PLACE_CHUNK_BYTES = 512 * 2 ** 10
 
 GRADIENT_MODES = ("random-k", "sum-over-k")
 
@@ -379,7 +377,7 @@ def _placed_branches(batch: PathBatch):
     time k+1.  Returns (plus, minus, per-step scales (N, M)).
 
     The steps are taken in chunks whose (N, K, n) temporaries stay within
-    _PLACE_CHUNK_BYTES each: a few numpy calls per chunk, not per step, at a
+    sde.CHUNK_BYTES each: a few numpy calls per chunk, not per step, at a
     peak memory that does not grow with the block.
     """
     model, grid, theta = batch.model, batch.grid, batch.theta
@@ -390,7 +388,7 @@ def _placed_branches(batch: PathBatch):
     plus = np.empty((count, steps, n_dim))
     minus = np.empty((count, steps, n_dim))
     scale_k = np.empty((count, steps))
-    chunk = max(_PLACE_CHUNK_BYTES // (8 * count * n_dim), 1)
+    chunk = chunk_len(8 * count * n_dim)
     for start in range(0, steps, chunk):
         at = slice(start, min(start + chunk, steps))
         terms = _hj_terms_batch(model, batch.states[:, at], grid.times[at], theta, grid.dt)

@@ -9,6 +9,7 @@ import threading
 import time
 import tracemalloc
 import types
+import warnings
 import weakref
 from unittest import mock
 
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 
 import condmc as cm
 from condmc import malliavin, optimizer, sde
-from condmc.errors import CoefficientShapeError, NonFiniteState, SingularJacobian
+from condmc.errors import (CoefficientShapeError, NearZeroDerivativeWarning, NonFiniteState,
+                           SingularJacobian)
 from condmc.sde import _euler_continue, _noise_block
 from condmc.streams import PATHS_PER_STREAM as G
 from condmc.streams import TAG_BRANCH, TAG_CHOICE, TAG_NOISE, _StreamPool, stream
@@ -224,6 +226,61 @@ def test_per_path_joins_block_terms_in_order_and_keeps_no_block(force_workers):
             assert same_bits(terminal, whole.states[:, -1, 0])
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_per_path_terms_that_view_a_reused_block_keep_their_rows(force_workers, workers):
+    # each worker simulates its later blocks into its first block's arrays;
+    # terms that return views of them must still join to one call's bits.
+    # The barrier holds every worker's first three blocks until all workers
+    # are in terms together, so each worker reuses its arrays at least twice,
+    # and the last block is shorter
+    model, grid = cm.ou_model(1.0, dim=2), cm.TimeGrid(1.0, 6)
+    n_paths = 100 * (4 * workers + 1) - 30
+    whole = cm.simulate_paths(model, 1.0, 0.2, grid, n_paths, 3)
+    force_workers(workers)
+    barrier = threading.Barrier(workers, timeout=30)
+    blocks = {}  # thread -> blocks it took
+
+    def terms(batch):
+        me = threading.current_thread()
+        blocks[me] = blocks.get(me, 0) + 1
+        if blocks[me] <= 3:
+            barrier.wait()
+        return batch.states[:, -1], batch.states[:, 2, 1], batch.increments, batch.path_indices
+
+    with fixed_block_rows(100 * workers):  # blocks of 100 rows
+        terminal, middle, increments, indices = sde.per_path(model, 1.0, 0.2, grid, n_paths,
+                                                             3, terms)
+    assert len(blocks) == workers and min(blocks.values()) >= 3
+    assert np.array_equal(indices, np.arange(n_paths))
+    assert same_bits(terminal, whole.states[:, -1])
+    assert same_bits(middle, whole.states[:, 2, 1])
+    assert same_bits(increments, whole.increments)
+
+
+@pytest.mark.parametrize("n_dim", [1, 2])
+def test_simulate_paths_into_out_gives_the_bits_of_a_fresh_block(n_dim):
+    # out's leading rows take the block, a shorter one too, and the batch
+    # returned views them
+    model, grid, x0 = cm.ou_model(0.7, dim=n_dim), cm.TimeGrid(1.0, 9), 0.3
+    out = cm.simulate_paths(model, 1.0, x0, grid, 300, 5)
+    for n_paths, first in ((300, 300), (170, 600), (1, 7), (300, 0)):
+        got = cm.simulate_paths(model, 1.0, x0, grid, n_paths, 5, first_index=first, out=out)
+        fresh = cm.simulate_paths(model, 1.0, x0, grid, n_paths, 5, first_index=first)
+        assert same_bits(got.states, fresh.states)
+        assert same_bits(got.increments, fresh.increments)
+        assert np.array_equal(got.path_indices, fresh.path_indices)
+        assert np.shares_memory(got.states, out.states[:n_paths])
+        assert np.shares_memory(got.increments, out.increments[:n_paths])
+
+
+@pytest.mark.parametrize("n_paths, grid", [(301, cm.TimeGrid(1.0, 9)), (3, cm.TimeGrid(1.0, 8))])
+def test_simulate_paths_rejects_an_out_that_does_not_fit(n_paths, grid):
+    model = cm.ou_model(0.7)
+    out = cm.simulate_paths(model, 1.0, 0.3, cm.TimeGrid(1.0, 9), 300, 5)
+    with pytest.raises(ValueError, match="out holds"):
+        cm.simulate_paths(model, 1.0, 0.3, grid, n_paths, 5, out=out)
 
 
 def test_per_path_raises_the_earliest_failed_block_and_leaves_no_thread(force_workers):
@@ -470,6 +527,12 @@ def test_non_finite_state_reports_step():
     assert 1 <= err.value.step <= 20
 
 
+def euler_chunks(steps, rows, n_dim=1):
+    """Patch sde.CHUNK_BYTES so that Euler steps rows x n_dim states in
+    chunks of `steps` steps."""
+    return mock.patch.object(sde, "CHUNK_BYTES", 8 * rows * n_dim * steps)
+
+
 def _cubic_blow_up_model():
     return make_custom(
         drift=lambda x, t, th: x ** 3,
@@ -491,24 +554,30 @@ def _first_non_finite_step(x, increments, dt, from_step):
 
 def test_non_finite_state_reports_the_exact_step_of_its_row():
     # one row of four overflows; the block names that row's step, the one
-    # simulate_path gives for it alone
+    # simulate_path gives for it alone, also when Euler takes its steps in
+    # chunks of 1, 2, 3 or 5 and the step lies in a later chunk
     grid = cm.TimeGrid(1.0, 20)
     model = _cubic_blow_up_model()
     increments = _noise_block(4, np.arange(4), grid, 1)
-    states = np.empty((4, grid.steps + 1, 1))
-    states[:, 0, 0] = [0.1, -0.2, 50.0, 0.3]
     step = _first_non_finite_step(50.0, increments[2, :, 0], grid.dt, 0)
-    assert 3 <= step < grid.steps
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState) as block:
-        _euler_continue(model, 0.0, grid, states, increments, 0)
+    assert 6 <= step < grid.steps
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState) as alone:
         cm.simulate_path(model, 0.0, 50.0, grid, cm.NoisePath(increments[2], 4, 2))
-    assert block.value.step == alone.value.step == step
+    assert alone.value.step == step
+    for chunk in (grid.steps, 1, 2, 3, 5):
+        states = np.empty((4, grid.steps + 1, 1))
+        states[:, 0, 0] = [0.1, -0.2, 50.0, 0.3]
+        with euler_chunks(chunk, 4), np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteState) as block:
+            _euler_continue(model, 0.0, grid, states, increments, 0)
+        assert block.value.step == step, chunk
 
 
 def test_non_finite_state_reports_the_exact_step_under_ragged_starts():
     # restarted rows start at steps 2 .. 9; the row put at 50.0 after step 7
-    # overflows, and the block names its step, the one resume_path gives
+    # overflows, and the block names its step, the one resume_path gives,
+    # also when Euler takes its steps from step 3 in chunks of 1, 2, 3 or 5
+    # and the step lies in a later chunk
     grid = cm.TimeGrid(1.0, 20)
     model = _cubic_blow_up_model()
     base = cm.simulate_paths(model, 0.0, 0.1, grid, 4, 4)
@@ -518,11 +587,53 @@ def test_non_finite_state_reports_the_exact_step_under_ragged_starts():
     new_states[2] = 50.0
     step = _first_non_finite_step(50.0, base.increments[2, :, 0], grid.dt, 8)
     assert 11 <= step < grid.steps
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState) as block:
-        _branch_batch(base, starts, new_states, base.increments[rows, starts])
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState) as alone:
         cm.resume_path(base.path(2), 8, 50.0, cm.NoisePath(base.increments[2], 4, 2))
-    assert block.value.step == alone.value.step == step
+    assert alone.value.step == step
+    for chunk in (grid.steps, 1, 2, 3, 5):
+        with euler_chunks(chunk, 4), np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteState) as block:
+            _branch_batch(base, starts, new_states, base.increments[rows, starts])
+        assert block.value.step == step, chunk
+
+
+EULER_CHUNK_MODELS = {
+    "ou-1": lambda: cm.ou_model(0.8),
+    "ou-2": lambda: cm.ou_model(0.8, dim=2),
+    "sine-diffusion": sine_diffusion_model,
+    "time-diffusion": time_diffusion_model,
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(EULER_CHUNK_MODELS)), chunk=st.integers(1, 4),
+       theta=st.floats(-1.0, 1.5), seed=st.integers(0, 2 ** 32), data=st.data())
+def test_euler_chunks_give_the_states_of_the_single_path_oracles_property(name, chunk, theta,
+                                                                         seed, data):
+    # step counts around the chunk edges; a block from step 0 against
+    # simulate_path, and restarts at mixed steps against resume_path, both
+    # oracles run with the default chunk budget
+    model = EULER_CHUNK_MODELS[name]()
+    n_dim = model.state_dim
+    steps = data.draw(st.sampled_from(sorted({max(s, 1) for s in
+                                              (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1)})))
+    grid = cm.TimeGrid(1.0, steps)
+    n_paths = data.draw(st.integers(1, 5))
+    x0 = np.linspace(-0.3, 0.4, n_dim)
+    with euler_chunks(chunk, n_paths, n_dim):
+        batch = cm.simulate_paths(model, theta, x0, grid, n_paths, seed)
+    starts = np.array(data.draw(st.lists(st.integers(0, steps - 1), min_size=n_paths,
+                                         max_size=n_paths)))
+    rows = np.arange(n_paths)
+    new_states = batch.states[rows, starts + 1] + 0.25
+    with euler_chunks(chunk, n_paths, n_dim):
+        restarted = _branch_batch(batch, starts, new_states, batch.increments[rows, starts])
+    for i, k in enumerate(starts):
+        noise = cm.NoisePath(batch.increments[i], seed, i)
+        single = cm.simulate_path(model, theta, x0, grid, noise)
+        assert same_bits(batch.states[i], single.states)
+        resumed = cm.resume_path(single, k + 1, new_states[i], noise)
+        assert same_bits(restarted.states[i], resumed.states)
 
 
 def test_singular_jacobian_detected():
@@ -967,6 +1078,10 @@ def test_loss_estimate_memory_is_bounded_by_the_block_budget(force_workers):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * sde.BLOCK_BYTES
+    # the two workers' blocks take about one BLOCK_BYTES together, each
+    # reused for the worker's later blocks; the Euler scratch and the
+    # quotient tiles add a few CHUNK_BYTES, and no block-sized array more
+    assert peak <= 1.25 * sde.BLOCK_BYTES
 
 
 def test_simulation_is_deterministic():
@@ -1152,6 +1267,76 @@ def test_jacobian_passes_per_call(name, monkeypatch):
     monkeypatch.setattr(sde, "_euler_jacobians", counted)
     call()
     assert len(passes) == expected
+
+
+def _integral_loss():
+    return cm.integral_functional(lambda x: x[..., 0] ** 2, lambda x: 2.0 * x)
+
+
+# call -> diffusion profiles it reads, with quotient tiles of 7 rows.  A tile
+# reads its block's profile; shared-factor derivative rows are built once per
+# call, so on OU only the first block reads one, unless the loss's own
+# derivative reads it on every block
+DIFFUSION_READS = {
+    "loss, 4 blocks": (1, _OU, _ELL),
+    "integral loss, 4 blocks": (4, _OU, _integral_loss()),
+    "per-row model, loss, 4 blocks": (4, sine_diffusion_model(), _ELL),
+    "per-row model, integral loss, 4 blocks": (4, sine_diffusion_model(), _integral_loss()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFUSION_READS))
+def test_diffusion_profile_is_read_once_per_block_not_per_tile(name, monkeypatch):
+    expected, model, ell = DIFFUSION_READS[name]
+    reads = []
+    original = sde._diffusion_profile
+
+    def counted(*args):
+        reads.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sde, "_diffusion_profile", counted)
+    monkeypatch.setattr(sde, "CHUNK_BYTES", 8 * (_GRID_50.steps + 1) * 7)
+    with fixed_block_rows(50):
+        cm.conditional_loss_estimate(model, 1.0, ell, _G, "canonical", 200, 3, _GRID_50, 0.2)
+    assert len(reads) == expected
+
+
+QUOTIENT_MODELS = {"ou": lambda: cm.ou_model(0.8), "sine-diffusion": sine_diffusion_model}
+QUOTIENT_LOSSES = {"terminal-square": lambda: cm.terminal_power(2),
+                   "integral-square": _integral_loss}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(QUOTIENT_MODELS)),
+       loss=st.sampled_from(sorted(QUOTIENT_LOSSES)), rule=st.sampled_from(["canonical", "reciprocal"]), tile=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32), data=st.data())
+def test_quotient_tiles_give_the_whole_block_bits_property(name, loss, rule, tile, seed, data):
+    # row counts around the tile edges; the tiled terms are those of the
+    # block in one piece, and a block's Jacobians are built once either way
+    model, ell = QUOTIENT_MODELS[name](), QUOTIENT_LOSSES[loss]()
+    steps = data.draw(st.integers(2, 9))
+    grid = cm.TimeGrid(1.0, steps)
+    g = cm.shift_functional(cm.marginal_power(data.draw(st.integers(1, steps)), 1), 0.05)
+    n_paths = data.draw(st.sampled_from(sorted({max(n, 1) for n in
+                                                (1, tile - 1, tile, tile + 1, 2 * tile + 1,
+                                                 3 * tile)})))
+    batch = cm.simulate_paths(model, 0.9, 0.2, grid, n_paths, seed)
+    passes = []
+    original = sde._euler_jacobians
+
+    def counted(*args):
+        passes.append(args)
+        return original(*args)
+
+    with warnings.catch_warnings(), mock.patch.object(sde, "_euler_jacobians", counted):
+        warnings.simplefilter("ignore", NearZeroDerivativeWarning)
+        whole = malliavin.conditional_quotient_terms(ell, g, rule, batch)
+        with mock.patch.object(sde, "CHUNK_BYTES", 8 * (steps + 1) * tile):
+            tiled = malliavin.conditional_quotient_terms(ell, g, rule, dataclasses.replace(batch))
+    assert len(passes) == 2
+    for got, want in zip(tiled, whole):
+        assert same_bits(got, want)
 
 
 def test_shared_values_are_built_once_per_call_and_parameter(monkeypatch, force_workers):

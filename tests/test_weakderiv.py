@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import condmc as cm
+from condmc import sde
 from condmc import weakderiv as wd
 from condmc.errors import (
     CoefficientShapeError,
@@ -1241,7 +1242,7 @@ def test_placed_branches_match_the_scalar_oracle_property(name, chunk, n_paths, 
                                      min_size=n_dim, max_size=n_dim)))
     grid = cm.TimeGrid(1.0, steps)
     batch = cm.simulate_paths(model, theta, x0, grid, n_paths, seed, first_index=first)
-    with mock.patch.object(wd, "_PLACE_CHUNK_BYTES", 8 * n_paths * n_dim * chunk):
+    with mock.patch.object(sde, "CHUNK_BYTES", 8 * n_paths * n_dim * chunk):
         plus, minus, scale_k = wd._placed_branches(batch)
     draws = wd._branch_draw_block(seed, batch.path_indices, steps, n_dim)
     for k in range(steps):
