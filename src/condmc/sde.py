@@ -26,7 +26,8 @@ worker simulates its later blocks into its first block's arrays
 worker.  No result depends on the block size or the number of workers.
 Within a block, the passes that need no whole block at once work on chunks
 of CHUNK_BYTES: Euler's step-major scratch, the branch placement pass of
-weakderiv and the quotient terms of malliavin.
+weakderiv with its affine sum-over-k fold, the score-function terms and the
+quotient terms of malliavin.
 
 _apply_diffusion multiplies dW by a 1x1 sigma directly, one rounding as in the 1x1 product.
 
@@ -89,8 +90,9 @@ BLOCK_BYTES = 16 * 2 ** 20
 MIN_WORKER_ROWS = 2_600
 
 # bytes of one chunk of a pass that runs over a block piece by piece
-# (chunk_len): Euler's step-major scratch, the branch placement pass and the
-# quotient terms' row tiles, each small enough to stay in cache
+# (chunk_len): Euler's step-major scratch, the branch placement pass, the
+# score terms and the quotient terms' row tiles, each small enough to stay
+# in cache
 CHUNK_BYTES = 512 * 2 ** 10
 
 
@@ -211,6 +213,17 @@ class JacobianPath:
     z: np.ndarray
 
 
+def _kept(build: Callable) -> property:
+    """A property kept in the instance's __dict__ from its first read, as by
+    functools.cached_property, without the lock that one holds for all
+    instances before Python 3.12."""
+    def get(self, name=build.__name__):
+        if name not in vars(self):
+            vars(self)[name] = build(self)
+        return vars(self)[name]
+    return property(get, doc=build.__doc__)
+
+
 @dataclass(frozen=True)
 class PathBatch:
     """Simulated paths: states on the grid plus the noise that produced them.
@@ -234,7 +247,7 @@ class PathBatch:
     def n_paths(self) -> int:
         return math.prod(self.states.shape[:-2])
 
-    @cached_property
+    @_kept
     def jacobians(self) -> JacobianPath:
         """Y and Z of every path, computed on the first read and kept; shared
         ones once per estimator call (call_shared)."""
@@ -246,7 +259,7 @@ class PathBatch:
             self.model, self.theta, self.grid, self.states, self.increments),
             lambda jac: jac.y.ndim == 3)
 
-    @cached_property
+    @_kept
     def diffusions(self) -> np.ndarray:
         """sigma(X_k, t_k) at every grid step k, broadcasting to
         (..., M+1, n, d): read on the first access and kept."""

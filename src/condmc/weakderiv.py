@@ -16,7 +16,7 @@ provided for comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +36,7 @@ from .sde import (
     TimeGrid,
     _apply_diffusion,
     _euler_continue,
+    _may_share,
     _step_jacobian,
     chunk_len,
     finite_fsum,
@@ -371,31 +372,35 @@ def _row_abs_sums(gaps: np.ndarray) -> np.ndarray:
     return np.sum(np.ascontiguousarray(np.abs(gaps).reshape(len(gaps), -1)), axis=-1)
 
 
-def _placed_branches(batch: PathBatch):
-    """The branch pair of every path at every step, as placed: entry [:, k] of
-    the (N, M, n) arrays (plus, minus) is the pair split off at step k, at
-    time k+1.  Returns (plus, minus, per-step scales (N, M)).
-
-    The steps are taken in chunks whose (N, K, n) temporaries stay within
-    sde.CHUNK_BYTES each: a few numpy calls per chunk, not per step, at a
-    peak memory that does not grow with the block.
-    """
+def _placed_chunks(batch: PathBatch):
+    """The branch pair of every path at every step, as placed, a chunk of K
+    steps at a time: yields (steps, plus, minus, scales), entry [:, j] of the
+    (N, K, n) plus and minus the pair split off at step steps.start + j, one
+    step later, and scales (N, K) their split scales.  A chunk's temporaries
+    stay within sde.CHUNK_BYTES each, so the peak does not grow with the block."""
     model, grid, theta = batch.model, batch.grid, batch.theta
-    steps = grid.steps
     n_dim = model.state_dim
-    count = batch.n_paths
-    draws = _branch_draw_block(batch.master_seed, batch.path_indices, steps, n_dim)
-    plus = np.empty((count, steps, n_dim))
-    minus = np.empty((count, steps, n_dim))
-    scale_k = np.empty((count, steps))
-    chunk = chunk_len(8 * count * n_dim)
-    for start in range(0, steps, chunk):
-        at = slice(start, min(start + chunk, steps))
+    draws = _branch_draw_block(batch.master_seed, batch.path_indices, grid.steps, n_dim)
+    chunk = chunk_len(8 * batch.n_paths * n_dim)
+    for start in range(0, grid.steps, chunk):
+        at = slice(start, min(start + chunk, grid.steps))
         terms = _hj_terms_batch(model, batch.states[:, at], grid.times[at], theta, grid.dt)
-        plus[:, at], minus[:, at] = _assemble_branch_states(
-            terms, *_draws_at(draws, slice(None), at))
-        scale_k[:, at] = terms.total
+        plus, minus = _assemble_branch_states(terms, *_draws_at(draws, slice(None), at))
+        total = terms.total
         del terms  # two chunks of terms alive at once would raise the peak memory
+        yield at, plus, minus, total
+        del plus, minus, total  # the caller frees its own before the next chunk
+
+
+def _placed_branches(batch: PathBatch):
+    """The chunks of _placed_chunks joined: (plus, minus) (N, M, n), the pair
+    split off at step k in entry [:, k], and the per-step scales (N, M)."""
+    count, steps, n_dim = batch.n_paths, batch.grid.steps, batch.model.state_dim
+    plus, minus = np.empty((2, count, steps, n_dim))
+    scale_k = np.empty((count, steps))
+    for at, *chunk in _placed_chunks(batch):
+        plus[:, at], minus[:, at], scale_k[:, at] = chunk
+        del chunk
     return plus, minus, scale_k
 
 
@@ -453,33 +458,51 @@ def _affine_propagators(batch: PathBatch):
     return props
 
 
-def _affine_branches(batch: PathBatch, props: np.ndarray):
-    """_all_steps_branches for a model whose steps are affine in the state:
-    the branch placed at time k+1 < M reaches the horizon at
-    X_M + P[k] (x_branch - X_{k+1}), so no branch copy takes an Euler step."""
-    plus, minus, scale_k = _placed_branches(batch)
-    for side in (plus, minus):
-        carried = side[:, :-1]  # the branches of the last step are placed at the horizon
-        carried -= batch.states[:, 1:-1]
-        carried[:] = np.matmul(props, carried[..., None])[..., 0]
-        carried += batch.states[:, -1:]
-    _require_finite_branches(plus, minus, batch.grid.steps)
-    return plus, minus, scale_k
+def _affine_chunks(batch: PathBatch, props: np.ndarray):
+    """_placed_chunks with each branch carried to the horizon, for a model
+    whose steps are affine in the state: the branch placed at time k+1 < M
+    gets there at X_M + P[k] (x_branch - X_{k+1}), with no Euler step.  For
+    n = 1, P[k] c is one multiply, several times faster than a 1x1 matmul
+    and with its bits but for a zero's sign, which adding X_M drops unless
+    X_M is -0.0."""
+    states = batch.states
+    for at, plus, minus, total in _placed_chunks(batch):
+        prop = props[at]  # none for the last step, whose branches are placed at the horizon
+        for side in (plus, minus):
+            carried = side[:, :len(prop)]
+            carried -= states[:, at.start + 1:at.start + 1 + len(prop)]
+            if carried.shape[-1] == 1:
+                carried *= prop[..., 0]
+            else:
+                carried[:] = np.matmul(prop, carried[..., None])[..., 0]
+            carried += states[:, -1:]
+        _require_finite_branches(plus, minus, batch.grid.steps)
+        yield at, plus, minus, total
+        del plus, minus, total
 
 
 def _terminal_sum_over_k(batch: PathBatch, functional: PathFunctional):
     """All-steps engine for terminal-state functionals: the gap of each branch
     is the terminal value gap of its copies at the horizon.  On a model whose
     steps are affine in the state the copies get there by one product each,
-    O(N M n^2) work, and otherwise by Euler, O(N M^2)."""
+    O(N M n^2) work, a chunk of steps at a time, and otherwise by Euler,
+    O(N M^2).  scale * gap and |gap| are laid out as _step_sum and
+    _row_abs_sums lay them, (N, m, M) and (N, M*m), to sum in their order."""
     props = _affine_propagators(batch)
-    if props is None:
-        plus, minus, scale_k = _all_steps_branches(batch)
-    else:
-        plus, minus, scale_k = _affine_branches(batch, props)
-    gaps = (np.asarray(functional.terminal_value(plus))
-            - np.asarray(functional.terminal_value(minus)))
-    return _step_sum(scale_k, gaps), _row_abs_sums(gaps)
+    chunks = ([(slice(None), *_all_steps_branches(batch))] if props is None
+              else _affine_chunks(batch, props))
+    count, steps = batch.n_paths, batch.grid.steps
+    weighted = abs_gaps = None
+    for at, plus, minus, scales in chunks:
+        gaps = (np.asarray(functional.terminal_value(plus))
+                - np.asarray(functional.terminal_value(minus)))  # (N, K) or (N, K, m)
+        if weighted is None:
+            weighted = np.empty((count,) + gaps.shape[2:] + (steps,))
+            abs_gaps = np.empty((count, steps) + gaps.shape[2:])
+        np.multiply(_per_row(scales, gaps), gaps, out=np.moveaxis(weighted, -1, 1)[:, at])
+        np.abs(gaps, out=abs_gaps[:, at])
+        del plus, minus, scales, gaps
+    return np.sum(weighted, axis=-1), np.sum(abs_gaps.reshape(count, -1), axis=-1)
 
 
 def _integral_sum_over_k(batch: PathBatch, functional: PathFunctional):
@@ -523,16 +546,21 @@ def _step_pair(batch: PathBatch, rows, k: int, draws):
 
 
 def _branch_batch(base: PathBatch, starts: np.ndarray, new_states: np.ndarray,
-                  new_increments: np.ndarray) -> PathBatch:
+                  new_increments: np.ndarray, out: PathBatch | None = None) -> PathBatch:
     """The block with row i branched at step starts[i]: its increment there
     becomes new_increments[i] and its state at starts[i] + 1 new_states[i]
-    (a side of _step_pair), and it runs on by Euler from there.  One Euler
+    (a side of _step_pair), and it runs on by Euler from there, in copies of
+    base's arrays or in those of out, a block of base's shape.  One Euler
     pass covers the whole block; its Jacobians take one more pass, on the
     first read of the result's jacobians.
     """
+    if out is None:
+        states, increments = base.states.copy(), base.increments.copy()
+    else:
+        states, increments = out.states, out.increments
+        np.copyto(states, base.states)
+        np.copyto(increments, base.increments)
     rows = np.arange(base.n_paths)
-    states = base.states.copy()
-    increments = base.increments.copy()
     states[rows, starts + 1] = new_states
     increments[rows, starts] = new_increments
     _euler_continue(base.model, base.theta, base.grid, states, increments, starts + 1)
@@ -544,18 +572,24 @@ def _restarted_gaps(batch: PathBatch, functional: PathFunctional, starts: np.nda
     """(per-row split scale, value gap) of the branch pair split off each row
     i at step starts[i], with draws the rows' (u, r, z) at their steps.  The
     pairs are formed step group by step group (_step_pair); each side then
-    restarts over the whole block in one pass (_branch_batch), and is valued
-    and freed before the next, so the restarts add one block copy to the peak
-    memory."""
+    restarts over the whole block in one pass (_branch_batch) and is valued,
+    the minus side in the plus side's arrays with the base block copied
+    back, so the restarts add one block copy to the peak memory.  A value
+    that may share memory with those arrays is copied first."""
     count = batch.n_paths
     total = np.empty(count)
     sides = np.empty((2, 2, count, batch.model.state_dim))  # (plus, minus) x (state, increment)
     for k in np.unique(starts):
         rows = np.nonzero(starts == k)[0]
         total[rows], sides[:, :, rows] = _step_pair(batch, rows, k, _draws_at(draws, rows, None))
-    plus, minus = [np.asarray(functional.value(_branch_batch(batch, starts, *side)))
-                   for side in sides]
-    return total, plus - minus
+    values, out = [], None
+    for side in sides:
+        branch = _branch_batch(batch, starts, *side, out=out)
+        out = out or replace(branch)  # its arrays, without what branch keeps
+        value = np.asarray(functional.value(branch))
+        values.append(np.array(value) if _may_share(value, out) else value)
+        del branch  # with what it kept, such as per-row Jacobians
+    return total, values[0] - values[1]
 
 
 def _grouped_random_k(batch: PathBatch, functional: PathFunctional):
@@ -668,25 +702,33 @@ def score_function_gradient(model: SdeModel, theta: float, x0, grid: TimeGrid,
     """
     dt = grid.dt
     n, d = model.state_dim, model.noise_dim
+    scalar = n == 1 and d == 1
 
     def terms(batch):
-        x_left = batch.states[:, :grid.steps, :]
-        b = on_grid(model.drift, x_left, grid.times, (n,), theta)
-        db = on_grid(model.drift_dtheta, x_left, grid.times, (n,), theta)
-        resid = batch.states[:, 1:, :] - x_left - dt * b
-        sig = on_grid(model.diffusion, x_left, grid.times, (n, d))
-        if n == 1 and d == 1:
-            var = dt * sig[..., 0, 0] ** 2
-            if np.any(var == 0.0):
-                raise SingularDiffusion("zero diffusion makes the transition degenerate")
-            score = np.sum(dt * db[..., 0] * resid[..., 0] / var, axis=-1)
-        else:
-            cov = dt * (sig @ np.swapaxes(sig, -2, -1))
-            try:
-                solved = np.linalg.solve(cov, resid[..., None])[..., 0]
-            except np.linalg.LinAlgError as exc:
-                raise SingularDiffusion(f"transition covariance not invertible: {exc}") from exc
-            score = np.sum(dt * db * solved, axis=(-2, -1))
+        # each step's dt db . (dt Sigma)^{-1} resid: (N, M) if n = d = 1, else (N, M, n)
+        score_terms = np.empty((batch.n_paths, grid.steps) + (() if scalar else (n,)))
+        chunk = chunk_len(8 * batch.n_paths * n)
+        for start in range(0, grid.steps, chunk):
+            at = slice(start, min(start + chunk, grid.steps))
+            x, t = batch.states[:, at], grid.times[at]
+            b = on_grid(model.drift, x, t, (n,), theta)
+            db = on_grid(model.drift_dtheta, x, t, (n,), theta)
+            resid = batch.states[:, start + 1:at.stop + 1] - x - dt * b
+            sig = on_grid(model.diffusion, x, t, (n, d))
+            if scalar:
+                var = dt * sig[..., 0, 0] ** 2
+                if np.any(var == 0.0):
+                    raise SingularDiffusion("zero diffusion makes the transition degenerate")
+                np.divide(dt * db[..., 0] * resid[..., 0], var, out=score_terms[:, at])
+            else:
+                cov = dt * (sig @ np.swapaxes(sig, -2, -1))
+                try:
+                    solved = np.linalg.solve(cov, resid[..., None])[..., 0]
+                except np.linalg.LinAlgError as exc:
+                    raise SingularDiffusion(
+                        f"transition covariance not invertible: {exc}") from exc
+                np.multiply(dt * db, solved, out=score_terms[:, at])
+        score = np.sum(score_terms, axis=-1 if scalar else (-2, -1))
         values = np.asarray(functional.value(batch))
         return (_per_row(score, values) * values,)
 

@@ -1396,6 +1396,32 @@ def test_shared_values_keep_to_their_model_and_grid():
     assert len({float(y[0, 0]) for y in expected}) == 3
 
 
+def test_per_row_jacobian_passes_of_two_workers_overlap(force_workers):
+    # a per-row model's first pass is built under the call memo's lock; the
+    # next two, one on each worker, meet at a barrier in drift_dx, which a
+    # lock held across blocks (functools.cached_property before Python 3.12)
+    # breaks by its timeout
+    force_workers(2)
+    base = sine_diffusion_model()
+    meet = threading.Barrier(2, timeout=10.0)
+    lock = threading.Lock()
+    passes = []
+
+    def drift_dx(x, t, theta):
+        if t == 0.0:  # the first step of a Jacobian pass
+            with lock:
+                passes.append(threading.get_ident())
+                number = len(passes)
+            if number in (2, 3):
+                meet.wait()
+        return base.drift_dx(x, t, theta)
+
+    model = dataclasses.replace(base, drift_dx=drift_dx)
+    with fixed_block_rows(200):  # two workers on four blocks of 100 rows
+        cm.conditional_loss_estimate(model, 1.0, _ELL, _G, "canonical", 400, 3, _GRID_50, 0.2)
+    assert len(passes) == 4 and passes[1] != passes[2]
+
+
 # ---------------------------------------------------------------------------
 # resume_path
 

@@ -77,9 +77,9 @@ def test_branch_step_choices_match_group_draws(seed, span, steps, dim):
     starts = []
     real = wd._branch_batch
 
-    def recording(base, from_steps, new_states, new_increments):
+    def recording(base, from_steps, new_states, new_increments, **kwargs):
         starts.append(np.array(from_steps))
-        return real(base, from_steps, new_states, new_increments)
+        return real(base, from_steps, new_states, new_increments, **kwargs)
 
     with mock.patch.object(wd, "_branch_batch", recording):
         _hj_values(batch, cm.terminal_power(2), "random-k")

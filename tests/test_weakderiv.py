@@ -1101,6 +1101,15 @@ AFFINE_MODELS = {
 }
 
 
+def _joined_affine_chunks(batch, props):
+    """The chunks of the affine fold joined along the step axis: the horizon
+    states (plus, minus) (N, M, n) and scales (N, M) of every branch."""
+    chunks = list(wd._affine_chunks(batch, props))
+    edges = [at.start for at, *_ in chunks] + [chunks[-1][0].stop]
+    assert edges == [0] + [at.stop for at, *_ in chunks[:-1]] + [batch.grid.steps]
+    return tuple(np.concatenate(parts, axis=1) for parts in zip(*(c[1:] for c in chunks)))
+
+
 def _engine_pair(batch, functional):
     """(affine engine, Euler-copy engine) outputs on one block: the horizon
     states and scales of every branch, the per-path terminal estimates, and
@@ -1108,7 +1117,7 @@ def _engine_pair(batch, functional):
     props = wd._affine_propagators(batch)
     assert props is not None
     out = []
-    for plus, minus, scale_k in (wd._affine_branches(batch, props),
+    for plus, minus, scale_k in (_joined_affine_chunks(batch, props),
                                  wd._all_steps_branches(batch)):
         c_plus, c_minus = (np.asarray(functional.terminal_value(side)) for side in (plus, minus))
         size = np.sum(scale_k * (np.abs(c_plus) + np.abs(c_minus)), axis=1)
@@ -1180,7 +1189,7 @@ def test_affine_engine_carries_a_zero_step_factor(name, n_dim):
 def test_terminal_sum_over_k_picks_its_engine_by_the_step_factors(monkeypatch, model,
                                                                   uses_affine):
     calls = Counter()
-    for name in ("_affine_branches", "_all_steps_branches"):
+    for name in ("_affine_chunks", "_all_steps_branches"):
         def counted(*args, name=name, original=getattr(wd, name)):
             calls[name] += 1
             return original(*args)
@@ -1189,7 +1198,7 @@ def test_terminal_sum_over_k_picks_its_engine_by_the_step_factors(monkeypatch, m
     with fixed_block_rows(8):
         cm.hj_gradient(model, 0.9, x0, cm.TimeGrid(1.0, 12), cm.terminal_power(2), 20,
                        "sum-over-k", 4)
-    engine = "_affine_branches" if uses_affine else "_all_steps_branches"
+    engine = "_affine_chunks" if uses_affine else "_all_steps_branches"
     assert calls == Counter({engine: 3})
 
 
@@ -1283,6 +1292,113 @@ def test_placement_memory_is_its_outputs_and_draws(rows, steps):
     finally:
         tracemalloc.stop()
     assert peak <= sum(a.nbytes for a in placed) + draw_bytes + PLACEMENT_ALLOWANCE
+
+
+# ---------------------------------------------------------------------------
+# the chunked affine fold and score terms: bits and memory independent of
+# the chunks
+
+
+def _terminal_payoff(columns):
+    """x_0^2 + x_{n-1}^3 at the horizon, or as (N, 2) columns with a second,
+    x_{n-1}^3 - x_0."""
+    def at_horizon(x):
+        first = x[..., 0] ** 2 + x[..., -1] ** 3
+        return np.stack([first, x[..., -1] ** 3 - x[..., 0]], axis=-1) if columns else first
+
+    return PathFunctional(value=lambda b: at_horizon(b.states[..., -1, :]),
+                          terminal_value=at_horizon)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(AFFINE_MODELS)), chunk=st.integers(1, 3),
+       columns=st.booleans(), n_paths=st.integers(2, 5), seed=st.integers(0, 2 ** 32),
+       theta=st.floats(0.2, 2.0), data=st.data())
+def test_affine_fold_and_score_terms_are_chunk_independent_property(name, chunk, columns,
+                                                                   n_paths, seed, theta, data):
+    # step counts of one and two steps and around the chunk edges, so that
+    # the last step, which has no carry, ends a full chunk or is one alone
+    n_dim = data.draw(st.sampled_from([1, 2] if name == "time-affine" else [1, 2, 3]))
+    steps = data.draw(st.sampled_from(sorted({max(s, 1) for s in (
+        1, 2, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1)})))
+    model, grid = AFFINE_MODELS[name](n_dim), cm.TimeGrid(1.5, steps)
+    x0 = np.linspace(-0.4, 0.3, n_dim)
+
+    def run(with_columns):
+        f = _terminal_payoff(with_columns)
+        values = per_path(model, theta, x0, grid, n_paths, seed,
+                          lambda batch: _hj_values(batch, f, "sum-over-k"))
+        score = cm.score_function_gradient(model, theta, x0, grid, f, n_paths, seed)
+        return values + (score.estimate, score.std_error, score.variance)
+
+    whole = run(columns)  # the default budget holds every step in one chunk
+    batch = cm.simulate_paths(model, theta, x0, grid, n_paths, seed)
+    f = _terminal_payoff(columns)
+    with mock.patch.object(sde, "CHUNK_BYTES", 8 * n_paths * n_dim * chunk):
+        chunked = run(columns)
+        scalar = run(False)
+        # the fold's sums reduce as the whole-block helpers reduce the joined chunks
+        folded = wd._terminal_sum_over_k(batch, f)
+        plus, minus, scale_k = _joined_affine_chunks(batch, wd._affine_propagators(batch))
+    gaps = f.terminal_value(plus) - f.terminal_value(minus)
+    assert same_bits(folded[0], wd._step_sum(scale_k, gaps))
+    assert same_bits(folded[1], wd._row_abs_sums(gaps))
+    assert whole[0].shape == ((n_paths, 2) if columns else (n_paths,))
+    for got, want in zip(chunked, whole):
+        assert same_bits(got, want)
+    if columns:  # the first column is the scalar payoff, to the bit
+        assert all(same_bits(np.asarray(got)[..., 0], want) for got, want in
+                   zip(chunked[:1] + chunked[2:], scalar[:1] + scalar[2:]))
+
+
+# bytes a gradient block may hold beyond its block, branch draws and
+# accumulators: a dozen chunk temporaries.  The unfolded engines held
+# several more (N, M[, n]) arrays, 4.6 MiB each at 1,500 x 400
+GRADIENT_ALLOWANCE = 12 * sde.CHUNK_BYTES
+
+
+@pytest.mark.parametrize("estimator", ["sum-over-k", "score-function"])
+def test_gradient_block_memory_is_its_block_draws_and_accumulators(estimator):
+    # one block of 1,500 rows at M = 400, as grad-horizon runs it: the block,
+    # the branch draws and two (N, M) accumulators for sum-over-k, the block
+    # and one (N, M) array of score terms for the score function
+    model, grid, rows = cm.ou_model(1.0), cm.TimeGrid(8.0, 400), 1500
+    f = cm.shift_functional(cm.terminal_power(2), 3.0)
+    assert block_rows(model, grid) >= rows
+    n_m = 8 * rows * grid.steps
+    block = 8 * rows * (2 * grid.steps + 1)
+    if estimator == "sum-over-k":
+        run, held = lambda: cm.hj_gradient(model, 1.0, X0, grid, f, rows, estimator, 3), 3 * n_m
+    else:
+        run, held = lambda: cm.score_function_gradient(model, 1.0, X0, grid, f, rows, 3), n_m
+    run()  # the first call builds what every call shares, such as grid times
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= block + held + GRADIENT_ALLOWANCE
+
+
+@pytest.mark.parametrize("n_dim", [1, 2])
+def test_random_k_values_that_view_the_restarted_block_keep_their_bits(n_dim):
+    # both sides restart in one copy of the block, so a plus value that views
+    # it must be copied before the minus side overwrites it
+    model, x0 = _pinned_ou(n_dim)
+    grid = cm.TimeGrid(1.0, 12)
+
+    def payoff(view):
+        def value(b):
+            x = b.states[..., -1, 0]
+            return x if view else x.copy()
+        return PathFunctional(value=value)
+
+    viewed, copied = (cm.hj_gradient(model, 0.9, x0, grid, payoff(view), 300, "random-k", 6)
+                      for view in (True, False))
+    assert (viewed.estimate, viewed.variance, viewed.branch_stats) == (
+        copied.estimate, copied.variance, copied.branch_stats)
+    assert copied.branch_stats > 0.0
 
 
 def _counting(model):
