@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sde import PathBatch, _check_count, call_shared
+from .sde import PathBatch, _check_count, _grid_step, call_shared
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,14 @@ class PathFunctional:
     terminal_value, when set, evaluates the functional from terminal states
     alone; step_value, when set, declares the functional to be dt times the
     sum of step_value(X_k) over the left grid points k < M.  Either one
-    enables a fast all-branch gradient engine, and either need only match
-    value up to an additive constant, since the engines read nothing but
-    branch gaps.  value may return (N, m) columns for m functionals at once;
-    the gradient engines treat each column as its own scalar functional.
+    enables a fast all-branch gradient engine, which takes a branch pair's
+    gap as the terminal value gap of its copies at the horizon, or as the sum
+    of dt (step_value(plus) - step_value(minus)) over the left points they
+    pass as they advance by Euler (their shared prefix cancels); either need
+    only match value up to an additive constant, since the engines read
+    nothing but branch gaps.  value may return (N, m) columns for m
+    functionals at once; the gradient engines treat each column as its own
+    scalar functional.
     The estimators may call these fields from several threads at once, each
     on its own block, so they must not mutate state they share.
     """
@@ -58,10 +62,9 @@ def derivative_profile(f: PathFunctional, bundle: PathBatch) -> np.ndarray:
 
 def malliavin_derivative_state(bundle: PathBatch, s: int, t: int) -> np.ndarray:
     """D_{t_s} X_{t_t} = Y_t Z_s sigma(X_s, t_s) for s <= t, zero matrix after."""
+    s, t = _grid_step("s", s, bundle.grid.steps), _grid_step("t", t, bundle.grid.steps)
     jac = bundle.jacobians
     n, d = bundle.model.state_dim, bundle.model.noise_dim
-    if not (0 <= s <= bundle.grid.steps and 0 <= t <= bundle.grid.steps):
-        raise ValueError("steps outside the grid")
     if s > t:
         return np.zeros((n, d))
     sig = np.asarray(bundle.model.diffusion(bundle.states[..., s, :], bundle.grid.times[s]))
@@ -90,17 +93,21 @@ def _state_derivative_rows(bundle, t_index: int, component: int) -> np.ndarray:
 def marginal_power(step: int, power: int, component: int = 0) -> PathFunctional:
     """X_{t_step}[component] ** power as a path functional; a negative step
     counts from the end of the grid; ValueError unless power is an integer of
-    at least 1."""
+    at least 1, and on evaluation unless step is an integer on the grid."""
     _check_count("power", power)
 
+    def at(bundle):
+        return _grid_step("step", step, bundle.grid.steps, -1 - bundle.grid.steps)
+
     def value(bundle):
-        return bundle.states[..., step, component] ** power
+        return bundle.states[..., at(bundle), component] ** power
 
     def derivative(bundle):
-        rows = _state_derivative_rows(bundle, step % (bundle.grid.steps + 1), component)
+        k = at(bundle)
+        rows = _state_derivative_rows(bundle, k, component)
         if power == 1:
             return rows
-        x = bundle.states[..., step, component]
+        x = bundle.states[..., k, component]
         return (power * x ** (power - 1))[..., None, None] * rows
 
     return PathFunctional(value=value, derivative=derivative)

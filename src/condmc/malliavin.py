@@ -254,21 +254,17 @@ def _loss_report(a: np.ndarray, b: np.ndarray, indicator: np.ndarray,
 # kernel-smoothing baseline
 
 
-def kernel_loss_estimate(paths, ell: PathFunctional, g: PathFunctional,
+def kernel_loss_estimate(paths: PathBatch, ell: PathFunctional, g: PathFunctional,
                          bandwidth: float) -> EstimatorReport:
-    """Nadaraya-Watson style baseline: Gaussian kernel weights around g = 0."""
+    """Nadaraya-Watson style baseline: Gaussian kernel weights around g = 0,
+    over the paths of one PathBatch, a path or a block."""
+    if not isinstance(paths, PathBatch):
+        raise TypeError(f"paths must be a PathBatch, not {type(paths).__name__}")
     if not (math.isfinite(bandwidth) and bandwidth > 0.0):
         raise ValueError("bandwidth must be positive and finite")
-    if isinstance(paths, PathBatch):
-        g_val = np.atleast_1d(np.asarray(g.value(paths), dtype=float))
-        l_val = np.atleast_1d(np.asarray(ell.value(paths), dtype=float))
-        seed = paths.master_seed
-    else:
-        if not paths:
-            raise ValueError("paths is empty")
-        g_val = np.array([float(g.value(p)) for p in paths])
-        l_val = np.array([float(ell.value(p)) for p in paths])
-        seed = paths[0].master_seed
+    g_val = np.atleast_1d(np.asarray(g.value(paths), dtype=float))
+    l_val = np.atleast_1d(np.asarray(ell.value(paths), dtype=float))
+    seed = paths.master_seed
     weights = np.exp(-(g_val * g_val) / (2.0 * bandwidth * bandwidth)) / (
         bandwidth * math.sqrt(2.0 * math.pi))
     mass = fsum(weights)

@@ -26,7 +26,8 @@ worker simulates its later blocks into its first block's arrays
 worker.  No result depends on the block size or the number of workers.
 Within a block, the passes that need no whole block at once work on chunks
 of CHUNK_BYTES: Euler's step-major scratch, the branch placement pass of
-weakderiv with its affine sum-over-k fold, the score-function terms and the
+weakderiv with the sum-over-k carry of its terminal and integral engines
+(by step-factor products or by Euler), the score-function terms and the
 quotient terms of malliavin.
 
 _apply_diffusion multiplies dW by a 1x1 sigma directly, one rounding as in the 1x1 product.
@@ -43,8 +44,8 @@ same on every path of a block.  They are then built once, as read-only
 NumPy broadcasting applies it where it meets a per-path array.  A model that
 is path-dependent at any step gets per-row Jacobians.  A zero diffusion_dx
 adds +-0.0 to each step factor, so both ways give the same bits.  The
-sum-over-k branch engine of weakderiv uses the same test to carry branches
-to the horizon by products of the step factors.
+sum-over-k branch carry of weakderiv uses the same test to carry branches
+to the horizon by products of the step factors, built once per call too.
 
 Shared Jacobians, and a canonical weight with no path axis, are the same on
 every block too (the SdeModel and PathFunctional contracts), so one
@@ -90,9 +91,9 @@ BLOCK_BYTES = 16 * 2 ** 20
 MIN_WORKER_ROWS = 2_600
 
 # bytes of one chunk of a pass that runs over a block piece by piece
-# (chunk_len): Euler's step-major scratch, the branch placement pass, the
-# score terms and the quotient terms' row tiles, each small enough to stay
-# in cache
+# (chunk_len): Euler's step-major scratch, the branch placement pass and
+# its sum-over-k carry, the score terms and the quotient terms' row tiles,
+# each small enough to stay in cache
 CHUNK_BYTES = 512 * 2 ** 10
 
 
@@ -130,6 +131,16 @@ def _check_count(name: str, value, least: int = 1) -> None:
     least; int() would truncate 2.5 to 2."""
     if not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer of at least {least}, not {value!r}")
+
+
+def _grid_step(name: str, step, steps: int, least: int = 0) -> int:
+    """step as an index of the steps + 1 grid points: ValueError unless it is
+    an integer (_check_count) in [least, steps]; a negative one counts from
+    the end."""
+    _check_count(name, step, least)
+    if step > steps:
+        raise ValueError(f"{name} must lie in [{least}, {steps}], not {step!r}")
+    return int(step) % (steps + 1)
 
 
 @dataclass(frozen=True)
@@ -707,8 +718,7 @@ def resume_path(bundle: PathBatch, from_step: int, new_state_at_step, noise: Noi
     """
     model = bundle.model
     grid = bundle.grid
-    if not 0 <= from_step <= grid.steps:
-        raise ValueError("from_step outside the grid")
+    from_step = _grid_step("from_step", from_step, grid.steps)
     increments = np.asarray(noise.increments, dtype=float)
     if increments.shape != (grid.steps, model.noise_dim):
         raise ValueError("noise increments do not match the bundle's grid")

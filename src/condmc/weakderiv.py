@@ -36,8 +36,10 @@ from .sde import (
     TimeGrid,
     _apply_diffusion,
     _euler_continue,
+    _grid_step,
     _may_share,
     _step_jacobian,
+    call_shared,
     chunk_len,
     finite_fsum,
     generate_noise,
@@ -318,8 +320,7 @@ def hj_single_branch(model: SdeModel, theta: float, x0, grid: TimeGrid, branch_s
     use), propagates the coupled pair to the horizon with the path's
     own remaining increments, and returns scale * (C(plus path) - C(minus path)).
     """
-    if not 0 <= branch_step < grid.steps:
-        raise ValueError("branch_step must lie in [0, steps)")
+    branch_step = _grid_step("branch_step", branch_step, grid.steps - 1)
     noise = generate_noise(master_seed, path_index, grid, model.noise_dim)
     bundle = simulate_path(model, theta, x0, grid, noise)
     decomp = hj_decompose(model, bundle.states[branch_step], grid.times[branch_step],
@@ -361,12 +362,6 @@ def _per_row(v: np.ndarray, like: np.ndarray) -> np.ndarray:
     return v.reshape(v.shape + (1,) * (like.ndim - v.ndim))
 
 
-def _step_sum(scale_k: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    """Sum of scale_k * gaps over the step axis 1, one contiguous row per column."""
-    weighted = np.moveaxis(_per_row(scale_k, gaps) * gaps, 1, -1)
-    return np.sum(np.ascontiguousarray(weighted), axis=-1)
-
-
 def _row_abs_sums(gaps: np.ndarray) -> np.ndarray:
     """Sum of |gaps| over all but the path axis 0, one contiguous row per path."""
     return np.sum(np.ascontiguousarray(np.abs(gaps).reshape(len(gaps), -1)), axis=-1)
@@ -392,134 +387,116 @@ def _placed_chunks(batch: PathBatch):
         del plus, minus, total  # the caller frees its own before the next chunk
 
 
-def _placed_branches(batch: PathBatch):
-    """The chunks of _placed_chunks joined: (plus, minus) (N, M, n), the pair
-    split off at step k in entry [:, k], and the per-step scales (N, M)."""
-    count, steps, n_dim = batch.n_paths, batch.grid.steps, batch.model.state_dim
-    plus, minus = np.empty((2, count, steps, n_dim))
-    scale_k = np.empty((count, steps))
-    for at, *chunk in _placed_chunks(batch):
-        plus[:, at], minus[:, at], scale_k[:, at] = chunk
-        del chunk
-    return plus, minus, scale_k
-
-
-def _require_finite_branches(plus: np.ndarray, minus: np.ndarray, steps: int) -> None:
-    # a non-finite state stays non-finite under Euler, so the horizon shows it
-    if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
-        raise NonFiniteState(steps)
-
-
-def _all_steps_branches(batch: PathBatch, before_step=None):
-    """Branch every path at every step and carry all branch copies to the horizon.
-
-    All live copies advance together under the base path's increments, so
-    one (N, M, n) array per side holds every branch's current state; entry
-    [:, k] is the branch taken at step k.  before_step(j, plus, minus), when
-    given, sees the live copies [:, :j] at time j before they take step j.
-    Returns the horizon states (plus, minus) and the per-step scales (N, M).
-    """
-    model, grid, theta = batch.model, batch.grid, batch.theta
-    steps = grid.steps
-    dt = grid.dt
-    times = grid.times
-    plus, minus, scale_k = _placed_branches(batch)
-    for j in range(1, steps):
-        if before_step is not None:
-            before_step(j, plus[:, :j], minus[:, :j])
-        dw = batch.increments[:, None, j, :]
-        for side in (plus, minus):
-            # an Euler step in place; the unnamed drift result is a
-            # temporary that numpy scales by dt in place, so each side
-            # holds one (N, j, n) array at a time
-            x = side[:, :j]
-            sig = np.asarray(model.diffusion(x, times[j]))
-            x += dt * np.asarray(model.drift(x, times[j], theta))
-            x += _apply_diffusion(sig, dw)
-    _require_finite_branches(plus, minus, steps)
-    return plus, minus, scale_k
-
-
 def _affine_propagators(batch: PathBatch):
     """(M-1, n, n) products P[k] = (I + dt B_{M-1}) ... (I + dt B_{k+1}) when
     every Euler step from step 1 on is affine in the state under common noise
     (sde._step_jacobian, with B_j = drift_dx); None at the first step that is
     not.  The difference of two such chains takes the step factor I + dt B_j
-    at each step, so P[k] carries a difference at time k+1 to the horizon."""
+    at each step, so P[k] carries a difference at time k+1 to the horizon.
+    The products are built once per estimator call and theta (call_shared),
+    None by every block."""
     model, grid = batch.model, batch.grid
-    eye = np.eye(model.state_dim)
-    props = np.empty((grid.steps - 1,) + eye.shape)
-    prop = eye
-    for j in range(grid.steps - 1, 0, -1):
-        jb, _, shared = _step_jacobian(model, batch.theta, batch.states[:, j], grid.times[j])
-        if not shared:
-            return None
-        prop = props[j - 1] = prop @ (grid.dt * jb + eye)
-    return props
+
+    def build():
+        eye = np.eye(model.state_dim)
+        props = np.empty((grid.steps - 1,) + eye.shape)
+        prop = eye
+        for j in range(grid.steps - 1, 0, -1):
+            jb, _, shared = _step_jacobian(model, batch.theta, batch.states[:, j], grid.times[j])
+            if not shared:
+                return None
+            prop = props[j - 1] = prop @ (grid.dt * jb + eye)
+        return props
+
+    return call_shared(batch, "propagators", model, build, lambda props: props is not None)
 
 
-def _affine_chunks(batch: PathBatch, props: np.ndarray):
-    """_placed_chunks with each branch carried to the horizon, for a model
-    whose steps are affine in the state: the branch placed at time k+1 < M
-    gets there at X_M + P[k] (x_branch - X_{k+1}), with no Euler step.  For
-    n = 1, P[k] c is one multiply, several times faster than a 1x1 matmul
-    and with its bits but for a zero's sign, which adding X_M drops unless
-    X_M is -0.0."""
-    states = batch.states
-    for at, plus, minus, total in _placed_chunks(batch):
-        prop = props[at]  # none for the last step, whose branches are placed at the horizon
-        for side in (plus, minus):
-            carried = side[:, :len(prop)]
-            carried -= states[:, at.start + 1:at.start + 1 + len(prop)]
-            if carried.shape[-1] == 1:
-                carried *= prop[..., 0]
-            else:
-                carried[:] = np.matmul(prop, carried[..., None])[..., 0]
-            carried += states[:, -1:]
-        _require_finite_branches(plus, minus, batch.grid.steps)
-        yield at, plus, minus, total
-        del plus, minus, total
+def _carried_chunks(batch: PathBatch, step_value=None):
+    """_placed_chunks with each chunk's branch copies carried to the horizon:
+    yields (steps, plus, minus, scales) with plus and minus at time M or,
+    given a step_value h, (steps, gaps, scales) with gaps (N, K) or (N, K, m)
+    each pair's sum of dt (h(plus) - h(minus)) over its copies' left points
+    (the shared prefix of a pair cancels).
+
+    With no step_value, on a model whose steps are affine in the state, the
+    branch placed at time k+1 < M gets to the horizon at X_M + P[k]
+    (x_branch - X_{k+1}) (_affine_propagators), O(n^2) work per branch; for
+    n = 1 by one multiply, several times faster than a 1x1 matmul and with
+    its bits but for a zero's sign, which adding X_M drops unless X_M is
+    -0.0.  Otherwise a chunk's copies advance together by Euler, in place
+    under the base path's increments, copy k from step k+1 on, O(M) steps
+    per branch.  NonFiniteState when a copy is not finite at the horizon."""
+    model, states, theta = batch.model, batch.states, batch.theta
+    steps, dt, times = batch.grid.steps, batch.grid.dt, batch.grid.times
+    props = None if step_value is not None else _affine_propagators(batch)
+    for at, plus, minus, scales in _placed_chunks(batch):
+        # gaps of every column step_value gives; h of no state tells how many
+        gaps = None if step_value is None else np.zeros(
+            plus.shape[:2] + np.shape(step_value(plus[:, :0]))[2:])
+        if props is not None:
+            prop = props[at]  # none for the last step, whose branches are placed at the horizon
+            for side in (plus, minus):
+                carried = side[:, :len(prop)]
+                carried -= states[:, at.start + 1:at.start + 1 + len(prop)]
+                if carried.shape[-1] == 1:
+                    carried *= prop[..., 0]
+                else:
+                    carried[:] = np.matmul(prop, carried[..., None])[..., 0]
+                carried += states[:, -1:]
+        else:
+            for j in range(at.start + 1, steps):
+                live = slice(j - at.start)  # the copies placed at time j or before
+                if gaps is not None:
+                    gaps[:, live] += dt * (np.asarray(step_value(plus[:, live]))
+                                           - np.asarray(step_value(minus[:, live])))
+                dw = batch.increments[:, None, j, :]
+                for side in (plus, minus):
+                    # an Euler step in place; numpy scales the unnamed drift
+                    # result by dt in place, so a side holds one temporary
+                    x = side[:, live]
+                    sig = np.asarray(model.diffusion(x, times[j]))
+                    x += dt * np.asarray(model.drift(x, times[j], theta))
+                    x += _apply_diffusion(sig, dw)
+        # a non-finite state stays non-finite under Euler, so the horizon shows it
+        if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
+            raise NonFiniteState(steps)
+        yield (at, plus, minus, scales) if gaps is None else (at, gaps, scales)
+        del plus, minus, scales, gaps  # the caller frees its own before the next chunk
 
 
-def _terminal_sum_over_k(batch: PathBatch, functional: PathFunctional):
-    """All-steps engine for terminal-state functionals: the gap of each branch
-    is the terminal value gap of its copies at the horizon.  On a model whose
-    steps are affine in the state the copies get there by one product each,
-    O(N M n^2) work, a chunk of steps at a time, and otherwise by Euler,
-    O(N M^2).  scale * gap and |gap| are laid out as _step_sum and
-    _row_abs_sums lay them, (N, m, M) and (N, M*m), to sum in their order."""
-    props = _affine_propagators(batch)
-    chunks = ([(slice(None), *_all_steps_branches(batch))] if props is None
-              else _affine_chunks(batch, props))
+def _summed_over_k(batch: PathBatch, chunks, gap_of):
+    """Per row, the sum over k of scale_k * gap_k and the sum of |gap_k|,
+    from chunks (steps, *carried, scales) of _carried_chunks whose gaps,
+    (N, K) or (N, K, m), are gap_of(*carried).  scale * gap and |gap| are
+    laid out (N, m, M) and (N, M*m), so that each sum runs along one
+    contiguous row, in the order of a whole-block sum of that layout."""
     count, steps = batch.n_paths, batch.grid.steps
     weighted = abs_gaps = None
-    for at, plus, minus, scales in chunks:
-        gaps = (np.asarray(functional.terminal_value(plus))
-                - np.asarray(functional.terminal_value(minus)))  # (N, K) or (N, K, m)
+    for at, *carried, scales in chunks:
+        gaps = gap_of(*carried)
+        del carried
         if weighted is None:
             weighted = np.empty((count,) + gaps.shape[2:] + (steps,))
             abs_gaps = np.empty((count, steps) + gaps.shape[2:])
         np.multiply(_per_row(scales, gaps), gaps, out=np.moveaxis(weighted, -1, 1)[:, at])
         np.abs(gaps, out=abs_gaps[:, at])
-        del plus, minus, scales, gaps
+        del scales, gaps
     return np.sum(weighted, axis=-1), np.sum(abs_gaps.reshape(count, -1), axis=-1)
 
 
+def _terminal_sum_over_k(batch: PathBatch, functional: PathFunctional):
+    """All-steps engine for terminal-state functionals: the gap of each branch
+    is the terminal value gap of its copies at the horizon."""
+    value = functional.terminal_value
+    return _summed_over_k(batch, _carried_chunks(batch), lambda plus, minus: (
+        np.asarray(value(plus)) - np.asarray(value(minus))))
+
+
 def _integral_sum_over_k(batch: PathBatch, functional: PathFunctional):
-    """All-steps engine for left-point step-sum functionals.
-
-    The shared prefix of each branch pair cancels in the value gap, so only
-    per-step differences of step_value accumulate while the copies advance.
-    """
-    h = functional.step_value
-    dt = batch.grid.dt
-    gap_acc = np.zeros(np.shape(h(batch.states[:, :batch.grid.steps])))  # (N, M) or (N, M, m)
-
-    def accumulate(j, live_plus, live_minus):
-        gap_acc[:, :j] += dt * (np.asarray(h(live_plus)) - np.asarray(h(live_minus)))
-
-    _, _, scale_k = _all_steps_branches(batch, accumulate)
-    return _step_sum(scale_k, gap_acc), _row_abs_sums(gap_acc)
+    """All-steps engine for left-point step-sum functionals: the gap of each
+    branch accumulates while its copies advance."""
+    return _summed_over_k(batch, _carried_chunks(batch, functional.step_value),
+                          lambda gaps: gaps)
 
 
 def _step_pair(batch: PathBatch, rows, k: int, draws):

@@ -1,13 +1,20 @@
-"""Suite-wide fixtures, and the fixed_block_rows seam."""
+"""Suite-wide fixtures, the fixed_block_rows seam and the Hypothesis profile."""
 
 import contextlib
 import threading
 from unittest import mock
 
 import pytest
+from hypothesis import settings
 
 from condmc import sde
 from condmc.streams import PATHS_PER_STREAM
+
+# every property test draws the same examples on every run, so a CI failure
+# reproduces; examples share the suite's wall time, not a per-example deadline.
+# A test's own settings(...) set only its max_examples
+settings.register_profile("condmc", deadline=None, derandomize=True)
+settings.load_profile("condmc")
 
 
 @pytest.fixture(autouse=True)

@@ -431,7 +431,9 @@ def test_one_path_is_a_path_batch():
     ell, g = cm.terminal_power(2), cm.marginal_power(5, 1)
     report = cm.kernel_loss_estimate(path, ell, g, 0.5)
     assert report.n_paths == 1 and report.master_seed == 7
-    assert cm.kernel_loss_estimate([batch.path(i) for i in range(5)], ell, g, 0.5).master_seed == 7
+    assert cm.kernel_loss_estimate(batch, ell, g, 0.5).master_seed == 7
+    with pytest.raises(TypeError, match="paths must be a PathBatch"):
+        cm.kernel_loss_estimate([batch.path(i) for i in range(5)], ell, g, 0.5)
 
 
 def test_random_walk_degenerate_model():
@@ -605,7 +607,7 @@ EULER_CHUNK_MODELS = {
 }
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(name=st.sampled_from(sorted(EULER_CHUNK_MODELS)), chunk=st.integers(1, 4),
        theta=st.floats(-1.0, 1.5), seed=st.integers(0, 2 ** 32), data=st.data())
 def test_euler_chunks_give_the_states_of_the_single_path_oracles_property(name, chunk, theta,
@@ -723,7 +725,7 @@ ROW_IDENTITY_FUNCTIONALS = {
 }
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50)
 @given(n_dim=st.sampled_from((1, 2)), state_dependent=st.booleans(),
        steps=st.integers(4, 30), horizon=st.floats(0.25, 2.0), theta=st.floats(-1.0, 1.5),
        sigma=st.floats(0.2, 2.0), seed=st.integers(0, 2 ** 32), data=st.data())
@@ -788,7 +790,7 @@ def assert_shared(a, oracle, core):
 @pytest.mark.parametrize("theta", [0.0, -0.7, 1.4])
 @pytest.mark.parametrize("n_dim", [1, 2])
 @pytest.mark.parametrize("name", sorted(SHARED_MODELS))
-@settings(max_examples=4, deadline=None, derandomize=True)
+@settings(max_examples=4)
 @given(steps=st.integers(2, 25), n_paths=st.integers(1, 5), seed=st.integers(0, 2 ** 32),
        data=st.data())
 def test_shared_jacobians_match_per_row_recursion_property(name, n_dim, theta, steps,
@@ -951,7 +953,7 @@ def _dims_model(n, d):
     return cm.SdeModel(*(None,) * 5, state_dim=n, noise_dim=d)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(steps=st.integers(1, 200_000), n=st.integers(1, 4), d=st.integers(1, 4))
 def test_derived_block_rows_are_whole_groups_within_the_byte_budget(steps, n, d):
     rows = sde.block_rows(_dims_model(n, d), cm.TimeGrid(1.0, steps))
@@ -960,7 +962,7 @@ def test_derived_block_rows_are_whole_groups_within_the_byte_budget(steps, n, d)
         assert rows * 8 * ((steps + 1) * n + steps * d) <= sde.BLOCK_BYTES
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(steps=st.integers(1, 20_000), n_paths=st.integers(2, 10 ** 6), cpus=st.integers(1, 64))
 def test_blocks_in_flight_share_the_byte_budget(steps, n_paths, cpus):
     # one worker per CPU, but none without a block of block_rows, and none
@@ -1184,7 +1186,7 @@ GRID_MODELS = {
 }
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(name=st.sampled_from(sorted(GRID_MODELS)), steps=st.integers(1, 12),
        n_paths=st.integers(1, 4), theta=st.floats(-1.0, 1.5), seed=st.integers(0, 2 ** 32))
 def test_on_grid_matches_per_step_evaluation_property(name, steps, n_paths, theta, seed):
@@ -1307,7 +1309,7 @@ QUOTIENT_LOSSES = {"terminal-square": lambda: cm.terminal_power(2),
                    "integral-square": _integral_loss}
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(name=st.sampled_from(sorted(QUOTIENT_MODELS)),
        loss=st.sampled_from(sorted(QUOTIENT_LOSSES)), rule=st.sampled_from(["canonical", "reciprocal"]), tile=st.integers(1, 5),
        seed=st.integers(0, 2 ** 32), data=st.data())
@@ -1423,6 +1425,59 @@ def test_per_row_jacobian_passes_of_two_workers_overlap(force_workers):
 
 
 # ---------------------------------------------------------------------------
+# step indices
+
+
+def _step_index_calls():
+    """name -> (call on a 10-step OU path and its noise, the message's start)."""
+    model, grid = cm.ou_model(1.0), cm.TimeGrid(1.0, 10)
+    f = cm.terminal_power(2)
+    return {
+        "marginal_power-2.5": (lambda p, _: cm.marginal_power(2.5, 1).value(p),
+                               "step must be an integer"),
+        "marginal_power-50": (lambda p, _: cm.marginal_power(50, 1).value(p),
+                              r"step must lie in \[-11, 10\], not 50"),
+        "marginal_power-50-derivative": (lambda p, _: cm.marginal_power(50, 1).derivative(p),
+                                         r"step must lie in \[-11, 10\], not 50"),
+        "marginal_power--12": (lambda p, _: cm.marginal_power(-12, 2).derivative(p),
+                               "step must be an integer of at least -11, not -12"),
+        "resume_path-2.5": (lambda p, noise: cm.resume_path(p, 2.5, p.states[2], noise),
+                            "from_step must be an integer of at least 0, not 2.5"),
+        "resume_path-11": (lambda p, noise: cm.resume_path(p, 11, p.states[2], noise),
+                           "from_step must lie in"),
+        "hj_single_branch-2.5": (lambda p, _: cm.hj_single_branch(
+            model, 1.0, 0.0, grid, 2.5, f, 0, 0), "branch_step must be an integer"),
+        "hj_single_branch-10": (lambda p, _: cm.hj_single_branch(
+            model, 1.0, 0.0, grid, 10, f, 0, 0), r"branch_step must lie in \[0, 9\]"),
+        "malliavin_derivative_state-s-2.5": (lambda p, _: cm.malliavin_derivative_state(
+            p, 2.5, 5), "s must be an integer"),
+        "malliavin_derivative_state-t-11": (lambda p, _: cm.malliavin_derivative_state(
+            p, 2, 11), "t must lie in"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_step_index_calls()))
+def test_step_indices_off_the_grid_or_not_integers_raise_value_errors(name):
+    # NumPy would read 2.5 as an IndexError, and a derivative's step taken
+    # modulo M + 1 would wrap 50 onto step 6
+    call, message = _step_index_calls()[name]
+    grid = cm.TimeGrid(1.0, 10)
+    noise = cm.generate_noise(3, 0, grid, 1)
+    path = cm.simulate_path(cm.ou_model(1.0), 1.0, 0.2, grid, noise)
+    with pytest.raises(ValueError, match=message):
+        call(path, noise)
+
+
+def test_marginal_power_value_and_derivative_share_one_step():
+    # a negative step counts from the end in both
+    batch = cm.simulate_paths(cm.ou_model(1.0), 1.0, 0.2, cm.TimeGrid(1.0, 10), 4, 3)
+    for step in (-3, -11):
+        back, ahead = cm.marginal_power(step, 2), cm.marginal_power(step + 11, 2)
+        assert same_bits(back.value(batch), ahead.value(batch))
+        assert same_bits(back.derivative(batch), ahead.derivative(batch))
+
+
+# ---------------------------------------------------------------------------
 # resume_path
 
 
@@ -1478,7 +1533,7 @@ RESTART_MODELS = {
 }
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(name=st.sampled_from(sorted(RESTART_MODELS)), steps=st.integers(2, 12),
        theta=st.floats(-1.0, 1.5), seed=st.integers(0, 2 ** 32), data=st.data())
 def test_ragged_restart_rows_match_resume_path_property(name, steps, theta, seed, data):

@@ -21,7 +21,12 @@ from conftest import fixed_block_rows
 
 BIG_SEED = 2 ** 63 + 12_345
 SEEDS = st.one_of(st.integers(0, 2 ** 32), st.integers(2 ** 63, 2 ** 64 - 1))
-SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+SETTINGS = settings(max_examples=40)
+
+
+def test_property_settings_draw_the_same_examples_on_every_run():
+    # the suite's profile (conftest) holds in every test's settings(...)
+    assert SETTINGS.derandomize and SETTINGS.deadline is None
 
 
 def same_bits(a, b) -> bool:
@@ -65,7 +70,7 @@ def test_branch_draw_block_rows_match_group_draws(seed, span, steps, dim):
                 assert same_bits(got[row], want[i])
 
 
-@settings(max_examples=15, deadline=None, derandomize=True)
+@settings(max_examples=15)
 @given(seed=SEEDS, span=index_ranges(), steps=st.integers(1, 6), dim=st.sampled_from([1, 2]))
 @example(seed=BIG_SEED, span=(G - 1, G + 2), steps=3, dim=2)
 def test_branch_step_choices_match_group_draws(seed, span, steps, dim):
@@ -126,7 +131,7 @@ def _gradient_bits(seed, steps, mode, rows):
                                           rep.branch_stats))
 
 
-@settings(max_examples=5, deadline=None, derandomize=True)
+@settings(max_examples=5)
 @given(seed=SEEDS, steps=st.integers(4, 8))
 @example(seed=BIG_SEED, steps=4)
 def test_estimators_give_the_same_bits_for_every_block_size(seed, steps):

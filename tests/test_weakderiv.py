@@ -30,7 +30,7 @@ from condmc.sde import block_rows, per_path
 from condmc.streams import PATHS_PER_STREAM, TAG_BRANCH, TAG_CHOICE, TAG_NOISE, _StreamPool, stream
 from condmc.weakderiv import _hj_values
 from conftest import fixed_block_rows
-from test_sde import mixed_model, same_bits, sine_diffusion_model
+from test_sde import mixed_model, per_row_copy, same_bits, sine_diffusion_model
 
 # d/dtheta of the exact discrete-chain variance of X_1 (unit OU, dt = 0.01,
 # 100 steps): Var_M(theta) = sum_k (1 - theta dt)^{2k} dt, differentiated.
@@ -307,7 +307,7 @@ def test_signed_density_matches_gaussian_kernel_derivative():
     np.testing.assert_allclose(got, want, atol=1e-6 * scale_ref)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(n_dim=st.sampled_from([1, 2]), theta=st.floats(-2.0, 3.0),
        dt=st.floats(1e-3, 0.5), data=st.data())
 def test_signed_density_is_kernel_theta_derivative_property(n_dim, theta, dt, data):
@@ -1026,7 +1026,7 @@ def _branch_value_size(model, theta, x0, grid, f, n, seed):
 
 
 ENGINES = ["terminal", "integral", "generic", "random-k"]
-PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
+PROPERTY_SETTINGS = settings(max_examples=50)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -1101,27 +1101,45 @@ AFFINE_MODELS = {
 }
 
 
-def _joined_affine_chunks(batch, props):
-    """The chunks of the affine fold joined along the step axis: the horizon
-    states (plus, minus) (N, M, n) and scales (N, M) of every branch."""
-    chunks = list(wd._affine_chunks(batch, props))
-    edges = [at.start for at, *_ in chunks] + [chunks[-1][0].stop]
-    assert edges == [0] + [at.stop for at, *_ in chunks[:-1]] + [batch.grid.steps]
-    return tuple(np.concatenate(parts, axis=1) for parts in zip(*(c[1:] for c in chunks)))
+def _step_sum(scale_k, gaps):
+    """Sum of scale_k * gaps over the step axis 1 of whole-block arrays, one
+    contiguous row per column: the reference of the engines' fold."""
+    weighted = np.moveaxis(wd._per_row(scale_k, gaps) * gaps, 1, -1)
+    return np.sum(np.ascontiguousarray(weighted), axis=-1)
+
+
+def _joined(chunks, steps):
+    """The arrays of chunks (steps, *arrays) joined along the step axis into
+    arrays allocated once, after checking that the chunks tile [0, steps) in
+    order; besides the joined arrays, one chunk is alive at a time."""
+    joined, stop = None, 0
+    for at, *arrays in chunks:
+        assert at.start == stop
+        stop = at.stop
+        if joined is None:
+            joined = [np.empty(a.shape[:1] + (steps,) + a.shape[2:]) for a in arrays]
+        for out, a in zip(joined, arrays):
+            out[:, at] = a
+        del arrays
+    assert stop == steps
+    return joined
 
 
 def _engine_pair(batch, functional):
-    """(affine engine, Euler-copy engine) outputs on one block: the horizon
-    states and scales of every branch, the per-path terminal estimates, and
-    the size of the values each estimate subtracts, sum_k scale_k (|C+| + |C-|)."""
-    props = wd._affine_propagators(batch)
-    assert props is not None
+    """(affine route, Euler route) outputs of the carry on one block, the
+    Euler route forced by per-row copies of the model's drift_dx and
+    diffusion: the horizon states and scales of every branch, the per-path
+    terminal estimates, and the size of the values each estimate subtracts,
+    sum_k scale_k (|C+| + |C-|)."""
+    euler = dataclasses.replace(batch, model=per_row_copy(batch.model))
+    assert wd._affine_propagators(batch) is not None
+    assert wd._affine_propagators(euler) is None or batch.grid.steps == 1  # no step to carry
     out = []
-    for plus, minus, scale_k in (_joined_affine_chunks(batch, props),
-                                 wd._all_steps_branches(batch)):
+    for route in (batch, euler):
+        plus, minus, scale_k = _joined(wd._carried_chunks(route), batch.grid.steps)
         c_plus, c_minus = (np.asarray(functional.terminal_value(side)) for side in (plus, minus))
         size = np.sum(scale_k * (np.abs(c_plus) + np.abs(c_minus)), axis=1)
-        out.append((plus, minus, scale_k, wd._step_sum(scale_k, c_plus - c_minus), size))
+        out.append((plus, minus, scale_k, _step_sum(scale_k, c_plus - c_minus), size))
     return out
 
 
@@ -1134,7 +1152,7 @@ def _assert_affine_matches_euler(affine, euler, rel=1e-12):
     assert np.all(np.abs(affine[3] - euler[3]) <= rel * euler[4])
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(name=st.sampled_from(sorted(AFFINE_MODELS)), n_dim=st.sampled_from([1, 2]),
        steps=st.integers(1, 30), n_paths=st.integers(2, 7), seed=st.integers(0, 2 ** 32),
        theta=st.floats(0.1, 2.5), horizon=st.floats(0.25, 4.0), data=st.data())
@@ -1188,18 +1206,47 @@ def test_affine_engine_carries_a_zero_step_factor(name, n_dim):
         "shared-before-half", "sine-diffusion"])
 def test_terminal_sum_over_k_picks_its_engine_by_the_step_factors(monkeypatch, model,
                                                                   uses_affine):
+    # one carry per block; its Euler route steps the (N, K, n) branch copies
+    # through the drift, 2 (M - 1) calls per one-chunk block, and its affine
+    # route never calls the drift on them
     calls = Counter()
-    for name in ("_affine_chunks", "_all_steps_branches"):
-        def counted(*args, name=name, original=getattr(wd, name)):
-            calls[name] += 1
-            return original(*args)
-        monkeypatch.setattr(wd, name, counted)
-    x0 = np.full(model.state_dim, 0.3)
+
+    def counted(*args, original=wd._carried_chunks):
+        calls["_carried_chunks"] += 1
+        return original(*args)
+
+    def drift(x, t, theta, original=model.drift):
+        calls["copy steps"] += x.ndim == 3
+        return original(x, t, theta)
+
+    monkeypatch.setattr(wd, "_carried_chunks", counted)
+    x0, grid = np.full(model.state_dim, 0.3), cm.TimeGrid(1.0, 12)
     with fixed_block_rows(8):
-        cm.hj_gradient(model, 0.9, x0, cm.TimeGrid(1.0, 12), cm.terminal_power(2), 20,
-                       "sum-over-k", 4)
-    engine = "_affine_chunks" if uses_affine else "_all_steps_branches"
-    assert calls == Counter({engine: 3})
+        cm.hj_gradient(dataclasses.replace(model, drift=drift), 0.9, x0, grid,
+                       cm.terminal_power(2), 20, "sum-over-k", 4)
+    steps = 0 if uses_affine else 3 * 2 * (grid.steps - 1)
+    assert calls == Counter({"_carried_chunks": 3, "copy steps": steps})
+
+
+def test_affine_propagators_are_built_once_per_call():
+    # a two-block OU call builds the step-factor products on its first block
+    # and reuses them, M - 1 drift_dx calls in all, with the bits of one
+    # block; on the cubic model each block finds no products at the last step
+    grid, f = cm.TimeGrid(1.0, 30), cm.terminal_power(2)
+    for model, builds in ((cm.ou_model(1.0), grid.steps - 1), (cubic_model(), 2)):
+        calls = Counter()
+
+        def drift_dx(x, t, theta, original=model.drift_dx):
+            calls["drift_dx"] += 1
+            return original(x, t, theta)
+
+        counting = dataclasses.replace(model, drift_dx=drift_dx)
+        reports = []
+        for rows, m in ((10, counting), (10, model), (20, model)):
+            with fixed_block_rows(rows):
+                reports.append(cm.hj_gradient(m, 0.9, X0, grid, f, 20, "sum-over-k", 4))
+        assert calls == {"drift_dx": builds}
+        assert len({(r.estimate, r.variance, r.branch_stats) for r in reports}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1236,7 +1283,7 @@ PLACEMENT_MODELS = {
 }
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(name=st.sampled_from(sorted(PLACEMENT_MODELS)), chunk=st.integers(1, 4),
        n_paths=st.integers(1, 6), first=st.sampled_from([0, 97]), seed=st.integers(0, 2 ** 32),
        theta=st.floats(0.2, 1.5), data=st.data())
@@ -1252,7 +1299,7 @@ def test_placed_branches_match_the_scalar_oracle_property(name, chunk, n_paths, 
     grid = cm.TimeGrid(1.0, steps)
     batch = cm.simulate_paths(model, theta, x0, grid, n_paths, seed, first_index=first)
     with mock.patch.object(sde, "CHUNK_BYTES", 8 * n_paths * n_dim * chunk):
-        plus, minus, scale_k = wd._placed_branches(batch)
+        plus, minus, scale_k = _joined(wd._placed_chunks(batch), steps)
     draws = wd._branch_draw_block(seed, batch.path_indices, steps, n_dim)
     for k in range(steps):
         # the same terms and pairs as the split of step k alone, as _step_pair
@@ -1287,7 +1334,7 @@ def test_placement_memory_is_its_outputs_and_draws(rows, steps):
                      if a is not None)
     tracemalloc.start()
     try:
-        placed = wd._placed_branches(batch)
+        placed = _joined(wd._placed_chunks(batch), steps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1310,7 +1357,7 @@ def _terminal_payoff(columns):
                           terminal_value=at_horizon)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(name=st.sampled_from(sorted(AFFINE_MODELS)), chunk=st.integers(1, 3),
        columns=st.booleans(), n_paths=st.integers(2, 5), seed=st.integers(0, 2 ** 32),
        theta=st.floats(0.2, 2.0), data=st.data())
@@ -1339,9 +1386,9 @@ def test_affine_fold_and_score_terms_are_chunk_independent_property(name, chunk,
         scalar = run(False)
         # the fold's sums reduce as the whole-block helpers reduce the joined chunks
         folded = wd._terminal_sum_over_k(batch, f)
-        plus, minus, scale_k = _joined_affine_chunks(batch, wd._affine_propagators(batch))
+        plus, minus, scale_k = _joined(wd._carried_chunks(batch), steps)
     gaps = f.terminal_value(plus) - f.terminal_value(minus)
-    assert same_bits(folded[0], wd._step_sum(scale_k, gaps))
+    assert same_bits(folded[0], _step_sum(scale_k, gaps))
     assert same_bits(folded[1], wd._row_abs_sums(gaps))
     assert whole[0].shape == ((n_paths, 2) if columns else (n_paths,))
     for got, want in zip(chunked, whole):
@@ -1351,24 +1398,89 @@ def test_affine_fold_and_score_terms_are_chunk_independent_property(name, chunk,
                    zip(chunked[:1] + chunked[2:], scalar[:1] + scalar[2:]))
 
 
+# the Euler carry: chunks of the step axis against the default budget
+
+
+def _step_sum_payoff(columns):
+    """dt times the left-point sum of x_0^2 + x_{n-1}^3, or of (N, 2) columns
+    with a second, sin x_{n-1}."""
+    def h(x):
+        first = x[..., 0] ** 2 + x[..., -1] ** 3
+        return np.stack([first, np.sin(x[..., -1])], axis=-1) if columns else first
+
+    return PathFunctional(value=lambda b: b.grid.dt * np.sum(h(b.states)[:, :-1], axis=1),
+                          step_value=h)
+
+
+EULER_CARRY_CASES = {
+    "cubic": (cubic_model, _terminal_payoff),
+    "sine-diffusion": (sine_diffusion_model, _terminal_payoff),
+    "ou1-integral": (lambda: cm.ou_model(0.8), _step_sum_payoff),
+    "ou2-integral": (lambda: cm.ou_model(0.8, dim=2), _step_sum_payoff),
+}
+
+
+@settings(max_examples=60)
+@given(name=st.sampled_from(sorted(EULER_CARRY_CASES)), chunk=st.integers(1, 3),
+       columns=st.booleans(), n_paths=st.integers(2, 5), seed=st.integers(0, 2 ** 32),
+       theta=st.floats(0.2, 1.5), data=st.data())
+def test_euler_carry_is_chunk_independent_property(name, chunk, columns, n_paths, seed, theta,
+                                                  data):
+    # the branch copies of a chunk step from their own placement on, so the
+    # sums take the bits of the default budget's one chunk whatever the
+    # chunks; step counts of one and two steps and around the chunk edges
+    make, payoff = EULER_CARRY_CASES[name]
+    model, f = make(), payoff(columns)
+    n_dim = model.state_dim
+    steps = data.draw(st.sampled_from(sorted({max(s, 1) for s in (
+        1, 2, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1)})))
+    grid, x0 = cm.TimeGrid(1.5, steps), np.linspace(-0.4, 0.3, n_dim)
+
+    def run():
+        return per_path(model, theta, x0, grid, n_paths, seed,
+                        lambda batch: _hj_values(batch, f, "sum-over-k"))
+
+    whole = run()  # the default budget holds every step in one chunk
+    batch = cm.simulate_paths(model, theta, x0, grid, n_paths, seed)
+    with mock.patch.object(sde, "CHUNK_BYTES", 8 * n_paths * n_dim * chunk):
+        chunked = run()
+        folded = _hj_values(batch, f, "sum-over-k")
+        *carried, scale_k = _joined(wd._carried_chunks(batch, f.step_value), steps)
+    gaps = carried[0] if f.step_value else f.terminal_value(carried[0]) - f.terminal_value(
+        carried[1])
+    # the fold's sums reduce as the whole-block sums of the joined chunks
+    assert same_bits(folded[0], _step_sum(scale_k, gaps))
+    assert same_bits(folded[1], wd._row_abs_sums(gaps))
+    assert whole[0].shape == ((n_paths, 2) if columns else (n_paths,))
+    for got, want in zip(chunked, whole):
+        assert same_bits(got, want)
+
+
 # bytes a gradient block may hold beyond its block, branch draws and
 # accumulators: a dozen chunk temporaries.  The unfolded engines held
 # several more (N, M[, n]) arrays, 4.6 MiB each at 1,500 x 400
 GRADIENT_ALLOWANCE = 12 * sde.CHUNK_BYTES
 
 
-@pytest.mark.parametrize("estimator", ["sum-over-k", "score-function"])
+@pytest.mark.parametrize("estimator", ["sum-over-k", "score-function", "integral-sum-over-k",
+                                       "non-affine-sum-over-k"])
 def test_gradient_block_memory_is_its_block_draws_and_accumulators(estimator):
     # one block of 1,500 rows at M = 400, as grad-horizon runs it: the block,
-    # the branch draws and two (N, M) accumulators for sum-over-k, the block
-    # and one (N, M) array of score terms for the score function
+    # the branch draws and two (N, M) accumulators for sum-over-k, by the
+    # affine route, by Euler on a model that is not affine, or with an
+    # integral payoff, and the block and one (N, M) array of score terms for
+    # the score function
     model, grid, rows = cm.ou_model(1.0), cm.TimeGrid(8.0, 400), 1500
     f = cm.shift_functional(cm.terminal_power(2), 3.0)
+    if estimator == "integral-sum-over-k":
+        f = cm.integral_functional(lambda x: x[..., 0] ** 2, lambda x: 2.0 * x)
+    elif estimator == "non-affine-sum-over-k":
+        model = relu_drift_model()
     assert block_rows(model, grid) >= rows
     n_m = 8 * rows * grid.steps
     block = 8 * rows * (2 * grid.steps + 1)
-    if estimator == "sum-over-k":
-        run, held = lambda: cm.hj_gradient(model, 1.0, X0, grid, f, rows, estimator, 3), 3 * n_m
+    if estimator != "score-function":
+        run, held = lambda: cm.hj_gradient(model, 1.0, X0, grid, f, rows, "sum-over-k", 3), 3 * n_m
     else:
         run, held = lambda: cm.score_function_gradient(model, 1.0, X0, grid, f, rows, 3), n_m
     run()  # the first call builds what every call shares, such as grid times
