@@ -15,7 +15,6 @@ from .errors import (
     DegenerateConstraint,
     DegenerateDenominator,
     EmptyKernelMass,
-    NearZeroDerivativeWarning,
     NonAdaptedWithoutFactorization,
     NonDiagonalDiffusion,
     NonFiniteEstimate,
@@ -39,7 +38,6 @@ from .malliavin import (
     conditional_loss_estimate,
     kernel_loss_estimate,
     make_weight_canonical,
-    make_weight_reciprocal,
     skorohod_integral,
 )
 from .reports import ConditionalLossReport, EstimatorReport, GradientReport

@@ -1,4 +1,4 @@
-"""Structured exceptions and warnings shared across the package.
+"""Structured exceptions shared across the package.
 
 Every failure mode that callers are expected to branch on gets its own
 class so the CLI can report a stable error name and exit code.
@@ -62,7 +62,3 @@ class SingularDiffusion(CondMcError):
 
 class NonDiagonalDiffusion(CondMcError):
     """Measure-splitting step requires a diagonal diffusion covariance."""
-
-
-class NearZeroDerivativeWarning(UserWarning):
-    """Constraint derivative nearly vanishes on its support; reciprocal weights blow up."""

@@ -12,7 +12,6 @@ involved; the Gaussian-kernel baseline is provided for comparison.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -22,7 +21,6 @@ from .errors import (
     DegenerateConstraint,
     DegenerateDenominator,
     EmptyKernelMass,
-    NearZeroDerivativeWarning,
     NonAdaptedWithoutFactorization,
 )
 from .functionals import PathFunctional, derivative_profile
@@ -31,99 +29,52 @@ from .sde import (PathBatch, SdeModel, TimeGrid, call_shared, chunk_len, finite_
                   per_path, require_finite)
 
 _ENERGY_FLOOR = 1e-14
-_DERIVATIVE_RATIO_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
 class WeightProcess:
-    """Weight u on the grid; values broadcasting to (..., M+1, d) plus the tag.
+    """Weight u on the grid; values broadcasting to (..., M+1, d).
 
-    support_measure, broadcasting to (...), is the Lebesgue measure
-    (left-point count times dt) of {t : D_t g != 0}; adapted marks whether
-    the Ito-sum evaluation of the Skorohod integral is valid as-is.
+    adapted marks whether the Ito-sum evaluation of the Skorohod integral is
+    valid as-is.
     """
 
     values: np.ndarray
-    rule: str
-    support_measure: float | np.ndarray
     adapted: bool = True
 
 
-def _energy_and_support(profile: np.ndarray, grid: TimeGrid):
-    """Left-point energy of D g and the measure of its support, per path;
-    DegenerateConstraint when the energy is (near) zero."""
-    steps, dt = grid.steps, grid.dt
-    energy = np.sum(profile[..., :steps, :] ** 2, axis=(-2, -1)) * dt
+def _energy(profile: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Left-point energy of D g per path; DegenerateConstraint when it is
+    (near) zero."""
+    energy = np.sum(profile[..., :grid.steps, :] ** 2, axis=(-2, -1)) * grid.dt
     if np.any(energy < _ENERGY_FLOOR):
         raise DegenerateConstraint("constraint derivative has (near-)zero energy on the grid")
-    rows_nonzero = np.any(profile[..., :steps, :], axis=-1)  # NaN counts, -0.0 does not
-    return energy, np.count_nonzero(rows_nonzero, axis=-1) * dt
+    return energy
 
 
 def make_weight_canonical(g: PathFunctional, bundle: PathBatch) -> WeightProcess:
     """u = D g / (left-point energy of D g); normalization holds by construction.
 
-    A D g shared by every path, (M+1, d), gives one (M+1, d) weight and one
-    support measure, built once per estimator call (sde.call_shared).
+    It is the minimum-energy weight with that normalization.  A D g shared by
+    every path, (M+1, d), gives one (M+1, d) weight, built once per estimator
+    call (sde.call_shared).
     """
 
     def build():
         profile = derivative_profile(g, bundle)
-        energy, support = _energy_and_support(profile, bundle.grid)
-        values = profile / energy[..., None, None]
+        values = profile / _energy(profile, bundle.grid)[..., None, None]
         values.flags.writeable = False  # a shared weight serves every block of the call
-        return WeightProcess(values, "canonical", support)
+        return WeightProcess(values)
 
     return call_shared(bundle, "canonical weight", g, build, lambda u: u.values.ndim == 2)
 
 
-def make_weight_reciprocal(g: PathFunctional, bundle: PathBatch) -> WeightProcess:
-    """u = 1 / (support_measure * D g) on the support of D g, 1 elsewhere.
-
-    Dividing by the support measure (rather than the horizon) keeps the
-    normalization sum exactly one even when D g vanishes on part of [0, T].
-    Scalar-noise constraints only.
-    """
-    profile = derivative_profile(g, bundle)
-    if profile.shape[-1] != 1:
-        raise ValueError("reciprocal rule needs a scalar (d = 1) constraint derivative")
-    _, support = _energy_and_support(profile, bundle.grid)
-    dt = bundle.grid.dt
-
-    mask = profile != 0.0
-    absd = np.abs(np.where(mask, profile, np.nan))
-    with np.errstate(invalid="ignore"):
-        dmin = np.nanmin(absd, axis=(-2, -1))
-        dmax = np.nanmax(absd, axis=(-2, -1))
-        # steepest per-step change of D inside its support (diffs that cross
-        # the support boundary are indicator structure, not decay), to catch
-        # derivatives that run into zero at the edge of their support
-        inside = mask[..., 1:, :] & mask[..., :-1, :]
-        diffs = np.where(inside, np.diff(profile, axis=-2), 0.0)
-        slope = np.max(np.abs(diffs), axis=(-2, -1)) / dt
-    near_zero = dmin < _DERIVATIVE_RATIO_FLOOR * dmax
-    near_edge = dmin <= 4.0 * dt * slope
-    if np.any(near_zero | near_edge):
-        warnings.warn(
-            "constraint derivative nearly vanishes on its support; reciprocal "
-            "weights may have unbounded variance",
-            NearZeroDerivativeWarning,
-            stacklevel=2,
-        )
-
-    denom = np.asarray(support)[..., None, None] * np.where(mask, profile, 1.0)
-    values = np.where(mask, 1.0 / denom, 1.0)
-    return WeightProcess(values, "reciprocal", support, adapted=True)
-
-
 def weight_from_rule(rule, g: PathFunctional, bundle) -> WeightProcess:
-    """Resolve a weight rule given as a tag or a callable (g, bundle) -> WeightProcess."""
+    """Resolve a weight rule given as "canonical" or a callable (g, bundle) -> WeightProcess."""
     if callable(rule):
         return rule(g, bundle)
     if rule == "canonical":
         return make_weight_canonical(g, bundle)
-    if rule == "reciprocal":
-        return make_weight_reciprocal(g, bundle)
     raise ValueError(f"unknown weight rule {rule!r}")
 
 

@@ -75,6 +75,9 @@ class RunConfig:
         if (not self.estimators
                 or any(e not in _ESTIMATORS for e in self.estimators)):
             raise ConfigError(f"estimators must be drawn from {_ESTIMATORS}")
+        for key in ("t_values", "n_values", "estimators"):
+            if len(set(getattr(self, key))) < len(getattr(self, key)):
+                raise ConfigError(f"{key.replace('_', '-')} must not repeat an entry")
         return self
 
     def echo(self) -> dict:

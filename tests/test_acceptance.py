@@ -175,8 +175,7 @@ def test_weight_normalization_and_scale_invariance():
 
     def scaled_rule(g, bundle):
         base = cm.make_weight_canonical(g, bundle)
-        return cm.WeightProcess(base.values * 3.7, "scaled-canonical",
-                                base.support_measure, adapted=True)
+        return cm.WeightProcess(base.values * 3.7, adapted=True)
 
     model = cm.ou_model(1.0)
     ell, g = cm.terminal_power(2), cm.marginal_power(30, 1)
@@ -244,8 +243,7 @@ def test_structural_identities_hold():
 
     # an adapted state-dependent integrand has zero-mean Skorohod integral
     batch = cm.simulate_paths(cm.ou_model(1.0), 1.0, X0, grid, 100_000, 123)
-    u = cm.WeightProcess(batch.states, "state-weight",
-                         grid.horizon, adapted=True)
+    u = cm.WeightProcess(batch.states, adapted=True)
     vals = np.asarray(cm.skorohod_integral(u, batch))
     se = float(vals.std(ddof=1) / math.sqrt(vals.size))
     checks["adapted-zero-mean"] = abs(float(vals.mean())) <= 3.0 * se

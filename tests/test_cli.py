@@ -99,6 +99,24 @@ def test_config_validation_errors():
         resolve_config("bench-variance", {"t_values": (0.0, 2.0)}, {})
     with pytest.raises(ConfigError):
         resolve_config("bench-variance", {"estimators": ("wd", "mystery")}, {})
+    # a repeated sweep value once ended in a polyfit traceback or a
+    # meaningless fitted slope
+    for key, value in (("t_values", (1.0, 1.0)), ("n_values", (200, 200)),
+                       ("estimators", ("wd", "wd"))):
+        with pytest.raises(ConfigError, match="must not repeat an entry"):
+            resolve_config("bench-variance", {key: value}, {})
+
+
+@pytest.mark.parametrize("command, line", [
+    ("bench-variance", "estimators = wd,wd"), ("bench-variance", "t_values = 1,1"),
+    ("bench-convergence", "n_values = 200,200")])
+def test_repeated_sweep_value_is_config_error(tmp_path, capsys, command, line):
+    config = tmp_path / "c.txt"
+    config.write_text(line + "\n", encoding="utf-8")
+    code = main([command, "--config", str(config), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_echo_covers_every_field():

@@ -3,7 +3,6 @@ the conditional-loss quotient plus its kernel baseline."""
 
 import functools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from condmc.errors import (
     DegenerateConstraint,
     DegenerateDenominator,
     EmptyKernelMass,
-    NearZeroDerivativeWarning,
     NonAdaptedWithoutFactorization,
     NonFiniteEstimate,
 )
@@ -149,7 +147,7 @@ def test_canonical_normalization_is_exact():
         norm = np.sum(prof[..., : grid.steps, :] * u.values[..., : grid.steps, :],
                       axis=(-2, -1)) * grid.dt
         assert np.max(np.abs(norm - 1.0)) <= 1e-12
-        assert u.rule == "canonical" and u.adapted
+        assert u.adapted
 
 
 def test_canonical_weight_on_wiener_running_integral():
@@ -170,55 +168,6 @@ def test_canonical_rejects_flat_constraint():
     batch = ou_batch_200(8, 9)
     with pytest.raises(DegenerateConstraint):
         cm.make_weight_canonical(cm.constant_functional(1.0), batch)
-
-
-def test_reciprocal_constant_derivative_is_uniform():
-    # terminal constraint on the Wiener path: D g = sigma everywhere, u = 1/(T sigma)
-    grid = cm.TimeGrid(1.0, 200)
-    batch = cm.simulate_paths(wiener_model(), 0.0, X0, grid, 8, 7)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        u = cm.make_weight_reciprocal(cm.terminal_power(1), batch)
-    assert np.all(u.values[..., : grid.steps, 0] == 1.0)
-    assert np.all(np.asarray(u.support_measure) == 1.0)
-    assert u.rule == "reciprocal"
-
-
-def test_reciprocal_marginal_support_and_normalization():
-    batch = ou_batch_200(32, 9)
-    grid = batch.grid
-    g = cm.marginal_power(100, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        u = cm.make_weight_reciprocal(g, batch)
-    # the derivative lives on the first half of the grid: 101 left points
-    support = np.broadcast_to(u.support_measure, (batch.n_paths,))
-    assert np.all(support == 101 * grid.dt)
-    assert np.max(np.abs(support - 0.5)) <= grid.dt + 1e-15
-    prof = cm.derivative_profile(g, batch)
-    on = prof != 0.0
-    assert np.allclose(np.where(on, u.values * prof, 0.0)[on],
-                       1.0 / support[0], rtol=1e-12)
-    assert np.all(u.values[~on] == 1.0)
-    norm = np.sum(prof[..., : grid.steps, :] * u.values[..., : grid.steps, :],
-                  axis=(-2, -1)) * grid.dt
-    assert np.max(np.abs(norm - 1.0)) <= 1e-12
-
-
-def test_reciprocal_flags_derivative_vanishing_at_horizon():
-    # D of the running integral decays linearly to zero at the horizon, which
-    # makes 1/D blow up on the finest grid cells
-    grid = cm.TimeGrid(1.0, 200)
-    batch = cm.simulate_paths(wiener_model(), 0.0, X0, grid, 8, 7)
-    with pytest.warns(NearZeroDerivativeWarning):
-        cm.make_weight_reciprocal(running_integral(1), batch)
-
-
-def test_reciprocal_needs_scalar_constraint():
-    grid = cm.TimeGrid(1.0, 50)
-    batch = cm.simulate_paths(cm.ou_model(1.0, dim=2), 1.0, np.zeros(2), grid, 4, 3)
-    with pytest.raises(ValueError):
-        cm.make_weight_reciprocal(cm.terminal_power(1), batch)
 
 
 PROPERTY_SETTINGS = settings(max_examples=50)
@@ -253,16 +202,6 @@ def test_canonical_normalization_property(case):
     assert np.max(np.abs(norm - 1.0)) <= 1e-12
 
 
-@PROPERTY_SETTINGS
-@given(case=constraint_cases(dims=(1,)))
-def test_reciprocal_normalization_property(case):
-    batch, g = case
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NearZeroDerivativeWarning)
-        u = cm.make_weight_reciprocal(g, batch)
-    assert np.max(np.abs(weight_normalization(g, u, batch) - 1.0)) <= 1e-12
-
-
 # ---------------------------------------------------------------------------
 # Skorohod integral
 
@@ -270,7 +209,7 @@ def test_reciprocal_normalization_property(case):
 def test_skorohod_adapted_is_ito_sum():
     grid = cm.TimeGrid(1.0, 200)
     batch = cm.simulate_paths(wiener_model(), 0.0, X0, grid, 100_000, 31)
-    ones = cm.WeightProcess(np.ones((grid.steps + 1, 1)), "flat", 1.0, adapted=True)
+    ones = cm.WeightProcess(np.ones((grid.steps + 1, 1)), adapted=True)
     vals = cm.skorohod_integral(ones, batch)
     w_terminal = batch.states[:, -1, 0]
     assert np.allclose(vals, w_terminal, rtol=0.0, atol=1e-12)
@@ -284,7 +223,7 @@ def test_skorohod_factored_matches_square_identity():
     n = 100_000
     batch = cm.simulate_paths(wiener_model(), 0.0, X0, grid, n, 32)
     w_terminal = batch.states[:, -1, 0]
-    flat = cm.WeightProcess(np.ones((n, grid.steps + 1, 1)), "flat", 1.0, adapted=False)
+    flat = cm.WeightProcess(np.ones((n, grid.steps + 1, 1)), adapted=False)
     vals = cm.skorohod_integral(flat, batch,
                                 anticipative_factor=(w_terminal, lambda k: np.ones((n, 1))))
     assert np.max(np.abs(vals - (w_terminal ** 2 - 1.0))) <= 1e-10
@@ -295,7 +234,7 @@ def test_skorohod_factored_matches_square_identity():
 def test_skorohod_nonadapted_needs_factorization():
     grid = cm.TimeGrid(1.0, 20)
     batch = cm.simulate_paths(wiener_model(), 0.0, X0, grid, 4, 3)
-    bad = cm.WeightProcess(np.ones((4, grid.steps + 1, 1)), "flat", 1.0, adapted=False)
+    bad = cm.WeightProcess(np.ones((4, grid.steps + 1, 1)), adapted=False)
     with pytest.raises(NonAdaptedWithoutFactorization):
         cm.skorohod_integral(bad, batch)
 
@@ -333,17 +272,11 @@ def test_conditional_loss_theta_sweep(theta):
     assert abs(rep.estimate - target) <= 3.0 * rep.std_error + 2.0 * 0.005
 
 
-def test_conditional_loss_reciprocal_rule_agrees():
-    rep = conditional(rule="reciprocal")
-    assert abs(rep.estimate - COND_SECOND_MOMENT) <= 3.0 * rep.std_error + 2.0 * 0.005
-
-
 @pytest.mark.parametrize("scale", [2.0, -3.0])
 def test_conditional_loss_scale_invariance(scale):
     def scaled_rule(g, bundle):
         u = cm.make_weight_canonical(g, bundle)
-        return cm.WeightProcess(scale * u.values, "scaled", u.support_measure,
-                                adapted=True)
+        return cm.WeightProcess(scale * u.values, adapted=True)
 
     base = conditional(n=4000, seed=11)
     scaled = conditional(n=4000, seed=11, rule=scaled_rule)
@@ -389,8 +322,7 @@ def loss_outcome(rows, **kw):
     """(estimate, std error, A terms, B terms) on blocks of `rows` rows, or
     the gate's verdict."""
     try:
-        with warnings.catch_warnings(), fixed_block_rows(rows):
-            warnings.simplefilter("ignore", NearZeroDerivativeWarning)
+        with fixed_block_rows(rows):
             rep = conditional(**kw)
     except DegenerateDenominator:
         return "degenerate denominator"
@@ -400,10 +332,10 @@ def loss_outcome(rows, **kw):
 @PROPERTY_SETTINGS
 # a few hundred paths keep most examples clear of the 5-standard-error gate
 @given(n=st.integers(200, 500), steps=st.integers(2, 12), seed=st.integers(0, 2 ** 32),
-       rule=st.sampled_from(["canonical", "reciprocal"]), data=st.data())
-def test_conditional_loss_block_size_invariance_property(n, steps, seed, rule, data):
+       data=st.data())
+def test_conditional_loss_block_size_invariance_property(n, steps, seed, data):
     block = data.draw(st.integers(1, n))
-    whole, split = (loss_outcome(rows, n=n, seed=seed, steps=steps, rule=rule)
+    whole, split = (loss_outcome(rows, n=n, seed=seed, steps=steps)
                     for rows in (n, block))
     assert split == whole
 
@@ -415,7 +347,12 @@ def test_functional_without_derivative_is_rejected(role):
         conditional(n=50, steps=20, **{role: bare})
 
 
-@pytest.mark.parametrize("estimator", ["canonical", "reciprocal", "kernel"])
+def test_unknown_weight_rule_is_rejected():
+    with pytest.raises(ValueError, match="unknown weight rule 'reciprocal'"):
+        conditional(rule="reciprocal", n=50, steps=20)
+
+
+@pytest.mark.parametrize("estimator", ["canonical", "kernel"])
 def test_overflowing_loss_raises_non_finite_estimate(estimator):
     # X_T^2 overflows to inf although every state started at 1e160 is finite
     model, grid, x0 = cm.ou_model(1.0), cm.TimeGrid(1.0, 10), np.array([1e160])
