@@ -25,6 +25,7 @@ from .errors import (
 )
 from .functionals import (
     PathFunctional,
+    Probe,
     constant_functional,
     derivative_profile,
     integral_functional,

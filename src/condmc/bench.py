@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateDenominator
-from .functionals import PathFunctional, marginal_power, terminal_power
+from .functionals import PathFunctional, Probe, marginal_power, terminal_power
 from .malliavin import conditional_loss_estimate
 from .optimizer import OptimizerConfig, counterfactual_gradient, run_sgd
 from .runconfig import RunConfig
@@ -54,10 +54,11 @@ def _conditional_setup(config: RunConfig):
 
 
 def _tracking_payoff(target: float) -> PathFunctional:
-    """Squared distance of the terminal state to a fixed target level."""
+    """Squared distance of the terminal state to a fixed target level, with
+    a probe of the horizon alone."""
     return PathFunctional(
         value=lambda bundle: (bundle.states[..., -1, 0] - target) ** 2,
-        terminal_value=lambda x: (x[..., 0] - target) ** 2,
+        probe=lambda bundle: Probe((bundle.grid.steps,), lambda x: (x[..., 0, 0] - target) ** 2),
     )
 
 

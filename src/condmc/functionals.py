@@ -4,17 +4,38 @@ A PathFunctional evaluates on a PathBatch of one path or of a block (leading
 axis N); values come back as a scalar or an (N,) array and derivative
 profiles as arrays that broadcast to (M+1, d) or (N, M+1, d).  Built-ins cover
 marginal powers X_{t*}^p and running integrals of a smooth function of the
-state; anything else can be supplied as a custom functional.
+state; anything else can be supplied as a custom functional.  A functional
+that reads the path at a few grid steps says so by a Probe, which lets the
+gradient engines value a branched path from its states at those steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .sde import PathBatch, _check_count, _grid_step, call_shared
+
+
+class Probe(NamedTuple):
+    """The grid steps a functional reads and its value there.
+
+    steps is a tuple of P grid indices, and value(x) maps the states x
+    (..., P, n) there to the functional's value, (...) or columns (..., m);
+    it must equal the functional's value, up to rounding, on any path.
+    gradient(x), when set, is d value / d x at the same states, (..., P, n),
+    so that the functional's derivative profile is the sum over the probes
+    of gradient_p . D X_p.  Given a weight, an (M+1, d) weight process
+    shared by every path, value(x, s) also reads s (...), the Ito sum
+    sum_k <weight_k, dW_k> of the path's increments.
+    """
+
+    steps: tuple
+    value: Callable
+    gradient: Callable | None = None
+    weight: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -32,24 +53,29 @@ class PathFunctional:
     The built-in derivatives read bundle.jacobians, which a bundle computes
     on the first read; value() may read them too, and a branch engine then
     builds per-row ones for a restarted block only because value() asked.
-    terminal_value, when set, evaluates the functional from terminal states
-    alone; step_value, when set, declares the functional to be dt times the
-    sum of step_value(X_k) over the left grid points k < M.  Either one
-    enables a fast all-branch gradient engine, which takes a branch pair's
-    gap as the terminal value gap of its copies at the horizon, or as the sum
-    of dt (step_value(plus) - step_value(minus)) over the left points they
-    pass as they advance by Euler (their shared prefix cancels); either need
-    only match value up to an additive constant, since the engines read
-    nothing but branch gaps.  value may return (N, m) columns for m
-    functionals at once; the gradient engines treat each column as its own
-    scalar functional.
+    probe(bundle), when set, returns the Probe of the functional on that
+    block's grid (the steps it reads and its value of the states there), or
+    None where it cannot be read so.  On a model whose steps are affine in
+    the state with shared factors, the gradient engines then carry each
+    branch to the probe steps in O(P n^2) work and read no restarted path;
+    elsewhere a probe that reads the horizon alone, with no weight, has its
+    branches carried there by Euler.  step_value, when set, declares the
+    functional to be dt times the sum of step_value(X_k) over the left grid
+    points k < M, and lets the all-steps engine take a branch pair's gap as
+    the sum of dt (step_value(plus) - step_value(minus)) over the left points
+    its copies pass as they advance by Euler (their shared prefix cancels);
+    it need only match value up to an additive constant, since that engine
+    reads nothing but branch gaps.  A functional with neither, or a probe
+    the model cannot carry, has every branch restarted as a whole path.
+    value may return (N, m) columns for m functionals at once; the gradient
+    engines treat each column as its own scalar functional.
     The estimators may call these fields from several threads at once, each
     on its own block, so they must not mutate state they share.
     """
 
     value: Callable
     derivative: Callable | None = None
-    terminal_value: Callable | None = None
+    probe: Callable | None = None
     step_value: Callable | None = None
 
 
@@ -91,9 +117,10 @@ def _state_derivative_rows(bundle, t_index: int, component: int) -> np.ndarray:
 
 
 def marginal_power(step: int, power: int, component: int = 0) -> PathFunctional:
-    """X_{t_step}[component] ** power as a path functional; a negative step
-    counts from the end of the grid; ValueError unless power is an integer of
-    at least 1, and on evaluation unless step is an integer on the grid."""
+    """X_{t_step}[component] ** power as a path functional, with a probe of
+    that one step; a negative step counts from the end of the grid;
+    ValueError unless power is an integer of at least 1, and on evaluation
+    unless step is an integer on the grid."""
     _check_count("power", power)
 
     def at(bundle):
@@ -110,13 +137,18 @@ def marginal_power(step: int, power: int, component: int = 0) -> PathFunctional:
         x = bundle.states[..., k, component]
         return (power * x ** (power - 1))[..., None, None] * rows
 
-    return PathFunctional(value=value, derivative=derivative)
+    def gradient(x):
+        grad = np.zeros(x.shape)
+        grad[..., 0, component] = power * x[..., 0, component] ** (power - 1)
+        return grad
+
+    return PathFunctional(value=value, derivative=derivative, probe=lambda bundle: Probe(
+        (at(bundle),), lambda x: x[..., 0, component] ** power, gradient))
 
 
 def terminal_power(power: int, component: int = 0) -> PathFunctional:
-    """X_T[component] ** power; evaluable from terminal states alone."""
-    return replace(marginal_power(-1, power, component),
-                   terminal_value=lambda x_terminal: x_terminal[..., component] ** power)
+    """X_T[component] ** power; its probe reads the horizon alone."""
+    return marginal_power(-1, power, component)
 
 
 def integral_functional(h: Callable, dh: Callable) -> PathFunctional:
@@ -148,18 +180,21 @@ def integral_functional(h: Callable, dh: Callable) -> PathFunctional:
 def shift_functional(f: PathFunctional, level: float) -> PathFunctional:
     """f - level, so a conditioning event {f(X) = level} reads {g(X) = 0}.
 
-    The derivative and step_value are unchanged by the constant shift.
+    The derivative, step_value and the probe's steps and gradient are
+    unchanged by the constant shift.
     """
 
-    terminal = None
-    if f.terminal_value is not None:
-        terminal = lambda x_terminal: f.terminal_value(x_terminal) - level
+    def probe(bundle):
+        inner = f.probe(bundle)
+        return inner and inner._replace(value=lambda *args: inner.value(*args) - level)
 
-    return replace(f, value=lambda bundle: f.value(bundle) - level, terminal_value=terminal)
+    return replace(f, value=lambda bundle: f.value(bundle) - level,
+                   probe=None if f.probe is None else probe)
 
 
 def constant_functional(c: float) -> PathFunctional:
-    """The constant functional; zero Malliavin derivative."""
+    """The constant functional; zero Malliavin derivative, and a probe of no
+    step."""
 
     def value(bundle):
         lead = bundle.states.shape[:-2]
@@ -168,5 +203,5 @@ def constant_functional(c: float) -> PathFunctional:
     return PathFunctional(
         value=value,
         derivative=lambda bundle: np.zeros(bundle.states.shape[:-1] + (bundle.model.noise_dim,)),
-        terminal_value=lambda x_terminal: np.full(x_terminal.shape[:-1], float(c)),
+        probe=lambda bundle: Probe((), lambda x: np.full(x.shape[:-2], float(c)), np.zeros_like),
     )

@@ -23,7 +23,7 @@ from .errors import (
     EmptyKernelMass,
     NonAdaptedWithoutFactorization,
 )
-from .functionals import PathFunctional, derivative_profile
+from .functionals import PathFunctional, Probe, _state_derivative_rows, derivative_profile
 from .reports import ConditionalLossReport, EstimatorReport
 from .sde import (PathBatch, SdeModel, TimeGrid, call_shared, chunk_len, finite_fsum, fsum,
                   per_path, require_finite)
@@ -151,6 +151,57 @@ def conditional_quotient_terms(ell: PathFunctional, g: PathFunctional, weight_ru
         a[part] = np.where(indicator[part], numerator, 0.0)
         b[part] = np.where(indicator[part], s_u, 0.0)
     return a, b, indicator
+
+
+def _integrand_probe(ell: PathFunctional, g: PathFunctional, batch: PathBatch):
+    """The Probe of the quotient's two integrand columns on a block, or None.
+
+    The columns read the path through g and ell at their probe steps, the
+    Ito sum S(u) of the weight and <D ell, u>.  With the canonical weight u
+    and the derivative rows D X_p of the loss's probe steps p shared by
+    every path, <D ell, u> dt summed over the grid is sum_p grad_p ell . c_p,
+    with c_p[i] = sum_s <D_s X_p[i], u_s> dt the same on every path, so the
+    columns are a function of the probe states and S(u) alone.
+    """
+    probes = [None if f.probe is None else f.probe(batch) for f in (ell, g)]
+    if any(p is None or p.weight is not None for p in probes) or probes[0].gradient is None:
+        return None
+    (l_probe, g_probe), grid = probes, batch.grid
+    if batch.jacobians.y.ndim != 3:  # per-row Jacobians give per-row rows: build none
+        return None
+    rows = [[_state_derivative_rows(batch, p, i) for i in range(batch.model.state_dim)]
+            for p in l_probe.steps]
+    if any(r.ndim != 2 for r in sum(rows, [])):
+        return None
+    u = make_weight_canonical(g, batch).values
+    if u.ndim != 2:
+        return None
+    c = np.array([[np.sum(r[:grid.steps] * u[:grid.steps]) * grid.dt for r in row]
+                  for row in rows]).reshape(-1, batch.model.state_dim)
+    steps = tuple(sorted(set(l_probe.steps) | set(g_probe.steps)))
+    l_at, g_at = ([steps.index(p) for p in probe.steps] for probe in (l_probe, g_probe))
+
+    def value(x, s):
+        accepted = np.asarray(g_probe.value(x[..., g_at, :])) > 0.0
+        x_l = x[..., l_at, :]
+        numerator = np.asarray(l_probe.value(x_l)) * s - np.sum(
+            l_probe.gradient(x_l) * c, axis=(-2, -1))
+        return np.stack((np.where(accepted, numerator, 0.0), np.where(accepted, s, 0.0)), -1)
+
+    return Probe(steps, value, weight=u)
+
+
+def quotient_integrands(ell: PathFunctional, g: PathFunctional, weight_rule) -> PathFunctional:
+    """The numerator and denominator terms A, B of conditional_quotient_terms
+    as one functional of two columns (N, 2).  Under the canonical weight it
+    declares a probe (_integrand_probe) where the weight and the loss's
+    derivative rows have no path axis, so that the gradient engines need
+    not restart a branched path to value it."""
+    return PathFunctional(
+        value=lambda bundle: np.stack(
+            conditional_quotient_terms(ell, g, weight_rule, bundle)[:2], -1),
+        probe=(lambda batch: _integrand_probe(ell, g, batch)) if weight_rule == "canonical"
+        else None)
 
 
 def conditional_loss_estimate(model: SdeModel, theta: float, ell: PathFunctional,

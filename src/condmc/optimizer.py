@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CondMcError, DegenerateDenominator, SingularDiffusion
 from .functionals import PathFunctional
-from .malliavin import _loss_report, conditional_quotient_terms
+from .malliavin import _loss_report, conditional_quotient_terms, quotient_integrands
 from .sde import (PathBatch, SdeModel, TimeGrid, finite_fsum, fsum,
                   on_grid, per_path, require_finite)
 from .streams import child_seed
@@ -133,10 +133,7 @@ def counterfactual_gradient(model: SdeModel, theta: float, ell: PathFunctional,
     """
     if gradient_mode not in GRADIENT_MODES:
         raise ValueError(f"unknown gradient mode {gradient_mode!r}")
-    integrands = PathFunctional(
-        value=lambda bundle: np.stack(
-            conditional_quotient_terms(ell, g, weight_rule, bundle)[:2], -1),
-    )
+    integrands = quotient_integrands(ell, g, weight_rule)
     a, b, indicator, measure, gap_rows, explicit = per_path(
         model, theta, x0, grid, n_paths, master_seed, lambda batch: (
             *conditional_quotient_terms(ell, g, weight_rule, batch),

@@ -26,8 +26,8 @@ worker simulates its later blocks into its first block's arrays
 worker.  No result depends on the block size or the number of workers.
 Within a block, the passes that need no whole block at once work on chunks
 of CHUNK_BYTES: Euler's step-major scratch, the branch placement pass of
-weakderiv with the sum-over-k carry of its terminal and integral engines
-(by step-factor products or by Euler), the score-function terms and the
+weakderiv with the sum-over-k carry of its probe and integral engines (by
+step-factor products or by Euler), the score-function terms and the
 quotient terms of malliavin.
 
 _apply_diffusion multiplies dW by a 1x1 sigma directly, one rounding as in the 1x1 product.
@@ -44,8 +44,9 @@ same on every path of a block.  They are then built once, as read-only
 NumPy broadcasting applies it where it meets a per-path array.  A model that
 is path-dependent at any step gets per-row Jacobians.  A zero diffusion_dx
 adds +-0.0 to each step factor, so both ways give the same bits.  The
-sum-over-k branch carry of weakderiv uses the same test to carry branches
-to the horizon by products of the step factors, built once per call too.
+branch carry of weakderiv uses the same test to carry branches to the
+probe steps of a functional (PathFunctional.probe) by products of the step
+factors, built once per call too, in place of restarting them by Euler.
 
 Shared Jacobians, and a canonical weight with no path axis, are the same on
 every block too (the SdeModel and PathFunctional contracts), so one
@@ -191,7 +192,8 @@ class SdeModel:
     drift_dx that returns (n, n) with no path axis declares a drift affine in
     x at that t, and an all-zero diffusion_dx declares a diffusion that does
     not depend on x.  Where both hold, Jacobians are shared across paths and
-    sum-over-k branches are carried to the horizon by products, not by Euler.
+    branches are carried to a functional's probe steps by products, not by
+    Euler.
     A step found so (_step_jacobian) at one block's states must be so, with
     the same drift_dx, at every state: an estimator call builds shared
     Jacobians on its first block and reuses them on every other.
@@ -471,6 +473,27 @@ def on_grid(fn: Callable, states: np.ndarray, times: np.ndarray, core: tuple,
     return out
 
 
+def on_steps(fn: Callable, states: np.ndarray, steps: np.ndarray, times: np.ndarray,
+             core: tuple, *args) -> np.ndarray:
+    """fn(states[i], times[steps[i]], *args) for every row i of states (N, n),
+    as one (N,) + core array: one model call per distinct grid step, over the
+    rows at that step and with one scalar t.  CoefficientShapeError when a
+    value does not broadcast to its rows' (R,) + core."""
+    order = np.argsort(steps, kind="stable")  # each step's rows contiguous, in row order
+    ks, starts = np.unique(steps[order], return_index=True)
+    x, grouped = states[order], np.empty(states.shape[:-1] + core)
+    for k, rows in zip(ks, map(slice, starts, np.append(starts[1:], len(order)))):
+        value = np.asarray(fn(x[rows], times[k], *args))
+        try:
+            grouped[rows] = value
+        except ValueError as exc:
+            raise CoefficientShapeError(f"a coefficient value of shape {value.shape} does "
+                                        f"not broadcast to {grouped[rows].shape}") from exc
+    out = np.empty_like(grouped)
+    out[order] = grouped
+    return out
+
+
 def _diffusion_profile(model: SdeModel, grid: TimeGrid, states: np.ndarray) -> np.ndarray:
     """The diffusion at every grid step of states (PathBatch.diffusions)."""
     return on_grid(model.diffusion, states, grid.times, (model.state_dim, model.noise_dim))
@@ -629,8 +652,11 @@ def per_path(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: int,
     BaseException that is not an Exception) is then raised ahead of any
     block's error; otherwise the error of the earliest failed block is
     raised, the error a one-block-at-a-time loop would raise, since blocks
-    are taken in order.  With one worker no thread starts.
+    are taken in order.  With one worker no thread starts.  ValueError when
+    theta is not finite, before any path is simulated.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, not {theta!r}")
     rows, workers = _block_plan(model, grid, n_paths)
     n_blocks = -(-n_paths // rows)
     parts = [None] * n_blocks

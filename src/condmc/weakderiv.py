@@ -11,6 +11,26 @@ random numbers, and averaging the weighted difference of the functional
 values.  The variance of this branch estimator stays bounded as the horizon
 grows, unlike the score-function (likelihood-ratio) baseline, which is also
 provided for comparison.
+
+Which route a block's branches take follows from the model, the weight and
+the functional, with no option to set (_hj_values):
+
+- a functional with a probe (PathFunctional.probe) on a model whose Euler
+  steps are affine in the state with shared factors (OU, mean-reverting):
+  each branch copy is carried to the probe steps by step-factor products,
+  X'_p = X_p + P_{k+1->p} (x_branch - X_{k+1}), and a weight's Ito sum by
+  its one changed increment, in O(1) per branch for a fixed state size.
+  Both modes take it: sum-over-k carries every step's pair a chunk at a
+  time, random-k one pair per row.  The quotient integrand of the
+  conditional-loss gradient has a probe when its canonical weight and the
+  loss's derivative rows have no path axis;
+- on any other model, sum-over-k carries the copies of a probe that reads
+  the horizon alone, with no weight, by Euler to the horizon, and those of
+  a step_value functional by Euler with its step sum;
+- everything else, in either mode (a value-only functional, a weight with
+  a path axis, a non-affine model in random-k), restarts each branch as a
+  whole path and values it: random-k in one restart per side, sum-over-k
+  in one per side and step.
 """
 
 from __future__ import annotations
@@ -27,7 +47,7 @@ from .errors import (
     SingularDiffusion,
     ZeroSensitivity,
 )
-from .functionals import PathFunctional
+from .functionals import PathFunctional, Probe
 from .reports import GradientReport
 from .sde import (
     NoisePath,
@@ -44,6 +64,7 @@ from .sde import (
     finite_fsum,
     generate_noise,
     on_grid,
+    on_steps,
     per_path,
     require_finite,
     resume_path,
@@ -222,16 +243,25 @@ class SplitTerms(NamedTuple):
     diag: np.ndarray        # signed sigma_ii
 
 
-def _hj_terms_batch(model: SdeModel, x: np.ndarray, t, theta: float, dt: float) -> SplitTerms:
+def _hj_terms_batch(model: SdeModel, x: np.ndarray, t, theta: float, dt: float,
+                    steps: np.ndarray | None = None) -> SplitTerms:
     """The SplitTerms of states x (N, K, n) at the K grid times t, each
     coefficient read once through on_grid (one model call per step, one
     scalar t; CoefficientShapeError for a value that does not broadcast).  A
     diffusion with no path axis is checked for diagonality once, as one
-    (K, n, d) array."""
+    (K, n, d) array.  Given per-row grid steps (N,), x is (N, 1, n) with row
+    i at time t[steps[i]], and each coefficient is read once per distinct
+    step, over the rows at that step (sde.on_steps)."""
     n, d = model.state_dim, model.noise_dim
-    sig = on_grid(model.diffusion, x, t, (n, d))
-    b = on_grid(model.drift, x, t, (n,), theta)
-    db = on_grid(model.drift_dtheta, x, t, (n,), theta)
+
+    def read(fn, core, *args):
+        if steps is None:
+            return on_grid(fn, x, t, core, *args)
+        return on_steps(fn, x[:, 0], steps, t, core, *args)[:, None]
+
+    sig = read(model.diffusion, (n, d))
+    b = read(model.drift, (n,), theta)
+    db = read(model.drift_dtheta, (n,), theta)
     diag = _diagonal(sig)
     scales = np.abs(diag) * math.sqrt(dt)
     drift_step = dt * b
@@ -367,100 +397,190 @@ def _row_abs_sums(gaps: np.ndarray) -> np.ndarray:
     return np.sum(np.ascontiguousarray(np.abs(gaps).reshape(len(gaps), -1)), axis=-1)
 
 
-def _placed_chunks(batch: PathBatch):
+def _side_increments(terms: SplitTerms, x: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """The increment the Euler step from states x would have needed to reach
+    the branch states side, (side - x - dt*b) / sigma_ii, and 0 where
+    sigma_ii is 0: it keeps a branched path a consistent state/noise pair."""
+    divisor = np.where(terms.diag == 0.0, 1.0, terms.diag)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(terms.diag != 0.0, (side - x - terms.drift_step) / divisor, 0.0)
+
+
+def _placed_chunks(batch: PathBatch, increments: bool = False):
     """The branch pair of every path at every step, as placed, a chunk of K
     steps at a time: yields (steps, plus, minus, scales), entry [:, j] of the
     (N, K, n) plus and minus the pair split off at step steps.start + j, one
-    step later, and scales (N, K) their split scales.  A chunk's temporaries
-    stay within sde.CHUNK_BYTES each, so the peak does not grow with the block."""
+    step later, and scales (N, K) their split scales; with increments, the
+    (N, K, d) increments of plus and of minus at their step follow
+    (_side_increments).  A chunk's temporaries stay within sde.CHUNK_BYTES
+    each, so the peak does not grow with the block."""
     model, grid, theta = batch.model, batch.grid, batch.theta
     n_dim = model.state_dim
     draws = _branch_draw_block(batch.master_seed, batch.path_indices, grid.steps, n_dim)
     chunk = chunk_len(8 * batch.n_paths * n_dim)
     for start in range(0, grid.steps, chunk):
         at = slice(start, min(start + chunk, grid.steps))
-        terms = _hj_terms_batch(model, batch.states[:, at], grid.times[at], theta, grid.dt)
-        plus, minus = _assemble_branch_states(terms, *_draws_at(draws, slice(None), at))
+        x = batch.states[:, at]
+        terms = _hj_terms_batch(model, x, grid.times[at], theta, grid.dt)
+        pair = _assemble_branch_states(terms, *_draws_at(draws, slice(None), at))
+        if increments:
+            pair += tuple(_side_increments(terms, x, side) for side in pair)
         total = terms.total
         del terms  # two chunks of terms alive at once would raise the peak memory
-        yield at, plus, minus, total
-        del plus, minus, total  # the caller frees its own before the next chunk
+        yield (at, *pair[:2], total, *pair[2:])
+        del pair, total  # the caller frees its own before the next chunk
 
 
-def _affine_propagators(batch: PathBatch):
-    """(M-1, n, n) products P[k] = (I + dt B_{M-1}) ... (I + dt B_{k+1}) when
-    every Euler step from step 1 on is affine in the state under common noise
-    (sde._step_jacobian, with B_j = drift_dx); None at the first step that is
-    not.  The difference of two such chains takes the step factor I + dt B_j
-    at each step, so P[k] carries a difference at time k+1 to the horizon.
-    The products are built once per estimator call and theta (call_shared),
-    None by every block."""
-    model, grid = batch.model, batch.grid
+def _affine_propagators(batch: PathBatch, steps: tuple):
+    """For each probe step p of steps, the (max(p - 1, 0), n, n) products
+    P[k] = (I + dt B_{p-1}) ... (I + dt B_{k+1}) when every Euler step from
+    step 1 to the last probe is affine in the state under common noise
+    (sde._step_jacobian, with B_j = drift_dx); None at the first step, from
+    the last one down, that is not.  The difference of two such chains takes
+    the step factor I + dt B_j at each step, so P[k] carries a difference at
+    time k+1 to time p.  Each step factor is read once, and the products are
+    built once per estimator call, theta and steps (call_shared), None by
+    every block."""
+    model, grid, steps = batch.model, batch.grid, tuple(steps)
 
     def build():
         eye = np.eye(model.state_dim)
-        props = np.empty((grid.steps - 1,) + eye.shape)
-        prop = eye
-        for j in range(grid.steps - 1, 0, -1):
+        factors = np.empty((max(steps, default=0),) + eye.shape)  # factors[j] = I + dt B_j
+        for j in range(len(factors) - 1, 0, -1):
             jb, _, shared = _step_jacobian(model, batch.theta, batch.states[:, j], grid.times[j])
             if not shared:
                 return None
-            prop = props[j - 1] = prop @ (grid.dt * jb + eye)
-        return props
+            factors[j] = grid.dt * jb + eye
+        products = []
+        for p in steps:
+            props = np.empty((max(p - 1, 0),) + eye.shape)
+            prop = eye
+            for j in range(p - 1, 0, -1):
+                prop = props[j - 1] = prop @ factors[j]
+            products.append(props)
+        return tuple(products)
 
-    return call_shared(batch, "propagators", model, build, lambda props: props is not None)
+    return call_shared(batch, ("propagators", steps), model, build,
+                       lambda props: props is not None)
 
 
-def _carried_chunks(batch: PathBatch, step_value=None):
-    """_placed_chunks with each chunk's branch copies carried to the horizon:
-    yields (steps, plus, minus, scales) with plus and minus at time M or,
-    given a step_value h, (steps, gaps, scales) with gaps (N, K) or (N, K, m)
-    each pair's sum of dt (h(plus) - h(minus)) over its copies' left points
-    (the shared prefix of a pair cancels).
+def _carry(delta: np.ndarray, prop: np.ndarray, x_p: np.ndarray) -> np.ndarray:
+    """x_p + prop delta, in delta's memory: for n = 1 by one multiply, several
+    times faster than a 1x1 matmul and with its bits but for a zero's sign,
+    which adding x_p drops unless x_p is -0.0."""
+    if delta.shape[-1] == 1:
+        delta *= prop[..., 0]
+    else:
+        delta[:] = np.matmul(prop, delta[..., None])[..., 0]
+    delta += x_p
+    return delta
 
-    With no step_value, on a model whose steps are affine in the state, the
-    branch placed at time k+1 < M gets to the horizon at X_M + P[k]
-    (x_branch - X_{k+1}) (_affine_propagators), O(n^2) work per branch; for
-    n = 1 by one multiply, several times faster than a 1x1 matmul and with
-    its bits but for a zero's sign, which adding X_M drops unless X_M is
-    -0.0.  Otherwise a chunk's copies advance together by Euler, in place
-    under the base path's increments, copy k from step k+1 on, O(M) steps
-    per branch.  NonFiniteState when a copy is not finite at the horizon."""
-    model, states, theta = batch.model, batch.states, batch.theta
+
+def _at_probes(states: np.ndarray, props, steps, ks, side: np.ndarray) -> np.ndarray:
+    """States at the probe steps of branch copies placed at time k + 1: of a
+    chunk's copies side (N, K, n), with ks the slice of their K steps, as
+    (N, K, P, n); or of one copy per row, side (N, n) with ks (N,) its steps,
+    as (N, P, n).  A copy reaches a probe p > k + 1 at X_p + P[k] (side -
+    X_{k+1}) (_affine_propagators' products props), is there at p = k + 1,
+    and leaves X_p as it is for p <= k."""
+    out = np.empty(side.shape[:-1] + (len(steps),) + side.shape[-1:])
+    for i, (p, prop) in enumerate(zip(steps, props)):
+        dest = out[..., i, :]
+        x_p = states[:, p]
+        if isinstance(ks, slice):  # copies [0, c) carried, copy c placed at p if c < K
+            start, c = ks.start, min(max(p - 1 - ks.start, 0), side.shape[1])
+            _carry(np.subtract(side[:, :c], states[:, start + 1:start + 1 + c], out=dest[:, :c]),
+                   prop[start:start + c], x_p[:, None])
+            dest[:, c:] = x_p[:, None]
+            if c < side.shape[1] and start + c + 1 == p:
+                dest[:, c] = side[:, c]
+        else:
+            dest[:] = x_p
+            np.copyto(dest, side, where=(ks + 1 == p)[:, None])
+            live = np.flatnonzero(ks + 1 < p)
+            dest[live] = _carry(side[live] - states[live, ks[live] + 1], prop[ks[live]],
+                                x_p[live])
+    bad = ~np.isfinite(out).all(axis=tuple(range(out.ndim - 2)) + (-1,))
+    if bad.any():
+        raise NonFiniteState(steps[int(np.argmax(bad))])
+    return out
+
+
+def _probe_args(batch: PathBatch, probe: Probe, props, ks, sides, base_ito):
+    """Per side, the arguments of probe.value for the branch copies of sides,
+    a list of (states, increments) as _placed_chunks or _step_pair give them,
+    at the steps ks (a chunk's slice or per-row steps, _at_probes): the
+    states at the probe steps and, with a weight, the Ito sums base_ito (N,)
+    of the base paths with each copy's increment at its step swapped in."""
+    args = []
+    for states, increments in sides:
+        x = _at_probes(batch.states, props, probe.steps, ks, states)
+        if probe.weight is None:
+            args.append((x,))
+            continue
+        rows = slice(None) if isinstance(ks, slice) else np.arange(len(ks))
+        swapped = increments - batch.increments[rows, ks]
+        ito = base_ito[:, None] if isinstance(ks, slice) else base_ito
+        args.append((x, ito + np.sum(probe.weight[ks] * swapped, axis=-1)))
+    return args
+
+
+def _ito_sums(batch: PathBatch, probe: Probe):
+    """Per row, the Ito sum of the probe's weight along the block's
+    increments, as malliavin.skorohod_integral sums it; None without a weight."""
+    if probe.weight is None:
+        return None
+    return np.sum(probe.weight[:batch.grid.steps] * batch.increments, axis=(-2, -1))
+
+
+def _carried_chunks(batch: PathBatch, probe: Probe | None = None, props=None,
+                    step_value=None):
+    """_placed_chunks with each chunk's branch copies carried on: yields
+    (steps, plus, minus, scales) with plus and minus the tuples of
+    probe.value's arguments for the copies, or, given a step_value h,
+    (steps, gaps, scales) with gaps (N, K) or (N, K, m) each pair's sum of
+    dt (h(plus) - h(minus)) over its copies' left points (the shared prefix
+    of a pair cancels).
+
+    With props, the probe's products (_affine_propagators), each copy gets
+    to the probe steps by them (_at_probes), O(P n^2) work per branch, with
+    the Ito sum of the probe's weight, if any, updated by the copy's one new
+    increment.  Otherwise a chunk's copies advance together by Euler, in
+    place under the base path's increments, copy k from step k+1 on, O(M)
+    steps per branch, to the horizon, the one probe step such a probe may
+    read.  NonFiniteState when a copy is not finite at a probe step or the
+    horizon."""
+    model, theta = batch.model, batch.theta
     steps, dt, times = batch.grid.steps, batch.grid.dt, batch.grid.times
-    props = None if step_value is not None else _affine_propagators(batch)
-    for at, plus, minus, scales in _placed_chunks(batch):
+    base_ito = None if props is None else _ito_sums(batch, probe)
+    for at, plus, minus, scales, *increments in _placed_chunks(batch, base_ito is not None):
+        if props is not None:
+            sides = list(zip((plus, minus), increments or (None, None)))
+            del plus, minus, increments
+            yield (at, *_probe_args(batch, probe, props, at, sides, base_ito), scales)
+            del sides, scales  # the caller frees its own before the next chunk
+            continue
         # gaps of every column step_value gives; h of no state tells how many
         gaps = None if step_value is None else np.zeros(
             plus.shape[:2] + np.shape(step_value(plus[:, :0]))[2:])
-        if props is not None:
-            prop = props[at]  # none for the last step, whose branches are placed at the horizon
+        for j in range(at.start + 1, steps):
+            live = slice(j - at.start)  # the copies placed at time j or before
+            if gaps is not None:
+                gaps[:, live] += dt * (np.asarray(step_value(plus[:, live]))
+                                       - np.asarray(step_value(minus[:, live])))
+            dw = batch.increments[:, None, j, :]
             for side in (plus, minus):
-                carried = side[:, :len(prop)]
-                carried -= states[:, at.start + 1:at.start + 1 + len(prop)]
-                if carried.shape[-1] == 1:
-                    carried *= prop[..., 0]
-                else:
-                    carried[:] = np.matmul(prop, carried[..., None])[..., 0]
-                carried += states[:, -1:]
-        else:
-            for j in range(at.start + 1, steps):
-                live = slice(j - at.start)  # the copies placed at time j or before
-                if gaps is not None:
-                    gaps[:, live] += dt * (np.asarray(step_value(plus[:, live]))
-                                           - np.asarray(step_value(minus[:, live])))
-                dw = batch.increments[:, None, j, :]
-                for side in (plus, minus):
-                    # an Euler step in place; numpy scales the unnamed drift
-                    # result by dt in place, so a side holds one temporary
-                    x = side[:, live]
-                    sig = np.asarray(model.diffusion(x, times[j]))
-                    x += dt * np.asarray(model.drift(x, times[j], theta))
-                    x += _apply_diffusion(sig, dw)
+                # an Euler step in place; numpy scales the unnamed drift
+                # result by dt in place, so a side holds one temporary
+                x = side[:, live]
+                sig = np.asarray(model.diffusion(x, times[j]))
+                x += dt * np.asarray(model.drift(x, times[j], theta))
+                x += _apply_diffusion(sig, dw)
         # a non-finite state stays non-finite under Euler, so the horizon shows it
         if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
             raise NonFiniteState(steps)
-        yield (at, plus, minus, scales) if gaps is None else (at, gaps, scales)
+        yield (at, (plus[:, :, None],), (minus[:, :, None],), scales) if gaps is None else (
+            at, gaps, scales)
         del plus, minus, scales, gaps  # the caller frees its own before the next chunk
 
 
@@ -484,42 +604,48 @@ def _summed_over_k(batch: PathBatch, chunks, gap_of):
     return np.sum(weighted, axis=-1), np.sum(abs_gaps.reshape(count, -1), axis=-1)
 
 
-def _terminal_sum_over_k(batch: PathBatch, functional: PathFunctional):
-    """All-steps engine for terminal-state functionals: the gap of each branch
-    is the terminal value gap of its copies at the horizon."""
-    value = functional.terminal_value
-    return _summed_over_k(batch, _carried_chunks(batch), lambda plus, minus: (
-        np.asarray(value(plus)) - np.asarray(value(minus))))
+def _probe_gaps(probe: Probe, plus, minus) -> np.ndarray:
+    """probe.value's gap between the argument tuples of a pair's two sides."""
+    return np.asarray(probe.value(*plus)) - np.asarray(probe.value(*minus))
+
+
+def _terminal_sum_over_k(batch: PathBatch, probe: Probe, props):
+    """All-steps engine for functionals with a probe: the gap of each branch
+    is the probe value gap of its copies at the probe steps, reached by the
+    products props or, for a probe of the horizon alone (a terminal
+    functional, the one-probe case), by Euler."""
+    return _summed_over_k(batch, _carried_chunks(batch, probe, props),
+                          lambda plus, minus: _probe_gaps(probe, plus, minus))
 
 
 def _integral_sum_over_k(batch: PathBatch, functional: PathFunctional):
     """All-steps engine for left-point step-sum functionals: the gap of each
     branch accumulates while its copies advance."""
-    return _summed_over_k(batch, _carried_chunks(batch, functional.step_value),
+    return _summed_over_k(batch, _carried_chunks(batch, step_value=functional.step_value),
                           lambda gaps: gaps)
 
 
-def _step_pair(batch: PathBatch, rows, k: int, draws):
-    """The branch pair split off the given block rows at step k, with draws
-    their (u, r, z) at that step as (R, 1[, n]) arrays: (per-row split scale,
-    [(plus states, increments), (minus states, increments)]).
+def _step_pair(batch: PathBatch, rows, k, draws):
+    """The branch pair split off the given block rows at step k, one step or
+    an (R,) array of per-row steps (rows then an index array), with draws
+    their (u, r, z) at those steps as (R, 1[, n]) arrays: (per-row split
+    scale, [(plus states, increments), (minus states, increments)]).
 
-    The split is that of the one-step slice states[rows, k:k+1], and its
-    terms give both sides' increments with no model call of their own.  A
-    side's increment is the one its Euler step from X_k would have needed to
-    reach its branch state, (x_new - X_k - dt*b) / sigma_ii, and 0 where
-    sigma_ii is 0; it keeps a branched row a consistent state/noise pair.  A
-    row with zero split scale has every sign 0, so its two sides coincide and
+    The split is one pass over the rows (_hj_terms_batch), which reads each
+    coefficient once per distinct step, and its terms give both sides'
+    increments with no model call of their own (_side_increments).  A row
+    with zero split scale has every sign 0, so its two sides coincide and
     its gap is 0.
     """
     grid = batch.grid
-    x = batch.states[rows, k:k + 1]
-    terms = _hj_terms_batch(batch.model, x, grid.times[k:k + 1], batch.theta, grid.dt)
-    divisor = np.where(terms.diag == 0.0, 1.0, terms.diag)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return terms.total[:, 0], [
-            (y[:, 0], np.where(terms.diag != 0.0, (y - x - terms.drift_step) / divisor, 0.0)[:, 0])
-            for y in _assemble_branch_states(terms, *draws)]
+    if np.ndim(k):
+        x = batch.states[rows, k][:, None]
+        terms = _hj_terms_batch(batch.model, x, grid.times, batch.theta, grid.dt, k)
+    else:
+        x = batch.states[rows, k:k + 1]
+        terms = _hj_terms_batch(batch.model, x, grid.times[k:k + 1], batch.theta, grid.dt)
+    return terms.total[:, 0], [(y[:, 0], _side_increments(terms, x, y)[:, 0])
+                               for y in _assemble_branch_states(terms, *draws)]
 
 
 def _branch_batch(base: PathBatch, starts: np.ndarray, new_states: np.ndarray,
@@ -545,20 +671,14 @@ def _branch_batch(base: PathBatch, starts: np.ndarray, new_states: np.ndarray,
                      base.path_indices)
 
 
-def _restarted_gaps(batch: PathBatch, functional: PathFunctional, starts: np.ndarray, draws):
-    """(per-row split scale, value gap) of the branch pair split off each row
-    i at step starts[i], with draws the rows' (u, r, z) at their steps.  The
-    pairs are formed step group by step group (_step_pair); each side then
-    restarts over the whole block in one pass (_branch_batch) and is valued,
-    the minus side in the plus side's arrays with the base block copied
-    back, so the restarts add one block copy to the peak memory.  A value
-    that may share memory with those arrays is copied first."""
-    count = batch.n_paths
-    total = np.empty(count)
-    sides = np.empty((2, 2, count, batch.model.state_dim))  # (plus, minus) x (state, increment)
-    for k in np.unique(starts):
-        rows = np.nonzero(starts == k)[0]
-        total[rows], sides[:, :, rows] = _step_pair(batch, rows, k, _draws_at(draws, rows, None))
+def _restarted_gaps(batch: PathBatch, functional: PathFunctional, starts: np.ndarray, sides):
+    """The value gap of the branch pair split off each row i at step
+    starts[i], with sides its [(plus states, increments), (minus states,
+    increments)] (_step_pair).  Each side restarts over the whole block in
+    one pass (_branch_batch) and is valued, the minus side in the plus side's
+    arrays with the base block copied back, so the restarts add one block
+    copy to the peak memory.  A value that may share memory with those
+    arrays is copied first."""
     values, out = [], None
     for side in sides:
         branch = _branch_batch(batch, starts, *side, out=out)
@@ -566,11 +686,15 @@ def _restarted_gaps(batch: PathBatch, functional: PathFunctional, starts: np.nda
         value = np.asarray(functional.value(branch))
         values.append(np.array(value) if _may_share(value, out) else value)
         del branch  # with what it kept, such as per-row Jacobians
-    return total, values[0] - values[1]
+    return values[0] - values[1]
 
 
-def _grouped_random_k(batch: PathBatch, functional: PathFunctional):
-    """One branch per path at a uniformly drawn step.
+def _grouped_random_k(batch: PathBatch, functional: PathFunctional, probe: Probe | None,
+                      props):
+    """One branch per path at a uniformly drawn step: one split pass over
+    the rows (_step_pair), then, given a probe with its products props, the
+    copies carried to its steps (_at_probes, one copy per row), else both
+    sides restarted (_restarted_gaps).
 
     A row with zero split scale at its branch step gets the coinciding pair,
     as in the sum-over-k engines, so its estimate and gap are exact +0.0.
@@ -581,9 +705,15 @@ def _grouped_random_k(batch: PathBatch, functional: PathFunctional):
     for rng, rows, part in group_streams(batch.master_seed, batch.path_indices, tag=TAG_CHOICE):
         ks[rows] = rng.integers(0, steps, PATHS_PER_STREAM)[part]
     # each row's draws at its branch step; the (N, M) draws are freed here
+    rows = np.arange(count)
     draws = _draws_at(_branch_draw_block(batch.master_seed, batch.path_indices, steps,
-                                         batch.model.state_dim), np.arange(count), ks)
-    total, gaps = _restarted_gaps(batch, functional, ks, draws)
+                                         batch.model.state_dim), rows, ks)
+    total, sides = _step_pair(batch, rows, ks, _draws_at(draws, slice(None), None))
+    if props is None:
+        gaps = _restarted_gaps(batch, functional, ks, sides)
+    else:
+        gaps = _probe_gaps(probe, *_probe_args(batch, probe, props, ks, sides,
+                                               _ito_sums(batch, probe)))
     return _per_row(steps * total, gaps) * gaps, _row_abs_sums(gaps)
 
 
@@ -594,8 +724,9 @@ def _generic_sum_over_k(batch: PathBatch, functional: PathFunctional):
     draws = _branch_draw_block(batch.master_seed, batch.path_indices, batch.grid.steps,
                                batch.model.state_dim)
     for k in range(batch.grid.steps):
-        total, gaps = _restarted_gaps(batch, functional, np.full(batch.n_paths, k),
-                                      _draws_at(draws, slice(None), k))
+        total, sides = _step_pair(batch, slice(None), k,
+                                  _draws_at(draws, slice(None), slice(k, k + 1)))
+        gaps = _restarted_gaps(batch, functional, np.full(batch.n_paths, k), sides)
         block_vals = block_vals + _per_row(total, gaps) * gaps
         gap_rows += _row_abs_sums(gaps)
     return block_vals, gap_rows
@@ -603,11 +734,15 @@ def _generic_sum_over_k(batch: PathBatch, functional: PathFunctional):
 
 def _hj_values(batch: PathBatch, functional: PathFunctional, mode: str):
     """Per-path branch estimates on one simulated block (mean-one-unbiased for
-    d/dtheta E[C]), with the block's per-row |gap| sums."""
+    d/dtheta E[C]), with the block's per-row |gap| sums, by the route the
+    module docstring names for the block's model, weight and functional."""
+    probe = None if functional.probe is None else functional.probe(batch)
+    props = None if probe is None else _affine_propagators(batch, probe.steps)
     if mode == "random-k":
-        return _grouped_random_k(batch, functional)
-    if functional.terminal_value is not None:
-        return _terminal_sum_over_k(batch, functional)
+        return _grouped_random_k(batch, functional, probe, props)
+    if probe is not None and (props is not None or (
+            tuple(probe.steps) == (batch.grid.steps,) and probe.weight is None)):
+        return _terminal_sum_over_k(batch, probe, props)
     if functional.step_value is not None:
         return _integral_sum_over_k(batch, functional)
     return _generic_sum_over_k(batch, functional)

@@ -303,15 +303,15 @@ def test_estimate_grad_manifest_reports_estimate_health(tmp_path):
 # the health figures and the wall time, is not part of this contract
 OUTPUT_DIGESTS = {
     ("estimate-grad", "random-k", "estimate_grad.csv"):
-        "8f1ecb275f84775c0f20178fd25daaca34b409e1bdb32e3656492fbf69561de2",
+        "20417f379fa02c9cd20f6c64c14b15a3ab98e6a7a07f89ec4fe301276e8761ac",
     ("estimate-grad", "sum-over-k", "estimate_grad.csv"):
-        "e2dc4977ee2bb802a7654b72e0c5b8015e3afe37681982b1114f26c210f12b2c",
+        "c9dcfc4d49dd0cbcb09c4ee2cffdbfa98442467edcfe72780fb675cd28e90fe3",
     ("optimize", "random-k", "optimize.csv"):
-        "aabf4dab7ad781772d11dc71b1f89d47a838727f34d56520cd09a31882479bf0",
+        "05e83e6cd614c4887ef06240804cf8c286d6c80789546f6ea2c8a1548423e05b",
     ("optimize", "random-k", "optimize.svg"):
         "78b0407e8274776bfa227c26e3ded62ef881691315c8e84513c20672ec443ca1",
     ("optimize", "sum-over-k", "optimize.csv"):
-        "9bfad90125667ade11fe6467dbfc967efcd114cff3996a8ce9e7b091e8993962",
+        "6e949ef5601b35f682e31c18bd18711b4769ccfff3ffcdf619693044103e1102",
     ("optimize", "sum-over-k", "optimize.svg"):
         "1d751066aa2266758335f9b572c70b7149ac97e64e8f6c5e3399a8cab2322be0",
 }

@@ -9,6 +9,7 @@ import threading
 import time
 import tracemalloc
 import types
+import warnings
 import weakref
 from unittest import mock
 
@@ -279,6 +280,32 @@ def test_simulate_paths_rejects_an_out_that_does_not_fit(n_paths, grid):
     out = cm.simulate_paths(model, 1.0, 0.3, cm.TimeGrid(1.0, 9), 300, 5)
     with pytest.raises(ValueError, match="out holds"):
         cm.simulate_paths(model, 1.0, 0.3, grid, n_paths, 5, out=out)
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_estimators_reject_a_non_finite_theta_before_simulating(monkeypatch, theta):
+    # an infinite theta once let a RuntimeWarning escape from the OU drift
+    # and then raised NonFiniteState at step 1
+    model, grid = cm.ou_model(1.0), cm.TimeGrid(1.0, 10)
+    ell, g = cm.terminal_power(2), cm.marginal_power(5, 1)
+    simulated = []
+    monkeypatch.setattr(sde, "simulate_paths", lambda *args, **kwargs: simulated.append(args))
+    x0 = np.array([0.0])
+    calls = {
+        "loss": lambda: cm.conditional_loss_estimate(model, theta, ell, g, "canonical", 50, 1,
+                                                     grid, 0.0),
+        "random-k": lambda: cm.hj_gradient(model, theta, x0, grid, ell, 50, "random-k", 1),
+        "sum-over-k": lambda: cm.hj_gradient(model, theta, x0, grid, ell, 50, "sum-over-k", 1),
+        "score": lambda: cm.score_function_gradient(model, theta, x0, grid, ell, 50, 1),
+        "counterfactual": lambda: cm.counterfactual_gradient(model, theta, ell, g, "canonical",
+                                                             grid, 0.0, 50),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match="theta must be finite"):
+                call()
+    assert simulated == []
 
 
 def test_per_path_raises_the_earliest_failed_block_and_leaves_no_thread(force_workers):

@@ -86,8 +86,9 @@ def test_branch_step_choices_match_group_draws(seed, span, steps, dim):
         starts.append(np.array(from_steps))
         return real(base, from_steps, new_states, new_increments, **kwargs)
 
+    # a value-only payoff, whose branches restart
     with mock.patch.object(wd, "_branch_batch", recording):
-        _hj_values(batch, cm.terminal_power(2), "random-k")
+        _hj_values(batch, cm.PathFunctional(value=cm.terminal_power(2).value), "random-k")
     want = [stream(seed, i // G, tag=TAG_CHOICE).integers(0, steps, G)[i % G]
             for i in range(first, first + count)]
     assert len(starts) == 2  # one restart pass per side

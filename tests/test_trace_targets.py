@@ -68,13 +68,17 @@ def test_every_tracer_span_fires():
     tracer = _load_tracer()
     model, grid, x0 = cm.ou_model(1.0), cm.TimeGrid(1.0, 8), np.array([0.5])
     ell, g = cm.terminal_power(2), cm.marginal_power(4, 1)
+    # a value-only payoff has its branches restarted: the generic engine, and
+    # _branch_batch in random-k; the probes of ell and marginal_power carry them
+    value_only = cm.PathFunctional(value=cm.marginal_power(6, 2).value)
     payoffs = (ell, cm.integral_functional(lambda x: x[..., 0] ** 2, lambda x: 2.0 * x),
-               cm.marginal_power(6, 2))  # terminal, integral and generic engines
+               cm.marginal_power(6, 2), value_only)  # probe, integral and generic engines
     config = cm.OptimizerConfig(theta0=1.0, step_size=0.1, n_iterations=1,
                                 paths_per_iteration=200)
     with tracer.Tracer() as probe:
         cm.conditional_loss_estimate(model, 1.0, ell, g, "canonical", 200, 5, grid, 0.0)
         cm.hj_gradient(model, 1.0, x0, grid, ell, 40, "random-k", 1)
+        cm.hj_gradient(model, 1.0, x0, grid, value_only, 40, "random-k", 1)
         for payoff in payoffs:
             cm.hj_gradient(model, 1.0, x0, grid, payoff, 40, "sum-over-k", 1)
         cm.score_function_gradient(model, 1.0, x0, grid, ell, 40, 1)

@@ -25,7 +25,8 @@ from condmc.errors import (
     SingularDiffusion,
     ZeroSensitivity,
 )
-from condmc.functionals import PathFunctional
+from condmc.functionals import PathFunctional, Probe
+from condmc.malliavin import quotient_integrands
 from condmc.sde import block_rows, per_path
 from condmc.streams import PATHS_PER_STREAM, TAG_BRANCH, TAG_CHOICE, TAG_NOISE, _StreamPool, stream
 from condmc.weakderiv import _hj_values
@@ -141,6 +142,30 @@ def relu_drift_model():
 
 def terminal_square():
     return cm.terminal_power(2)
+
+
+def terminal_functional(at_horizon):
+    """at_horizon of the horizon states (..., n), with a probe of the horizon
+    alone."""
+    return PathFunctional(
+        value=lambda b: at_horizon(b.states[..., -1, :]),
+        probe=lambda b: Probe((b.grid.steps,), lambda x: at_horizon(x[..., 0, :])))
+
+
+def _horizon_chunks(batch, f):
+    """_carried_chunks of a functional f with a probe of the horizon alone:
+    (steps, plus, minus, scales) with plus and minus the (N, K, n) horizon
+    states of the copies, carried by the step-factor products where the
+    model has them, else by Euler."""
+    probe = f.probe(batch)
+    props = wd._affine_propagators(batch, probe.steps)
+    for at, (plus,), (minus,), scales in wd._carried_chunks(batch, probe, props):
+        yield at, plus[:, :, 0], minus[:, :, 0], scales
+
+
+def _horizon_value(f, batch, x):
+    """The value f's probe gives horizon states x (..., n)."""
+    return np.asarray(f.probe(batch).value(x[..., None, :]))
 
 
 def marginal_at(step):
@@ -444,10 +469,7 @@ def test_shifted_integral_keeps_the_integral_engine():
 def test_random_k_two_dim_matches_reference():
     model = diag2_model()
     grid = cm.TimeGrid(0.5, 5)
-    f = PathFunctional(
-        value=lambda b: b.states[..., -1, 0] ** 2 + b.states[..., -1, 1] ** 2,
-        terminal_value=lambda x: x[..., 0] ** 2 + x[..., 1] ** 2,
-    )
+    f = terminal_functional(lambda x: x[..., 0] ** 2 + x[..., 1] ** 2)
     n, seed = 48, 41
     report = cm.hj_gradient(model, 1.0, np.array([0.3, -0.2]), grid, f, n,
                             "random-k", seed)
@@ -525,10 +547,7 @@ def test_two_dim_gradient_agrees_with_bump():
     model = diag2_model()
     grid = cm.TimeGrid(1.0, 40)
     x0 = np.array([0.5, -0.5])
-    f = PathFunctional(
-        value=lambda b: b.states[..., -1, 0] ** 2 + b.states[..., -1, 1] ** 2,
-        terminal_value=lambda x: x[..., 0] ** 2 + x[..., 1] ** 2,
-    )
+    f = terminal_functional(lambda x: x[..., 0] ** 2 + x[..., 1] ** 2)
     n = 20000
     report = cm.hj_gradient(model, 1.0, x0, grid, f, n, "sum-over-k", 201)
     h = 1e-3
@@ -781,10 +800,7 @@ def test_score_function_outputs_keep_their_bits(n_dim, rows):
 
 
 def _cubic_terminal():
-    return PathFunctional(
-        value=lambda b: b.states[..., -1, 0] ** 2 + b.states[..., -1, -1] ** 3,
-        terminal_value=lambda x: x[..., 0] ** 2 + x[..., -1] ** 3,
-    )
+    return terminal_functional(lambda x: x[..., 0] ** 2 + x[..., -1] ** 3)
 
 
 def _square_integral():
@@ -876,25 +892,29 @@ def _constant_sensitivity_outputs(case):
 
 # outputs of every estimator on a model whose drift sensitivity has no path
 # axis, pinned to the bit at seed 5 (seed 13 for the counterfactual), theta
-# 0.8, x0 0.5, 300 paths and 20 steps on [0, 1]; the sum-over-k cases run the
-# affine, integral and generic engines in turn
+# 0.8, x0 0.5, 300 paths and 20 steps on [0, 1]; the terminal and marginal
+# cases carry their branches to the probe steps by step-factor products, in
+# both modes, and the integral cases run the restart and integral engines.
+# The random-k terminal, the marginal and the counterfactual cases were
+# re-captured when their branches moved from restarts to the probe carry;
+# each moved by at most 3e-15 relative, by the rounding of the carry
 CONSTANT_SENSITIVITY_PINS = {
-    "random-k terminal": ("0x1.bd89dac1c0220p-1", "0x1.3980c881362fdp+0", "0x1.20d03e631cdfep-1"),
-    "random-k marginal": ("0x1.83cb831ecb3b3p-2", "0x1.4ebc6d80e2996p-1", "0x1.cb940ee6f23b3p-3"),
+    "random-k terminal": ("0x1.bd89dac1c021fp-1", "0x1.3980c881362f8p+0", "0x1.20d03e631cdfcp-1"),
+    "random-k marginal": ("0x1.83cb831ecb3b2p-2", "0x1.4ebc6d80e2994p-1", "0x1.cb940ee6f23b1p-3"),
     "random-k integral": ("0x1.eb7fb3bb2afd9p-2", "0x1.7c073a21e57bdp-2", "0x1.26b86cbf4ca60p-2"),
     "sum-over-k terminal":
         ("0x1.cee980ca116d2p-1", "0x1.458e51d3514edp-1", "0x1.23346d8623445p-1"),
     "sum-over-k marginal":
-        ("0x1.87c123b471c84p-2", "0x1.76d8d779c1b1bp-4", "0x1.d76918c686bf0p-3"),
+        ("0x1.87c123b471c83p-2", "0x1.76d8d779c1b1ap-4", "0x1.d76918c686beep-3"),
     "sum-over-k integral":
         ("0x1.f0a096b2c5144p-2", "0x1.d5b77ff761f2dp-4", "0x1.265cbae5d0bccp-2"),
     "score terminal": ("0x1.aff495f127c8ap-1", "0x1.1ffc96a152695p-3", "0x1.7ba7013900008p+2"),
     "score marginal": ("0x1.9f4279be439fcp-2", "0x1.252ad854dc04fp-4", "0x1.896f42e617efbp+0"),
     "score integral": ("0x1.fbba3be5ef191p-2", "0x1.32f258105fa90p-4", "0x1.af49aaef4f456p+0"),
     "counterfactual random-k":
-        ("0x1.a5be5cc113bb7p-2", "0x1.0904a822d5616p-1", "0x1.ee81084890386p-2"),
+        ("0x1.a5be5cc113bb7p-2", "0x1.0904a822d5614p-1", "0x1.ee81084890385p-2"),
     "counterfactual sum-over-k":
-        ("0x1.a5be5cc113bb7p-2", "0x1.235401502887dp-3", "0x1.e35fbef39f927p-2"),
+        ("0x1.a5be5cc113bb7p-2", "0x1.2354015028870p-3", "0x1.e35fbef39f926p-2"),
 }
 
 
@@ -985,10 +1005,7 @@ def _radius_square_at(step):
 def _engine_case(engine, n_dim, steps):
     """(mode, functional) that runs the given engine on an n_dim-state model."""
     if engine == "terminal":
-        return "sum-over-k", PathFunctional(
-            value=lambda b: b.states[..., -1, 0] ** 2 + b.states[..., -1, -1] ** 2,
-            terminal_value=lambda x: x[..., 0] ** 2 + x[..., -1] ** 2,
-        )
+        return "sum-over-k", terminal_functional(lambda x: x[..., 0] ** 2 + x[..., -1] ** 2)
     if engine == "integral":
         return "sum-over-k", cm.integral_functional(
             lambda x: x[..., 0] ** 2 + x[..., -1] ** 2, lambda x: 2.0 * x)
@@ -1132,12 +1149,14 @@ def _engine_pair(batch, functional):
     terminal estimates, and the size of the values each estimate subtracts,
     sum_k scale_k (|C+| + |C-|)."""
     euler = dataclasses.replace(batch, model=per_row_copy(batch.model))
-    assert wd._affine_propagators(batch) is not None
-    assert wd._affine_propagators(euler) is None or batch.grid.steps == 1  # no step to carry
+    horizon = (batch.grid.steps,)
+    assert wd._affine_propagators(batch, horizon) is not None
+    # an Euler route but on a one-step grid, which has no step to carry
+    assert wd._affine_propagators(euler, horizon) is None or batch.grid.steps == 1
     out = []
     for route in (batch, euler):
-        plus, minus, scale_k = _joined(wd._carried_chunks(route), batch.grid.steps)
-        c_plus, c_minus = (np.asarray(functional.terminal_value(side)) for side in (plus, minus))
+        plus, minus, scale_k = _joined(_horizon_chunks(route, functional), batch.grid.steps)
+        c_plus, c_minus = (_horizon_value(functional, route, side) for side in (plus, minus))
         size = np.sum(scale_k * (np.abs(c_plus) + np.abs(c_minus)), axis=1)
         out.append((plus, minus, scale_k, _step_sum(scale_k, c_plus - c_minus), size))
     return out
@@ -1162,10 +1181,7 @@ def test_affine_engine_matches_euler_copies_property(name, n_dim, steps, n_paths
     x0 = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n_dim, max_size=n_dim)))
     rows = data.draw(st.integers(1, n_paths))
     grid = cm.TimeGrid(horizon, steps)
-    f = PathFunctional(
-        value=lambda b: b.states[..., -1, 0] ** 2 + b.states[..., -1, -1] ** 3,
-        terminal_value=lambda x: x[..., 0] ** 2 + x[..., -1] ** 3,
-    )
+    f = terminal_functional(lambda x: x[..., 0] ** 2 + x[..., -1] ** 3)
 
     def checked(batch):  # one engine pair per block of the estimator's own loop
         affine, euler = _engine_pair(batch, f)
@@ -1190,7 +1206,7 @@ def test_affine_engine_carries_a_zero_step_factor(name, n_dim):
     if name == "time-affine":
         theta = 8.0 / (1.0 + grid.times[3])
     batch = cm.simulate_paths(model, theta, np.full(n_dim, 0.4), grid, 6, 2)
-    props = wd._affine_propagators(batch)
+    (props,) = wd._affine_propagators(batch, (grid.steps,))
     assert (not props[:3].any()) == (n_dim == 1 or name != "time-affine")
     _assert_affine_matches_euler(*_engine_pair(batch, cm.terminal_power(2)))
     report = cm.hj_gradient(model, theta, np.full(n_dim, 0.4), grid, cm.terminal_power(2), 6,
@@ -1353,8 +1369,7 @@ def _terminal_payoff(columns):
         first = x[..., 0] ** 2 + x[..., -1] ** 3
         return np.stack([first, x[..., -1] ** 3 - x[..., 0]], axis=-1) if columns else first
 
-    return PathFunctional(value=lambda b: at_horizon(b.states[..., -1, :]),
-                          terminal_value=at_horizon)
+    return terminal_functional(at_horizon)
 
 
 @settings(max_examples=60)
@@ -1385,9 +1400,10 @@ def test_affine_fold_and_score_terms_are_chunk_independent_property(name, chunk,
         chunked = run(columns)
         scalar = run(False)
         # the fold's sums reduce as the whole-block helpers reduce the joined chunks
-        folded = wd._terminal_sum_over_k(batch, f)
-        plus, minus, scale_k = _joined(wd._carried_chunks(batch), steps)
-    gaps = f.terminal_value(plus) - f.terminal_value(minus)
+        probe = f.probe(batch)
+        folded = wd._terminal_sum_over_k(batch, probe, wd._affine_propagators(batch, probe.steps))
+        plus, minus, scale_k = _joined(_horizon_chunks(batch, f), steps)
+    gaps = _horizon_value(f, batch, plus) - _horizon_value(f, batch, minus)
     assert same_bits(folded[0], _step_sum(scale_k, gaps))
     assert same_bits(folded[1], wd._row_abs_sums(gaps))
     assert whole[0].shape == ((n_paths, 2) if columns else (n_paths,))
@@ -1445,9 +1461,11 @@ def test_euler_carry_is_chunk_independent_property(name, chunk, columns, n_paths
     with mock.patch.object(sde, "CHUNK_BYTES", 8 * n_paths * n_dim * chunk):
         chunked = run()
         folded = _hj_values(batch, f, "sum-over-k")
-        *carried, scale_k = _joined(wd._carried_chunks(batch, f.step_value), steps)
-    gaps = carried[0] if f.step_value else f.terminal_value(carried[0]) - f.terminal_value(
-        carried[1])
+        if f.step_value:
+            gaps, scale_k = _joined(wd._carried_chunks(batch, step_value=f.step_value), steps)
+        else:
+            plus, minus, scale_k = _joined(_horizon_chunks(batch, f), steps)
+            gaps = _horizon_value(f, batch, plus) - _horizon_value(f, batch, minus)
     # the fold's sums reduce as the whole-block sums of the joined chunks
     assert same_bits(folded[0], _step_sum(scale_k, gaps))
     assert same_bits(folded[1], wd._row_abs_sums(gaps))
@@ -1543,3 +1561,120 @@ def test_step_pair_reads_each_coefficient_once(name):
         wd._step_pair(dataclasses.replace(batch, model=counting), rows, k,
                       wd._draws_at(draws, rows, slice(k, k + 1)))
         assert calls == {"drift": 1, "drift_dtheta": 1, "diffusion": 1}
+
+
+@pytest.mark.parametrize("name", ["ou1", "ou2", "cubic", "sine-diffusion"])
+def test_one_split_pass_gives_the_bits_of_its_step_groups(name):
+    # rows branching at mixed steps, split in one pass that reads each
+    # coefficient once per distinct step, get the totals and both sides the
+    # split of each step's rows alone gives them
+    model = PLACEMENT_MODELS[name]()
+    grid = cm.TimeGrid(1.0, 6)
+    batch = cm.simulate_paths(model, 0.7, np.full(model.state_dim, 0.4), grid, 9, 2)
+    draws = wd._branch_draw_block(2, batch.path_indices, grid.steps, model.state_dim)
+    rows, ks = np.arange(9), np.array([5, 0, 3, 3, 0, 1, 5, 3, 2])
+    counting, calls = _counting(model)
+    total, sides = wd._step_pair(dataclasses.replace(batch, model=counting), rows, ks,
+                                 wd._draws_at(wd._draws_at(draws, rows, ks), slice(None), None))
+    assert calls == {"drift": 5, "drift_dtheta": 5, "diffusion": 5}
+    for k in np.unique(ks):
+        group = np.flatnonzero(ks == k)
+        want_total, want_sides = wd._step_pair(batch, group, k,
+                                               wd._draws_at(draws, group, slice(k, k + 1)))
+        assert same_bits(total[group], want_total)
+        for side, want in zip(sides, want_sides):
+            assert all(same_bits(a[group], b) for a, b in zip(side, want))
+
+
+def test_one_split_pass_rejects_a_mis_shaped_coefficient():
+    # drift_dtheta drops the state axis: (R,) in place of (R, 1) for a step's rows
+    model = dataclasses.replace(cm.ou_model(1.0), drift_dtheta=lambda x, t, theta: -x[..., 0])
+    batch = cm.simulate_paths(model, 1.0, np.array([0.3]), cm.TimeGrid(1.0, 4), 6, 1)
+    draws = wd._branch_draw_block(1, batch.path_indices, 4, 1)
+    ks = np.array([1, 1, 2, 3, 1, 2])
+    with pytest.raises(CoefficientShapeError, match=r"shape \(3,\) does not broadcast "
+                                                    r"to \(3, 1\)"):
+        wd._step_pair(batch, np.arange(6), ks,
+                      wd._draws_at(wd._draws_at(draws, np.arange(6), ks), slice(None), None))
+
+
+# ---------------------------------------------------------------------------
+# the probe route against the restart and generic routes
+
+
+PROBE_MODELS = {
+    "ou": lambda n: cm.ou_model(0.8, dim=n),
+    "mean-reverting": lambda n: cm.mean_reverting_model(0.5, 1.3, dim=n),
+    "constant-sensitivity": lambda n: constant_sensitivity_model(),
+}
+
+
+@settings(max_examples=40)
+@given(name=st.sampled_from(sorted(PROBE_MODELS)), n_dim=st.sampled_from([1, 2]),
+       mode=st.sampled_from(wd.GRADIENT_MODES), steps=st.integers(2, 16),
+       n_paths=st.integers(2, 30), seed=st.integers(0, 2 ** 32), theta=st.floats(0.2, 2.0),
+       level=st.floats(-1.0, 1.0), data=st.data())
+def test_probe_route_matches_the_restart_route_property(name, n_dim, mode, steps, n_paths,
+                                                         seed, theta, level, data):
+    # the quotient integrand and a shifted marginal, valued by the probe
+    # route and, with the probe taken away, by restarted branches (random-k)
+    # or the generic engine (sum-over-k) on the same block
+    model = PROBE_MODELS[name](n_dim)
+    n = model.state_dim
+    x0 = np.array(data.draw(st.lists(st.floats(-1.5, 1.5), min_size=n, max_size=n)))
+    condition = data.draw(st.integers(1, steps))
+    g = cm.shift_functional(cm.marginal_power(condition, 1), level)
+    functionals = (quotient_integrands(cm.terminal_power(2), g, "canonical"), g)
+
+    def checked(batch):
+        for f in functionals:
+            assert wd._affine_propagators(batch, f.probe(batch).steps) is not None
+            got, got_gaps = _hj_values(batch, f, mode)
+            want, want_gaps = _hj_values(batch, dataclasses.replace(f, probe=None), mode)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.max(np.abs(got_gaps - want_gaps)) <= 1e-12 * np.max(want_gaps)
+        return (np.zeros(batch.n_paths),)
+
+    per_path(model, theta, x0, cm.TimeGrid(1.0, steps), n_paths, seed, checked)
+
+
+def _euler_passes(monkeypatch):
+    """Counter of _euler_continue calls, the base simulations' and the
+    restarts' alike."""
+    calls = Counter()
+
+    def counted(*args, original=sde._euler_continue):
+        calls["euler"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(sde, "_euler_continue", counted)
+    monkeypatch.setattr(wd, "_euler_continue", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", wd.GRADIENT_MODES)
+@pytest.mark.parametrize("model, carried", [(cm.ou_model(1.0), True),
+                                            (sine_diffusion_model(), False)],
+                         ids=["ou", "sine-diffusion"])
+def test_probe_route_runs_euler_for_the_base_paths_alone(monkeypatch, mode, model, carried):
+    # three blocks of 100 rows: on OU the conditional-loss gradient simulates
+    # each base block once and restarts no branch; on a model whose steps are
+    # not affine in the state, its branches restart
+    calls = _euler_passes(monkeypatch)
+    grid = cm.TimeGrid(1.0, 10)
+    with fixed_block_rows(100):
+        cm.counterfactual_gradient(model, 1.0, cm.terminal_power(2), cm.marginal_power(5, 1),
+                                   "canonical", grid, 0.2, 300, mode, 3)
+    restarts = {"random-k": 2, "sum-over-k": 2 * grid.steps}[mode]
+    assert calls["euler"] == 3 * (1 if carried else 1 + restarts)
+
+
+@pytest.mark.parametrize("mode", wd.GRADIENT_MODES)
+def test_value_only_payoffs_keep_the_restart_route(monkeypatch, mode):
+    calls = _euler_passes(monkeypatch)
+    grid = cm.TimeGrid(1.0, 10)
+    with fixed_block_rows(100):
+        cm.hj_gradient(cm.ou_model(1.0), 1.0, X0, grid, marginal_at(5), 300, mode, 3)
+    restarts = {"random-k": 2, "sum-over-k": 2 * grid.steps}[mode]
+    assert calls["euler"] == 3 * (1 + restarts)
