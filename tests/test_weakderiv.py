@@ -844,6 +844,47 @@ def test_sum_over_k_outputs_keep_their_bits(case, rows):
     assert got == pins
 
 
+def _value_only_square_integral():
+    return PathFunctional(value=cm.integral_functional(lambda x: x[..., 0] ** 2,
+                                                       lambda x: 2.0 * x).value)
+
+
+# generic-route outputs pinned to the bit at seed 4 and 37 steps on [0, 1]: a
+# value-only payoff (no probe, no step_value) in sum-over-k, as (estimate,
+# variance, branch_stats), and the counterfactual sum-over-k gradient on a
+# per-row model, whose integrand has no probe there, as (loss, gradient,
+# se_gradient).  The grid is long enough for the order of the sum over k to
+# show: summing the per-step gaps pairwise in place of step by step moves the
+# OU estimate by 1 ulp, the sine-diffusion variance by 1 ulp, and the
+# counterfactual gradient and its error by 1 ulp each
+GENERIC_ROUTE_PINS = {
+    "ou1 value-only integral": ("-0x1.a33e9e7920cdap-3", "0x1.125b8bfaf4f34p-4",
+                                "0x1.18408da230e44p-3"),
+    "sine-diffusion value-only integral": ("-0x1.a0ce24004c7a8p-4", "0x1.cf52e3e6c0f7ap-7",
+                                           "0x1.d73851033910bp-5"),
+    "sine-diffusion counterfactual": ("0x1.c1ff5419f412fp-4", "-0x1.6031228a15de1p-5",
+                                      "0x1.f77dde068ffaep-6"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERIC_ROUTE_PINS))
+def test_generic_route_outputs_keep_their_bits(case):
+    grid = cm.TimeGrid(1.0, 37)
+    if case == "sine-diffusion counterfactual":
+        g = cm.shift_functional(cm.marginal_power(18, 1), 0.1)
+        loss, gradient, diag = cm.counterfactual_gradient(
+            sine_diffusion_model(), 1.1, cm.terminal_power(2), g, "canonical", grid, 0.3,
+            1000, "sum-over-k", 4)
+        got = (loss, gradient, diag["se_gradient"])
+    else:
+        model, x0 = {"ou1": (cm.ou_model(1.0), 0.5),
+                     "sine-diffusion": (sine_diffusion_model(), 0.3)}[case.split()[0]]
+        report = cm.hj_gradient(model, 1.0, x0, grid, _value_only_square_integral(), 300,
+                                "sum-over-k", 4)
+        got = (report.estimate, report.variance, report.branch_stats)
+    assert tuple(float(v).hex() for v in got) == GENERIC_ROUTE_PINS[case]
+
+
 def constant_sensitivity_model():
     """dX = (theta - X) dt + dW, whose drift_dtheta is np.ones(1): a drift
     sensitivity with no path axis, so the split's weights are the same on
