@@ -116,6 +116,14 @@ def _quotient_std_error(a: np.ndarray, b: np.ndarray, q: float, b_mean: float) -
     return math.sqrt(max(var_q, 0.0))
 
 
+def _quotient_terms(accepted, loss, s_u, correction):
+    """The quotient's per-path terms A = 1{g>0} (loss * S(u) - correction)
+    and B = 1{g>0} S(u), from the {g > 0} mask, the loss value, the Ito sum
+    S(u) of the weight and the correction sum_k <D_k ell, u_k> dt."""
+    numerator = np.asarray(loss) * s_u - correction
+    return np.where(accepted, numerator, 0.0), np.where(accepted, s_u, 0.0)
+
+
 def conditional_quotient_terms(ell: PathFunctional, g: PathFunctional, weight_rule,
                                batch: PathBatch):
     """Per-path numerator terms A_i, denominator terms B_i, and the {g > 0} mask.
@@ -131,25 +139,22 @@ def conditional_quotient_terms(ell: PathFunctional, g: PathFunctional, weight_ru
     indicator = np.asarray(g.value(batch)) > 0.0  # ties count as not-exceeded
     u = weight_from_rule(weight_rule, g, batch)
 
-    def tile_terms(tile, values):
+    def tile_terms(tile, accepted, values):
         s_u = skorohod_integral(replace(u, values=values), tile)
-        l_val = np.asarray(ell.value(tile))
+        loss = ell.value(tile)
         d_ell = derivative_profile(ell, tile)
         correction = np.sum(d_ell[..., :steps, :] * values[..., :steps, :], axis=(-2, -1)) * dt
-        return l_val * s_u - correction, s_u
+        return _quotient_terms(accepted, loss, s_u, correction)
 
     if batch.states.ndim == 2:  # one path
-        numerator, s_u = tile_terms(batch, u.values)
-        return np.where(indicator, numerator, 0.0), np.where(indicator, s_u, 0.0), indicator
+        return (*tile_terms(batch, indicator, u.values), indicator)
     a, b = np.empty(indicator.shape), np.empty(indicator.shape)
     model = batch.model
     rows = chunk_len(8 * (steps + 1) * model.state_dim * max(model.state_dim, model.noise_dim))
     for start in range(0, len(a), rows):
         part = slice(start, start + rows)
-        numerator, s_u = tile_terms(batch.rows(part),
-                                    u.values[part] if u.values.ndim == 3 else u.values)
-        a[part] = np.where(indicator[part], numerator, 0.0)
-        b[part] = np.where(indicator[part], s_u, 0.0)
+        a[part], b[part] = tile_terms(batch.rows(part), indicator[part],
+                                      u.values[part] if u.values.ndim == 3 else u.values)
     return a, b, indicator
 
 
@@ -182,11 +187,10 @@ def _integrand_probe(ell: PathFunctional, g: PathFunctional, batch: PathBatch):
     l_at, g_at = ([steps.index(p) for p in probe.steps] for probe in (l_probe, g_probe))
 
     def value(x, s):
-        accepted = np.asarray(g_probe.value(x[..., g_at, :])) > 0.0
         x_l = x[..., l_at, :]
-        numerator = np.asarray(l_probe.value(x_l)) * s - np.sum(
-            l_probe.gradient(x_l) * c, axis=(-2, -1))
-        return np.stack((np.where(accepted, numerator, 0.0), np.where(accepted, s, 0.0)), -1)
+        return np.stack(_quotient_terms(np.asarray(g_probe.value(x[..., g_at, :])) > 0.0,
+                                        l_probe.value(x_l), s,
+                                        np.sum(l_probe.gradient(x_l) * c, axis=(-2, -1))), -1)
 
     return Probe(steps, value, weight=u)
 

@@ -16,7 +16,6 @@ integrands, and the explicit-theta terms.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -26,7 +25,7 @@ from .functionals import PathFunctional
 from .malliavin import _loss_report, conditional_quotient_terms, quotient_integrands
 from .sde import (PathBatch, SdeModel, TimeGrid, finite_fsum, fsum,
                   on_grid, per_path, require_finite)
-from .streams import child_seed
+from .streams import _is_integer, child_seed
 from .weakderiv import GRADIENT_MODES, _hj_values, _mean_branch_gap
 
 _DENOMINATOR_FLOOR = 1e-12
@@ -64,41 +63,37 @@ def _drift_absorbed(sig: np.ndarray, shift: np.ndarray) -> np.ndarray:
         raise SingularDiffusion(f"diffusion not invertible: {exc}") from exc
 
 
-def _integrand_theta_terms(batch: PathBatch, ell, g, weight_rule) -> np.ndarray:
-    """Per-path d/dtheta of the two integrands along a frozen state path, as
+def _integrand_theta_terms(batch: PathBatch, integrands: PathFunctional) -> np.ndarray:
+    """Per-path d/dtheta of the integrands (quotient_integrands, the
+    functional the branch pass values) along a frozen state path, as their
     (N, 2) columns (numerator, denominator).
 
     Viewed as functions of the state path, the integrands carry theta in the
     derivative profiles (through the jacobians), in the weight process, and
     in the increments the Skorohod sum reads, since a frozen state path
     implies theta-dependent increments: the Euler identity gives
-    dW' = dW + dt * sigma^{-1} (b - b') at the bumped parameter, with the
-    diffusion profile read once, on the first side whose drift moves.  All
-    three slots are moved together by central differences; the {g > 0} gate
-    depends on the states alone, so it cannot flip between the two
-    evaluations.
+    dW' = dW + dt * sigma^{-1} (b - b') at the bumped parameter, with sigma
+    the block's diffusion profile (PathBatch.diffusions), read on the first
+    side whose drift moves.  All three slots are moved together by central
+    differences of the integrands' values; the {g > 0} gate depends on the
+    states alone, so it cannot flip between the two evaluations.
     """
     model, grid, theta = batch.model, batch.grid, batch.theta
     n = model.state_dim
     x_left = batch.states[:, :grid.steps, :]
     b_base = on_grid(model.drift, x_left, grid.times, (n,), theta)
-    sig = None
     sides = []
     for bumped in (theta + _THETA_BUMP, theta - _THETA_BUMP):
         shift = grid.dt * (b_base - on_grid(model.drift, x_left, grid.times, (n,), bumped))
         increments = batch.increments
         if np.any(shift):
-            if sig is None:
-                if model.noise_dim != n:
-                    raise ValueError(
-                        "reconstructing increments from states needs a square diffusion")
-                sig = on_grid(model.diffusion, x_left, grid.times, (n, n))
-            increments = increments + _drift_absorbed(sig, shift)
+            if model.noise_dim != n:
+                raise ValueError("reconstructing increments from states needs a square diffusion")
+            increments = increments + _drift_absorbed(batch.diffusions[..., :grid.steps, :, :],
+                                                      shift)
         del shift  # one block-sized array fewer while the quotient terms run
-        shifted = PathBatch(model, grid, bumped, batch.states, increments,
-                            batch.master_seed, batch.path_indices)
-        a, b, _ = conditional_quotient_terms(ell, g, weight_rule, shifted)
-        sides.append(np.stack((a, b), -1))
+        sides.append(integrands.value(PathBatch(model, grid, bumped, batch.states, increments,
+                                                batch.master_seed, batch.path_indices)))
     up, down = sides
     return (up - down) / (2.0 * _THETA_BUMP)
 
@@ -138,7 +133,7 @@ def counterfactual_gradient(model: SdeModel, theta: float, ell: PathFunctional,
         model, theta, x0, grid, n_paths, master_seed, lambda batch: (
             *conditional_quotient_terms(ell, g, weight_rule, batch),
             *_hj_values(batch, integrands, gradient_mode),
-            _integrand_theta_terms(batch, ell, g, weight_rule)))
+            _integrand_theta_terms(batch, integrands)))
     report = _loss_report(a, b, indicator, master_seed)
     g1_terms, g2_terms = (measure + explicit).T
     grad_e1 = finite_fsum(g1_terms) / n_paths
@@ -195,7 +190,7 @@ class OptimizerConfig:
             raise ValueError("step_size must be finite and nonnegative")
         for name in ("n_iterations", "paths_per_iteration", "master_seed"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
         if self.n_iterations < 1:
             raise ValueError("n_iterations must be at least 1")

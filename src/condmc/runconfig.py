@@ -9,10 +9,10 @@ manifest.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .errors import ConfigError
+from .streams import _is_integer
 from .weakderiv import GRADIENT_MODES
 
 _ESTIMATORS = ("wd", "sf")
@@ -43,10 +43,10 @@ class RunConfig:
     target: float = 3.0
 
     def validate(self) -> "RunConfig":
-        for key in sorted(_INT_KEYS):
-            if not isinstance(getattr(self, key), numbers.Integral):
+        for key in sorted(k for k, v in _DEFAULTS.items() if type(v) is int):
+            if not _is_integer(getattr(self, key)):
                 raise ConfigError(f"{key} must be an integer, not {getattr(self, key)!r}")
-        for key in sorted(_FLOAT_KEYS):
+        for key in sorted(k for k, v in _DEFAULTS.items() if type(v) is float):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key.replace('_', '-')} must be finite")
         if self.paths < 2:
@@ -69,7 +69,7 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {GRADIENT_MODES}, got {self.mode!r}")
         if not self.t_values or not all(0.0 < t < math.inf for t in self.t_values):
             raise ConfigError("t-values must be positive and finite")
-        if not self.n_values or any(not isinstance(n, numbers.Integral) or n < 2
+        if not self.n_values or any(not _is_integer(n) or n < 2
                                     for n in self.n_values):
             raise ConfigError("n-values must be integers of at least 2")
         if (not self.estimators
@@ -108,30 +108,25 @@ _COMMAND_DEFAULTS = {
     "optimize": {"paths": 2_000, "steps": 50},
 }
 
-_INT_KEYS = {"steps", "paths", "seed", "replications", "iterations"}
-_FLOAT_KEYS = {"theta", "sigma", "x0", "horizon", "step_size", "theta_min",
-               "theta_max", "target"}
-_STR_KEYS = {"mode", "out"}
+# the keys a config file may set, with their defaults: a value parses by the
+# type of its key's default, and a tuple's comma-separated entries by the type
+# of its first entry, strings stripped
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
 
 
 def _parse_value(key: str, raw: str):
     key = key.replace("-", "_")
+    if key not in _DEFAULTS:
+        raise ConfigError(f"unknown config key {key!r}")
+    default = _DEFAULTS[key]
+    kind = type(default[0] if isinstance(default, tuple) else default)
+    parse = str.strip if kind is str else kind
     try:
-        if key in _INT_KEYS:
-            return key, int(raw)
-        if key in _FLOAT_KEYS:
-            return key, float(raw)
-        if key in _STR_KEYS:
-            return key, raw
-        if key == "t_values":
-            return key, tuple(float(v) for v in raw.split(","))
-        if key == "n_values":
-            return key, tuple(int(v) for v in raw.split(","))
-        if key == "estimators":
-            return key, tuple(v.strip() for v in raw.split(","))
+        if isinstance(default, tuple):
+            return key, tuple(parse(v) for v in raw.split(","))
+        return key, parse(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
-    raise ConfigError(f"unknown config key {key!r}")
 
 
 def parse_config_file(path: str) -> dict:

@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import contextvars
 import math
-import numbers
 import os
 import threading
 from dataclasses import dataclass, field, replace
@@ -77,7 +76,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CoefficientShapeError, NonFiniteEstimate, NonFiniteState, SingularJacobian
-from .streams import PATHS_PER_STREAM, TAG_NOISE, group_streams, stream
+from .streams import PATHS_PER_STREAM, TAG_NOISE, _check_key, _is_integer, group_streams, stream
 
 _COND_LIMIT = 1e12
 
@@ -128,9 +127,9 @@ def chunk_len(item_bytes: int) -> int:
 
 
 def _check_count(name: str, value, least: int = 1) -> None:
-    """ValueError unless value is an integer (a numbers.Integral) of at least
-    least; int() would truncate 2.5 to 2."""
-    if not isinstance(value, numbers.Integral) or value < least:
+    """ValueError unless value is an integer (streams._is_integer) of at
+    least least; int() would truncate 2.5 to 2."""
+    if not _is_integer(value) or value < least:
         raise ValueError(f"{name} must be an integer of at least {least}, not {value!r}")
 
 
@@ -586,6 +585,7 @@ def simulate_paths(model: SdeModel, theta: float, x0, grid: TimeGrid, n_paths: i
     rows, as NumPy's out= writes, and the batch returned views them.
     """
     _check_count("n_paths", n_paths)
+    _check_key(first_index)  # np.arange would take True as 1
     indices = np.arange(first_index, first_index + n_paths)
     states = increments = None
     if out is not None:

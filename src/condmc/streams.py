@@ -25,8 +25,13 @@ TAG_BRANCH = 1
 TAG_CHOICE = 2
 
 
+def _is_integer(value) -> bool:
+    """Whether value is a numbers.Integral other than a bool, which is one too."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_key(*words: int) -> None:
-    if not all(isinstance(w, numbers.Integral) for w in words):
+    if not all(map(_is_integer, words)):
         raise ValueError("master_seed, stream indices and seed parts must be integers")
     if not all(0 <= w <= _MASK64 for w in words):
         raise ValueError("master_seed, stream indices and seed parts must lie in [0, 2**64)")

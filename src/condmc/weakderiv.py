@@ -48,6 +48,7 @@ from .errors import (
     ZeroSensitivity,
 )
 from .functionals import PathFunctional, Probe
+from .malliavin import WeightProcess, skorohod_integral
 from .reports import GradientReport
 from .sde import (
     NoisePath,
@@ -527,10 +528,10 @@ def _probe_args(batch: PathBatch, probe: Probe, props, ks, sides, base_ito):
 
 def _ito_sums(batch: PathBatch, probe: Probe):
     """Per row, the Ito sum of the probe's weight along the block's
-    increments, as malliavin.skorohod_integral sums it; None without a weight."""
+    increments (malliavin.skorohod_integral); None without a weight."""
     if probe.weight is None:
         return None
-    return np.sum(probe.weight[:batch.grid.steps] * batch.increments, axis=(-2, -1))
+    return skorohod_integral(WeightProcess(probe.weight), batch)
 
 
 def _carried_chunks(batch: PathBatch, probe: Probe | None = None, props=None,
@@ -625,11 +626,10 @@ def _integral_sum_over_k(batch: PathBatch, functional: PathFunctional):
                           lambda gaps: gaps)
 
 
-def _step_pair(batch: PathBatch, rows, k, draws):
-    """The branch pair split off the given block rows at step k, one step or
-    an (R,) array of per-row steps (rows then an index array), with draws
-    their (u, r, z) at those steps as (R, 1[, n]) arrays: (per-row split
-    scale, [(plus states, increments), (minus states, increments)]).
+def _step_pair(batch: PathBatch, ks: np.ndarray, draws):
+    """The branch pair split off each row i of the block at step ks[i], with
+    draws their (u, r, z) at those steps as (N, 1[, n]) arrays: (per-row
+    split scale, [(plus states, increments), (minus states, increments)]).
 
     The split is one pass over the rows (_hj_terms_batch), which reads each
     coefficient once per distinct step, and its terms give both sides'
@@ -638,24 +638,21 @@ def _step_pair(batch: PathBatch, rows, k, draws):
     its gap is 0.
     """
     grid = batch.grid
-    if np.ndim(k):
-        x = batch.states[rows, k][:, None]
-        terms = _hj_terms_batch(batch.model, x, grid.times, batch.theta, grid.dt, k)
-    else:
-        x = batch.states[rows, k:k + 1]
-        terms = _hj_terms_batch(batch.model, x, grid.times[k:k + 1], batch.theta, grid.dt)
+    x = batch.states[np.arange(batch.n_paths), ks][:, None]
+    terms = _hj_terms_batch(batch.model, x, grid.times, batch.theta, grid.dt, ks)
     return terms.total[:, 0], [(y[:, 0], _side_increments(terms, x, y)[:, 0])
                                for y in _assemble_branch_states(terms, *draws)]
 
 
-def _branch_batch(base: PathBatch, starts: np.ndarray, new_states: np.ndarray,
+def _branch_batch(base: PathBatch, starts, new_states: np.ndarray,
                   new_increments: np.ndarray, out: PathBatch | None = None) -> PathBatch:
-    """The block with row i branched at step starts[i]: its increment there
-    becomes new_increments[i] and its state at starts[i] + 1 new_states[i]
-    (a side of _step_pair), and it runs on by Euler from there, in copies of
-    base's arrays or in those of out, a block of base's shape.  One Euler
-    pass covers the whole block; its Jacobians take one more pass, on the
-    first read of the result's jacobians.
+    """The block with each row branched at its start, one step for every
+    row or an (N,) array of per-row steps: row i's increment there becomes
+    new_increments[i] and its state one step later new_states[i] (a side of
+    _step_pair or of a _placed_chunks step), and it runs on by Euler from
+    there, in copies of base's arrays or in those of out, a block of base's
+    shape.  One Euler pass covers the whole block; its Jacobians take one
+    more pass, on the first read of the result's jacobians.
     """
     if out is None:
         states, increments = base.states.copy(), base.increments.copy()
@@ -671,14 +668,15 @@ def _branch_batch(base: PathBatch, starts: np.ndarray, new_states: np.ndarray,
                      base.path_indices)
 
 
-def _restarted_gaps(batch: PathBatch, functional: PathFunctional, starts: np.ndarray, sides):
-    """The value gap of the branch pair split off each row i at step
-    starts[i], with sides its [(plus states, increments), (minus states,
-    increments)] (_step_pair).  Each side restarts over the whole block in
-    one pass (_branch_batch) and is valued, the minus side in the plus side's
-    arrays with the base block copied back, so the restarts add one block
-    copy to the peak memory.  A value that may share memory with those
-    arrays is copied first."""
+def _restarted_gaps(batch: PathBatch, functional: PathFunctional, starts, sides):
+    """The value gap of the branch pair split off each row at starts, one
+    step for every row or one per row, with sides its [(plus states,
+    increments), (minus states, increments)] (_step_pair, or a _placed_chunks
+    step).  Each side restarts over the whole block in one pass
+    (_branch_batch) and is valued, the minus side in the plus side's arrays
+    with the base block copied back, so the restarts add one block copy to
+    the peak memory.  A value that may share memory with those arrays is
+    copied first."""
     values, out = [], None
     for side in sides:
         branch = _branch_batch(batch, starts, *side, out=out)
@@ -705,10 +703,9 @@ def _grouped_random_k(batch: PathBatch, functional: PathFunctional, probe: Probe
     for rng, rows, part in group_streams(batch.master_seed, batch.path_indices, tag=TAG_CHOICE):
         ks[rows] = rng.integers(0, steps, PATHS_PER_STREAM)[part]
     # each row's draws at its branch step; the (N, M) draws are freed here
-    rows = np.arange(count)
     draws = _draws_at(_branch_draw_block(batch.master_seed, batch.path_indices, steps,
-                                         batch.model.state_dim), rows, ks)
-    total, sides = _step_pair(batch, rows, ks, _draws_at(draws, slice(None), None))
+                                         batch.model.state_dim), np.arange(count), ks)
+    total, sides = _step_pair(batch, ks, _draws_at(draws, slice(None), None))
     if props is None:
         gaps = _restarted_gaps(batch, functional, ks, sides)
     else:
@@ -718,17 +715,19 @@ def _grouped_random_k(batch: PathBatch, functional: PathFunctional, probe: Probe
 
 
 def _generic_sum_over_k(batch: PathBatch, functional: PathFunctional):
-    """Branch at every step with full branch re-propagation (any functional)."""
+    """Branch at every step with full branch re-propagation (any functional):
+    each step's pairs, as the placement pass gives them (_placed_chunks),
+    restart from that step (_restarted_gaps), and their scaled gaps and
+    |gaps| are summed step by step."""
     block_vals = 0.0
     gap_rows = np.zeros(batch.n_paths)
-    draws = _branch_draw_block(batch.master_seed, batch.path_indices, batch.grid.steps,
-                               batch.model.state_dim)
-    for k in range(batch.grid.steps):
-        total, sides = _step_pair(batch, slice(None), k,
-                                  _draws_at(draws, slice(None), slice(k, k + 1)))
-        gaps = _restarted_gaps(batch, functional, np.full(batch.n_paths, k), sides)
-        block_vals = block_vals + _per_row(total, gaps) * gaps
-        gap_rows += _row_abs_sums(gaps)
+    for at, plus, minus, scales, plus_dw, minus_dw in _placed_chunks(batch, increments=True):
+        for j, k in enumerate(range(at.start, at.stop)):
+            gaps = _restarted_gaps(batch, functional, k, [(plus[:, j], plus_dw[:, j]),
+                                                          (minus[:, j], minus_dw[:, j])])
+            block_vals = block_vals + _per_row(scales[:, j], gaps) * gaps
+            gap_rows += _row_abs_sums(gaps)
+        del plus, minus, scales, plus_dw, minus_dw  # freed before the next chunk
     return block_vals, gap_rows
 
 

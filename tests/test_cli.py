@@ -226,6 +226,7 @@ def test_config_accepts_the_largest_64_bit_seed():
 @pytest.mark.parametrize("key, value", [
     ("steps", 2.5), ("paths", 1000.5), ("seed", 1.0), ("replications", 3.5),
     ("iterations", np.float64(50.0)), ("n_values", (100, 1000.5)), ("paths", "1000"),
+    ("steps", True), ("n_values", (100, True)),
 ])
 def test_run_config_rejects_integer_fields_that_are_not_integers(key, value):
     with pytest.raises(ConfigError, match="must be an integer|must be integers"):
@@ -237,6 +238,18 @@ def test_run_config_takes_numpy_integers():
                        n_values=(np.int64(100), 1_000)).validate()
     assert config.echo() == RunConfig("estimate-loss", steps=200, paths=1000,
                                       n_values=(100, 1_000)).echo()
+
+
+def test_every_run_config_field_parses_from_a_config_file(tmp_path):
+    # a field's value parses by the type of its default, so a new field needs
+    # no entry of its own to be read from a file; the manifest echo of every
+    # field reads back as the same config
+    config = RunConfig("estimate-loss", theta=0.5, steps=40, mode="sum-over-k",
+                       t_values=(1.5, 3.0), n_values=(200, 2_000), estimators=("sf",))
+    path = tmp_path / "echo.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in config.echo().items()
+                            if key != "command"))
+    assert resolve_config("estimate-loss", parse_config_file(str(path)), {}) == config
 
 
 def test_estimate_loss_at_theta_zero(tmp_path):

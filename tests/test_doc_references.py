@@ -1,0 +1,66 @@
+"""Docs must not cite names that are gone.
+
+The docstrings and comments of condmc name its private helpers
+(`_placed_chunks`, `sde._step_jacobian`), and README.md names module
+attributes (`sde.CHUNK_BYTES`).  A refactor that removes or renames one
+leaves such a citation stale with nothing failing; these checks fail instead.
+"""
+
+import importlib
+import io
+import re
+import tokenize
+from pathlib import Path
+
+import condmc
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "condmc").glob("*.py"))
+MODULES = {path.stem: importlib.import_module(f"condmc.{path.stem}")
+           for path in SOURCES if path.stem != "__main__"}
+
+# a private name, bare or after a module name; not a math subscript such as
+# X'_p, (db/dtheta)_i or [k])_s
+PRIVATE = re.compile(r"(?<![\w)'\]}.])(?:(\w+)\.)?(_[A-Za-z]\w*)")
+# `module.name` or `condmc.module` in README.md
+CITED = re.compile(r"`(\w+)\.(\w+)`")
+
+
+def _known_private_names() -> set:
+    """Every attribute of a condmc module and of a class defined in one."""
+    names = set()
+    for module in MODULES.values():
+        names |= set(vars(module))
+        names |= {a for v in vars(module).values() if isinstance(v, type) for a in vars(v)}
+    return names
+
+
+def _doc_text(path: Path):
+    """(line, text) of every comment and string literal in a source file."""
+    for token in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+        if token.type in (tokenize.COMMENT, tokenize.STRING):
+            yield token.start[0], token.string
+
+
+def test_private_names_in_source_docs_resolve():
+    known = _known_private_names()
+    stale = []
+    for path in SOURCES:
+        for line, text in _doc_text(path):
+            for module, name in PRIVATE.findall(text):
+                if module in MODULES:
+                    ok = hasattr(MODULES[module], name)
+                else:
+                    ok = name in known
+                if not ok:
+                    stale.append(f"{path.name}:{line}: {module + '.' if module else ''}{name}")
+    assert stale == []
+
+
+def test_module_names_in_readme_resolve():
+    text = (ROOT / "README.md").read_text()
+    cited = [(m, n) for m, n in CITED.findall(text) if m == "condmc" or m in MODULES]
+    assert cited  # the pattern still finds the README's citations
+    stale = [f"{m}.{n}" for m, n in cited
+             if not hasattr(condmc if m == "condmc" else MODULES[m], n)]
+    assert stale == []

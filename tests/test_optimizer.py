@@ -252,7 +252,7 @@ def test_config_rejects_non_finite_floats(field, value):
 
 
 @pytest.mark.parametrize("field", ["n_iterations", "paths_per_iteration", "master_seed"])
-@pytest.mark.parametrize("value", [2.5, 100.0, np.float64(3.0), "5"])
+@pytest.mark.parametrize("value", [2.5, 100.0, np.float64(3.0), "5", True])
 def test_config_rejects_integer_fields_that_are_not_integers(field, value):
     # 2.5 iterations used to pass and fail later in run_sgd's range()
     good = dict(theta0=1.0, step_size=0.1, n_iterations=5, paths_per_iteration=100)

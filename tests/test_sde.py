@@ -120,7 +120,8 @@ def test_grid_times_are_computed_once_and_read_only():
 # a float step count (4.0, 2.5) was once accepted and failed later, in
 # linspace or in the estimators, with a bare TypeError
 @pytest.mark.parametrize("horizon,steps", [(0.0, 10), (-1.0, 10), (1.0, 0), (math.inf, 4),
-                                           (1.0, 4.0), (1.0, 2.5), (1.0, np.float64(4.0))])
+                                           (1.0, 4.0), (1.0, 2.5), (1.0, np.float64(4.0)),
+                                           (1.0, True)])
 def test_grid_rejects_bad_arguments(horizon, steps):
     with pytest.raises(ValueError):
         cm.TimeGrid(horizon, steps)
@@ -1027,7 +1028,7 @@ def test_loss_workload_runs_two_workers_on_2600_row_blocks(monkeypatch):
     assert sde._block_plan(cm.ou_model(1.0), cm.TimeGrid(1.0, 200), 100_000) == (2_600, 2)
 
 
-@pytest.mark.parametrize("n_paths", [1000.0, 2.5, np.float64(300.0), "300"])
+@pytest.mark.parametrize("n_paths", [1000.0, 2.5, np.float64(300.0), "300", True])
 @pytest.mark.parametrize("estimator", ["loss", "hj", "score", "counterfactual"])
 def test_estimators_reject_path_counts_that_are_not_integers(estimator, n_paths):
     # 1000.0 used to fail inside the block loop with a bare TypeError
@@ -1328,6 +1329,35 @@ def test_diffusion_profile_is_read_once_per_block_not_per_tile(name, monkeypatch
     assert len(reads) == expected
 
 
+# mode -> grid passes (on_grid calls) of the diffusion that one 200-row
+# counterfactual_gradient block makes on a per-row model, 10 steps.  In both
+# modes: the base block's profile, and a profile for each theta +- h of the
+# explicit-theta terms, which take sigma from the base block's profile.  Then
+# random-k reads a profile per restarted side; sum-over-k splits every step
+# in one placement pass and reads a profile per side and step.  Before the
+# explicit-theta terms read the block's profile they made a pass of their
+# own, and sum-over-k split each step in a pass of its own: 6 and 34
+COUNTERFACTUAL_DIFFUSION_PASSES = {"random-k": 5, "sum-over-k": 24}
+
+
+@pytest.mark.parametrize("mode", sorted(COUNTERFACTUAL_DIFFUSION_PASSES))
+def test_counterfactual_block_diffusion_passes(mode, monkeypatch):
+    model, passes = sine_diffusion_model(), []
+    original = sde.on_grid
+
+    def counted(fn, *args):
+        if fn is model.diffusion:
+            passes.append(args[0].shape)
+        return original(fn, *args)
+
+    for module in vars(cm).values():
+        if getattr(module, "on_grid", None) is original:
+            monkeypatch.setattr(module, "on_grid", counted)
+    cm.counterfactual_gradient(model, 1.0, _ELL, cm.shift_functional(cm.marginal_power(5, 1), 0.1),
+                               "canonical", cm.TimeGrid(1.0, 10), 0.2, 200, mode, 3)
+    assert len(passes) == COUNTERFACTUAL_DIFFUSION_PASSES[mode]
+
+
 QUOTIENT_MODELS = {"ou": lambda: cm.ou_model(0.8), "sine-diffusion": sine_diffusion_model}
 QUOTIENT_LOSSES = {"terminal-square": lambda: cm.terminal_power(2),
                    "integral-square": _integral_loss}
@@ -1463,6 +1493,8 @@ def _step_index_calls():
     return {
         "marginal_power-2.5": (lambda p, _: cm.marginal_power(2.5, 1).value(p),
                                "step must be an integer"),
+        "marginal_power-True": (lambda p, _: cm.marginal_power(True, 1).value(p),
+                                "step must be an integer of at least -11, not True"),
         "marginal_power-50": (lambda p, _: cm.marginal_power(50, 1).value(p),
                               r"step must lie in \[-11, 10\], not 50"),
         "marginal_power-50-derivative": (lambda p, _: cm.marginal_power(50, 1).derivative(p),
@@ -1578,12 +1610,11 @@ def test_ragged_restart_rows_match_resume_path_property(name, steps, theta, seed
     starts = np.array(data.draw(st.lists(step, min_size=n_paths, max_size=n_paths)))
     sides = data.draw(st.lists(st.sampled_from([0, 1]), min_size=n_paths, max_size=n_paths))
     draws = _branch_draw_block(seed, batch.path_indices, steps, n_dim)
+    _, pair = _step_pair(batch, starts, _draws_at(_draws_at(draws, np.arange(n_paths), starts),
+                                                  slice(None), None))
     new_states, new_increments = np.empty((2, n_paths, n_dim))
-    for k in np.unique(starts):
-        rows = np.nonzero(starts == k)[0]
-        _, pair = _step_pair(batch, rows, k, _draws_at(draws, rows, slice(k, k + 1)))
-        for j, i in enumerate(rows):
-            new_states[i], new_increments[i] = (a[j] for a in pair[sides[i]])
+    for i, side in enumerate(sides):
+        new_states[i], new_increments[i] = (a[i] for a in pair[side])
     restarted = _branch_batch(batch, starts, new_states, new_increments)
     for i, k in enumerate(starts):
         row = batch.path(i)
@@ -1627,8 +1658,9 @@ def test_builtin_drift_gradients_validate():
     (lambda v: cm.mean_reverting_model(dim=v), -1),
     (cm.terminal_power, 1.5), (cm.terminal_power, 2.0),
     (lambda v: cm.marginal_power(3, v), np.float64(3.0)),
+    (lambda v: cm.ou_model(1.0, dim=v), True), (cm.terminal_power, True),
 ], ids=["ou-1.5", "ou-0", "ou-str", "mean-reverting-2.9", "mean-reverting--1",
-        "terminal-1.5", "terminal-2.0", "marginal-float64"])
+        "terminal-1.5", "terminal-2.0", "marginal-float64", "ou-True", "terminal-True"])
 def test_factories_reject_integer_arguments_that_are_not_integers(factory, value):
     with pytest.raises(ValueError, match="must be an integer of at least 1"):
         factory(value)

@@ -171,7 +171,7 @@ def test_out_of_range_seeds_raise_instead_of_aliasing(seed):
                            paths_per_iteration=10, master_seed=seed)
 
 
-@pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(2.0)])
+@pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(2.0), True])
 def test_non_integer_seeds_raise_instead_of_truncating(seed):
     # 1.5 used to replay seed 1's numbers: stream, child seeds and estimates
     message = "must be integers"

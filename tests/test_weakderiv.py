@@ -1359,8 +1359,7 @@ def test_placed_branches_match_the_scalar_oracle_property(name, chunk, n_paths, 
         plus, minus, scale_k = _joined(wd._placed_chunks(batch), steps)
     draws = wd._branch_draw_block(seed, batch.path_indices, steps, n_dim)
     for k in range(steps):
-        # the same terms and pairs as the split of step k alone, as _step_pair
-        # forms it
+        # the same terms and pairs as the split of step k alone
         at = slice(k, k + 1)
         terms = wd._hj_terms_batch(model, batch.states[:, at], grid.times[at], theta, grid.dt)
         pair = wd._assemble_branch_states(terms, *wd._draws_at(draws, slice(None), at))
@@ -1591,40 +1590,46 @@ def _counting(model):
 @pytest.mark.parametrize("name", ["ou1", "ou2", "cubic", "sine-diffusion"])
 def test_step_pair_reads_each_coefficient_once(name):
     # the split and both sides' increments come from one read of each
-    # coefficient, whichever rows branch and whether or not the model's
-    # values have a path axis
+    # coefficient per step, whichever step the rows branch at and whether or
+    # not the model's values have a path axis: once for rows that all branch
+    # at one step (_step_pair), and once per step for the pairs of every step
+    # (_placed_chunks, the sum-over-k split)
     model = PLACEMENT_MODELS[name]()
     grid = cm.TimeGrid(1.0, 6)
     batch = cm.simulate_paths(model, 0.7, np.full(model.state_dim, 0.4), grid, 5, 2)
     draws = wd._branch_draw_block(2, batch.path_indices, grid.steps, model.state_dim)
-    for rows, k in ((np.array([0, 2, 3]), 4), (np.arange(5), 0)):
+    for k in (4, 0):
+        ks = np.full(5, k)
         counting, calls = _counting(model)
-        wd._step_pair(dataclasses.replace(batch, model=counting), rows, k,
-                      wd._draws_at(draws, rows, slice(k, k + 1)))
+        wd._step_pair(dataclasses.replace(batch, model=counting), ks,
+                      wd._draws_at(wd._draws_at(draws, np.arange(5), ks), slice(None), None))
         assert calls == {"drift": 1, "drift_dtheta": 1, "diffusion": 1}
+    counting, calls = _counting(model)
+    for _ in wd._placed_chunks(dataclasses.replace(batch, model=counting), increments=True):
+        pass
+    assert calls == {"drift": 6, "drift_dtheta": 6, "diffusion": 6}
 
 
 @pytest.mark.parametrize("name", ["ou1", "ou2", "cubic", "sine-diffusion"])
 def test_one_split_pass_gives_the_bits_of_its_step_groups(name):
     # rows branching at mixed steps, split in one pass that reads each
     # coefficient once per distinct step, get the totals and both sides the
-    # split of each step's rows alone gives them
+    # split of every step (_placed_chunks, the sum-over-k split) gives them at
+    # their step
     model = PLACEMENT_MODELS[name]()
     grid = cm.TimeGrid(1.0, 6)
     batch = cm.simulate_paths(model, 0.7, np.full(model.state_dim, 0.4), grid, 9, 2)
     draws = wd._branch_draw_block(2, batch.path_indices, grid.steps, model.state_dim)
     rows, ks = np.arange(9), np.array([5, 0, 3, 3, 0, 1, 5, 3, 2])
     counting, calls = _counting(model)
-    total, sides = wd._step_pair(dataclasses.replace(batch, model=counting), rows, ks,
+    total, sides = wd._step_pair(dataclasses.replace(batch, model=counting), ks,
                                  wd._draws_at(wd._draws_at(draws, rows, ks), slice(None), None))
     assert calls == {"drift": 5, "drift_dtheta": 5, "diffusion": 5}
-    for k in np.unique(ks):
-        group = np.flatnonzero(ks == k)
-        want_total, want_sides = wd._step_pair(batch, group, k,
-                                               wd._draws_at(draws, group, slice(k, k + 1)))
-        assert same_bits(total[group], want_total)
-        for side, want in zip(sides, want_sides):
-            assert all(same_bits(a[group], b) for a, b in zip(side, want))
+    (at, plus, minus, scales, plus_dw, minus_dw), = wd._placed_chunks(batch, increments=True)
+    assert at == slice(0, grid.steps)
+    assert same_bits(total, scales[rows, ks])
+    for side, want in zip(sides, ((plus, plus_dw), (minus, minus_dw))):
+        assert all(same_bits(a, b[rows, ks]) for a, b in zip(side, want))
 
 
 def test_one_split_pass_rejects_a_mis_shaped_coefficient():
@@ -1635,7 +1640,7 @@ def test_one_split_pass_rejects_a_mis_shaped_coefficient():
     ks = np.array([1, 1, 2, 3, 1, 2])
     with pytest.raises(CoefficientShapeError, match=r"shape \(3,\) does not broadcast "
                                                     r"to \(3, 1\)"):
-        wd._step_pair(batch, np.arange(6), ks,
+        wd._step_pair(batch, ks,
                       wd._draws_at(wd._draws_at(draws, np.arange(6), ks), slice(None), None))
 
 
