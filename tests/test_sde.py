@@ -744,6 +744,29 @@ def test_marginal_power_rows_match_malliavin_derivative_state(model, power):
             assert same_bits(profile[i, s], oracle if power == 1 else factor * oracle)
 
 
+@pytest.mark.parametrize("model", [cm.ou_model(0.8), cm.mean_reverting_model(0.5, 1.3, dim=2),
+                                   sine_diffusion_model()],
+                         ids=["ou", "mean-reverting-2", "sine-diffusion"])
+def test_integral_profile_matches_malliavin_derivative_state(model):
+    # D_s of dt sum_{k < M} h(X_k) is dt sum_{k=s}^{M-1} grad h(X_k) . D_s X_k,
+    # each D_s X_k from the single-path oracle, with h = |x|^2 + x_0
+    grid, n, d = cm.TimeGrid(1.0, 12), model.state_dim, model.noise_dim
+    first = np.eye(n)[0]
+    f = cm.integral_functional(lambda x: np.sum(x * x, axis=-1) + x[..., 0],
+                               lambda x: 2.0 * x + first)
+    batch = cm.simulate_paths(model, 1.1, 0.2, grid, 5, 12)
+    profile = every_path(f.derivative(batch), batch, 2)
+    want = np.zeros(profile.shape)
+    for i in range(batch.n_paths):
+        bundle = batch.path(i)
+        grads = 2.0 * bundle.states + first
+        for s in range(grid.steps + 1):
+            for k in range(s, grid.steps):
+                want[i, s] += grid.dt * (grads[k] @ cm.malliavin_derivative_state(bundle, s, k))
+    assert profile.shape == (batch.n_paths, grid.steps + 1, d)
+    assert np.max(np.abs(profile - want)) <= 1e-13 * np.max(np.abs(profile))
+
+
 ROW_IDENTITY_FUNCTIONALS = {
     1: cm.integral_functional(lambda x: x[..., 0] ** 2, lambda x: 2.0 * x),
     2: cm.integral_functional(lambda x: x[..., 0] * x[..., 1],
