@@ -97,6 +97,14 @@ def malliavin_derivative_state(bundle: PathBatch, s: int, t: int) -> np.ndarray:
     return jac.y[..., t, :, :] @ jac.z[..., s, :, :] @ sig
 
 
+def _chain_rows(bundle, left: np.ndarray) -> np.ndarray:
+    """D_{t_s} F = (sum_{k >= s} left_k) Z_s sigma_s at every grid step s,
+    (..., M+1, d), from the rows left_k = grad_{X_k} F . Y_k (..., M+1, n):
+    the one chain rule of every derivative profile built here."""
+    suffix = np.flip(np.cumsum(np.flip(left, axis=-2), axis=-2), axis=-2)
+    return ((suffix[..., None, :] @ bundle.jacobians.z) @ bundle.diffusions)[..., 0, :]
+
+
 def _state_derivative_rows(bundle, t_index: int, component: int) -> np.ndarray:
     """(D_{t_s} X_{t*}[component])_s for all s, read-only and broadcasting to
     (..., M+1, d); zero past t*.  When Y, Z and sigma are shared by every
@@ -104,11 +112,10 @@ def _state_derivative_rows(bundle, t_index: int, component: int) -> np.ndarray:
     and theta (call_shared)."""
 
     def build():
-        jac = bundle.jacobians
-        prod = jac.y[..., t_index, None, :, :] @ jac.z    # Y_{t*} Z_s
-        # a copy, so the rows do not keep all n rows of the products alive
-        rows = (prod @ bundle.diffusions)[..., component, :].copy()
-        rows[..., t_index + 1:, :] = 0.0
+        y = bundle.jacobians.y
+        left = np.zeros(y.shape[:-1])
+        left[..., t_index, :] = y[..., t_index, component, :]
+        rows = _chain_rows(bundle, left)
         rows.flags.writeable = False  # shared rows serve every block of the call
         return rows
 
@@ -119,11 +126,16 @@ def _state_derivative_rows(bundle, t_index: int, component: int) -> np.ndarray:
 def marginal_power(step: int, power: int, component: int = 0) -> PathFunctional:
     """X_{t_step}[component] ** power as a path functional, with a probe of
     that one step; a negative step counts from the end of the grid;
-    ValueError unless power is an integer of at least 1, and on evaluation
-    unless step is an integer on the grid."""
+    ValueError unless power is an integer of at least 1 and component one of
+    at least 0, and on evaluation unless step is an integer on the grid and
+    component below the state dimension."""
     _check_count("power", power)
+    _check_count("component", component, 0)
 
     def at(bundle):
+        if component >= bundle.model.state_dim:
+            raise ValueError(f"component {component} is not below the state dimension "
+                             f"{bundle.model.state_dim}")
         return _grid_step("step", step, bundle.grid.steps, -1 - bundle.grid.steps)
 
     def value(bundle):
@@ -155,7 +167,9 @@ def integral_functional(h: Callable, dh: Callable) -> PathFunctional:
     """Left-point discretization of the running integral of h along the path.
 
     h maps states (..., n) -> (...); dh maps states (..., n) -> (..., n)
-    and is the gradient of h.  Both must broadcast over leading axes.
+    and is the gradient of h.  Both must broadcast over leading axes.  The
+    derivative profile is dt times _chain_rows of the rows dh(X_k) . Y_k,
+    with the last row zero, since the left-point sum stops at k = M - 1.
     """
 
     def value(bundle):
@@ -163,16 +177,10 @@ def integral_functional(h: Callable, dh: Callable) -> PathFunctional:
         return np.sum(heights[..., :-1], axis=-1) * bundle.grid.dt
 
     def derivative(bundle):
-        jac = bundle.jacobians
         grads = np.asarray(dh(bundle.states))            # (..., M+1, n)
-        w = np.einsum("...ki,...kij->...kj", grads, jac.y)
-        # suffix sums over k in [s, M-1]: reverse-cumsum of the left-point rows
-        left = w[..., :-1, :]
-        suffix = np.flip(np.cumsum(np.flip(left, axis=-2), axis=-2), axis=-2)
-        pad = np.zeros_like(w)
-        pad[..., :-1, :] = suffix
-        zs = np.einsum("...si,...sij->...sj", pad, jac.z @ bundle.diffusions)
-        return bundle.grid.dt * zs
+        left = np.einsum("...ki,...kij->...kj", grads, bundle.jacobians.y)
+        left[..., -1, :] = 0.0
+        return bundle.grid.dt * _chain_rows(bundle, left)
 
     return PathFunctional(value=value, derivative=derivative, step_value=h)
 

@@ -26,7 +26,7 @@ from .malliavin import _loss_report, conditional_quotient_terms, quotient_integr
 from .sde import (PathBatch, SdeModel, TimeGrid, finite_fsum, fsum,
                   on_grid, per_path, require_finite)
 from .streams import _is_integer, child_seed
-from .weakderiv import GRADIENT_MODES, _hj_values, _mean_branch_gap
+from .weakderiv import GRADIENT_MODES, _diagonal, _hj_values, _mean_branch_gap, _over_diagonal
 
 _DENOMINATOR_FLOOR = 1e-12
 # central-difference width for the integrand's explicit theta dependence;
@@ -47,20 +47,12 @@ def quotient_gradient(e1: float, e2: float, grad_e1: float, grad_e2: float) -> f
 
 
 def _drift_absorbed(sig: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """sigma^{-1} shift along the grid: the increment change that keeps the
-    frozen states when the drift step changes by shift = dt * (b - b')."""
-    if sig.shape[-1] == 1:
-        diag = sig[..., 0, 0]
-        if np.any((diag == 0.0) & (shift[..., 0] != 0.0)):
-            raise SingularDiffusion("zero diffusion cannot absorb a drift change")
-        with np.errstate(invalid="ignore", divide="ignore"):
-            solved = np.where(diag == 0.0, 0.0,
-                              shift[..., 0] / np.where(diag == 0.0, 1.0, diag))
-        return solved[..., None]
-    try:
-        return np.linalg.solve(sig, shift[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularDiffusion(f"diffusion not invertible: {exc}") from exc
+    """sigma^{-1} shift by the branch split's rule (weakderiv._over_diagonal),
+    shift = dt * (b - b'): the increment change that keeps the frozen states."""
+    diag = _diagonal(sig)
+    if np.any((diag == 0.0) & (shift != 0.0)):
+        raise SingularDiffusion("zero diffusion cannot absorb a drift change")
+    return _over_diagonal(shift, diag)
 
 
 def _integrand_theta_terms(batch: PathBatch, integrands: PathFunctional) -> np.ndarray:
@@ -74,9 +66,10 @@ def _integrand_theta_terms(batch: PathBatch, integrands: PathFunctional) -> np.n
     implies theta-dependent increments: the Euler identity gives
     dW' = dW + dt * sigma^{-1} (b - b') at the bumped parameter, with sigma
     the block's diffusion profile (PathBatch.diffusions), read on the first
-    side whose drift moves.  All three slots are moved together by central
-    differences of the integrands' values; the {g > 0} gate depends on the
-    states alone, so it cannot flip between the two evaluations.
+    side whose drift moves and inverted by the split's rule (_drift_absorbed).
+    All three slots are moved together by central differences of the
+    integrands' values; the {g > 0} gate depends on the states alone, so it
+    cannot flip between the two evaluations.
     """
     model, grid, theta = batch.model, batch.grid, batch.theta
     n = model.state_dim
@@ -87,8 +80,6 @@ def _integrand_theta_terms(batch: PathBatch, integrands: PathFunctional) -> np.n
         shift = grid.dt * (b_base - on_grid(model.drift, x_left, grid.times, (n,), bumped))
         increments = batch.increments
         if np.any(shift):
-            if model.noise_dim != n:
-                raise ValueError("reconstructing increments from states needs a square diffusion")
             increments = increments + _drift_absorbed(batch.diffusions[..., :grid.steps, :, :],
                                                       shift)
         del shift  # one block-sized array fewer while the quotient terms run

@@ -350,6 +350,7 @@ def call_shared(batch: PathBatch, kind: str, owner, build: Callable, shared: Cal
 
 def generate_noise(master_seed: int, path_index: int, grid: TimeGrid, noise_dim: int) -> NoisePath:
     """The (M, d) increments of one path: row path_index % G of its group's noise."""
+    _check_key(path_index)  # divmod would hand stream an int group for a bool
     group, row = divmod(path_index, PATHS_PER_STREAM)
     rng = stream(master_seed, group, tag=TAG_NOISE)
     draws = rng.standard_normal((row + 1, grid.steps, noise_dim))

@@ -398,13 +398,19 @@ def _row_abs_sums(gaps: np.ndarray) -> np.ndarray:
     return np.sum(np.ascontiguousarray(np.abs(gaps).reshape(len(gaps), -1)), axis=-1)
 
 
+def _over_diagonal(resid: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """sigma^{-1} resid for a diagonal sigma, resid / sigma_ii, and 0 where
+    sigma_ii is 0: the increment that absorbs a change of an Euler step."""
+    divisor = np.where(diag == 0.0, 1.0, diag)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(diag != 0.0, resid / divisor, 0.0)
+
+
 def _side_increments(terms: SplitTerms, x: np.ndarray, side: np.ndarray) -> np.ndarray:
     """The increment the Euler step from states x would have needed to reach
-    the branch states side, (side - x - dt*b) / sigma_ii, and 0 where
-    sigma_ii is 0: it keeps a branched path a consistent state/noise pair."""
-    divisor = np.where(terms.diag == 0.0, 1.0, terms.diag)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(terms.diag != 0.0, (side - x - terms.drift_step) / divisor, 0.0)
+    the branch states side, (side - x - dt*b) / sigma_ii by _over_diagonal:
+    it keeps a branched path a consistent state/noise pair."""
+    return _over_diagonal(side - x - terms.drift_step, terms.diag)
 
 
 def _placed_chunks(batch: PathBatch, increments: bool = False):

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import condmc as cm
 from gaussian_oracle import (chain_moments, conditional_quadratic, integral_square_loss,
@@ -98,3 +100,73 @@ def test_oracle_moments_match_simulated_chains(name):
     assert len(upper[0]) == 55
     assert np.max(np.abs(z_mean)) <= 5.0
     assert np.max(np.abs(z_cov[upper])) <= 5.0
+
+
+# ---------------------------------------------------------------------------
+# the tower property, swept: no simulation, so a flip is a finding
+
+# probabilists' 3-point Gauss-Hermite rule, exact for polynomials of degree 5
+_HERMITE_NODES = np.array([-math.sqrt(3.0), 0.0, math.sqrt(3.0)])
+_HERMITE_WEIGHTS = np.array([1.0, 4.0, 1.0]) / 6.0
+
+
+@st.composite
+def tower_cases(draw):
+    """(model, x0, grid, constraint weights w, loss (Q, q, r), theta)."""
+    dim = draw(st.sampled_from((1, 2)))
+    sigma = draw(st.floats(0.2, 2.0))
+    if draw(st.booleans()):
+        model = cm.ou_model(sigma, dim=dim)
+    else:
+        model = cm.mean_reverting_model(draw(st.floats(-1.0, 2.0)), sigma, dim=dim)
+    x0 = draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim))
+    grid = cm.TimeGrid(draw(st.floats(0.25, 3.0)), draw(st.integers(2, 60)))
+    component = draw(st.integers(0, dim - 1))
+    if draw(st.booleans()):
+        w = marginal_weights(grid, dim, draw(st.integers(1, grid.steps)), component)
+    else:
+        w = left_point_weights(grid, dim, component)
+    loss_component = draw(st.integers(0, dim - 1))
+    if draw(st.booleans()):
+        loss = square_loss(marginal_weights(grid, dim, -1, loss_component),
+                           draw(st.floats(-2.0, 2.0)))
+    else:
+        loss = integral_square_loss(grid, dim, loss_component)
+    return model, x0, grid, w, loss, draw(st.floats(-1.0, 3.0))
+
+
+def unconditional_quadratic(moments, loss):
+    """E[X^T Q X + q . X + r] = tr(Q L L^T) + m^T Q m + q . m + r."""
+    (m, load), (quad, lin, const) = moments, loss
+    return np.sum(quad * (load @ load.T)) + m @ quad @ m + lin @ m + const
+
+
+def tower_average(moments, loss, w):
+    """The conditional mean averaged over the constraint's own law
+    N(w . m, w^T L L^T w) by the 3-point rule: exact, since the conditional
+    mean is quadratic in the level."""
+    m, load = moments
+    spread = np.sqrt(w @ load @ (load.T @ w))
+    return sum(weight * conditional_quadratic(moments, loss, w, w @ m + node * spread)
+               for node, weight in zip(_HERMITE_NODES, _HERMITE_WEIGHTS))
+
+
+@settings(max_examples=300)
+@given(case=tower_cases(), level=st.floats(-3.0, 3.0))
+def test_oracle_keeps_the_tower_property_property(case, level):
+    model, x0, grid, w, loss, theta = case
+
+    def unconditional(th):
+        return unconditional_quadratic(chain_moments(model, th, x0, grid), loss)
+
+    def averaged(th):
+        return tower_average(chain_moments(model, th, x0, grid), loss, w)
+
+    size = abs(unconditional(theta))
+    assert abs(averaged(theta) - unconditional(theta)) <= 1e-12 * size
+    assert abs(theta_derivative(averaged, theta)
+               - theta_derivative(unconditional, theta)) <= 1e-12 * size
+    # the constraint itself, conditioned on its own level, reads that level
+    no_loss = (np.zeros((len(w), len(w))), w, 0.0)
+    given_level = conditional_quadratic(chain_moments(model, theta, x0, grid), no_loss, w, level)
+    assert abs(given_level - level) <= 1e-12 * max(1.0, abs(level))

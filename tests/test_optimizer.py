@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import condmc as cm
-from condmc.errors import DegenerateDenominator, NonFiniteEstimate
+from condmc.errors import (DegenerateDenominator, NonDiagonalDiffusion, NonFiniteEstimate,
+                           SingularDiffusion)
 from condmc.malliavin import conditional_quotient_terms
 from conftest import fixed_block_rows
 
@@ -117,6 +118,56 @@ def test_gradient_rejects_unknown_mode():
     with pytest.raises(ValueError):
         cm.counterfactual_gradient(model, 1.0, ell, g, "canonical", grid, X0,
                                    100, "every-k", 0)
+
+
+def zero_noise_coordinate_model(theta_in_second=False):
+    """2-D OU whose second coordinate has no noise, sigma = diag(1, 0), and
+    the drift -0.5 X_2 there, or -theta X_2 with theta_in_second."""
+
+    def rate(theta):
+        return np.array([theta, theta if theta_in_second else 0.5])
+
+    return cm.SdeModel(
+        drift=lambda x, t, theta: -rate(theta) * x,
+        drift_dtheta=lambda x, t, theta: -np.array([1.0, float(theta_in_second)]) * x,
+        drift_dx=lambda x, t, theta: -np.diag(rate(theta)),
+        diffusion=lambda x, t: np.diag([1.0, 0.0]),
+        diffusion_dx=lambda x, t: np.zeros((2, 2, 2)),
+        state_dim=2,
+        noise_dim=2,
+    )
+
+
+@pytest.mark.parametrize("mode", ["random-k", "sum-over-k"])
+def test_gradient_runs_on_a_coordinate_without_noise(mode):
+    # a zero sigma_ii where the drift does not move with theta has no drift
+    # change to absorb, by the branch split's rule, so the frozen-path
+    # increments need no inverse of the singular sigma
+    grid, x0 = cm.TimeGrid(1.0, 20), np.array([0.0, 1.0])
+    ell, g = cm.terminal_power(2), cm.marginal_power(10, 1)
+    model = zero_noise_coordinate_model()
+    with fixed_block_rows(128):
+        loss, gradient, diag = cm.counterfactual_gradient(model, 1.0, ell, g, "canonical", grid,
+                                                          x0, 400, mode, 3)
+    report = cm.conditional_loss_estimate(model, 1.0, ell, g, "canonical", 400, 3, grid, x0)
+    assert loss == report.estimate
+    assert all(math.isfinite(v) for v in (loss, gradient, diag["se_gradient"]))
+    with pytest.raises(SingularDiffusion):
+        cm.counterfactual_gradient(zero_noise_coordinate_model(True), 1.0, ell, g, "canonical",
+                                   grid, x0, 400, mode, 3)
+
+
+@pytest.mark.parametrize("mode", ["random-k", "sum-over-k"])
+@pytest.mark.parametrize("sig", [np.array([[1.0, 0.3], [0.0, 1.0]]), np.ones((2, 1))],
+                         ids=["off-diagonal", "non-square"])
+def test_gradient_rejects_a_diffusion_the_split_cannot_invert(mode, sig):
+    model = dataclasses.replace(cm.ou_model(1.0, dim=2), diffusion=lambda x, t: sig,
+                                diffusion_dx=lambda x, t: np.zeros((2,) + sig.shape),
+                                noise_dim=sig.shape[1])
+    with pytest.raises(NonDiagonalDiffusion):
+        cm.counterfactual_gradient(model, 1.0, cm.terminal_power(2), cm.marginal_power(5, 1),
+                                   "canonical", cm.TimeGrid(1.0, 10), np.array([0.3, -0.2]),
+                                   50, mode, 1)
 
 
 def test_gradient_is_deterministic_in_the_seed():

@@ -1689,6 +1689,26 @@ def test_factories_reject_integer_arguments_that_are_not_integers(factory, value
         factory(value)
 
 
+# a bool component read coordinate 1 (and named index 3 in its IndexError),
+# -1 read the last coordinate, and 1 on a 1-D model raised NumPy's IndexError
+@pytest.mark.parametrize("component", [True, -1, 1.0, np.float64(0.0)],
+                         ids=["True", "-1", "1.0", "float64"])
+def test_marginal_power_rejects_components_that_are_not_coordinates(component):
+    for factory in (lambda: cm.marginal_power(3, 1, component),
+                    lambda: cm.terminal_power(2, component)):
+        with pytest.raises(ValueError, match="component must be an integer of at least 0"):
+            factory()
+
+
+def test_marginal_power_rejects_a_component_past_the_state_on_evaluation():
+    batch = cm.simulate_paths(cm.ou_model(1.0), 0.8, 0.3, cm.TimeGrid(1.0, 6), 4, 2)
+    for f in (cm.marginal_power(3, 1, 1), cm.terminal_power(2, 1)):
+        for read in (f.value, f.derivative, f.probe):
+            with pytest.raises(ValueError, match="component 1 is not below the state "
+                                                 "dimension 1"):
+                read(batch)
+
+
 def test_factories_take_numpy_integers():
     grid = cm.TimeGrid(1.0, 6)
     for factory in (cm.ou_model, cm.mean_reverting_model):

@@ -201,6 +201,11 @@ def test_non_integer_seeds_raise_instead_of_truncating(seed):
     with pytest.raises(ValueError, match=message):
         cm.score_function_gradient(cm.ou_model(1.0), 1.0, 0.0, grid, cm.terminal_power(2), 50,
                                    seed)
+    # a path index too: divmod(True, G) once replayed and branched path 1
+    with pytest.raises(ValueError, match=message):
+        cm.generate_noise(0, seed, grid, 1)
+    with pytest.raises(ValueError, match=message):
+        cm.hj_single_branch(cm.ou_model(1.0), 1.0, 0.0, grid, 1, cm.terminal_power(2), 0, seed)
 
 
 def test_numpy_integer_seeds_give_the_bits_of_python_ints():
