@@ -79,6 +79,18 @@ class PathFunctional:
     step_value: Callable | None = None
 
 
+def _grid_probe(f: PathFunctional, batch: PathBatch) -> Probe | None:
+    """f's Probe on batch, or None, with each step an index of the grid: a
+    negative step counts from the end, as in marginal_power, and ValueError
+    unless a step is an integer on the grid (sde._grid_step)."""
+    probe = None if f.probe is None else f.probe(batch)
+    if probe is None:
+        return None
+    steps = batch.grid.steps
+    return probe._replace(steps=tuple(_grid_step("probe step", p, steps, -1 - steps)
+                                      for p in probe.steps))
+
+
 def derivative_profile(f: PathFunctional, bundle: PathBatch) -> np.ndarray:
     """Derivative profile broadcasting to (..., M+1, d); ValueError when f has none."""
     if f.derivative is None:

@@ -23,7 +23,8 @@ from .errors import (
     EmptyKernelMass,
     NonAdaptedWithoutFactorization,
 )
-from .functionals import PathFunctional, Probe, _state_derivative_rows, derivative_profile
+from .functionals import (PathFunctional, Probe, _grid_probe, _state_derivative_rows,
+                          derivative_profile)
 from .reports import ConditionalLossReport, EstimatorReport
 from .sde import (PathBatch, SdeModel, TimeGrid, call_shared, chunk_len, finite_fsum, fsum,
                   per_path, require_finite)
@@ -168,7 +169,7 @@ def _integrand_probe(ell: PathFunctional, g: PathFunctional, batch: PathBatch):
     with c_p[i] = sum_s <D_s X_p[i], u_s> dt the same on every path, so the
     columns are a function of the probe states and S(u) alone.
     """
-    probes = [None if f.probe is None else f.probe(batch) for f in (ell, g)]
+    probes = [_grid_probe(f, batch) for f in (ell, g)]
     if any(p is None or p.weight is not None for p in probes) or probes[0].gradient is None:
         return None
     (l_probe, g_probe), grid = probes, batch.grid
@@ -260,28 +261,34 @@ def _loss_report(a: np.ndarray, b: np.ndarray, indicator: np.ndarray,
 # kernel-smoothing baseline
 
 
-def kernel_loss_estimate(paths: PathBatch, ell: PathFunctional, g: PathFunctional,
-                         bandwidth: float) -> EstimatorReport:
-    """Nadaraya-Watson style baseline: Gaussian kernel weights around g = 0,
-    over the paths of one PathBatch, a path or a block."""
-    if not isinstance(paths, PathBatch):
-        raise TypeError(f"paths must be a PathBatch, not {type(paths).__name__}")
+def kernel_loss_estimate(model: SdeModel, theta: float, ell: PathFunctional,
+                         g: PathFunctional, bandwidth: float, n_paths: int,
+                         master_seed: int, grid: TimeGrid, x0) -> EstimatorReport:
+    """Nadaraya-Watson style baseline: Gaussian kernel weights w_i around g = 0.
+
+    Per path: ell * w and w; the estimate is fsum(ell * w) / fsum(w) with a
+    delta-method standard error.  Paths are simulated in blocks by
+    sde.per_path, as in conditional_loss_estimate, so one master_seed gives
+    both estimators the same paths, and the bits do not depend on the block
+    size.  ValueError for a bandwidth that is not positive and finite;
+    EmptyKernelMass when every weight underflows.
+    """
     if not (math.isfinite(bandwidth) and bandwidth > 0.0):
         raise ValueError("bandwidth must be positive and finite")
-    g_val = np.atleast_1d(np.asarray(g.value(paths), dtype=float))
-    l_val = np.atleast_1d(np.asarray(ell.value(paths), dtype=float))
-    seed = paths.master_seed
-    weights = np.exp(-(g_val * g_val) / (2.0 * bandwidth * bandwidth)) / (
-        bandwidth * math.sqrt(2.0 * math.pi))
+
+    def terms(batch):
+        g_val = np.asarray(g.value(batch), dtype=float)
+        weights = np.exp(-(g_val * g_val) / (2.0 * bandwidth * bandwidth)) / (
+            bandwidth * math.sqrt(2.0 * math.pi))
+        return np.asarray(ell.value(batch), dtype=float) * weights, weights
+
+    weighted, weights = per_path(model, theta, x0, grid, n_paths, master_seed, terms)
     mass = fsum(weights)
     if mass < 1e-300:
         raise EmptyKernelMass("all kernel weights underflowed; increase the bandwidth")
-    weighted = l_val * weights
     estimate = finite_fsum(weighted) / mass
-    n = g_val.size
     require_finite("the kernel estimate", estimate)
-    std_error = math.inf  # a single path has no spread
-    if n > 1:
-        std_error = _quotient_std_error(weighted, weights, estimate, mass / n)
-        require_finite("the kernel std error", std_error)
-    return EstimatorReport(estimate=estimate, std_error=std_error, n_paths=n, master_seed=seed)
+    std_error = _quotient_std_error(weighted, weights, estimate, mass / weights.size)
+    require_finite("the kernel std error", std_error)
+    return EstimatorReport(estimate=estimate, std_error=std_error, n_paths=weights.size,
+                           master_seed=master_seed)

@@ -130,8 +130,9 @@ def _parse_value(key: str, raw: str):
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key = value lines; '#' comments; unknown keys are errors."""
-    values = {}
+    """Flat key = value lines; '#' comments; unknown and repeated keys are
+    errors."""
+    values, lines_of = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -145,7 +146,10 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {text!r}")
         key, _, raw = text.partition("=")
         name, value = _parse_value(key.strip(), raw.strip())
-        values[name] = value
+        if name in values:
+            raise ConfigError(f"{path}:{lineno}: {name!r} is set again (first on line "
+                              f"{lines_of[name]})")
+        values[name], lines_of[name] = value, lineno
     return values
 
 

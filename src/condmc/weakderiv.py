@@ -47,7 +47,7 @@ from .errors import (
     SingularDiffusion,
     ZeroSensitivity,
 )
-from .functionals import PathFunctional, Probe
+from .functionals import PathFunctional, Probe, _grid_probe
 from .malliavin import WeightProcess, skorohod_integral
 from .reports import GradientReport
 from .sde import (
@@ -741,7 +741,7 @@ def _hj_values(batch: PathBatch, functional: PathFunctional, mode: str):
     """Per-path branch estimates on one simulated block (mean-one-unbiased for
     d/dtheta E[C]), with the block's per-row |gap| sums, by the route the
     module docstring names for the block's model, weight and functional."""
-    probe = None if functional.probe is None else functional.probe(batch)
+    probe = _grid_probe(functional, batch)
     props = None if probe is None else _affine_propagators(batch, probe.steps)
     if mode == "random-k":
         return _grouped_random_k(batch, functional, probe, props)

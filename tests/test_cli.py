@@ -119,6 +119,22 @@ def test_repeated_sweep_value_is_config_error(tmp_path, capsys, command, line):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("text, again", [("paths = 10\npaths = 20\n", 2),
+                                         ("t-values = 1\n# a comment\nt_values = 2\n", 3)],
+                         ids=["paths", "t-values"])
+def test_repeated_config_key_is_config_error(tmp_path, capsys, text, again):
+    # a repeat is an error rather than a silent last-wins; both line numbers
+    # are named, and a flag for the same key does not hide the repeat
+    config = tmp_path / "c.txt"
+    config.write_text(text, encoding="utf-8")
+    code = main(["estimate-loss", "--config", str(config), "--paths", "2000", "--steps", "20",
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"c.txt:{again}:" in err and "is set again (first on line 1)" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_echo_covers_every_field():
     config = resolve_config("bench-variance", {}, {})
     echo = config.echo()

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import condmc as cm
+from condmc import malliavin
 from condmc.errors import (
     DegenerateConstraint,
     DegenerateDenominator,
@@ -359,8 +360,8 @@ def test_overflowing_loss_raises_non_finite_estimate(estimator):
     ell = cm.terminal_power(2)
     with pytest.raises(NonFiniteEstimate), np.errstate(over="ignore", invalid="ignore"):
         if estimator == "kernel":
-            batch = cm.simulate_paths(model, 1.0, x0, grid, 50, 0)
-            cm.kernel_loss_estimate(batch, ell, cm.constant_functional(0.0), 0.1)
+            cm.kernel_loss_estimate(model, 1.0, ell, cm.constant_functional(0.0), 0.1, 50, 0,
+                                    grid, x0)
         else:
             cm.conditional_loss_estimate(model, 1.0, ell, cm.marginal_power(5, 1),
                                          estimator, 50, 0, grid, x0)
@@ -381,17 +382,45 @@ def test_overflowing_multi_block_loss_raises_non_finite_estimate(force_workers):
 # kernel-smoothing baseline
 
 
+def kernel(ell, g, bandwidth, n, seed, x0=X0, steps=200):
+    return cm.kernel_loss_estimate(cm.ou_model(1.0), 1.0, ell, g, bandwidth, n, seed,
+                                   cm.TimeGrid(1.0, steps), x0)
+
+
+def whole_batch_kernel(batch, ell, g, bandwidth):
+    """The kernel estimate and std error from one batch of every path at once."""
+    g_val = np.asarray(g.value(batch), dtype=float)
+    weights = np.exp(-(g_val * g_val) / (2.0 * bandwidth * bandwidth)) / (
+        bandwidth * math.sqrt(2.0 * math.pi))
+    weighted = np.asarray(ell.value(batch), dtype=float) * weights
+    mass = math.fsum(weights)
+    estimate = math.fsum(weighted) / mass
+    return estimate, malliavin._quotient_std_error(weighted, weights, estimate,
+                                                   mass / weights.size)
+
+
+@pytest.mark.parametrize("workers, rows", [(1, None), (1, 300), (2, 300)])
+@pytest.mark.parametrize("bandwidth", [0.05, 0.5])
+def test_kernel_gives_the_bits_of_one_whole_batch(force_workers, workers, rows, bandwidth):
+    # the kernel's blocks, joined, against every path simulated at once: one
+    # block, blocks of 300, 300, 300 and 100 rows, or ten of 100 on two workers
+    force_workers(workers)
+    ell, g = cm.terminal_power(2), cm.marginal_power(100, 1)
+    with fixed_block_rows(rows):
+        rep = kernel(ell, g, bandwidth, 1_000, 5)
+    batch = cm.simulate_paths(cm.ou_model(1.0), 1.0, X0, cm.TimeGrid(1.0, 200), 1_000, 5)
+    want = whole_batch_kernel(batch, ell, g, bandwidth)
+    assert (rep.estimate.hex(), rep.std_error.hex()) == tuple(v.hex() for v in want)
+    assert (rep.n_paths, rep.master_seed) == (1_000, 5)
+
+
 def test_kernel_constant_loss_is_exact():
-    batch = ou_batch_200(500, 9)
-    rep = cm.kernel_loss_estimate(batch, cm.constant_functional(2.0),
-                                  cm.marginal_power(100, 1), 0.1)
+    rep = kernel(cm.constant_functional(2.0), cm.marginal_power(100, 1), 0.1, 500, 9)
     assert rep.estimate == 2.0
 
 
 def test_kernel_matches_conditional_oracle_midband():
-    batch = ou_batch_200(100_000, 123)
-    rep = cm.kernel_loss_estimate(batch, cm.terminal_power(2),
-                                  cm.marginal_power(100, 1), 0.05)
+    rep = kernel(cm.terminal_power(2), cm.marginal_power(100, 1), 0.05, 100_000, 123)
     assert abs(rep.estimate - COND_SECOND_MOMENT) <= 0.1 * COND_SECOND_MOMENT
 
 
@@ -399,36 +428,22 @@ def test_kernel_small_bandwidth_pays_variance_penalty():
     # sharpening the kernel toward the conditioning event inflates its error
     # several-fold relative to the quotient estimator on the same draws
     quot = conditional(n=100_000, seed=123)
-    batch = ou_batch_200(100_000, 123)
-    rep = cm.kernel_loss_estimate(batch, cm.terminal_power(2),
-                                  cm.marginal_power(100, 1), 0.002)
+    rep = kernel(cm.terminal_power(2), cm.marginal_power(100, 1), 0.002, 100_000, 123)
     assert rep.std_error >= 3.0 * quot.std_error
 
 
 def test_kernel_wide_bandwidth_gives_unconditional_mean():
-    batch = ou_batch_200(100_000, 123)
-    rep = cm.kernel_loss_estimate(batch, cm.terminal_power(2),
-                                  cm.marginal_power(100, 1), 100.0)
+    rep = kernel(cm.terminal_power(2), cm.marginal_power(100, 1), 100.0, 100_000, 123)
     assert abs(rep.estimate - OU_VAR_T1) <= 3.0 * rep.std_error + 2.0 * 0.005
 
 
 def test_kernel_rejects_degenerate_inputs():
-    batch = ou_batch_200(100, 3)
     ell, g = cm.terminal_power(2), cm.shift_functional(cm.marginal_power(100, 1), 5.0)
     with pytest.raises(EmptyKernelMass):
-        cm.kernel_loss_estimate(batch, ell, g, 1e-6)
+        kernel(ell, g, 1e-6, 100, 3)
     for bandwidth in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
-            cm.kernel_loss_estimate(batch, ell, g, bandwidth)
-    with pytest.raises(TypeError, match="paths must be a PathBatch, not list"):
-        cm.kernel_loss_estimate([], ell, g, 0.5)
-
-
-def test_kernel_rejects_a_bundle_sequence():
-    # one PathBatch holds every path; a list of one-path batches is not one
-    batch = ou_batch_200(50, 33)
-    ell, g = cm.terminal_power(2), cm.marginal_power(100, 1)
-    with pytest.raises(TypeError, match="paths must be a PathBatch, not list"):
-        cm.kernel_loss_estimate([batch.path(i) for i in range(50)], ell, g, 0.5)
-    one = cm.kernel_loss_estimate(batch.path(7), ell, g, 0.5)
-    assert one.n_paths == 1 and one.std_error == math.inf
+            kernel(ell, g, bandwidth, 100, 3)
+    # one path has no spread: per_path takes at least two
+    with pytest.raises(ValueError, match="n_paths must be an integer of at least 2"):
+        kernel(ell, g, 0.5, 1, 3)

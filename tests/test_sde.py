@@ -454,12 +454,6 @@ def test_one_path_is_a_path_batch():
     assert same_bits(batch.path(3).states, path.states)
     resumed = cm.resume_path(path, 4, path.states[4] + 0.5, noise)
     assert resumed.n_paths == 1 and (resumed.master_seed, resumed.path_indices) == (7, 123)
-    ell, g = cm.terminal_power(2), cm.marginal_power(5, 1)
-    report = cm.kernel_loss_estimate(path, ell, g, 0.5)
-    assert report.n_paths == 1 and report.master_seed == 7
-    assert cm.kernel_loss_estimate(batch, ell, g, 0.5).master_seed == 7
-    with pytest.raises(TypeError, match="paths must be a PathBatch"):
-        cm.kernel_loss_estimate([batch.path(i) for i in range(5)], ell, g, 0.5)
 
 
 def test_random_walk_degenerate_model():
@@ -1087,6 +1081,8 @@ def _split_runs():
     loss = cm.conditional_loss_estimate(model, 1.0, f, g, "canonical", SPLIT_PATHS, 5,
                                         grid, x0)
     out = [loss.estimate, loss.std_error, loss.a_terms, loss.b_terms]
+    kernel = cm.kernel_loss_estimate(model, 1.0, f, g, 0.3, SPLIT_PATHS, 9, grid, x0)
+    out += [kernel.estimate, kernel.std_error]
     for mode in ("random-k", "sum-over-k"):
         rep = cm.hj_gradient(model, 1.0, x0, grid, f, SPLIT_PATHS, mode, 6)
         out += [rep.estimate, rep.std_error, rep.variance, rep.branch_stats]
@@ -1131,6 +1127,21 @@ def test_loss_estimate_memory_is_bounded_by_the_block_budget(force_workers):
     # the two workers' blocks take about one BLOCK_BYTES together, each
     # reused for the worker's later blocks; the Euler scratch and the
     # quotient tiles add a few CHUNK_BYTES, and no block-sized array more
+    assert peak <= 1.25 * sde.BLOCK_BYTES
+
+
+def test_kernel_estimate_memory_is_bounded_by_the_block_budget(force_workers):
+    # as for the quotient: one simulated batch of all 20,000 paths would take
+    # 64 MB, about four BLOCK_BYTES
+    force_workers(2)
+    tracemalloc.start()
+    try:
+        cm.kernel_loss_estimate(cm.ou_model(1.0), 1.0, cm.terminal_power(2),
+                                cm.marginal_power(100, 1), 0.1, 20_000, 0,
+                                cm.TimeGrid(1.0, 200), 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak <= 1.25 * sde.BLOCK_BYTES
 
 

@@ -124,6 +124,14 @@ def _loss_bits(seed, steps, rows):
             rep.b_terms.tobytes())
 
 
+def _kernel_bits(seed, steps, rows):
+    with fixed_block_rows(rows):
+        rep = cm.kernel_loss_estimate(
+            cm.ou_model(1.0), 1.0, cm.terminal_power(2), cm.marginal_power(steps // 2, 1), 0.3,
+            N_PATHS, seed, cm.TimeGrid(1.0, steps), 0.2)
+    return rep.estimate.hex(), rep.std_error.hex()
+
+
 def _gradient_bits(seed, steps, mode, rows):
     with fixed_block_rows(rows):
         rep = cm.hj_gradient(cm.ou_model(1.0), 1.0, np.array([0.5]), cm.TimeGrid(1.0, steps),
@@ -138,6 +146,7 @@ def _gradient_bits(seed, steps, mode, rows):
 def test_estimators_give_the_same_bits_for_every_block_size(seed, steps):
     loss = {_loss_bits(seed, steps, size) for size in BLOCK_SIZES}
     assert len(loss) == 1
+    assert len({_kernel_bits(seed, steps, size) for size in BLOCK_SIZES}) == 1
     for mode in wd.GRADIENT_MODES:
         assert len({_gradient_bits(seed, steps, mode, size) for size in BLOCK_SIZES}) == 1
 
@@ -159,6 +168,9 @@ def test_out_of_range_seeds_raise_instead_of_aliasing(seed):
     with pytest.raises(ValueError, match=message):
         cm.conditional_loss_estimate(cm.ou_model(1.0), 1.0, cm.terminal_power(2),
                                      cm.marginal_power(2, 1), "canonical", 50, seed, grid, 0.2)
+    with pytest.raises(ValueError, match=message):
+        cm.kernel_loss_estimate(cm.ou_model(1.0), 1.0, cm.terminal_power(2),
+                                cm.marginal_power(2, 1), 0.3, 50, seed, grid, 0.2)
     with pytest.raises(ValueError, match=message):
         cm.hj_gradient(cm.ou_model(1.0), 1.0, np.array([0.5]), grid, cm.terminal_power(2),
                        50, "random-k", seed)
@@ -194,6 +206,9 @@ def test_non_integer_seeds_raise_instead_of_truncating(seed):
     with pytest.raises(ValueError, match=message):
         cm.conditional_loss_estimate(cm.ou_model(1.0), 1.0, cm.terminal_power(2),
                                      cm.marginal_power(2, 1), "canonical", 50, seed, grid, 0.2)
+    with pytest.raises(ValueError, match=message):
+        cm.kernel_loss_estimate(cm.ou_model(1.0), 1.0, cm.terminal_power(2),
+                                cm.marginal_power(2, 1), 0.3, 50, seed, grid, 0.2)
     for mode in wd.GRADIENT_MODES:
         with pytest.raises(ValueError, match=message):
             cm.hj_gradient(cm.ou_model(1.0), 1.0, np.array([0.5]), grid, cm.terminal_power(2),

@@ -1724,3 +1724,43 @@ def test_value_only_payoffs_keep_the_restart_route(monkeypatch, mode):
         cm.hj_gradient(cm.ou_model(1.0), 1.0, X0, grid, marginal_at(5), 300, mode, 3)
     restarts = {"random-k": 2, "sum-over-k": 2 * grid.steps}[mode]
     assert calls["euler"] == 3 * (1 + restarts)
+
+
+def square_at_probe_step(step):
+    """X_T^2, declaring a probe that names the horizon as step."""
+    square = cm.terminal_power(2)
+    return dataclasses.replace(square, probe=lambda b: Probe(
+        (step,), lambda x: x[..., 0, 0] ** 2, lambda x: 2.0 * x))
+
+
+def _probe_step_runs(step, mode):
+    """The counterfactual gradient and hj_gradient of square_at_probe_step(step),
+    each a call that returns its bits."""
+    model, grid = cm.ou_model(1.0), cm.TimeGrid(1.0, 20)
+    f = square_at_probe_step(step)
+
+    def counterfactual():
+        return float(cm.counterfactual_gradient(model, 1.0, f, cm.marginal_power(10, 1),
+                                                "canonical", grid, 0.0, 2_000, mode, 3)[1]).hex()
+
+    def hj():
+        rep = cm.hj_gradient(model, 1.0, 0.0, grid, f, 2_000, mode, 3)
+        return rep.estimate.hex(), rep.std_error.hex()
+
+    return counterfactual, hj
+
+
+@pytest.mark.parametrize("mode", wd.GRADIENT_MODES)
+def test_a_negative_probe_step_counts_from_the_end(mode):
+    # as marginal_power's step does; read as an index as it stands, -1 would
+    # value every branch at the unbranched X_M, a gradient of the wrong sign
+    assert ([run() for run in _probe_step_runs(-1, mode)]
+            == [run() for run in _probe_step_runs(20, mode)])
+
+
+@pytest.mark.parametrize("mode", wd.GRADIENT_MODES)
+@pytest.mark.parametrize("step", [25, True, 2.5])
+def test_a_probe_step_off_the_grid_is_rejected(mode, step):
+    for run in _probe_step_runs(step, mode):
+        with pytest.raises(ValueError, match="probe step"):
+            run()
